@@ -46,6 +46,9 @@ from .sampling import (
 )
 
 TRIAL_CHUNK = 64
+# Monte Carlo draws are generated in blocks of at most this many entries
+# (masks plus noise for a chunk of trials over a run of steps).
+DRAW_BLOCK = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -289,34 +292,87 @@ class LearningCurve:
         return to_db(self.steady_state_linear())
 
 
-def _trial_randomness(seed: int, trial: int, horizon: int, probs: np.ndarray,
-                      std: np.ndarray):
-    rng = np.random.default_rng(seed + trial)
-    masks = (rng.random((horizon, probs.shape[0])) < probs).astype(np.int8)
-    noise = rng.normal(0.0, std, size=(horizon, probs.shape[0]))
-    return masks, noise
+def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndarray,
+                max_elements: int):
+    """Per-trial sampling masks and noise, streamed in time blocks.
+
+    Trial ``t`` owns the stream of ``default_rng(seed + t)``: ``horizon``
+    rows of uniforms, thresholded against ``probs`` into 0/1 masks, then
+    ``horizon`` rows of Gaussian noise with per-vertex ``std``.  The masks
+    are read from that generator; the noise from a second copy advanced
+    past the uniforms, so each block is drawn without materializing the
+    rest of the horizon.  Yields ``(masks, noise)`` of shape
+    ``(len(trials), steps, n)`` covering the horizon in order, with
+    ``steps`` chosen so that a block holds at most ``max_elements`` entries,
+    but at least one step.
+    """
+    n = probs.shape[0]
+    trials = list(trials)
+    mask_rngs = [np.random.default_rng(seed + t) for t in trials]
+    noise_rngs = []
+    for t in trials:
+        bits = np.random.PCG64(seed + t)
+        bits.advance(horizon * n)  # one 64-bit draw per uniform
+        noise_rngs.append(np.random.Generator(bits))
+    steps = max(1, max_elements // (len(trials) * n))
+    for start in range(0, horizon, steps):
+        k = min(steps, horizon - start)
+        masks = np.empty((len(trials), k, n), dtype=np.int8)
+        noise = np.empty((len(trials), k, n))
+        for c in range(len(trials)):
+            masks[c] = mask_rngs[c].random((k, n)) < probs
+            noise_rngs[c].standard_normal(out=noise[c])
+        # the same values as normal(0.0, std), which computes 0.0 + std * z
+        noise *= std
+        yield masks, noise
+
+
+def _trial_steps(setup: Setup, probs: SamplingProbabilities, chunk):
+    """``(step, masks, y)`` for every instant of one chunk of trials, where
+    ``y = x_true + noise``; draws are streamed block by block."""
+    t = 0
+    for masks, noise in draw_blocks(setup.seed, chunk, setup.horizon, probs.probs,
+                                    setup.noise.std, DRAW_BLOCK):
+        for j in range(masks.shape[1]):
+            yield t, masks[:, j, :], setup.x_true + noise[:, j, :]
+            t += 1
+
+
+def lms_update(s_hat: np.ndarray, masks: np.ndarray, y: np.ndarray, u: np.ndarray,
+               mu: float) -> np.ndarray:
+    """One LMS step for a chunk of trials, in bandlimited coordinates:
+    s <- s + mu U_F^T D_S (y - U_F s)."""
+    return s_hat + mu * ((masks * (y - s_hat @ u.T)) @ u)
+
+
+def rls_outer_table(u: np.ndarray) -> np.ndarray:
+    """Row i holds vec(u_i u_i^T), so ``w @ table`` is sum_i w_i u_i u_i^T."""
+    n, f = u.shape
+    return (u[:, :, None] * u[:, None, :]).reshape(n, f * f)
+
+
+def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
+               u: np.ndarray, outer: np.ndarray, beta: float):
+    """One RLS step for a chunk of trials, with weights w = D_S C_v^{-1}:
+    Psi <- beta Psi + U_F^T W U_F (one GEMM against ``outer``, in place),
+    psi <- beta psi + U_F^T W y."""
+    psi *= beta
+    psi += (w @ outer).reshape(psi.shape)
+    return psi, beta * psiv + (w * y) @ u
 
 
 def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
     s_true = setup.signal_coeffs
-    x_true = setup.x_true
-    horizon, trials = setup.horizon, setup.trials
-    acc = np.zeros(horizon)
+    trials = setup.trials
+    acc = np.zeros(setup.horizon)
     for start in range(0, trials, TRIAL_CHUNK):
         chunk = range(start, min(start + TRIAL_CHUNK, trials))
-        masks = np.empty((len(chunk), horizon, setup.graph.n), dtype=np.int8)
-        vs = np.empty((len(chunk), horizon, setup.graph.n))
-        for c, t in enumerate(chunk):
-            masks[c], vs[c] = _trial_randomness(setup.seed, t, horizon,
-                                                probs.probs, setup.noise.std)
         s_hat = np.zeros((len(chunk), setup.bandlimit.size))
-        for t in range(horizon):
+        for t, masks, y in _trial_steps(setup, probs, chunk):
             err = s_hat - s_true
             acc[t] += float((err * err).sum())
-            resid = masks[:, t, :] * (x_true + vs[:, t, :] - s_hat @ u.T)
-            s_hat = s_hat + mu * (resid @ u)
-        del masks, vs
+            s_hat = lms_update(s_hat, masks, y, u, mu)
     return acc / trials
 
 
@@ -324,29 +380,20 @@ def _run_rls_mc(setup: Setup, probs: SamplingProbabilities, beta: float,
                 delta: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
     s_true = setup.signal_coeffs
-    x_true = setup.x_true
-    horizon, trials = setup.horizon, setup.trials
+    trials = setup.trials
     f = setup.bandlimit.size
     inv_var = 1.0 / setup.noise.variances
-    acc = np.zeros(horizon)
+    outer = rls_outer_table(u)
+    acc = np.zeros(setup.horizon)
     for start in range(0, trials, TRIAL_CHUNK):
         chunk = range(start, min(start + TRIAL_CHUNK, trials))
-        c_sz = len(chunk)
-        masks = np.empty((c_sz, horizon, setup.graph.n), dtype=np.int8)
-        vs = np.empty((c_sz, horizon, setup.graph.n))
-        for c, t in enumerate(chunk):
-            masks[c], vs[c] = _trial_randomness(setup.seed, t, horizon,
-                                                probs.probs, setup.noise.std)
-        psi = np.tile(delta * np.eye(f), (c_sz, 1, 1))
-        psiv = np.zeros((c_sz, f))
-        for t in range(horizon):
+        psi = np.tile(delta * np.eye(f), (len(chunk), 1, 1))
+        psiv = np.zeros((len(chunk), f))
+        for t, masks, y in _trial_steps(setup, probs, chunk):
             s_hat = np.linalg.solve(psi, psiv[:, :, None])[:, :, 0]
             err = s_hat - s_true
             acc[t] += float((err * err).sum())
-            w = masks[:, t, :] * inv_var
-            psi = beta * psi + np.einsum("cn,nf,ng->cfg", w, u, u, optimize=True)
-            psiv = beta * psiv + (w * (x_true + vs[:, t, :])) @ u
-        del masks, vs
+            psi, psiv = rls_update(psi, psiv, masks * inv_var, y, u, outer, beta)
     return acc / trials
 
 
@@ -369,8 +416,10 @@ def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
     x_true = setup.x_true
     acc = np.zeros((horizon, setup.graph.n))
     for t in range(trials):
-        masks, vs = _trial_randomness(setup.seed, t, horizon, probs.probs,
-                                      setup.noise.std)
+        # drls_simulate consumes the whole horizon at once: a single block
+        masks, vs = next(draw_blocks(setup.seed, [t], horizon, probs.probs,
+                                     setup.noise.std, max_elements=horizon * setup.graph.n))
+        masks, vs = masks[0], vs[0]
         observations = masks * (x_true + vs)
         curves, _ = drls_simulate(comm, setup.bandlimit, setup.noise, cfg,
                                   masks, observations, x_true)
@@ -607,9 +656,13 @@ __all__ = [
     "build_setup",
     "compare_sampling",
     "config_hash",
+    "draw_blocks",
     "fit_rate",
+    "lms_update",
     "load_config",
     "resolve_sampling",
+    "rls_outer_table",
+    "rls_update",
     "run_experiment",
     "to_db",
     "write_compare_csv",

@@ -1,6 +1,7 @@
 """Experiment harness: config handling, Monte Carlo runs, file outputs, CLI."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 import yaml
 
-from graphadapt import cli
+from graphadapt import SamplingDraw, cli, harness
+from graphadapt.filters import lms_init, lms_step, rls_estimate, rls_init, rls_step
 from graphadapt.harness import (
+    DRAW_BLOCK,
     ConfigError,
     LearningCurve,
     build_graph,
     build_setup,
     compare_sampling,
     config_hash,
+    draw_blocks,
     fit_rate,
     load_config,
     resolve_sampling,
@@ -323,6 +327,127 @@ class TestRunExperiment:
         curve = run_experiment(cfg)
         assert curve.metadata["design_converged"] is True
         assert curve.metadata["design_iterations"] >= 1
+
+
+def _dense_trial_stream(seed, trial, horizon, probs, std):
+    """The per-trial stream drawn all at once: the oracle for draw_blocks."""
+    rng = np.random.default_rng(seed + trial)
+    masks = rng.random((horizon, probs.shape[0])) < probs
+    noise = rng.normal(0.0, std, (horizon, probs.shape[0]))
+    return masks, noise
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("trials, horizon, n, steps", [
+        (range(0, 3), 23, 7, 5),       # blocks do not divide the horizon
+        (range(0, 3), 23, 7, 1),       # one step per block
+        (range(0, 3), 23, 7, 40),      # one block longer than the horizon
+        (range(64, 70), 17, 7, 4),     # final chunk of fewer than 64 trials
+        (range(0, 64), 60, 300, None),  # default cap at the scaled instance
+    ])
+    def test_blocks_concatenate_to_dense_stream(self, trials, horizon, n, steps):
+        rng = np.random.default_rng(0)
+        probs = rng.uniform(0.2, 0.9, n)
+        std = np.sqrt(rng.uniform(0.005, 0.03, n))
+        cap = DRAW_BLOCK if steps is None else steps * len(trials) * n
+        blocks = list(draw_blocks(11, trials, horizon, probs, std, cap))
+        for masks, noise in blocks:
+            assert masks.dtype == np.int8
+            assert masks.shape == noise.shape
+            assert masks.shape[0] == len(trials) and masks.shape[2] == n
+            assert masks.size <= cap
+        masks = np.concatenate([b[0] for b in blocks], axis=1)
+        noise = np.concatenate([b[1] for b in blocks], axis=1)
+        assert masks.shape == (len(trials), horizon, n)
+        for c, t in enumerate(trials):
+            ref_masks, ref_noise = _dense_trial_stream(11, t, horizon, probs, std)
+            np.testing.assert_array_equal(masks[c], ref_masks)
+            np.testing.assert_array_equal(noise[c], ref_noise)
+
+    def test_trials_independent_of_chunking(self):
+        probs, std = np.full(5, 0.5), np.full(5, 0.1)
+        whole = next(draw_blocks(2, range(0, 4), 9, probs, std, DRAW_BLOCK))
+        alone = next(draw_blocks(2, [3], 9, probs, std, DRAW_BLOCK))
+        np.testing.assert_array_equal(whole[0][3], alone[0][0])
+        np.testing.assert_array_equal(whole[1][3], alone[1][0])
+
+
+def golden_config(algorithm):
+    """70 trials: one full chunk of 64 plus a short one."""
+    return {
+        "seed": 5,
+        "trials": 70,
+        "horizon": 60,
+        "graph": {"kind": "random_geometric", "n": 10, "radius": 0.7},
+        "bandlimit": {"size": 3},
+        "noise": {"kind": "loguniform", "low": 0.005, "high": 0.03},
+        "sampling": {"kind": "strategy", "strategy": "leverage", "m": 6},
+        "algorithm": algorithm,
+    }
+
+
+# SHA-256 of curve.csv as written by the previous Monte Carlo engine (whole-
+# horizon draws per trial, einsum information update); the streamed kernels
+# must reproduce these bytes.
+GOLDEN_CURVES = {
+    "lms": ({"kind": "lms", "mu": 0.2},
+            "ba71575b2f912ddb4ca9c844e8fb96420342eddeb8b966529812a8300e18f314"),
+    "rls": ({"kind": "rls", "beta": 0.9},
+            "6d9aa694b0e5de649f30d0fea55b57b3a72bab7bce0a4bc35a779ec309d79a65"),
+    "drls": ({"kind": "drls", "beta": 0.9, "rho": 20.0, "inner_iters": 2,
+              "comm": "complete"},
+             "55fa1e2701a059035fbee0061476dbdb774f34b196d2d57007a0cdb1a84763a3"),
+}
+
+
+@pytest.mark.parametrize("kind, block", [
+    ("lms", None),
+    ("rls", None),
+    ("drls", None),
+    # 7-step blocks for the full chunk (not a divisor of the horizon), a
+    # single block for the short one
+    ("lms", 64 * 10 * 7),
+    ("rls", 64 * 10 * 7),
+])
+def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
+    if block is not None:
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+    algorithm, digest = GOLDEN_CURVES[kind]
+    cfg = golden_config(algorithm)
+    if kind == "drls":
+        cfg["trials"], cfg["horizon"] = 2, 30
+    path = tmp_path / "curve.csv"
+    write_curve_csv(run_experiment(cfg), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_batched_kernels_match_single_trial_filters():
+    cfg = tiny_config()
+    cfg.update(seed=9, trials=5, horizon=40)
+    cfg["graph"] = {"kind": "random_geometric", "n": 12, "radius": 0.6}
+    cfg["noise"] = {"kind": "loguniform", "low": 0.005, "high": 0.03}
+    cfg["sampling"] = {"kind": "explicit",
+                       "p": np.linspace(0.3, 0.9, 12).round(3).tolist()}
+    mu, beta, delta = 0.3, 0.9, 1e-2
+    setup = build_setup(cfg)
+    probs, _ = resolve_sampling(setup)
+    bl, x_true = setup.bandlimit, setup.x_true
+    masks, noise = next(draw_blocks(setup.seed, range(5), 40, probs.probs,
+                                    setup.noise.std, DRAW_BLOCK))
+    ref_lms = np.zeros(40)
+    ref_rls = np.zeros(40)
+    for c in range(5):
+        lms, rls = lms_init(bl, mu), rls_init(bl, beta, delta)
+        for t in range(40):
+            ref_lms[t] += float(np.sum((lms.estimate - x_true) ** 2))
+            ref_rls[t] += float(np.sum((rls_estimate(rls, bl) - x_true) ** 2))
+            draw, y = SamplingDraw(masks[c, t]), x_true + noise[c, t]
+            lms = lms_step(lms, y, draw, bl)
+            rls = rls_step(rls, y, draw, setup.noise, bl)
+    cfg["algorithm"] = {"kind": "lms", "mu": mu}
+    np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_lms / 5, rtol=1e-10)
+    cfg["algorithm"] = {"kind": "rls", "beta": beta, "delta": delta}
+    np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_rls / 5, rtol=1e-10)
 
 
 class TestLearningCurve:
