@@ -2,11 +2,19 @@
 
 Every node keeps a local information pair fed only by its own observations;
 agreement on the global estimate is enforced by K rounds of a synchronous
-ADMM consensus loop per sampling instant, exchanging estimates and Lagrange
-multipliers with communication-graph neighbors.  The sum of the local
-information matrices reproduces the centralized RLS information matrix
-exactly, which is the invariant that makes K large recover the centralized
-estimator.
+ADMM consensus loop per sampling instant, exchanging estimates with
+communication-graph neighbors.  The sum of the local information matrices
+reproduces the centralized RLS information matrix exactly, which is the
+invariant that makes K large recover the centralized estimator.
+
+The network state is held as arrays with one row per node, and each inner
+iteration is one batched solve over all nodes.  The per-link multipliers
+lambda_ij stay antisymmetric, and the local update reads them only through
+alpha_i = sum_j (lambda_ij - lambda_ji), so only these aggregated duals are
+kept; they advance as alpha <- alpha + rho L s with L the communication
+Laplacian (Shi, Ling, Yuan, Wu & Yin, IEEE TSP 2014; D-RLS as in Mateos,
+Schizas & Giannakis, IEEE TSP 2009).  Messages are still counted per link:
+each inner iteration sends one payload per directed edge, 2 |E| in total.
 
 The consensus penalty rho is only conditionally stable: the local update
 anchors on raw neighbor estimates, so the inner loop converges for rho
@@ -24,19 +32,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Bandlimit, Graph, load_edge_list
+from .graphs import Bandlimit, Graph, connected_components, load_edge_list
 from .sampling import NoiseModel
 
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Undirected, connected communication topology as neighbor tuples."""
+    """Undirected, connected communication topology as neighbor tuples,
+    with its 0/1 adjacency matrix and combinatorial Laplacian D - A."""
 
     neighbor_sets: tuple
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = []
         n = len(self.neighbor_sets)
+        adjacency = np.zeros((n, n))
         for i, nbrs in enumerate(self.neighbor_sets):
             ns = tuple(sorted(int(j) for j in nbrs))
             if any(not 0 <= j < n for j in ns):
@@ -46,31 +58,15 @@ class CommGraph:
             if len(set(ns)) != len(ns):
                 raise ValueError(f"duplicate neighbor at node {i}")
             cleaned.append(ns)
-        for i, nbrs in enumerate(cleaned):
-            for j in nbrs:
-                if i not in cleaned[j]:
-                    raise ValueError(f"asymmetric link {i}->{j}")
-        object.__setattr__(self, "neighbor_sets", tuple(cleaned))
-        if self._components() != 1:
+            adjacency[i, list(ns)] = 1.0
+        asymmetric = np.argwhere(adjacency > adjacency.T)
+        if asymmetric.size:
+            raise ValueError("asymmetric link {}->{}".format(*asymmetric[0]))
+        if connected_components(Graph(adjacency)) != 1:
             raise ValueError("communication graph must be connected")
-
-    def _components(self) -> int:
-        n = self.n
-        seen = [False] * n
-        count = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            count += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                i = stack.pop()
-                for j in self.neighbor_sets[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-        return count
+        object.__setattr__(self, "neighbor_sets", tuple(cleaned))
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "laplacian", np.diag(adjacency.sum(axis=1)) - adjacency)
 
     @property
     def n(self) -> int:
@@ -99,17 +95,6 @@ class CommGraph:
         return cls.from_graph(load_edge_list(path))
 
 
-@dataclass
-class NodeState:
-    """Local estimator state: information pair, consensus estimate, and one
-    Lagrange multiplier per neighbor."""
-
-    psi_mat: np.ndarray
-    psi_vec: np.ndarray
-    estimate: np.ndarray
-    multipliers: dict
-
-
 @dataclass(frozen=True)
 class DrlsConfig:
     """ADMM parameters: penalty rho, inner rounds per instant, forgetting
@@ -133,12 +118,17 @@ class DrlsConfig:
 
 @dataclass
 class DrlsNetwork:
-    """All node states plus the shared problem data and a message counter."""
+    """Every node's state as one row of an array: information pairs
+    ``psi`` (n, f, f) and ``psiv`` (n, f), consensus ``estimates`` (n, f),
+    aggregated duals ``alpha`` (n, f), plus a message counter."""
 
     comm: CommGraph
     basis: Bandlimit
     noise: NoiseModel
-    nodes: list
+    psi: np.ndarray
+    psiv: np.ndarray
+    estimates: np.ndarray
+    alpha: np.ndarray
     message_count: int = 0
 
 
@@ -148,67 +138,44 @@ def drls_network_init(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
     over nodes equals the centralized initialization exactly."""
     if comm.n != b.n or noise.n != b.n:
         raise ValueError("communication graph, basis and noise sizes must agree")
-    f = b.size
-    share = config.delta / comm.n
-    nodes = [
-        NodeState(
-            psi_mat=share * np.eye(f),
-            psi_vec=np.zeros(f),
-            estimate=np.zeros(f),
-            multipliers={j: np.zeros(f) for j in comm.neighbor_sets[i]},
-        )
-        for i in range(comm.n)
-    ]
-    return DrlsNetwork(comm=comm, basis=b, noise=noise, nodes=nodes)
+    n, f = comm.n, b.size
+    return DrlsNetwork(comm=comm, basis=b, noise=noise,
+                       psi=np.tile(config.delta / n * np.eye(f), (n, 1, 1)),
+                       psiv=np.zeros((n, f)), estimates=np.zeros((n, f)),
+                       alpha=np.zeros((n, f)))
 
 
-def drls_sense(node: NodeState, y_i: float, d_i: int, variance_i: float,
-               u_row_i: np.ndarray, beta: float) -> NodeState:
-    """Fold one local observation into the node's information pair:
-    Psi_i <- beta Psi_i + d_i u_i u_i^T / sigma_i^2, likewise for psi_i."""
-    w = float(d_i) / variance_i
-    psi_mat = beta * node.psi_mat + w * np.outer(u_row_i, u_row_i)
-    psi_vec = beta * node.psi_vec + w * float(y_i) * u_row_i
-    return NodeState(psi_mat=psi_mat, psi_vec=psi_vec,
-                     estimate=node.estimate, multipliers=node.multipliers)
-
-
-def drls_local_update(node: NodeState, neighbor_estimates: dict,
-                      incoming_multipliers: dict, rho: float) -> np.ndarray:
-    """Closed-form minimizer of the local augmented Lagrangian:
-    (Psi_i + rho |N_i| I)^{-1} [psi_i + rho sum_j s_j - (1/2) sum_j (l_ij - l_ji)].
+def drls_local_update(psi: np.ndarray, psiv: np.ndarray, alpha: np.ndarray,
+                      estimates: np.ndarray, comm: CommGraph, rho: float) -> np.ndarray:
+    """Closed-form minimizers of every node's local augmented Lagrangian,
+    one batched solve:
+    s_i = (Psi_i + rho d_i I)^{-1} [psi_i + rho sum_{j in N_i} s_j - alpha_i / 2].
     """
-    nbrs = sorted(node.multipliers)
-    f = node.psi_vec.shape[0]
-    rhs = node.psi_vec.copy()
-    for j in nbrs:
-        rhs += rho * neighbor_estimates[j]
-        rhs -= 0.5 * (node.multipliers[j] - incoming_multipliers[j])
-    lhs = node.psi_mat + rho * len(nbrs) * np.eye(f)
-    return np.linalg.solve(lhs, rhs)
+    f = psiv.shape[1]
+    lhs = psi + (rho * np.diagonal(comm.laplacian))[:, None, None] * np.eye(f)
+    rhs = psiv + rho * (comm.adjacency @ estimates) - 0.5 * alpha
+    return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
 
 
-def drls_multiplier_update(lambda_ij: np.ndarray, s_hat_j: np.ndarray,
-                           s_hat_i: np.ndarray, rho: float) -> np.ndarray:
-    """Dual ascent step lambda_ij <- lambda_ij + (rho/2)(s_i - s_j).
+def drls_multiplier_update(alpha: np.ndarray, estimates: np.ndarray, comm: CommGraph,
+                           rho: float) -> np.ndarray:
+    """Dual ascent on the aggregated multipliers: alpha <- alpha + rho L s.
 
-    The local update prices the links through lambda_ij - lambda_ji, so the
-    ascent direction for the multiplier on link (i, j) is the disagreement
-    s_i - s_j; the opposite direction turns the consensus loop into positive
-    feedback and diverges for every rho.
+    Per link the ascent is lambda_ij <- lambda_ij + (rho/2)(s_i - s_j), so
+    alpha_i = sum_j (lambda_ij - lambda_ji) moves by rho sum_j (s_i - s_j).
+    The opposite sign turns the consensus loop into positive feedback and
+    diverges for every rho.
     """
-    return lambda_ij + 0.5 * rho * (s_hat_i - s_hat_j)
+    return alpha + rho * (comm.laplacian @ estimates)
 
 
 def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray,
                config: DrlsConfig) -> DrlsNetwork:
-    """One sampling instant: every node senses its own observation, then the
-    network runs ``config.inner_iters`` synchronous consensus iterations.
-
-    Within an inner iteration all nodes read previous-iteration neighbor
-    estimates (double buffering), then multipliers advance on the freshly
-    exchanged estimates.  The message counter grows by 2 |E| per inner
-    iteration: one combined payload per directed edge.
+    """One sampling instant: every node senses its own observation,
+    Psi_i <- beta Psi_i + d_i u_i u_i^T / sigma_i^2 (likewise psi_i), then
+    ``config.inner_iters`` synchronous consensus iterations follow.  Each
+    solves on the previous iteration's estimates, advances the duals on the
+    fresh ones, and adds 2 |E| messages, one per directed edge.
     """
     n = network.comm.n
     draws = np.asarray(draws)
@@ -216,28 +183,14 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
     if draws.shape != (n,) or observations.shape != (n,):
         raise ValueError("draws and observations must be length-n vectors")
     u = network.basis.basis_slice
-    var = network.noise.variances
-    for i in range(n):
-        network.nodes[i] = drls_sense(network.nodes[i], observations[i],
-                                      int(draws[i]), var[i], u[i], config.beta)
+    w = draws / network.noise.variances
+    network.psi = config.beta * network.psi + w[:, None, None] * (u[:, :, None] * u[:, None, :])
+    network.psiv = config.beta * network.psiv + (w * observations)[:, None] * u
     for _ in range(config.inner_iters):
-        snapshot = [node.estimate for node in network.nodes]
-        new_estimates = []
-        for i, node in enumerate(network.nodes):
-            nbrs = network.comm.neighbor_sets[i]
-            new_estimates.append(drls_local_update(
-                node,
-                {j: snapshot[j] for j in nbrs},
-                {j: network.nodes[j].multipliers[i] for j in nbrs},
-                config.rho,
-            ))
-        for i, node in enumerate(network.nodes):
-            node.estimate = new_estimates[i]
-        for i, node in enumerate(network.nodes):
-            for j in network.comm.neighbor_sets[i]:
-                node.multipliers[j] = drls_multiplier_update(
-                    node.multipliers[j], new_estimates[j], new_estimates[i],
-                    config.rho)
+        network.estimates = drls_local_update(network.psi, network.psiv, network.alpha,
+                                              network.estimates, network.comm, config.rho)
+        network.alpha = drls_multiplier_update(network.alpha, network.estimates,
+                                               network.comm, config.rho)
         network.message_count += 2 * network.comm.num_edges
     return network
 
@@ -261,27 +214,7 @@ def drls_simulate(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
     x_true = np.asarray(x_true, dtype=float)
     curves = np.empty((horizon, comm.n))
     for t in range(horizon):
-        for i, node in enumerate(network.nodes):
-            err = u @ node.estimate - x_true
-            curves[t, i] = float(err @ err)
+        err = network.estimates @ u.T - x_true
+        curves[t] = np.einsum("ij,ij->i", err, err)
         drls_round(network, draws[t], observations[t], config)
     return curves, network
-
-
-def drls_run(comm: CommGraph, b: Bandlimit, noise: NoiseModel, p, config: DrlsConfig,
-             horizon: int, rng: np.random.Generator, signal=None):
-    """Self-contained simulation: draws the bandlimited signal (unless given),
-    the sampling masks, and the observation noise from ``rng``, then defers
-    to :func:`drls_simulate`.  Deterministic for a fixed generator state."""
-    probs = p.probs if hasattr(p, "probs") else np.asarray(p, dtype=float)
-    if signal is None:
-        coeffs = rng.normal(size=b.size)
-    else:
-        coeffs = np.asarray(signal, dtype=float)
-        if coeffs.shape != (b.size,):
-            raise ValueError(f"signal must supply {b.size} bandlimited coefficients")
-    x_true = b.basis_slice @ coeffs
-    draws = (rng.random((horizon, b.n)) < probs).astype(np.int8)
-    noise_vals = rng.normal(0.0, noise.std, size=(horizon, b.n))
-    observations = draws * (x_true + noise_vals)
-    return drls_simulate(comm, b, noise, config, draws, observations, x_true)

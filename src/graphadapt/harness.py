@@ -10,6 +10,7 @@ reproducible and trial order is irrelevant.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -75,13 +76,58 @@ def load_config(path) -> dict:
     return raw
 
 
+def _name(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+def _typed(name: str, val, kind):
+    # bool is a subclass of int, but true/false is never a count or a number
+    if not isinstance(val, kind) or isinstance(val, bool):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ConfigError(f"{name}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                          f"got {val!r}")
+    return val
+
+
 def _need(cfg: dict, section: str, key: str, kind=None):
     if key not in cfg:
-        raise ConfigError(f"{section}.{key}: required field is missing")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"{section}.{key}: expected {kind}, got {type(val).__name__}")
+        raise ConfigError(f"{_name(section, key)}: required field is missing")
+    return cfg[key] if kind is None else _typed(_name(section, key), cfg[key], kind)
+
+
+def _count(cfg: dict, section: str, key: str, default=None, low: int = 1) -> int:
+    """An integer field of at least ``low``; required unless ``default`` is given."""
+    if default is None or key in cfg:
+        val = _need(cfg, section, key, int)
+    else:
+        val = default
+    if val < low:
+        raise ConfigError(f"{_name(section, key)}: must be at least {low}, got {val}")
     return val
+
+
+def _real(cfg: dict, section: str, key: str, default=None, high: float = math.inf) -> float:
+    """A number in (0, high]; required unless ``default`` is given."""
+    if default is None or key in cfg:
+        val = float(_need(cfg, section, key, (int, float)))
+    else:
+        val = float(default)
+    if not 0.0 < val <= high:
+        bound = "be positive" if high == math.inf else f"lie in (0, {high:g}]"
+        raise ConfigError(f"{_name(section, key)}: must {bound}, got {val:g}")
+    return val
+
+
+@contextlib.contextmanager
+def _domain(name: str):
+    """Report a plain ValueError raised on a config value as an error of the
+    field ``name``; its subclasses (ConfigError, infeasibility) pass through."""
+    try:
+        yield
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _get(cfg: dict, key: str, default=None):
@@ -115,9 +161,9 @@ def build_graph(config: dict) -> Graph:
         return load_edge_list(_need(gcfg, "graph", "path", str))
     if kind != "random_geometric":
         raise ConfigError(f"graph.kind: unknown kind {kind!r}")
-    n = _need(gcfg, "graph", "n", int)
-    radius = float(_need(gcfg, "graph", "radius", (int, float)))
-    seed = int(gcfg.get("seed", config.get("seed", 0)))
+    n = _count(gcfg, "graph", "n", low=2)
+    radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
+    seed = _count(gcfg, "graph", "seed", config.get("seed", 0), low=0)
     if not gcfg.get("ensure_connected", True):
         return random_geometric_graph(n, radius, seed)
     import warnings
@@ -135,13 +181,9 @@ def build_graph(config: dict) -> Graph:
 
 
 def build_setup(config: dict) -> Setup:
-    seed = int(config.get("seed", 0))
-    trials = int(config.get("trials", 200))
-    horizon = int(config.get("horizon", 1000))
-    if trials < 1:
-        raise ConfigError("trials: must be at least 1")
-    if horizon < 1:
-        raise ConfigError("horizon: must be at least 1")
+    seed = _count(config, "", "seed", 0, low=0)
+    trials = _count(config, "", "trials", 200)
+    horizon = _count(config, "", "horizon", 1000)
 
     graph = build_graph(config)
     basis = eigendecompose(build_laplacian(graph))
@@ -150,9 +192,10 @@ def build_setup(config: dict) -> Setup:
     if not isinstance(bcfg, dict):
         raise ConfigError("bandlimit: section is missing")
     if "indices" in bcfg:
-        bl = Bandlimit.from_indices(basis, bcfg["indices"])
+        with _domain("bandlimit.indices"):
+            bl = Bandlimit.from_indices(basis, bcfg["indices"])
     else:
-        size = _need(bcfg, "bandlimit", "size", int)
+        size = _count(bcfg, "bandlimit", "size")
         if not 1 <= size <= graph.n:
             raise ConfigError(f"bandlimit.size: {size} out of range for n={graph.n}")
         bl = Bandlimit.lowest(basis, size)
@@ -162,12 +205,13 @@ def build_setup(config: dict) -> Setup:
         raise ConfigError("noise: section is missing")
     nkind = ncfg.get("kind", "uniform")
     if nkind == "uniform":
-        noise = NoiseModel.uniform(graph.n, float(_need(ncfg, "noise", "sigma_sq", (int, float))))
+        noise = NoiseModel.uniform(graph.n, _real(ncfg, "noise", "sigma_sq"))
     elif nkind == "values":
         vals = _need(ncfg, "noise", "values", list)
         if len(vals) != graph.n:
             raise ConfigError(f"noise.values: expected {graph.n} entries, got {len(vals)}")
-        noise = NoiseModel(variances=np.asarray(vals, dtype=float))
+        with _domain("noise.values"):
+            noise = NoiseModel(variances=np.asarray(vals, dtype=float))
     elif nkind == "loguniform":
         low = float(_need(ncfg, "noise", "low", (int, float)))
         high = float(_need(ncfg, "noise", "high", (int, float)))
@@ -178,7 +222,7 @@ def build_setup(config: dict) -> Setup:
     else:
         raise ConfigError(f"noise.kind: unknown kind {nkind!r}")
 
-    scale = float(_get(config.get("signal"), "scale", 1.0))
+    scale = float(_typed("signal.scale", _get(config.get("signal"), "scale", 1.0), (int, float)))
     coeffs = scale * np.random.default_rng([seed, 101]).normal(size=bl.size)
     return Setup(
         config=config,
@@ -194,19 +238,21 @@ def build_setup(config: dict) -> Setup:
 
 
 def _design_spec(setup: Setup, scfg: dict) -> design_mod.DesignSpec:
-    msd_target = None
+    def number(key, fallback=None):
+        return float(_need(scfg, "sampling", key, (int, float))) if key in scfg else fallback
+
+    msd_target = number("msd_target")
     if "msd_target_db" in scfg:
-        msd_target = 10.0 ** (float(scfg["msd_target_db"]) / 10.0)
-    elif "msd_target" in scfg:
-        msd_target = float(scfg["msd_target"])
+        msd_target = 10.0 ** (number("msd_target_db") / 10.0)
+    acfg = setup.config.get("algorithm")
     return design_mod.DesignSpec(
         bandlimit=setup.bandlimit,
         noise=setup.noise,
-        mu=float(scfg["mu"]) if "mu" in scfg else _get(setup.config.get("algorithm"), "mu"),
-        beta=float(scfg["beta"]) if "beta" in scfg else _get(setup.config.get("algorithm"), "beta"),
-        rate_target=float(scfg["rate_target"]) if "rate_target" in scfg else None,
+        mu=number("mu", _get(acfg, "mu")),
+        beta=number("beta", _get(acfg, "beta")),
+        rate_target=number("rate_target"),
         msd_target=msd_target,
-        budget=float(scfg["budget"]) if "budget" in scfg else None,
+        budget=number("budget"),
         bounds=scfg.get("p_max"),
     )
 
@@ -237,7 +283,8 @@ def resolve_sampling(setup: Setup):
         p = _need(scfg, "sampling", "p", list)
         if len(p) != n:
             raise ConfigError(f"sampling.p: expected {n} entries, got {len(p)}")
-        return SamplingProbabilities(probs=np.asarray(p, dtype=float)), None
+        with _domain("sampling.p"):
+            return SamplingProbabilities(probs=np.asarray(p, dtype=float)), None
     if kind == "design":
         problem = _need(scfg, "sampling", "problem", str)
         if problem not in _DESIGN_PROBLEMS:
@@ -245,12 +292,13 @@ def resolve_sampling(setup: Setup):
                 f"sampling.problem: unknown problem {problem!r}; "
                 f"choose from {sorted(_DESIGN_PROBLEMS)}"
             )
-        spec = _design_spec(setup, scfg)
-        probs, trace = _DESIGN_PROBLEMS[problem](spec)
-        return probs, trace
+        with _domain("sampling"):
+            return _DESIGN_PROBLEMS[problem](_design_spec(setup, scfg))
     if kind == "strategy":
         name = _need(scfg, "sampling", "strategy", str)
-        m = _need(scfg, "sampling", "m", int)
+        m = _count(scfg, "sampling", "m")
+        if m > n:
+            raise ConfigError(f"sampling.m: {m} out of range for n={n}")
         if name == "leverage":
             return leverage_score_probabilities(setup.bandlimit, m), None
         if name == "max_det":
@@ -361,6 +409,9 @@ def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
     return psi, beta * psiv + (w * y) @ u
 
 
+# The kernels do not warn about overflow: run_experiment reports a non-finite
+# learning curve as an error naming the step size or penalty.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
     s_true = setup.signal_coeffs
@@ -376,6 +427,7 @@ def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.nda
     return acc / trials
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_rls_mc(setup: Setup, probs: SamplingProbabilities, beta: float,
                 delta: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
@@ -410,6 +462,7 @@ def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
     raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
                  comm: CommGraph):
     horizon, trials = setup.horizon, setup.trials
@@ -449,30 +502,37 @@ def run_experiment(config: dict) -> LearningCurve:
     }
     per_node = None
     if kind == "lms":
-        mu = float(_need(acfg, "algorithm", "mu", (int, float)))
+        mu = _real(acfg, "algorithm", "mu")
         theory = lms_msd_theory(probs, mu, setup.noise, setup.bandlimit)
         meta["theory_rate"] = lms_rate_theory(probs, mu, setup.bandlimit)
         meta["step_bound"] = lms_step_bound(probs, setup.bandlimit)
+        diverged = (f"algorithm.mu: the learning curve diverged; mu = {mu:g}, "
+                    f"step_bound = {meta['step_bound']:.6g}")
         curve = _run_lms_mc(setup, probs, mu)
     elif kind == "rls":
-        beta = float(_need(acfg, "algorithm", "beta", (int, float)))
-        delta = float(acfg.get("delta", 1e-3))
+        beta = _real(acfg, "algorithm", "beta", high=1.0)
+        delta = _real(acfg, "algorithm", "delta", 1e-3)
         theory = rls_msd_theory(probs, beta, setup.noise, setup.bandlimit)
+        diverged = "algorithm: the learning curve diverged"
         curve = _run_rls_mc(setup, probs, beta, delta)
     elif kind == "drls":
-        beta = float(_need(acfg, "algorithm", "beta", (int, float)))
+        beta = _real(acfg, "algorithm", "beta", high=1.0)
         cfg = DrlsConfig(
-            rho=float(acfg.get("rho", 1.0)),
-            inner_iters=int(acfg.get("inner_iters", 1)),
+            rho=_real(acfg, "algorithm", "rho", 1.0),
+            inner_iters=_count(acfg, "algorithm", "inner_iters", 1),
             beta=beta,
-            delta=float(acfg.get("delta", 1e-3)),
+            delta=_real(acfg, "algorithm", "delta", 1e-3),
         )
         comm = _comm_from_config(setup, acfg)
         theory = rls_msd_theory(probs, beta, setup.noise, setup.bandlimit)
+        diverged = (f"algorithm.rho: the learning curve diverged; rho = {cfg.rho:g}, "
+                    "lower it or raise inner_iters")
         curve, per_node = _run_drls_mc(setup, probs, cfg, comm)
         meta["inner_iters"] = cfg.inner_iters
     else:
         raise ConfigError(f"algorithm.kind: unknown kind {kind!r}")
+    if not np.isfinite(curve).all():
+        raise ConfigError(diverged)
 
     meta["theory_msd_linear"] = float(theory)
     meta["theory_msd_db"] = to_db(theory)

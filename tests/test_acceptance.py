@@ -204,10 +204,7 @@ def test_ac6_distributed_tracks_centralized():
         state = ga.rls_step(state, observations[t],
                             ga.SamplingDraw(mask=draws[t]), noise, bl)
     central = ga.rls_estimate(state, bl)
-    deviation = max(
-        float(np.abs(bl.basis_slice @ node.estimate - central).max())
-        for node in network.nodes
-    )
+    deviation = float(np.abs(network.estimates @ bl.basis_slice.T - central).max())
     ok_match = deviation <= 1e-4
 
     # more consensus iterations close the steady-state gap to centralized
@@ -341,7 +338,7 @@ def _ac7_information_split():
         ga.drls_round(network, masks, obs, dcfg)
         w = masks * inv_var
         central = beta * central + u.T @ (w[:, None] * u)
-    total = sum(node.psi_mat for node in network.nodes)
+    total = network.psi.sum(axis=0)
     return np.abs(total - central).max() <= 1e-10
 
 

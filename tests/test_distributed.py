@@ -1,9 +1,11 @@
 """In-network RLS: local updates, consensus loop, and centralized limits.
 
-The two structural invariants checked here are (a) the node information
-matrices always sum to the centralized one, and (b) the local update is the
+The structural invariants checked here are (a) the node information
+matrices always sum to the centralized one, (b) the local update is the
 exact stationary point of its augmented Lagrangian, verified by evaluating
-the gradient at the returned minimizer.
+the gradient at the returned minimizer, and (c) the aggregated duals
+reproduce the per-link multiplier recursion, checked against a reference
+that keeps one multiplier per directed link.
 """
 
 import numpy as np
@@ -18,13 +20,10 @@ from graphadapt import (
     drls_multiplier_update,
     drls_network_init,
     drls_round,
-    drls_run,
-    drls_sense,
     drls_simulate,
     rls_init,
     rls_step,
 )
-from graphadapt.distributed import NodeState
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
 
@@ -111,8 +110,7 @@ def test_network_init_sums_to_centralized_regularizer():
     b, noise = make_setup()
     comm = CommGraph.complete(b.n)
     net = drls_network_init(comm, b, noise, DrlsConfig(delta=1e-3))
-    total = sum(node.psi_mat for node in net.nodes)
-    np.testing.assert_allclose(total, 1e-3 * np.eye(b.size), atol=1e-15)
+    np.testing.assert_allclose(net.psi.sum(axis=0), 1e-3 * np.eye(b.size), atol=1e-15)
     assert net.message_count == 0
 
 
@@ -136,78 +134,80 @@ def test_information_sums_to_centralized():
         obs = draws * rng.standard_normal(b.n)
         net = drls_round(net, draws, obs, cfg)
         central = rls_step(central, obs, SamplingDraw(mask=draws), noise, b)
-    total_mat = sum(node.psi_mat for node in net.nodes)
-    total_vec = sum(node.psi_vec for node in net.nodes)
-    np.testing.assert_allclose(total_mat, central.psi_mat, atol=1e-10)
-    np.testing.assert_allclose(total_vec, central.psi_vec, atol=1e-10)
+    np.testing.assert_allclose(net.psi.sum(axis=0), central.psi_mat, atol=1e-10)
+    np.testing.assert_allclose(net.psiv.sum(axis=0), central.psi_vec, atol=1e-10)
 
 
 def test_sense_formula():
-    b, _ = make_setup()
+    b, noise = make_setup()
     rng = np.random.default_rng(7)
-    f = b.size
-    node_psi = random_spd(f, rng)
-    node = NodeState(psi_mat=node_psi.copy(), psi_vec=rng.standard_normal(f),
-                     estimate=np.zeros(f), multipliers={})
+    n, f = b.n, b.size
+    net = drls_network_init(CommGraph.complete(n), b, noise, DrlsConfig())
+    net.psi = np.stack([random_spd(f, rng) for _ in range(n)])
+    net.psiv = rng.standard_normal((n, f))
+    psi0, psiv0 = net.psi.copy(), net.psiv.copy()
+    draws = np.zeros(n, dtype=np.int8)
+    draws[2] = 1
+    obs = 1.5 * draws
+    drls_round(net, draws, obs, DrlsConfig(beta=0.9))
     row = b.basis_slice[2]
-    updated = drls_sense(node, y_i=1.5, d_i=1, variance_i=0.01, u_row_i=row, beta=0.9)
     np.testing.assert_allclose(
-        updated.psi_mat, 0.9 * node.psi_mat + 100.0 * np.outer(row, row), atol=1e-12)
-    np.testing.assert_allclose(
-        updated.psi_vec, 0.9 * node.psi_vec + 100.0 * 1.5 * row, atol=1e-12)
+        net.psi[2], 0.9 * psi0[2] + 100.0 * np.outer(row, row), atol=1e-12)
+    np.testing.assert_allclose(net.psiv[2], 0.9 * psiv0[2] + 100.0 * 1.5 * row, atol=1e-12)
     # skipped instants only decay
-    skipped = drls_sense(node, y_i=0.0, d_i=0, variance_i=0.01, u_row_i=row, beta=0.9)
-    np.testing.assert_allclose(skipped.psi_mat, 0.9 * node.psi_mat, atol=1e-15)
+    skipped = draws == 0
+    np.testing.assert_allclose(net.psi[skipped], 0.9 * psi0[skipped], atol=1e-15)
+    np.testing.assert_allclose(net.psiv[skipped], 0.9 * psiv0[skipped], atol=1e-15)
 
 
 def test_local_update_is_stationary_point():
-    """The returned estimate must zero the gradient of the local augmented
-    Lagrangian  (1/2) s'Psi s - psi's + sum_j [(1/2)(l_ij - l_ji)'s
-    + (rho/2)||s - s_j||^2]."""
+    """Every returned estimate must zero the gradient of its node's local
+    augmented Lagrangian  (1/2) s'Psi_i s - psi_i's + (1/2) alpha_i's
+    + (rho/2) sum_j ||s - s_j||^2,  where alpha_i = sum_j (l_ij - l_ji)."""
     rng = np.random.default_rng(13)
-    f, rho = 4, 7.5
+    g = random_geometric_graph(7, radius=0.6, seed=2)
+    comm = CommGraph.from_graph(g)
+    n, f, rho = comm.n, 4, 7.5
     for _ in range(10):
-        nbrs = [1, 2, 5]
-        psi_mat = random_spd(f, rng)
-        psi_vec = rng.standard_normal(f)
-        outgoing = {j: rng.standard_normal(f) for j in nbrs}
-        incoming = {j: rng.standard_normal(f) for j in nbrs}
-        estimates = {j: rng.standard_normal(f) for j in nbrs}
-        node = NodeState(psi_mat=psi_mat, psi_vec=psi_vec,
-                         estimate=np.zeros(f), multipliers=outgoing)
-        s = drls_local_update(node, estimates, incoming, rho)
-        grad = psi_mat @ s - psi_vec
-        for j in nbrs:
-            grad += 0.5 * (outgoing[j] - incoming[j]) + rho * (s - estimates[j])
-        np.testing.assert_allclose(grad, np.zeros(f), atol=1e-10)
+        psi = np.stack([random_spd(f, rng) for _ in range(n)])
+        psiv = rng.standard_normal((n, f))
+        alpha = rng.standard_normal((n, f))
+        old = rng.standard_normal((n, f))
+        s = drls_local_update(psi, psiv, alpha, old, comm, rho)
+        for i in range(n):
+            grad = psi[i] @ s[i] - psiv[i] + 0.5 * alpha[i]
+            for j in comm.neighbor_sets[i]:
+                grad += rho * (s[i] - old[j])
+            np.testing.assert_allclose(grad, np.zeros(f), atol=1e-10)
 
 
 def test_local_update_fixed_point():
-    # consensus already reached and multipliers balanced: nothing moves
+    # consensus already reached and duals balanced: nothing moves
     rng = np.random.default_rng(17)
-    f = 3
+    comm = CommGraph.ring(4)
+    n, f = comm.n, 3
     s_star = rng.standard_normal(f)
-    psi_mat = random_spd(f, rng)
-    shared = {1: rng.standard_normal(f), 3: rng.standard_normal(f)}
-    node = NodeState(psi_mat=psi_mat, psi_vec=psi_mat @ s_star,
-                     estimate=s_star.copy(), multipliers=shared)
-    s = drls_local_update(node, {1: s_star, 3: s_star},
-                          {1: shared[1], 3: shared[3]}, rho=12.0)
-    np.testing.assert_allclose(s, s_star, atol=1e-12)
+    psi = np.stack([random_spd(f, rng) for _ in range(n)])
+    estimates = np.tile(s_star, (n, 1))
+    s = drls_local_update(psi, psi @ s_star, np.zeros((n, f)), estimates, comm, rho=12.0)
+    np.testing.assert_allclose(s, estimates, atol=1e-12)
 
 
 def test_multiplier_update_direction():
-    lam = np.array([1.0, -2.0])
-    s_i = np.array([3.0, 0.0])
-    s_j = np.array([1.0, 0.0])
-    out = drls_multiplier_update(lam, s_hat_j=s_j, s_hat_i=s_i, rho=4.0)
-    np.testing.assert_allclose(out, lam + 2.0 * (s_i - s_j), atol=1e-15)
-    # zero penalty leaves the multiplier untouched
-    np.testing.assert_allclose(
-        drls_multiplier_update(lam, s_j, s_i, rho=0.0), lam, atol=1e-15)
+    comm = CommGraph(((1,), (0,)))
+    alpha = np.array([[1.0, -2.0], [-1.0, 2.0]])
+    s = np.array([[3.0, 0.0], [1.0, 0.0]])
+    out = drls_multiplier_update(alpha, s, comm, rho=4.0)
+    # alpha_i moves by rho sum_j (s_i - s_j)
+    np.testing.assert_allclose(out[0], alpha[0] + 4.0 * (s[0] - s[1]), atol=1e-15)
+    np.testing.assert_allclose(out[1], alpha[1] + 4.0 * (s[1] - s[0]), atol=1e-15)
+    # zero penalty leaves the duals untouched
+    np.testing.assert_allclose(drls_multiplier_update(alpha, s, comm, rho=0.0), alpha,
+                               atol=1e-15)
 
 
-def test_multipliers_stay_antisymmetric():
+def test_aggregated_duals_sum_to_zero():
+    # 1^T L = 0, so the dual ascent never moves sum_i alpha_i off zero
     b, noise = make_setup()
     comm = CommGraph.complete(b.n)
     cfg = DrlsConfig(rho=30.0, inner_iters=3, beta=0.95)
@@ -217,16 +217,59 @@ def test_multipliers_stay_antisymmetric():
         draws = (rng.random(b.n) < 0.7).astype(np.int8)
         obs = draws * rng.standard_normal(b.n)
         net = drls_round(net, draws, obs, cfg)
-    for i in range(b.n):
-        for j in comm.neighbor_sets[i]:
-            np.testing.assert_allclose(
-                net.nodes[i].multipliers[j], -net.nodes[j].multipliers[i],
-                atol=1e-10)
+    assert np.abs(net.alpha).max() > 1e-3
+    np.testing.assert_allclose(net.alpha.sum(axis=0), np.zeros(b.size), atol=1e-10)
+
+
+def per_link_reference(comm, b, noise, cfg, draws, obs):
+    """D-RLS with one multiplier per directed link, in the paper's order:
+    sense, then per inner iteration local solves on the previous neighbor
+    estimates followed by lambda_ij <- lambda_ij + (rho/2)(s_i - s_j)."""
+    n, f, u = comm.n, b.size, b.basis_slice
+    psi = [cfg.delta / n * np.eye(f) for _ in range(n)]
+    psiv = [np.zeros(f) for _ in range(n)]
+    s = [np.zeros(f) for _ in range(n)]
+    lam = {(i, j): np.zeros(f) for i in range(n) for j in comm.neighbor_sets[i]}
+    for d, y in zip(draws, obs):
+        for i in range(n):
+            w = d[i] / noise.variances[i]
+            psi[i] = cfg.beta * psi[i] + w * np.outer(u[i], u[i])
+            psiv[i] = cfg.beta * psiv[i] + w * y[i] * u[i]
+        for _ in range(cfg.inner_iters):
+            old = list(s)
+            for i, nbrs in enumerate(comm.neighbor_sets):
+                rhs = psiv[i] + sum(cfg.rho * old[j] - 0.5 * (lam[i, j] - lam[j, i])
+                                    for j in nbrs)
+                s[i] = np.linalg.solve(psi[i] + cfg.rho * len(nbrs) * np.eye(f), rhs)
+            for i, j in lam:
+                lam[i, j] = lam[i, j] + 0.5 * cfg.rho * (s[i] - s[j])
+    return np.array(s)
+
+
+@pytest.mark.parametrize("topology", ["ring", "random_geometric"])
+def test_matches_per_link_reference(topology):
+    if topology == "ring":
+        b, noise = make_setup(n=6, f=3)
+        comm = CommGraph.ring(6)
+    else:
+        g = random_geometric_graph(8, radius=0.5, seed=2)
+        b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 3)
+        noise = NoiseModel.uniform(8, 0.01)
+        comm = CommGraph.from_graph(g)
+    cfg = DrlsConfig(rho=2.0, inner_iters=3, beta=0.95)
+    rng = np.random.default_rng(37)
+    draws = (rng.random((10, comm.n)) < 0.7).astype(np.int8)
+    obs = draws * rng.standard_normal((10, comm.n))
+    net = drls_network_init(comm, b, noise, cfg)
+    for t in range(10):
+        drls_round(net, draws[t], obs[t], cfg)
+    reference = per_link_reference(comm, b, noise, cfg, draws, obs)
+    assert np.abs(reference).max() > 1e-2
+    np.testing.assert_allclose(net.estimates, reference, rtol=1e-10)
 
 
 def test_zero_data_node_pulled_toward_neighbor():
     # node 1 never observes anything; consensus drags it to node 0
-    b_n = 2
     comm = CommGraph(((1,), (0,)))
     basis = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
 
@@ -242,8 +285,8 @@ def test_zero_data_node_pulled_toward_neighbor():
     obs = np.array([2.0, 0.0])
     for _ in range(20):
         net = drls_round(net, draws, obs, cfg)
-    e0 = float(net.nodes[0].estimate[0])
-    e1 = float(net.nodes[1].estimate[0])
+    e0 = float(net.estimates[0, 0])
+    e1 = float(net.estimates[1, 0])
     assert e0 > 0.5
     assert e1 > 0.25
     assert abs(e1 - e0) < abs(e0)
@@ -273,7 +316,7 @@ def test_round_validates_shapes():
 
 def test_identical_nodes_stay_identical():
     """Fully symmetric problem: same data everywhere on a complete graph
-    keeps every estimate equal and every multiplier at zero."""
+    keeps every estimate equal and every dual at zero."""
     n, f = 4, 2
     g = random_geometric_graph(n, radius=0.95, seed=8)
     b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), f)
@@ -296,12 +339,9 @@ def test_identical_nodes_stay_identical():
     for _ in range(6):
         y = float(rng.standard_normal())
         net = drls_round(net, np.ones(n, dtype=np.int8), np.full(n, y), cfg)
-    base = net.nodes[0].estimate
-    for node in net.nodes[1:]:
-        np.testing.assert_allclose(node.estimate, base, atol=1e-12)
-    for node in net.nodes:
-        for lam in node.multipliers.values():
-            np.testing.assert_allclose(lam, np.zeros(f), atol=1e-12)
+    for estimate in net.estimates[1:]:
+        np.testing.assert_allclose(estimate, net.estimates[0], atol=1e-12)
+    np.testing.assert_allclose(net.alpha, np.zeros((n, f)), atol=1e-12)
 
 
 def test_many_inner_iterations_recover_centralized():
@@ -327,8 +367,8 @@ def test_many_inner_iterations_recover_centralized():
     for t in range(horizon):
         central = rls_step(central, obs[t], SamplingDraw(mask=draws[t]), noise, b)
     reference = np.linalg.solve(central.psi_mat, central.psi_vec)
-    for node in net.nodes:
-        np.testing.assert_allclose(node.estimate, reference, atol=1e-5)
+    for estimate in net.estimates:
+        np.testing.assert_allclose(estimate, reference, atol=1e-5)
 
 
 def test_simulate_curve_convention():
@@ -354,21 +394,3 @@ def test_simulate_validates_shapes():
     with pytest.raises(ValueError):
         drls_simulate(comm, b, noise, DrlsConfig(), np.ones((4, 5)),
                       np.zeros((3, 5)), np.zeros(5))
-
-
-def test_run_deterministic_for_fixed_generator():
-    b, noise = make_setup(n=5, f=2)
-    comm = CommGraph.complete(5)
-    cfg = DrlsConfig(rho=20.0, inner_iters=2)
-    p = np.full(5, 0.7)
-    a, _ = drls_run(comm, b, noise, p, cfg, horizon=15, rng=np.random.default_rng(42))
-    c, _ = drls_run(comm, b, noise, p, cfg, horizon=15, rng=np.random.default_rng(42))
-    np.testing.assert_array_equal(a, c)
-
-
-def test_run_rejects_bad_signal_length():
-    b, noise = make_setup(n=5, f=2)
-    comm = CommGraph.complete(5)
-    with pytest.raises(ValueError):
-        drls_run(comm, b, noise, np.full(5, 0.5), DrlsConfig(), horizon=3,
-                 rng=np.random.default_rng(0), signal=np.ones(3))

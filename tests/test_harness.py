@@ -621,6 +621,27 @@ class TestCli:
         assert code == 2
         assert "design" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, command, edits", [
+        ("noise.sigma_sq", "run-lms", {"noise": {"kind": "uniform", "sigma_sq": -1}}),
+        ("sampling.m", "run-lms",
+         {"sampling": {"kind": "strategy", "strategy": "uniform", "m": 13}}),
+        ("algorithm.rho", "run-drls", {"algorithm": {"kind": "drls", "beta": 0.95, "rho": -1}}),
+        ("trials", "run-lms", {"trials": 2.7}),
+        ("horizon", "run-lms", {"horizon": True}),
+        # full sampling puts the step bound at 2; |1 - mu| = 4 overflows in 400 steps
+        ("algorithm.mu", "run-lms",
+         {"trials": 2, "horizon": 400, "algorithm": {"kind": "lms", "mu": 5}}),
+    ])
+    def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
+                                                     command, edits):
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", dump(tmp_path, dict(tiny_config(), **edits)),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+        assert not (out / "curve.csv").exists()
+        assert not (out / "meta.json").exists()
+
     def test_infeasible_design_exits_2(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg["sampling"] = {
