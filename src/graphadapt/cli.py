@@ -25,6 +25,7 @@ from .harness import (
     load_config,
     resolve_sampling,
     run_experiment,
+    theory_parameter,
     to_db,
     write_compare_csv,
     write_curve_csv,
@@ -95,17 +96,9 @@ def _run(args) -> int:
     if args.command == "theory":
         setup = build_setup(config)
         probs, _ = resolve_sampling(setup)
-        acfg = config.get("algorithm")
-        if not isinstance(acfg, dict) or "kind" not in acfg:
-            raise ConfigError("algorithm.kind: required field is missing")
-        if acfg["kind"] == "lms":
-            report = lms_theory_report(probs, float(acfg["mu"]), setup.noise,
-                                       setup.bandlimit)
-        elif acfg["kind"] in ("rls", "drls"):
-            report = rls_theory_report(probs, float(acfg["beta"]), setup.noise,
-                                       setup.bandlimit)
-        else:
-            raise ConfigError(f"algorithm.kind: unknown kind {acfg['kind']!r}")
+        kind, param = theory_parameter(setup.config)
+        theory = lms_theory_report if kind == "lms" else rls_theory_report
+        report = theory(probs, param, setup.noise, setup.bandlimit)
         rows = [("msd_linear", report.msd), ("msd_db", report.msd_db)]
         if report.rate is not None:
             rows.append(("convergence_rate", report.rate))

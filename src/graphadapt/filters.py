@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .graphs import Bandlimit
 from .sampling import (
@@ -203,7 +202,8 @@ def rls_step(state: RlsState, y, draw: SamplingDraw, noise: NoiseModel, b: Bandl
 
 
 def rls_estimate(state: RlsState, b: Bandlimit) -> np.ndarray:
-    """Current estimate U_F Psi^{-1} psi via symmetric PD factorization."""
+    """Current estimate U_F Psi^{-1} psi, once Psi is checked positive definite
+    and well conditioned."""
     eigs = np.linalg.eigvalsh(state.psi_mat)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
         raise ReconstructabilityError(
@@ -211,8 +211,7 @@ def rls_estimate(state: RlsState, b: Bandlimit) -> np.ndarray:
             f"(condition number {eigs[-1] / max(eigs[0], 1e-300):.3e}); "
             "the sampling pattern does not cover the bandlimit"
         )
-    coeffs = cho_solve(cho_factor(state.psi_mat, lower=True), state.psi_vec)
-    return b.basis_slice @ coeffs
+    return b.basis_slice @ np.linalg.solve(state.psi_mat, state.psi_vec)
 
 
 def rls_msd_theory(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> float:

@@ -43,7 +43,7 @@ from .sampling import (
     leverage_score_probabilities,
     leverage_scores,
     max_det_greedy,
-    weighted_gram,
+    weighted_gram,  # noqa: F401 (harness.weighted_gram stays importable)
 )
 
 TRIAL_CHUNK = 64
@@ -481,15 +481,28 @@ def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
     return per_node.mean(axis=1), per_node
 
 
+def theory_parameter(config: dict) -> tuple:
+    """The configured algorithm kind and the parameter its closed-form theory
+    needs: the step size mu for LMS, the forgetting factor beta for RLS and
+    DRLS."""
+    acfg = config.get("algorithm")
+    if not isinstance(acfg, dict):
+        raise ConfigError("algorithm: section is missing")
+    kind = _need(acfg, "algorithm", "kind", str)
+    if kind == "lms":
+        return kind, _real(acfg, "algorithm", "mu")
+    if kind in ("rls", "drls"):
+        return kind, _real(acfg, "algorithm", "beta", high=1.0)
+    raise ConfigError(f"algorithm.kind: unknown kind {kind!r}")
+
+
 def run_experiment(config: dict) -> LearningCurve:
     """Monte Carlo learning curve for the configured estimator, with theory
     predictions embedded in the metadata."""
     setup = build_setup(config)
     probs, trace = resolve_sampling(setup)
-    acfg = setup.config.get("algorithm")
-    if not isinstance(acfg, dict):
-        raise ConfigError("algorithm: section is missing")
-    kind = _need(acfg, "algorithm", "kind", str)
+    kind, param = theory_parameter(setup.config)
+    acfg = setup.config["algorithm"]
 
     meta = {
         "config_hash": config_hash(config),
@@ -502,7 +515,7 @@ def run_experiment(config: dict) -> LearningCurve:
     }
     per_node = None
     if kind == "lms":
-        mu = _real(acfg, "algorithm", "mu")
+        mu = param
         theory = lms_msd_theory(probs, mu, setup.noise, setup.bandlimit)
         meta["theory_rate"] = lms_rate_theory(probs, mu, setup.bandlimit)
         meta["step_bound"] = lms_step_bound(probs, setup.bandlimit)
@@ -510,13 +523,13 @@ def run_experiment(config: dict) -> LearningCurve:
                     f"step_bound = {meta['step_bound']:.6g}")
         curve = _run_lms_mc(setup, probs, mu)
     elif kind == "rls":
-        beta = _real(acfg, "algorithm", "beta", high=1.0)
+        beta = param
         delta = _real(acfg, "algorithm", "delta", 1e-3)
         theory = rls_msd_theory(probs, beta, setup.noise, setup.bandlimit)
         diverged = "algorithm: the learning curve diverged"
         curve = _run_rls_mc(setup, probs, beta, delta)
-    elif kind == "drls":
-        beta = _real(acfg, "algorithm", "beta", high=1.0)
+    else:  # drls
+        beta = param
         cfg = DrlsConfig(
             rho=_real(acfg, "algorithm", "rho", 1.0),
             inner_iters=_count(acfg, "algorithm", "inner_iters", 1),
@@ -529,8 +542,6 @@ def run_experiment(config: dict) -> LearningCurve:
                     "lower it or raise inner_iters")
         curve, per_node = _run_drls_mc(setup, probs, cfg, comm)
         meta["inner_iters"] = cfg.inner_iters
-    else:
-        raise ConfigError(f"algorithm.kind: unknown kind {kind!r}")
     if not np.isfinite(curve).all():
         raise ConfigError(diverged)
 
@@ -569,21 +580,21 @@ def fit_rate(curve) -> float:
     return float(np.exp(slope))
 
 
-def _prefix_feasible(bl: Bandlimit, noise: NoiseModel, subset, mu, lam_t, gamma) -> bool:
-    w = np.zeros(bl.n)
-    w[list(subset)] = 1.0
-    lam = float(np.linalg.eigvalsh(weighted_gram(bl, w))[0])
-    if lam < lam_t - 1e-12:
-        return False
-    tr_g = float((noise.variances[list(subset)] * leverage_scores(bl)[list(subset)]).sum())
-    return 0.5 * mu * tr_g <= gamma * lam + 1e-12
+def _prefix_stats(bl: Bandlimit, noise: NoiseModel, order) -> tuple:
+    """lambda_min(U_F^T D_S U_F) and Tr G = sum_S sigma_i^2 ||u_i||^2 for every
+    prefix S of ``order``: cumulative sums of the rows' outer products, one
+    batched eigvalsh."""
+    u = bl.basis_slice[order]
+    grams = np.cumsum(u[:, :, None] * u[:, None, :], axis=0)
+    tr_g = np.cumsum(noise.variances[order] * leverage_scores(bl)[order])
+    return np.linalg.eigvalsh(grams)[:, 0], tr_g
 
 
-def _min_prefix(bl, noise, order, mu, lam_t, gamma):
-    for m in range(1, len(order) + 1):
-        if _prefix_feasible(bl, noise, order[:m], mu, lam_t, gamma):
-            return m
-    return math.nan
+def _min_prefix(stats, mu, lam_t, gamma):
+    """Length of the shortest prefix meeting the rate and MSD-bound checks."""
+    lam, tr_g = stats
+    ok = (lam >= lam_t - 1e-12) & (0.5 * mu * tr_g <= gamma * lam + 1e-12)
+    return int(np.argmax(ok)) + 1 if ok.any() else math.nan
 
 
 def compare_sampling(config: dict) -> list:
@@ -609,10 +620,11 @@ def compare_sampling(config: dict) -> list:
 
     bl, noise = setup.bandlimit, setup.noise
     n = setup.graph.n
-    det_order = list(max_det_greedy(bl, n, noise))
-    lev_order = list(np.argsort(-leverage_scores(bl), kind="stable"))
+    ordered = {"max_det": _prefix_stats(bl, noise, max_det_greedy(bl, n, noise)),
+               "leverage": _prefix_stats(bl, noise,
+                                         np.argsort(-leverage_scores(bl), kind="stable"))}
     rng = np.random.default_rng(setup.seed)
-    perms = [list(rng.permutation(n)) for _ in range(seeds)]
+    perms = [_prefix_stats(bl, noise, rng.permutation(n)) for _ in range(seeds)]
 
     rows = []
     for alpha in targets:
@@ -630,12 +642,12 @@ def compare_sampling(config: dict) -> list:
             designed_rate = math.nan
         rows.append({"strategy": "designed", "rate_target": alpha,
                      "sampling_rate": designed_rate, "sampling_rate_std": 0.0})
-        for name, order in (("max_det", det_order), ("leverage", lev_order)):
+        for name, stats in ordered.items():
             rows.append({"strategy": name, "rate_target": alpha,
-                         "sampling_rate": _min_prefix(bl, noise, order, mu, lam_t, gamma),
+                         "sampling_rate": _min_prefix(stats, mu, lam_t, gamma),
                          "sampling_rate_std": 0.0})
-        counts = np.array([_min_prefix(bl, noise, perm, mu, lam_t, gamma)
-                           for perm in perms], dtype=float)
+        counts = np.array([_min_prefix(stats, mu, lam_t, gamma) for stats in perms],
+                          dtype=float)
         rows.append({"strategy": "uniform", "rate_target": alpha,
                      "sampling_rate": float(np.nanmean(counts)),
                      "sampling_rate_std": float(np.nanstd(counts))})

@@ -185,41 +185,64 @@ def leverage_score_probabilities(b: Bandlimit, m: int) -> SamplingProbabilities:
     return SamplingProbabilities(probs=p)
 
 
-def _pseudo_det(eigs: np.ndarray) -> float:
-    top = eigs.max(initial=0.0)
-    if top <= 0.0:
-        return 0.0
-    kept = eigs[eigs > 1e-12 * top]
-    return float(np.prod(kept)) if kept.size else 0.0
+# greedy scores within this fraction of the best are ties; lowest index wins
+_TIE_RTOL = 1e-9
+
+
+def _pick(score: np.ndarray) -> int:
+    best = score.max()
+    return int(np.flatnonzero(score >= best - _TIE_RTOL * abs(best))[0])
 
 
 def max_det_greedy(b: Bandlimit, m: int, noise: NoiseModel = None) -> np.ndarray:
-    """Greedy vertex selection maximizing det(U_F^T D_S U_F).
+    """Greedy vertex selection maximizing det(U_F^T D_S U_F), in O(m n |F|).
 
-    While the selection is smaller than |F| the determinant is identically
-    zero, so the score is the pseudo-determinant (product of nonzero
-    eigenvalues); ties break toward the lowest vertex index.  Returned in
-    selection order, so prefixes of the result are the greedy sets of every
-    smaller size.  The noise model does not enter the score; the parameter
-    is accepted for interface uniformity with the other strategies.
+    Each pick multiplies the determinant (by the determinant lemma) by the
+    candidate's score, and the best score wins; scores within a relative
+    1e-9 of the best are ties and go to the lowest vertex index.  While the
+    selection is smaller than |F| the determinant is identically zero, so the
+    score is the pseudo-determinant factor: the squared residual of u_i off
+    the span of the chosen rows, kept by Gram-Schmidt (orthogonalizing twice).
+    A candidate already in that span scores 0.  From |F| rows on, the score
+    is 1 + u_i^T G^{-1} u_i, with G^{-1} kept by Sherman-Morrison updates.
+    Returned in selection order, so prefixes of the result are the greedy
+    sets of every smaller size.  The noise model does not enter the score;
+    the parameter is accepted for interface uniformity with the other
+    strategies.
     """
     if not 0 <= m <= b.n:
         raise ValueError(f"target size m={m} out of range for n={b.n}")
     u = b.basis_slice
-    gram = np.zeros((b.size, b.size))
+    f = b.size
     chosen = []
-    remaining = list(range(b.n))
-    for _ in range(m):
-        best_i, best_score = None, 0.0
-        for i in remaining:
-            cand = gram + np.outer(u[i], u[i])
-            score = _pseudo_det(np.linalg.eigvalsh(cand))
-            # scores equal up to eigensolver noise are ties; lowest index wins
-            if best_i is None or score > best_score + 1e-12 * max(best_score, 1.0):
-                best_i, best_score = i, score
-        gram = gram + np.outer(u[best_i], u[best_i])
-        chosen.append(best_i)
-        remaining.remove(best_i)
+    # rank-building phase: rows of `resid` are the u_i off span(chosen)
+    resid = u.copy()
+    basis = np.zeros((0, f))
+    for _ in range(min(m, f)):
+        score = np.einsum("ij,ij->i", resid, resid)
+        score[chosen] = -np.inf
+        j = _pick(score)
+        chosen.append(j)
+        q = resid[j]
+        for _ in range(2):
+            q = q - basis.T @ (basis @ q)
+        q = q / np.linalg.norm(q)
+        basis = np.vstack([basis, q])
+        resid -= np.outer(resid @ q, q)
+    if m > f:
+        # full-rank phase: lev_i = u_i^T G^{-1} u_i, G = sum of chosen u_i u_i^T
+        rows = u[chosen]
+        g_inv = np.linalg.inv(rows.T @ rows)
+        lev = np.einsum("ij,jk,ik->i", u, g_inv, u)
+        for _ in range(m - f):
+            score = 1.0 + lev
+            score[chosen] = -np.inf
+            j = _pick(score)
+            chosen.append(j)
+            v = g_inv @ u[j]
+            denom = 1.0 + lev[j]
+            g_inv -= np.outer(v, v) / denom
+            lev -= (u @ v) ** 2 / denom
     return np.array(chosen, dtype=int)
 
 

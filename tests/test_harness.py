@@ -4,11 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import graphadapt
 from graphadapt import SamplingDraw, cli, harness
 from graphadapt.filters import lms_init, lms_step, rls_estimate, rls_init, rls_step
 from graphadapt.harness import (
@@ -25,6 +30,7 @@ from graphadapt.harness import (
     resolve_sampling,
     run_experiment,
     to_db,
+    write_compare_csv,
     write_curve_csv,
     write_metadata,
 )
@@ -421,6 +427,31 @@ def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of comparison.csv for configs/compare_sampling.yaml as written by the
+# per-prefix eigvalsh loop and the eigvalsh-per-candidate determinant greedy;
+# the batched prefix checks must reproduce these bytes.
+GOLDEN_COMPARISON = "53a2ce231ebd3649d16c43344da209bd22561c7e3c5d3dbb30a251bfa53995c0"
+
+
+def test_comparison_csv_matches_golden_digest(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "compare_sampling.yaml"
+    path = tmp_path / "comparison.csv"
+    write_compare_csv(compare_sampling(load_config(config)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COMPARISON
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this test process may already hold scipy
+    src = os.path.dirname(os.path.dirname(graphadapt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, graphadapt.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_batched_kernels_match_single_trial_filters():
     cfg = tiny_config()
     cfg.update(seed=9, trials=5, horizon=40)
@@ -631,6 +662,8 @@ class TestCli:
         # full sampling puts the step bound at 2; |1 - mu| = 4 overflows in 400 steps
         ("algorithm.mu", "run-lms",
          {"trials": 2, "horizon": 400, "algorithm": {"kind": "lms", "mu": 5}}),
+        ("algorithm.mu", "theory", {"algorithm": {"kind": "lms"}}),
+        ("algorithm.mu", "theory", {"algorithm": {"kind": "lms", "mu": -1}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -639,8 +672,8 @@ class TestCli:
                          "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
-        assert not (out / "curve.csv").exists()
-        assert not (out / "meta.json").exists()
+        for name in ("curve.csv", "meta.json", "theory.csv"):
+            assert not (out / name).exists()
 
     def test_infeasible_design_exits_2(self, tmp_path, capsys):
         cfg = tiny_config()

@@ -184,6 +184,26 @@ class TestMaxDetGreedy:
         for m in (4, 6, 8):
             assert np.array_equal(ga.max_det_greedy(bl, m), full[:m])
 
+    def test_matches_brute_force_slogdet_greedy(self):
+        # each pick maximizes the determinant of the smaller Gram of the
+        # chosen rows (|S| x |S| below |F|, |F| x |F| from |F| on), scored
+        # by slogdet; log-determinants within 1e-9 of the best are ties and
+        # go to the lowest index
+        g = ga.random_geometric_graph(60, 0.3, seed=1)
+        bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 10)
+        u = bl.basis_slice
+        chosen = []
+        for _ in range(30):
+            scores = np.full(60, -np.inf)
+            for i in set(range(60)) - set(chosen):
+                rows = u[chosen + [i]]
+                gram = rows @ rows.T if len(rows) <= 10 else rows.T @ rows
+                sign, logdet = np.linalg.slogdet(gram)
+                if sign > 0:
+                    scores[i] = logdet
+            chosen.append(int(np.flatnonzero(scores >= scores.max() - 1e-9)[0]))
+        assert ga.max_det_greedy(bl, 30).tolist() == chosen
+
     def test_beats_random_sets_usually(self):
         # greedy determinant should dominate random same-size sets in at
         # least 95% of comparisons
