@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .graphs import Bandlimit
 from .sampling import NoiseModel, SamplingProbabilities, ReconstructabilityError
@@ -121,6 +122,18 @@ class SolverTrace:
 # ---------------------------------------------------------------------------
 # shared evaluation plumbing
 
+def _eigh(m):
+    """``np.linalg.eigh(m)`` for one real symmetric matrix: the same LAPACK
+    gufunc and the same bits, without the wrapper's per-call type checks and
+    error-state switch, which on the f x f Grams here cost about as much as
+    the decomposition.  Non-convergence comes back as NaN and raises as in
+    ``np.linalg.eigh``."""
+    vals, vecs = _umath_linalg.eigh_lo(m, signature="d->dd")
+    if math.isnan(vals[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return vals, vecs
+
+
 class _Instance:
     def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
         self.u = b.basis_slice
@@ -136,7 +149,7 @@ class _Instance:
         return (m + m.T) / 2.0
 
     def h_eig(self, p):
-        return np.linalg.eigh(self.gram(p))
+        return _eigh(self.gram(p))
 
     def tr_g(self, p):
         return float(self.g_lin @ p)
@@ -244,17 +257,27 @@ class _SubgradResult:
 
 
 def _project(p, ub, budget):
-    q = np.clip(p, 0.0, ub)
+    q = np.minimum(np.maximum(p, 0.0), ub)
     if budget is None or q.sum() <= budget + 1e-12:
         return q
+    # Bisection on the shift, at most 80 steps.  A step that leaves (lo, hi)
+    # unchanged leaves every later step unchanged too, so stopping there
+    # returns exactly the 80-step result.  q is the predicate's buffer.
     lo, hi = 0.0, float(p.max(initial=0.0))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if np.clip(p - mid, 0.0, ub).sum() > budget:
+        np.subtract(p, mid, out=q)
+        np.maximum(q, 0.0, out=q)
+        np.minimum(q, ub, out=q)
+        if q.sum() > budget:
+            if lo == mid:
+                break
             lo = mid
+        elif hi == mid:
+            break
         else:
             hi = mid
-    return np.clip(p - hi, 0.0, ub)
+    return np.minimum(np.maximum(p - hi, 0.0), ub)
 
 
 def _subgrad_minimize(evaluate, p0, ub, *, budget=None, iters=10_000,
@@ -275,7 +298,7 @@ def _subgrad_minimize(evaluate, p0, ub, *, budget=None, iters=10_000,
         return improved
 
     def max_viol(ev):
-        return max((max(v, 0.0) for v in ev.viols), default=0.0)
+        return max([max(v, 0.0) for v in ev.viols], default=0.0)
 
     for q in seeds:
         q = _project(np.asarray(q, dtype=float), ub, budget)
@@ -284,29 +307,30 @@ def _subgrad_minimize(evaluate, p0, ub, *, budget=None, iters=10_000,
         if ev.polished is not None:
             consider(*ev.polished)
 
-    p = _project(np.asarray(p0, dtype=float).copy(), ub, budget)
+    p = _project(np.asarray(p0, dtype=float), ub, budget)
     since_improve = 0
     done = 0
     for k in range(iters):
         done = k + 1
         ev = evaluate(p)
-        improved = consider(p, ev.obj, max_viol(ev))
+        viol = max_viol(ev)
+        improved = consider(p, ev.obj, viol)
         if ev.polished is not None:
             improved = consider(*ev.polished) or improved
         since_improve = 0 if improved else since_improve + 1
         if recorder is not None and record_every and k % record_every == 0:
             recorder(best_p if best_p is not None else p,
                      best_obj if best_p is not None else ev.obj,
-                     0.0 if best_p is not None else max_viol(ev))
+                     0.0 if best_p is not None else viol)
         if stop_below is not None and best_obj < stop_below:
             break
         if stall_limit and since_improve >= stall_limit and best_p is not None:
             break
-        g = np.array(ev.grad, dtype=float)
+        g = ev.grad
         for v, vg in zip(ev.viols, ev.vgrads):
             if v > 0.0:
-                g += penalty * vg
-        norm = float(np.linalg.norm(g))
+                g = g + penalty * vg
+        norm = math.sqrt(float(g @ g))
         if norm < 1e-15:
             break
         p = _project(p - (step_a / (step_b + k)) * (g / norm), ub, budget)
@@ -356,35 +380,28 @@ def _rate_polish(p, inst, lam_t):
 
 def _min_rate_evaluate(inst, lam_t, mu, gamma):
     ones = np.ones(inst.n)
+    half_mu = 0.5 * mu
+    bound_lin = half_mu * inst.g_lin
+    ub_tol = inst.ub + 1e-15
+    ub_min = inst.ub.min(initial=1.0)
 
     def evaluate(p):
         vals, vecs = inst.h_eig(p)
         lam = float(vals[0])
-        gsub = (inst.u @ vecs[:, 0]) ** 2
-        trg = inst.tr_g(p)
-        c_rate = lam_t - lam
-        c_bound = 0.5 * mu * trg - gamma * lam
+        gsub = inst.u @ vecs[:, 0]
+        gsub *= gsub
+        c_bound = half_mu * inst.tr_g(p) - gamma * lam
         polished = None
         if lam > 1e-15:
             t = lam_t / lam
-            if t * p.max(initial=0.0) <= inst.ub.min(initial=1.0) or (t * p <= inst.ub + 1e-15).all():
-                q = np.minimum(t * p, inst.ub)
+            tp = t * p
+            if t * p.max(initial=0.0) <= ub_min or (tp <= ub_tol).all():
+                q = np.minimum(tp, inst.ub)
                 polished = (q, float(q.sum()), max(t * c_bound, 0.0))
         elif lam_t == 0.0:
-            q = np.zeros(inst.n)
-            polished = (q, 0.0, 0.0)
-        return _Eval(
-            obj=float(p.sum()),
-            grad=ones,
-            viols=(c_rate, c_bound),
-            vgrads=(-gsub, 0.5 * mu * inst.g_lin - gamma * gsub),
-        ) if polished is None else _Eval(
-            obj=float(p.sum()),
-            grad=ones,
-            viols=(c_rate, c_bound),
-            vgrads=(-gsub, 0.5 * mu * inst.g_lin - gamma * gsub),
-            polished=polished,
-        )
+            polished = (np.zeros(inst.n), 0.0, 0.0)
+        return _Eval(obj=float(p.sum()), grad=ones, viols=(lam_t - lam, c_bound),
+                     vgrads=(-gsub, bound_lin - gamma * gsub), polished=polished)
 
     return evaluate
 
@@ -523,12 +540,14 @@ def sca_min_rate(spec: DesignSpec, tau: float = 1e-6, step_schedule=None,
 
             def evaluate(q, big_l=big_l):
                 d = q - z
+                dd = float(d @ d)
                 vals, vecs = inst.h_eig(q)
                 lam = float(vals[0])
-                gsub = (inst.u @ vecs[:, 0]) ** 2
-                ball = msd_z + float(grad_z @ d) + 0.5 * big_l * float(d @ d) - gamma_msd
+                gsub = inst.u @ vecs[:, 0]
+                gsub *= gsub
+                ball = msd_z + float(grad_z @ d) + 0.5 * big_l * dd - gamma_msd
                 return _Eval(
-                    obj=float(q.sum()) + 0.5 * tau * float(d @ d),
+                    obj=float(q.sum()) + 0.5 * tau * dd,
                     grad=ones + tau * d,
                     viols=(lam_t - lam, ball),
                     vgrads=(-gsub, grad_z + big_l * d),
@@ -589,7 +608,8 @@ def _feasible_in_c(inst, lam_t, budget, initial):
 
     def evaluate(p):
         vals, vecs = inst.h_eig(p)
-        gsub = (inst.u @ vecs[:, 0]) ** 2
+        gsub = inst.u @ vecs[:, 0]
+        gsub *= gsub
         return _Eval(obj=-float(vals[0]), grad=-gsub)
 
     res = _subgrad_minimize(evaluate, ceiling, inst.ub, budget=budget,
@@ -641,14 +661,16 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None, max_outer: int = 60,
         def evaluate(q, omega=omega):
             vals, vecs = inst.h_eig(q)
             lam = float(vals[0])
-            gsub = (inst.u @ vecs[:, 0]) ** 2
+            gsub = inst.u @ vecs[:, 0]
+            gsub *= gsub
             h_val = inst.tr_g(q) - omega * lam
             polished = None
             if lam > 1e-15:
                 live = q > 1e-15
+                total = q.sum()
                 t_hi = min((inst.ub[live] / q[live]).min(initial=math.inf),
-                           math.inf if budget is None or q.sum() < 1e-15
-                           else budget / q.sum())
+                           math.inf if budget is None or total < 1e-15
+                           else budget / total)
                 t = t_hi if h_val < 0 else max(lam_t / lam, 0.0)
                 if math.isfinite(t) and t > 0:
                     qq = _project(t * q, inst.ub, budget)
@@ -706,6 +728,7 @@ def sca_min_msd(spec: DesignSpec, tau: float = 1e-6, step_schedule=None,
     converged = False
     stall = 0
     budget_slack = math.inf if budget is None else budget
+    half_mu = 0.5 * mu
     for outer in range(max_outer):
         z = p.copy()
         vals_z, vecs_z = inst.h_eig(z)
@@ -718,14 +741,21 @@ def sca_min_msd(spec: DesignSpec, tau: float = 1e-6, step_schedule=None,
             vals, vecs = inst.h_eig(q)
             lam = float(vals[0])
             vals_f = np.maximum(vals, 1e-12 * max(vals[-1], 1.0))
-            gsub = (inst.u @ vecs[:, 0]) ** 2
+            gsub = inst.u @ vecs[:, 0]
+            gsub *= gsub
             core = vecs.T @ g_z @ vecs
-            val2 = 0.5 * mu * float((np.diag(core) / vals_f).sum())
-            k = vecs @ ((vecs.T @ inst.u.T) / vals_f[:, None])
-            grad2 = -0.5 * mu * np.einsum("fn,fg,gn->n", k, g_z, k)
+            val2 = half_mu * float((core.diagonal() / vals_f).sum())
+            k = vecs.T @ inst.u.T
+            k /= vals_f[:, None]
+            k = vecs @ k
+            grad2 = np.einsum("fn,fg,gn->n", k, g_z, k)
+            grad2 *= -half_mu
+            grad = tau * d
+            grad += lin
+            grad += grad2
             return _Eval(
                 obj=0.5 * tau * float(d @ d) + float(lin @ q) + val2,
-                grad=tau * d + lin + grad2,
+                grad=grad,
                 viols=(lam_t - lam,),
                 vgrads=(-gsub,),
             )
@@ -775,12 +805,15 @@ def solve_rls_design(spec: DesignSpec, iters: int = 10_000):
     t_target = spec.msd_target / scale
 
     def trace_inv(p):
-        vals, vecs = np.linalg.eigh(inst.gram(p / inst.sig2))
+        vals, vecs = _eigh(inst.gram(p / inst.sig2))
         floor = 1e-14 * max(vals[-1], 1.0)
         vals_f = np.maximum(vals, floor)
         t = float((1.0 / vals_f).sum())
         w = inst.u @ vecs
-        grad = -(w ** 2 / vals_f ** 2).sum(axis=1) / inst.sig2
+        w *= w
+        w /= vals_f * vals_f
+        grad = -w.sum(axis=1)
+        grad /= inst.sig2
         return t, grad, float(vals[0])
 
     t_ceiling, _, lam_ceiling = trace_inv(inst.ub)
@@ -792,6 +825,7 @@ def solve_rls_design(spec: DesignSpec, iters: int = 10_000):
         )
 
     ones = np.ones(inst.n)
+    ub_tol = inst.ub + 1e-15
 
     def evaluate(p):
         t, grad, _ = trace_inv(p)
@@ -800,7 +834,7 @@ def solve_rls_design(spec: DesignSpec, iters: int = 10_000):
         if t < math.inf and t > 0.0:
             ratio = t / t_target
             q = ratio * p
-            if (q <= inst.ub + 1e-15).all():
+            if (q <= ub_tol).all():
                 polished = (np.minimum(q, inst.ub), float(q.sum()), 0.0)
         return _Eval(obj=float(p.sum()), grad=ones,
                      viols=(c,), vgrads=(grad,), polished=polished)

@@ -542,7 +542,12 @@ def run_experiment(config: dict) -> LearningCurve:
                     "lower it or raise inner_iters")
         curve, per_node = _run_drls_mc(setup, probs, cfg, comm)
         meta["inner_iters"] = cfg.inner_iters
-    if not np.isfinite(curve).all():
+    result = LearningCurve(msd_linear=curve, metadata=meta, per_node=per_node)
+    # a stable LMS or DRLS run ends below its initial error, so a finite
+    # steady state above it diverged too; RLS (beta in (0, 1)) has no step
+    # size or penalty that can make it unstable
+    if not np.isfinite(curve).all() or (
+            kind != "rls" and result.steady_state_linear() > curve[0]):
         raise ConfigError(diverged)
 
     meta["theory_msd_linear"] = float(theory)
@@ -550,7 +555,6 @@ def run_experiment(config: dict) -> LearningCurve:
     if trace is not None:
         meta["design_iterations"] = trace.iterations
         meta["design_converged"] = trace.converged
-    result = LearningCurve(msd_linear=curve, metadata=meta, per_node=per_node)
     meta["steady_state_db"] = result.steady_state_db()
     return result
 

@@ -6,10 +6,12 @@ box evaluated with hand-derived eigenvalue formulas; gradients are checked
 against central finite differences.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphadapt import (
     DesignSpec,
@@ -28,6 +30,7 @@ from graphadapt import (
     solve_rls_design,
     weighted_gram,
 )
+from graphadapt.design import FEAS_TOL, _eigh, _project
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
 MU = 0.1
@@ -404,3 +407,141 @@ class TestDesignSpecValidation:
         bare = DesignSpec(bandlimit=path3_band, noise=white_noise3)
         with pytest.raises(ValueError):
             bare.lambda_target()
+
+
+# ------------------------------------------------------ projection oracle
+
+
+def bisection_project(p, ub, budget):
+    """The fixed 80-step budget bisection the engine's projection must match."""
+    q = np.clip(p, 0.0, ub)
+    if budget is None or q.sum() <= budget + 1e-12:
+        return q
+    lo, hi = 0.0, float(p.max(initial=0.0))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.clip(p - mid, 0.0, ub).sum() > budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(p - hi, 0.0, ub)
+
+
+@st.composite
+def projection_inputs(draw):
+    """Entries below 0, inside the box and above it; bounds with zeros; no
+    budget, a share of the clipped sum (slack from 1 on), or the clipped sum
+    less a tiny gap, which puts the shift near 0 and the bisection at its cap."""
+    n = draw(st.integers(1, 30))
+    p = np.array(draw(st.lists(st.one_of(st.floats(-1.0, 2.0), st.floats(-1e-20, 1e-20),
+                                         st.sampled_from([0.0, 1.0])),
+                               min_size=n, max_size=n)))
+    ub = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(0.0)),
+                                min_size=n, max_size=n)))
+    total = float(np.clip(p, 0.0, ub).sum())
+    budget = draw(st.one_of(st.none(),
+                            st.floats(0.0, 1.2).map(lambda share: share * total),
+                            st.floats(2e-12, 1e-8).map(lambda gap: max(total - gap, 0.0))))
+    return p, ub, budget
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(inputs=projection_inputs())
+@example(inputs=(np.array([0.5, 0.3, 0.2]), np.ones(3), 1.0 - 1e-10))  # 80-step cap
+def test_project_matches_fixed_bisection(inputs):
+    p, ub, budget = inputs
+    expected = bisection_project(p, ub, budget)
+    got = _project(p, ub, budget)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("f", [1, 3, 6, 8])
+def test_eigh_matches_numpy_bit_for_bit(f):
+    rng = np.random.default_rng(f)
+    for _ in range(50):
+        a = rng.normal(size=(f, f))
+        m = a + a.T
+        vals, vecs = _eigh(m)
+        ref_vals, ref_vecs = np.linalg.eigh(m)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def test_eigh_raises_on_nonconvergence():
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+        _eigh(np.full((3, 3), np.nan))
+
+
+# ---------------------------------------------------- closed-form oracle
+
+
+@pytest.mark.parametrize("n, seed", [(8, 5), (11, 8)])
+def test_min_rate_uniform_optimum_on_lowest_band(n, seed):
+    # Bandlimit.lowest holds the constant eigenvector 1/sqrt(n), so
+    # lambda_min(H(p)) <= sum(p)/n and no feasible p has sum(p) < n lambda_t;
+    # p = lambda_t 1 reaches it whenever it passes the box and the MSD bound
+    b, noise = random_instance(n=n, seed=seed)
+    spec = DesignSpec(bandlimit=b, noise=noise, mu=MU, rate_target=0.98, msd_target=1e-2)
+    lam_t = spec.lambda_target()
+    uniform = np.full(n, lam_t)
+    tr_g = float(np.trace(weighted_gram(b, uniform * noise.variances)))
+    assert 0.5 * MU * tr_g <= spec.msd_target * lam_t
+    probs, _ = solve_min_rate_convex(spec)
+    # the rate polish scales onto lambda_min = lambda_t, exact up to rounding
+    assert n * lam_t * (1 - 1e-12) <= probs.probs.sum() <= n * lam_t * (1 + FEAS_TOL)
+
+
+# ---------------------------------------------------------- golden designs
+
+# SHA-256 of probs.tobytes() followed by the trace objectives (float64) of
+# each solver on golden_instance(), as computed by the engine before its
+# per-evaluation overhead was trimmed; the engine must reproduce the bytes.
+GOLDEN_DESIGNS = {
+    "min_rate_convex":
+        "eeba628173ce6eb912ab8e33c44482c214f40f17a6c36ba6befeeefebc643e5a",
+    "sca_min_rate":
+        "bfb526c136c79026f4ee30fb736a4da446042192d37dd392b4f399fd6e124192",
+    "dinkelbach":
+        "26141518faad47d80c76b4b80f09d143410325d6648695ac55dea2cfb391703f",
+    "sca_min_msd":
+        "f0f1122f5544ea1eb3d58121e0720165055874dedb59f238ee518ecc7b57708a",
+    "rls":
+        "45d8e3f837ea2d18b28ce811f25b9f80d4a8774c4e52962a9caa88f29ee7d575",
+}
+
+
+def golden_instance():
+    """n=10 with the constant eigenvector left out of the band, per-vertex
+    bounds that cap some entries, and a budget that binds the MSD designs."""
+    n = 10
+    g = random_geometric_graph(n, radius=0.6, seed=3)
+    b = Bandlimit.from_indices(eigendecompose(build_laplacian(g)), (1, 2, 4))
+    rng = np.random.default_rng(3)
+    noise = NoiseModel(rng.uniform(0.005, 0.03, n))
+    bounds = np.round(rng.uniform(0.3, 1.0, n), 2)
+    common = dict(bandlimit=b, noise=noise, bounds=bounds)
+    return (DesignSpec(**common, mu=MU, rate_target=0.9, msd_target=1e-2),
+            DesignSpec(**common, mu=MU, rate_target=0.9, budget=3.6),
+            DesignSpec(**common, beta=0.95, msd_target=1e-2))
+
+
+@pytest.fixture(scope="module")
+def golden_designs():
+    rate, budget, rls = golden_instance()
+    convex = solve_min_rate_convex(rate, iters=1500)
+    return {
+        "min_rate_convex": convex,
+        "sca_min_rate": sca_min_rate(rate, initial=convex[0], max_outer=4),
+        "dinkelbach": dinkelbach_min_msd(budget, max_outer=3, inner_iters=600),
+        "sca_min_msd": sca_min_msd(budget, max_outer=4, inner_iters=400),
+        "rls": solve_rls_design(rls, iters=1500),
+    }
+
+
+@pytest.mark.parametrize("problem", sorted(GOLDEN_DESIGNS))
+def test_design_matches_golden_digest(golden_designs, problem):
+    probs, trace = golden_designs[problem]
+    digest = hashlib.sha256(probs.probs.tobytes()
+                            + np.asarray(trace.objectives).tobytes()).hexdigest()
+    assert digest == GOLDEN_DESIGNS[problem]

@@ -664,6 +664,13 @@ class TestCli:
          {"trials": 2, "horizon": 400, "algorithm": {"kind": "lms", "mu": 5}}),
         ("algorithm.mu", "theory", {"algorithm": {"kind": "lms"}}),
         ("algorithm.mu", "theory", {"algorithm": {"kind": "lms", "mu": -1}}),
+        # the same over 50 steps stays finite (about 4^50) but ends above the
+        # initial error
+        ("algorithm.mu", "run-lms",
+         {"trials": 2, "horizon": 50, "algorithm": {"kind": "lms", "mu": 5}}),
+        ("algorithm.rho", "run-drls",
+         {"trials": 2, "horizon": 40,
+          "algorithm": {"kind": "drls", "beta": 0.95, "rho": 5000, "comm": "ring"}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):

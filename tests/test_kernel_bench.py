@@ -1,19 +1,30 @@
-"""Per-step timings of the batched Monte Carlo kernels (pytest-benchmark).
+"""Per-call timings of the inner kernels (pytest-benchmark).
 
-One call is one step of a 64-trial chunk at the scaled instance (n=300,
-|F|=20); divide by 64 for the per-trial-step figures the repository
+Monte Carlo: one call is one step of a 64-trial chunk at the scaled instance
+(n=300, |F|=20); divide by 64 for the per-trial-step figures the repository
 benchmark reports as ``harness.lms_step_ns`` / ``harness.rls_step_ns``.
-Run only these with ``pytest --benchmark-only``.  The round count is fixed
+
+Design: one call is one evaluation of the projected-subgradient engine at
+the size of the benchmark's design instance (n=40, |F|=6): a projection
+whose budget binds, so it runs the bisection, and one evaluation of the
+min-rate program (Gram, eigendecomposition, subgradients, polish).
+
+Run only these with ``pytest --benchmark-only``.  The round counts are fixed
 and small so the suite pays well under a second for them.
 """
 
 import numpy as np
 import pytest
 
+from graphadapt.design import _Instance, _min_rate_evaluate, _project
+from graphadapt.graphs import Bandlimit
 from graphadapt.harness import TRIAL_CHUNK, lms_update, rls_outer_table, rls_update
+from graphadapt.sampling import NoiseModel
 
 N, F = 300, 20
 ROUNDS = 40
+DESIGN_N, DESIGN_F = 40, 6
+DESIGN_ROUNDS = 200
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +67,32 @@ def test_rls_step(benchmark, chunk_step):
     new_psi, new_psiv = benchmark.pedantic(step, rounds=ROUNDS, iterations=1,
                                            warmup_rounds=1)
     assert new_psi is psi and new_psiv.shape == (TRIAL_CHUNK, F)
+
+
+@pytest.fixture(scope="module")
+def design_instance():
+    rng = np.random.default_rng(1)
+    u = np.linalg.qr(rng.normal(size=(DESIGN_N, DESIGN_F)))[0]
+    band = Bandlimit(freq_set=tuple(range(DESIGN_F)), basis_slice=u)
+    noise = NoiseModel(rng.uniform(0.005, 0.03, DESIGN_N))
+    ub = rng.uniform(0.3, 1.0, DESIGN_N)
+    return _Instance(band, noise, ub)
+
+
+def test_project_binding_budget(benchmark, design_instance):
+    inst = design_instance
+    p = np.random.default_rng(2).uniform(-0.2, 1.2, DESIGN_N)
+    budget = DESIGN_N / 4
+    assert np.clip(p, 0.0, inst.ub).sum() > budget
+    q = benchmark.pedantic(_project, args=(p, inst.ub, budget), rounds=DESIGN_ROUNDS,
+                           iterations=1, warmup_rounds=1)
+    assert q.sum() <= budget
+
+
+def test_min_rate_evaluation(benchmark, design_instance):
+    inst = design_instance
+    evaluate = _min_rate_evaluate(inst, 0.1, 0.1, 10 ** -2.2)
+    p = np.random.default_rng(3).uniform(0.2, 0.8, DESIGN_N)
+    ev = benchmark.pedantic(evaluate, args=(p,), rounds=DESIGN_ROUNDS, iterations=1,
+                            warmup_rounds=1)
+    assert len(ev.viols) == 2 and ev.polished is not None
