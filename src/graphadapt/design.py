@@ -25,7 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
+
+try:  # the LAPACK gufunc behind np.linalg.eigh: private, so only if present
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
+except ImportError:
+    _eigh_lo = None
 
 from .graphs import Bandlimit
 from .sampling import NoiseModel, SamplingProbabilities, ReconstructabilityError
@@ -127,8 +132,11 @@ def _eigh(m):
     gufunc and the same bits, without the wrapper's per-call type checks and
     error-state switch, which on the f x f Grams here cost about as much as
     the decomposition.  Non-convergence comes back as NaN and raises as in
-    ``np.linalg.eigh``."""
-    vals, vecs = _umath_linalg.eigh_lo(m, signature="d->dd")
+    ``np.linalg.eigh``, after numpy's invalid-value warning.  A numpy without
+    the gufunc gets the wrapper itself."""
+    if _eigh_lo is None:
+        return np.linalg.eigh(m)
+    vals, vecs = _eigh_lo(m, signature="d->dd")
     if math.isnan(vals[0]):
         raise LinAlgError("Eigenvalues did not converge")
     return vals, vecs

@@ -473,6 +473,15 @@ def test_eigh_raises_on_nonconvergence():
         _eigh(np.full((3, 3), np.nan))
 
 
+def test_eigh_falls_back_to_the_wrapper(monkeypatch):
+    monkeypatch.setattr("graphadapt.design._eigh_lo", None)
+    m = np.array([[2.0, 1.0], [1.0, 3.0]])
+    vals, vecs = _eigh(m)
+    ref_vals, ref_vecs = np.linalg.eigh(m)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
 # ---------------------------------------------------- closed-form oracle
 
 

@@ -665,11 +665,17 @@ class TestCli:
         ("algorithm.mu", "theory", {"algorithm": {"kind": "lms"}}),
         ("algorithm.mu", "theory", {"algorithm": {"kind": "lms", "mu": -1}}),
         # the same over 50 steps stays finite (about 4^50) but ends above the
-        # initial error
+        # initial error and the noise floor, with or without a signal
         ("algorithm.mu", "run-lms",
          {"trials": 2, "horizon": 50, "algorithm": {"kind": "lms", "mu": 5}}),
+        ("algorithm.mu", "run-lms",
+         {"trials": 2, "horizon": 50, "signal": {"scale": 0.0},
+          "algorithm": {"kind": "lms", "mu": 5}}),
         ("algorithm.rho", "run-drls",
          {"trials": 2, "horizon": 40,
+          "algorithm": {"kind": "drls", "beta": 0.95, "rho": 5000, "comm": "ring"}}),
+        ("algorithm.rho", "run-drls",
+         {"trials": 2, "horizon": 40, "signal": {"scale": 0.0},
           "algorithm": {"kind": "drls", "beta": 0.95, "rho": 5000, "comm": "ring"}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
@@ -681,6 +687,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         for name in ("curve.csv", "meta.json", "theory.csv"):
             assert not (out / name).exists()
+
+    @pytest.mark.parametrize("scale", [0.01, 0.0])
+    @pytest.mark.parametrize("command, algorithm", [
+        ("run-lms", {"kind": "lms", "mu": 0.1}),
+        ("run-drls", {"kind": "drls", "beta": 0.95, "rho": 20.0, "inner_iters": 3}),
+    ])
+    def test_low_snr_stable_run_exits_0(self, tmp_path, capsys, scale, command,
+                                        algorithm):
+        # the initial error is the signal energy, so a stable run at low
+        # signal-to-noise ratio settles above it, at its noise floor
+        cfg = dict(tiny_config(), signal={"scale": scale}, algorithm=algorithm)
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", dump(tmp_path, cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        meta = json.loads((out / "meta.json").read_text())["metadata"]
+        initial = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1, max_rows=1)[1]
+        assert 10.0 ** (meta["steady_state_db"] / 10.0) > initial
 
     def test_infeasible_design_exits_2(self, tmp_path, capsys):
         cfg = tiny_config()
