@@ -87,7 +87,7 @@ def _run(args) -> int:
             raise ConfigError("sampling.kind: the design command needs kind 'design'")
         write_design_csv(probs, setup.noise, os.path.join(args.out, "design_p.csv"))
         write_trace_csv(trace, os.path.join(args.out, "design_trace.csv"))
-        status = "converged" if trace.converged else "stopped at the iteration cap"
+        status = "converged" if trace.converged else "stopped with a centering at its step cap"
         print(f"design {status} after {trace.iterations} iterations")
         print(f"sampling rate sum(p) = {probs.probs.sum():.6g} over {probs.n} nodes, "
               f"{len(probs.support())} with p_i > 0")

@@ -1,22 +1,29 @@
 """Sampling-probability design solvers.
 
-Four programs over the box of per-vertex sampling probabilities:
+Five programs over the box of per-vertex sampling probabilities:
 
 * rate-constrained minimal sampling via a convex upper bound on the MSD
-  (``solve_min_rate_convex``) and its successive-convex-approximation
-  refinement on the exact MSD (``sca_min_rate``);
+  (``solve_min_rate_convex``) and on the exact MSD (``sca_min_rate``);
 * MSD-minimal sampling under a rate constraint and a budget, solved either
-  through the fractional bound program (``dinkelbach_min_msd``) or by SCA on
-  the exact MSD (``sca_min_msd``);
+  through the fractional bound program (``dinkelbach_min_msd``) or on the
+  exact MSD (``sca_min_msd``);
 * the recursive-least-squares analogue (``solve_rls_design``), which is
   convex outright.
 
-All inner convex problems are solved by a projected subgradient method with
-exact-penalty constraint handling and diminishing steps; box (and budget)
-constraints are enforced by exact projection.  Scaling along the ray t*p is
-exploited wherever the constraint functions are positively homogeneous: it
-maps any iterate onto the active constraint surface in closed form, which is
-what lets a subgradient method hit the tight tolerances below.
+All of them run one damped-Newton log-barrier method (Boyd & Vandenberghe,
+*Convex Optimization*, ch. 11; Joshi & Boyd, "Sensor selection via convex
+optimization", IEEE TSP 2009).  Each constraint is either a linear matrix
+inequality H(p) - l(p, s) I >= 0 with H(p) = U_F^T diag(p) U_F and l affine,
+whose -log det barrier has a closed-form gradient and Hessian in the
+eigenbasis of H(p), or a smooth function of p (the exact MSD, the RLS trace
+inverse).  The box and the budget are barrier terms too, and a vertex whose
+bound is 0 stays at 0.  A run centres by Newton steps, each accepted by a
+backtracking line search on the exact barrier value, and multiplies t by 20
+until the duality-gap bound m/t reaches ``GAP``, m being the degree of the
+barrier.  On the convex programs that bounds the distance to the optimum.
+The exact MSD is not convex; its Newton model is the SCA surrogate of
+:func:`sca_msd_surrogate` re-anchored at the current point, whose curvature
+is positive semidefinite.
 """
 
 from __future__ import annotations
@@ -25,18 +32,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError
-
-try:  # the LAPACK gufunc behind np.linalg.eigh: private, so only if present
-    from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
-except ImportError:
-    _eigh_lo = None
 
 from .graphs import Bandlimit
 from .sampling import NoiseModel, SamplingProbabilities, ReconstructabilityError
 
 TRUNCATE_TOL = 1e-9
-FEAS_TOL = 1e-6
+GAP = 1e-9              # duality-gap bound m/t at which a barrier run stops
+_T_GROWTH = 20.0        # factor on t between centerings
+_CENTER_STEPS = 1000    # Newton steps per centering at most
+_PULL = 1e-3            # share of the interior start mixed into a given initial point
 
 
 class InfeasibleDesignError(ValueError):
@@ -106,7 +110,10 @@ class SolverTrace:
 
     ``points[k]`` is the k-th recorded probability vector with matching
     ``objectives``, ``residuals`` (max constraint violation, 0 = feasible)
-    and ``msd_values``; ``iterations`` equals ``len(points) - 1``.
+    and ``msd_values``; ``iterations`` equals ``len(points) - 1``.  The
+    barrier solvers record their start, every Newton step and the final
+    design; Dinkelbach's method records its start, every round and the
+    final design.
     """
 
     points: list = field(default_factory=list)
@@ -127,21 +134,6 @@ class SolverTrace:
 # ---------------------------------------------------------------------------
 # shared evaluation plumbing
 
-def _eigh(m):
-    """``np.linalg.eigh(m)`` for one real symmetric matrix: the same LAPACK
-    gufunc and the same bits, without the wrapper's per-call type checks and
-    error-state switch, which on the f x f Grams here cost about as much as
-    the decomposition.  Non-convergence comes back as NaN and raises as in
-    ``np.linalg.eigh``, after numpy's invalid-value warning.  A numpy without
-    the gufunc gets the wrapper itself."""
-    if _eigh_lo is None:
-        return np.linalg.eigh(m)
-    vals, vecs = _eigh_lo(m, signature="d->dd")
-    if math.isnan(vals[0]):
-        raise LinAlgError("Eigenvalues did not converge")
-    return vals, vecs
-
-
 class _Instance:
     def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
         self.u = b.basis_slice
@@ -150,14 +142,16 @@ class _Instance:
         self.sig2 = noise.variances
         self.row2 = (self.u ** 2).sum(axis=1)
         self.g_lin = self.sig2 * self.row2     # gradient of Tr G(p)
-        self.m_lin = self.row2 / self.sig2     # gradient of Tr M(p), RLS program
 
     def gram(self, w):
         m = self.u.T @ (w[:, None] * self.u)
         return (m + m.T) / 2.0
 
     def h_eig(self, p):
-        return _eigh(self.gram(p))
+        return np.linalg.eigh(self.gram(p))
+
+    def lam_min(self, p):
+        return float(np.linalg.eigvalsh(self.gram(p))[0])
 
     def tr_g(self, p):
         return float(self.g_lin @ p)
@@ -210,154 +204,73 @@ def lambda_min_subgradient(p, b: Bandlimit) -> np.ndarray:
     return (inst.u @ vecs[:, 0]) ** 2
 
 
+def _surrogate(inst, mu, p, z, tau):
+    """Value, gradient and Hessian at p of the surrogate anchored at z."""
+    vals_z, vecs_z = inst.h_eig(z)
+    if vals_z[0] <= 1e-12 * max(vals_z[-1], 1.0):
+        raise ReconstructabilityError("sca_msd_surrogate: singular Gram at the anchor")
+    kz = vecs_z @ ((vecs_z.T @ inst.u.T) / vals_z[:, None])
+    lin = 0.5 * mu * inst.sig2 * np.einsum("nf,fn->n", inst.u, kz)
+    g_z = inst.gram(z * inst.sig2)
+
+    vals, vecs = inst.h_eig(p)
+    vals_f = np.maximum(vals, 1e-12 * max(vals[-1], 1.0))
+    core = vecs.T @ g_z @ vecs
+    val2 = 0.5 * mu * float((np.diag(core) / vals_f).sum())
+    k = vecs @ ((vecs.T @ inst.u.T) / vals_f[:, None])     # H(p)^{-1} U_F^T
+    kg = g_z @ k
+    grad2 = -0.5 * mu * np.einsum("fn,fn->n", k, kg)
+    # the Hessian of (mu/2) Tr[H(p)^{-1} G(z)]: a Schur product of two PSD
+    # matrices, so PSD itself
+    hess = mu * (inst.u @ k) * (k.T @ kg) + tau * np.eye(inst.n)
+
+    d = p - z
+    value = 0.5 * tau * float(d @ d) + float(lin @ p) + val2
+    return value, tau * d + lin + grad2, hess
+
+
 def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float = 1e-6):
-    """Partially linearized MSD surrogate used by :func:`sca_min_msd`.
+    """Partially linearized MSD surrogate, the Newton model of the exact-MSD
+    solvers :func:`sca_min_rate` and :func:`sca_min_msd`.
 
     Returns (value, gradient) at ``p`` for the anchor point ``z``:
     (tau/2)||p-z||^2 + (mu/2) Tr[H(z)^{-1} G(p)] + (mu/2) Tr[H(p)^{-1} G(z)].
     At p = z the value is exactly twice the MSD and the gradient coincides
     with :func:`msd_gradient`.
     """
-    probs = _as_probs(p, b.n)
-    z = _as_probs(anchor, b.n)
     inst = _Instance(b, noise, np.ones(b.n))
-    vals_z, vecs_z = inst.h_eig(z)
-    floor_z = 1e-12 * max(vals_z[-1], 1.0)
-    if vals_z[0] <= floor_z:
-        raise ReconstructabilityError("sca_msd_surrogate: singular Gram at the anchor")
-    kz = vecs_z @ ((vecs_z.T @ inst.u.T) / vals_z[:, None])
-    lin = 0.5 * mu * inst.sig2 * np.einsum("nf,fn->n", inst.u, kz)
-    g_z = inst.gram(z * inst.sig2)
-
-    vals, vecs = inst.h_eig(probs)
-    vals_f = np.maximum(vals, 1e-12 * max(vals[-1], 1.0))
-    core = vecs.T @ g_z @ vecs
-    val2 = 0.5 * mu * float((np.diag(core) / vals_f).sum())
-    k = vecs @ ((vecs.T @ inst.u.T) / vals_f[:, None])
-    grad2 = -0.5 * mu * np.einsum("fn,fg,gn->n", k, g_z, k)
-
-    d = probs - z
-    value = 0.5 * tau * float(d @ d) + float(lin @ probs) + val2
-    gradient = tau * d + lin + grad2
+    value, gradient, _ = _surrogate(inst, mu, _as_probs(p, b.n), _as_probs(anchor, b.n), tau)
     return value, gradient
 
 
-# ---------------------------------------------------------------------------
-# projected subgradient engine
-
-@dataclass
-class _Eval:
-    obj: float
-    grad: np.ndarray
-    viols: tuple = ()
-    vgrads: tuple = ()
-    polished: tuple = None      # (point, objective, residual), already projected
-
-
-@dataclass
-class _SubgradResult:
-    p: np.ndarray
-    obj: float
-    found: bool
-    fallback: np.ndarray
-    fallback_viol: float
-    iterations: int
+def _msd(inst, mu, offset=0.0):
+    """The exact MSD less ``offset`` as a smooth barrier function: with
+    ``derivs`` it also returns the gradient and curvature of the surrogate
+    anchored at p, which are the MSD's gradient and a PSD stand-in for its
+    Hessian."""
+    def fn(p, derivs=False):
+        value = inst.exact_msd(p, mu) - offset
+        if not derivs:
+            return value
+        _, grad, hess = _surrogate(inst, mu, p, p, 0.0)
+        return value, grad, hess
+    return fn
 
 
-def _project(p, ub, budget):
-    q = np.minimum(np.maximum(p, 0.0), ub)
-    if budget is None or q.sum() <= budget + 1e-12:
-        return q
-    # Bisection on the shift, at most 80 steps.  A step that leaves (lo, hi)
-    # unchanged leaves every later step unchanged too, so stopping there
-    # returns exactly the 80-step result.  q is the predicate's buffer.
-    lo, hi = 0.0, float(p.max(initial=0.0))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        np.subtract(p, mid, out=q)
-        np.maximum(q, 0.0, out=q)
-        np.minimum(q, ub, out=q)
-        if q.sum() > budget:
-            if lo == mid:
-                break
-            lo = mid
-        elif hi == mid:
-            break
-        else:
-            hi = mid
-    return np.minimum(np.maximum(p - hi, 0.0), ub)
-
-
-def _subgrad_minimize(evaluate, p0, ub, *, budget=None, iters=10_000,
-                      step_a=2.0, step_b=25.0, penalty=200.0,
-                      stall_limit=None, stop_below=None, seeds=(),
-                      recorder=None, record_every=None) -> _SubgradResult:
-    best_p, best_obj = None, math.inf
-    least_p, least_viol = None, math.inf
-
-    def consider(q, obj_q, viol_q):
-        nonlocal best_p, best_obj, least_p, least_viol
-        improved = False
-        if viol_q <= FEAS_TOL and obj_q < best_obj - 1e-14:
-            best_p, best_obj = np.array(q, dtype=float), float(obj_q)
-            improved = True
-        if viol_q < least_viol:
-            least_p, least_viol = np.array(q, dtype=float), float(viol_q)
-        return improved
-
-    def max_viol(ev):
-        return max([max(v, 0.0) for v in ev.viols], default=0.0)
-
-    for q in seeds:
-        q = _project(np.asarray(q, dtype=float), ub, budget)
-        ev = evaluate(q)
-        consider(q, ev.obj, max_viol(ev))
-        if ev.polished is not None:
-            consider(*ev.polished)
-
-    p = _project(np.asarray(p0, dtype=float), ub, budget)
-    since_improve = 0
-    done = 0
-    for k in range(iters):
-        done = k + 1
-        ev = evaluate(p)
-        viol = max_viol(ev)
-        improved = consider(p, ev.obj, viol)
-        if ev.polished is not None:
-            improved = consider(*ev.polished) or improved
-        since_improve = 0 if improved else since_improve + 1
-        if recorder is not None and record_every and k % record_every == 0:
-            recorder(best_p if best_p is not None else p,
-                     best_obj if best_p is not None else ev.obj,
-                     0.0 if best_p is not None else viol)
-        if stop_below is not None and best_obj < stop_below:
-            break
-        if stall_limit and since_improve >= stall_limit and best_p is not None:
-            break
-        g = ev.grad
-        for v, vg in zip(ev.viols, ev.vgrads):
-            if v > 0.0:
-                g = g + penalty * vg
-        norm = math.sqrt(float(g @ g))
-        if norm < 1e-15:
-            break
-        p = _project(p - (step_a / (step_b + k)) * (g / norm), ub, budget)
-    return _SubgradResult(best_p, best_obj, best_p is not None,
-                          least_p, least_viol, done)
-
-
-def _solve_penalized(evaluate, p0, ub, **kw):
-    penalty = kw.pop("penalty", 200.0)
-    start = np.asarray(p0, dtype=float)
-    res = None
-    for _ in range(4):
-        res = _subgrad_minimize(evaluate, start, ub, penalty=penalty, **kw)
-        if res.found:
-            return res
-        if res.fallback is not None:
-            start = res.fallback
-        penalty *= 10.0
-    return res
+def _trace_inverse(inst, offset):
+    """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}] less ``offset``, inf where singular."""
+    def fn(p, derivs=False):
+        vals, vecs = np.linalg.eigh(inst.gram(p / inst.sig2))
+        if vals[0] <= 1e-14 * max(vals[-1], 1.0):
+            return math.inf
+        value = float((1.0 / vals).sum()) - offset
+        if not derivs:
+            return value
+        q = (inst.u @ vecs) / np.sqrt(inst.sig2)[:, None]
+        k1 = (q / vals) @ q.T                   # u_i^T M^{-1} u_j / (sigma_i sigma_j)
+        k2 = (q / vals ** 2) @ q.T
+        return value, -k2.diagonal().copy(), 2.0 * k1 * k2
+    return fn
 
 
 def _truncate(p):
@@ -366,55 +279,260 @@ def _truncate(p):
     return out
 
 
-def _rate_polish(p, inst, lam_t):
-    """Scale the final iterate exactly onto the rate floor.
+# ---------------------------------------------------------------------------
+# log-barrier Newton core
 
-    The Gram matrix is linear in p, so lambda_min scales with it; the inner
-    loop only guarantees feasibility up to FEAS_TOL, and this removes that
-    slack whenever the box allows the scaling."""
-    if lam_t <= 0.0:
+class _Barrier:
+    """The log barrier of one program over x = (p[free], s).
+
+    ``lmis`` holds triples (c, const, e), each the LMI
+    H(p) - (c @ p + const + e s) I >= 0.  ``objective`` is a vector over
+    (p, s) (a linear objective) or a smooth function of p; ``constraints`` are
+    smooth functions of p that must stay negative.  A smooth function
+    ``fn(p, derivs)`` returns its value, inf outside its domain, or with
+    ``derivs`` the triple (value, gradient, Hessian) over all n vertices.
+    The scalar s exists only with ``epigraph``; vertices with bound 0 are
+    not variables and stay at 0.
+    """
+
+    def __init__(self, inst, lmis=(), objective=None, constraints=(), budget=None,
+                 epigraph=False):
+        self.inst, self.constraints, self.budget = inst, constraints, budget
+        self.free = np.flatnonzero(inst.ub > 0)
+        self.objective = objective
+        if objective is not None and not callable(objective):
+            self.objective = np.append(objective[self.free], objective[inst.n:])
+        self.k = self.free.size
+        self.ub = inst.ub[self.free]
+        extra = int(epigraph)
+        self.u = np.vstack([inst.u[self.free], np.zeros((extra, inst.f))])
+        self.lmis = [(np.append(c[self.free], [e] * extra), const) for c, const, e in lmis]
+        self.degree = (inst.f * len(self.lmis) + 2 * self.k + (budget is not None)
+                       + len(constraints))
+
+    def point(self, x):
+        p = np.zeros(self.inst.n)
+        p[self.free] = x[:self.k]
         return p
-    lam = float(np.linalg.eigvalsh(inst.gram(p))[0])
-    if lam <= 0.0:
-        return p
-    scaled = (lam_t / lam) * p
-    if (scaled <= inst.ub + 1e-15).all():
-        return np.minimum(scaled, inst.ub)
+
+    def _lift(self, grad, hess):
+        nv, k = self.u.shape[0], self.k
+        gx, hx = np.zeros(nv), np.zeros((nv, nv))
+        gx[:k] = grad[self.free]
+        hx[:k, :k] = hess[np.ix_(self.free, self.free)]
+        return gx, hx
+
+    def f0(self, x, derivs=False):
+        """The objective at x, inf outside its domain; with ``derivs`` the
+        triple (value, gradient, Hessian) over x."""
+        if callable(self.objective):
+            out = self.objective(self.point(x), derivs)
+            return (out[0], *self._lift(out[1], out[2])) if derivs else out
+        value = float(self.objective @ x)
+        return (value, self.objective, 0.0) if derivs else value
+
+    def f0_change(self, x, y):
+        # a linear objective's change is taken from y - x, which is exact for
+        # nearby points, not from two large nearly equal values
+        if callable(self.objective):
+            return self.f0(y) - self.f0(x)
+        return float(self.objective @ (y - x))
+
+    def __call__(self, x, derivs=False):
+        """The barrier at x, inf outside the domain; with ``derivs`` the
+        triple (value, gradient, Hessian)."""
+        xp, k = x[:self.k], self.k
+        room = self.ub - xp
+        if xp.min(initial=1.0) <= 0.0 or room.min(initial=1.0) <= 0.0:
+            return math.inf
+        value = -float(np.log(xp).sum() + np.log(room).sum())
+        if derivs:
+            nv = self.u.shape[0]
+            grad, hess = np.zeros(nv), np.zeros((nv, nv))
+            grad[:k] = 1.0 / room - 1.0 / xp
+            hess[range(k), range(k)] = 1.0 / xp ** 2 + 1.0 / room ** 2
+        if self.budget is not None:
+            slack = self.budget - float(xp.sum())
+            if slack <= 0.0:
+                return math.inf
+            value -= math.log(slack)
+            if derivs:
+                grad[:k] += 1.0 / slack
+                hess[:k, :k] += 1.0 / slack ** 2
+        p = self.point(x)
+        if self.lmis:
+            lam, vecs = np.linalg.eigh(self.inst.gram(p))
+            q = self.u @ vecs
+            for c, const in self.lmis:
+                eig = lam - (float(c @ x) + const)
+                if eig[0] <= 0.0:
+                    return math.inf
+                value -= float(np.log(eig).sum())
+                if derivs:
+                    # -log det S, S = sum_i x_i A_i - const I, A_i = u_i u_i^T - c_i I:
+                    # the gradient is -tr(W A_i) and the Hessian tr(W A_i W A_j)
+                    # with W = S^{-1}, i.e. (u_i^T W u_j)^2 plus rank-one terms in c.
+                    # It is formed as the Gram matrix of B_i = W^1/2 A_i W^1/2 in
+                    # the eigenbasis, which stays PSD where the expanded sum
+                    # cancels near the boundary.
+                    w = 1.0 / eig
+                    r = q * np.sqrt(w)
+                    b = r[:, :, None] * r[:, None, :]
+                    b[:, range(w.size), range(w.size)] -= c[:, None] * w
+                    b = b.reshape(len(c), -1)
+                    grad += c * w.sum() - (r * r).sum(axis=1)
+                    hess += b @ b.T
+        for fn in self.constraints:
+            out = fn(p, derivs)
+            g = out[0] if derivs else out
+            if not g < 0.0:
+                return math.inf
+            value -= math.log(-g)
+            if derivs:
+                gx, hx = self._lift(out[1], out[2])
+                grad += gx / -g
+                hess += np.outer(gx, gx) / g ** 2 + hx / -g
+        return (value, grad, hess) if derivs else value
+
+
+def _newton_step(prog, x, t):
+    """(barrier value, Newton step, Newton decrement) of t f0 + barrier at
+    x; the step is None when the Newton system is singular."""
+    phi, grad, hess = prog(x, True)
+    _, obj_grad, obj_hess = prog.f0(x, True)
+    grad, hess = grad + t * obj_grad, hess + t * obj_hess
+    # Jacobi scaling: near the boundary the box terms span ~20 decades.  A
+    # nearly active LMI adds a rank-one term that can swamp the rest in
+    # floating point and leave the system singular.
+    scale = 1.0 / np.sqrt(hess.diagonal())
+    try:
+        step = -scale * np.linalg.solve(hess * scale * scale[:, None], grad * scale)
+    except np.linalg.LinAlgError:
+        return phi, None, 0.0
+    return phi, step, -float(grad @ step)
+
+
+def _barrier(prog, x, record=None, stop=None):
+    """Barrier method from the strictly feasible x until m/t <= GAP.
+
+    ``record(p)`` sees every Newton iterate; ``stop(x)`` ends the run early
+    when true.  A centering ends when the Newton decrement is small, or
+    when the line search finds no decrease or the Newton system is
+    singular, both of which mean centred to working precision.  Returns
+    (x, converged): converged is false when a centering ran out of Newton
+    steps.
+    """
+    if not (math.isfinite(prog(x)) and math.isfinite(prog.f0(x))):
+        raise InfeasibleDesignError("the start point is not strictly feasible")
+    t = prog.degree / max(abs(prog.f0(x)), GAP)
+    converged = True
+    while True:
+        for _ in range(_CENTER_STEPS):
+            phi, step, decrement = _newton_step(prog, x, t)
+            # the decrement d bounds the centering error in f0 by about
+            # sqrt(m d) / t: stop once that or d itself is small
+            if step is None or not (decrement > 1e-6 and
+                                    math.sqrt(prog.degree * decrement) > 0.1 * GAP * t):
+                break
+            alpha = 1.0
+            while alpha >= 1e-12:
+                trial = x + alpha * step
+                change = t * prog.f0_change(x, trial) + (prog(trial) - phi)
+                if change <= -0.25 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            x = trial
+            if record is not None:
+                record(prog.point(x))
+            if stop is not None and stop(x):
+                return x, True
+        else:
+            converged = False
+        if prog.degree / t <= GAP:
+            return x, converged
+        t *= _T_GROWTH
+
+
+def _interior(inst, lmis, budget):
+    """A point strictly inside the box, the budget and the LMIs, with its
+    margin s = min_k lambda_min(S_k).  The start is the box scaled to half
+    the budget; a phase I maximizes s over S_k >= s I when that start is
+    not inside, and stops once s > 0.  A margin <= 0 means no point is."""
+    ub = inst.ub
+    theta = 0.5 if budget is None or budget >= ub.sum() else 0.5 * budget / ub.sum()
+    p = theta * ub
+    lam = inst.lam_min(p)
+    margin = min(lam - float(c @ p) - const for c, const, _ in lmis)
+    if margin > 0.0 or theta == 0.0 or not ub.any():
+        return p, margin
+    phase = _Barrier(inst, [(c, const, 1.0) for c, const, _ in lmis],
+                     objective=np.append(np.zeros(inst.n), -1.0), budget=budget,
+                     epigraph=True)
+    x, _ = _barrier(phase, np.append(p[phase.free], margin - 1.0), stop=lambda x: x[-1] > 0.0)
+    return phase.point(x), float(x[-1])
+
+
+def _start(prog, center, initial):
+    """``center``, or ``initial`` clipped to the box and pulled strictly
+    inside ``prog``'s domain by mixing in a little of ``center``."""
+    if initial is None:
+        return center
+    q = np.clip(_as_probs(initial, prog.inst.n), 0.0, prog.inst.ub)
+    p = (1.0 - _PULL) * q + _PULL * center
+    if not math.isfinite(prog(p[prog.free])):
+        raise InfeasibleDesignError("the initial point is infeasible")
     return p
 
 
+def _run(prog, start, entry):
+    """One barrier run from ``start``, recording the start, every Newton
+    step and the final design with (objective, residual, msd) = entry(p)."""
+    trace = SolverTrace()
+
+    def record(p):
+        trace.record(p, *entry(p))
+
+    record(start)
+    x, trace.converged = _barrier(prog, start[prog.free], record)
+    final = _truncate(prog.point(x))
+    record(final)
+    return SamplingProbabilities(probs=final, bounds=prog.inst.ub), trace
+
+
 # ---------------------------------------------------------------------------
-# rate-constrained minimal sampling (convex bound formulation)
+# rate-constrained minimal sampling
 
-def _min_rate_evaluate(inst, lam_t, mu, gamma):
-    ones = np.ones(inst.n)
-    half_mu = 0.5 * mu
-    bound_lin = half_mu * inst.g_lin
-    ub_tol = inst.ub + 1e-15
-    ub_min = inst.ub.min(initial=1.0)
+def _min_rate_setup(spec, name):
+    """The instance, the rate LMI and a point strictly inside the rate and
+    MSD-bound LMIs, or the infeasibility error with the ceiling's lambda_min."""
+    if spec.mu is None or spec.rate_target is None or spec.msd_target is None:
+        raise ValueError(f"{name} needs mu, rate_target and msd_target")
+    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
+    lam_t = spec.lambda_target()
+    lam_ceiling = inst.lam_min(inst.ub)
+    if lam_ceiling <= lam_t:
+        raise InfeasibleDesignError(
+            f"rate target unreachable: lambda_min at the box ceiling is "
+            f"{lam_ceiling:.6g} < required {lam_t:.6g}",
+            max_achievable_lambda=lam_ceiling,
+        )
+    rate = (np.zeros(inst.n), lam_t, 0.0)
+    # (mu/2) Tr G(p) <= gamma lambda_min(H(p)), divided by gamma
+    bound = (0.5 * spec.mu / spec.msd_target * inst.g_lin, 0.0, 0.0)
+    center, margin = _interior(inst, [rate, bound], None)
+    if margin <= 0.0:
+        raise InfeasibleDesignError(
+            "MSD bound target unreachable anywhere in the box "
+            f"(best margin {margin:.3e}); maximal achievable lambda_min is "
+            f"{lam_ceiling:.6g}",
+            max_achievable_lambda=lam_ceiling,
+        )
+    return inst, lam_t, rate, bound, center
 
-    def evaluate(p):
-        vals, vecs = inst.h_eig(p)
-        lam = float(vals[0])
-        gsub = inst.u @ vecs[:, 0]
-        gsub *= gsub
-        c_bound = half_mu * inst.tr_g(p) - gamma * lam
-        polished = None
-        if lam > 1e-15:
-            t = lam_t / lam
-            tp = t * p
-            if t * p.max(initial=0.0) <= ub_min or (tp <= ub_tol).all():
-                q = np.minimum(tp, inst.ub)
-                polished = (q, float(q.sum()), max(t * c_bound, 0.0))
-        elif lam_t == 0.0:
-            polished = (np.zeros(inst.n), 0.0, 0.0)
-        return _Eval(obj=float(p.sum()), grad=ones, viols=(lam_t - lam, c_bound),
-                     vgrads=(-gsub, bound_lin - gamma * gsub), polished=polished)
 
-    return evaluate
-
-
-def solve_min_rate_convex(spec: DesignSpec, iters: int = 10_000):
+def solve_min_rate_convex(spec: DesignSpec):
     """Minimize sum(p) subject to a convergence-rate floor and the convex
     MSD upper-bound constraint (mu/2) Tr(G(p)) <= gamma * lambda_min(H(p)).
 
@@ -422,383 +540,123 @@ def solve_min_rate_convex(spec: DesignSpec, iters: int = 10_000):
     :class:`InfeasibleDesignError` when even the box ceiling cannot meet the
     constraints; the error carries the maximal achievable lambda_min.
     """
-    if spec.mu is None or spec.rate_target is None or spec.msd_target is None:
-        raise ValueError("solve_min_rate_convex needs mu, rate_target and msd_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
-    lam_t = spec.lambda_target()
-    gamma = spec.msd_target
-    lam_ceiling = float(np.linalg.eigvalsh(inst.gram(inst.ub))[0])
-    if lam_ceiling < lam_t - 1e-12:
-        raise InfeasibleDesignError(
-            f"rate target unreachable: lambda_min at the box ceiling is "
-            f"{lam_ceiling:.6g} < required {lam_t:.6g}",
-            max_achievable_lambda=lam_ceiling,
-        )
+    inst, lam_t, rate, bound, center = _min_rate_setup(spec, "solve_min_rate_convex")
+    mu, gamma = spec.mu, spec.msd_target
 
-    evaluate = _min_rate_evaluate(inst, lam_t, spec.mu, gamma)
+    def entry(p):
+        lam = inst.lam_min(p)
+        residual = max(lam_t - lam, 0.5 * mu * inst.tr_g(p) - gamma * lam, 0.0)
+        return p.sum(), residual, inst.exact_msd(p, mu)
 
-    # locate a point satisfying the bound constraint if the ceiling violates it
-    start = inst.ub.copy()
-    ev0 = evaluate(start)
-    if ev0.viols[1] > 0.0:
-        def feas_eval(p):
-            ev = evaluate(p)
-            return _Eval(obj=ev.viols[1], grad=ev.vgrads[1],
-                         viols=(ev.viols[0],), vgrads=(ev.vgrads[0],))
-        probe = _solve_penalized(feas_eval, start, inst.ub,
-                                 iters=4000, stall_limit=1500, stop_below=-1e-9)
-        if not probe.found or probe.obj > 0.0:
-            raise InfeasibleDesignError(
-                "MSD bound target unreachable anywhere in the box "
-                f"(best residual {probe.obj if probe.found else probe.fallback_viol:.3e}); "
-                f"maximal achievable lambda_min is {lam_ceiling:.6g}",
-                max_achievable_lambda=lam_ceiling,
-            )
-        start = probe.p
-
-    trace = SolverTrace()
-
-    def recorder(p, obj, viol):
-        trace.record(p, obj, viol, inst.exact_msd(p, spec.mu))
-
-    res = _solve_penalized(evaluate, start, inst.ub, iters=iters,
-                           stall_limit=2500, recorder=recorder, record_every=100)
-    if not res.found:
-        raise InfeasibleDesignError(
-            f"no feasible design found (best residual {res.fallback_viol:.3e}); "
-            f"maximal achievable lambda_min is {lam_ceiling:.6g}",
-            max_achievable_lambda=lam_ceiling,
-        )
-    final = _rate_polish(_truncate(res.p), inst, lam_t)
-    trace.record(final, final.sum(), 0.0, inst.exact_msd(final, spec.mu))
-    trace.converged = True
-    return SamplingProbabilities(probs=final, bounds=inst.ub), trace
+    return _run(_Barrier(inst, [rate, bound], objective=np.ones(inst.n)), center, entry)
 
 
-# ---------------------------------------------------------------------------
-# SCA refinement of the rate-constrained program on the exact MSD
+def sca_min_rate(spec: DesignSpec, initial=None):
+    """Minimize sum(p) subject to the convergence-rate floor and the exact
+    MSD constraint MSD(p) <= gamma.
 
-def _gamma_steps(step_schedule):
-    if step_schedule is None:
-        step_schedule = (1.0, 0.001)
-    if callable(step_schedule):
-        k = 0
-        while True:
-            yield float(step_schedule(k))
-            k += 1
-    elif isinstance(step_schedule, tuple) and len(step_schedule) == 2:
-        gamma, eta = float(step_schedule[0]), float(step_schedule[1])
-        while True:
-            yield gamma
-            gamma = gamma * (1.0 - eta * gamma)
-    else:
-        seq = [float(g) for g in step_schedule]
-        yield from seq
-        while True:
-            yield seq[-1]
-
-
-def sca_min_rate(spec: DesignSpec, tau: float = 1e-6, step_schedule=None,
-                 initial=None, max_outer: int = 500):
-    """Successive convex approximation on the exact MSD constraint.
-
-    Starting from a point feasible for the true constraints (by default the
-    output of :func:`solve_min_rate_convex`), each round minimizes
-    sum(p) + (tau/2)||p - p_k||^2 over a quadratic majorizer of the MSD
-    around p_k (curvature found by doubling until the majorization holds at
-    the trial point) and moves by a diminishing convex-combination step.
-    The objective never increases, so the result refines the convex design.
+    One barrier run on the exact MSD whose Newton model is the SCA
+    surrogate re-anchored at every step.  It starts inside the convex
+    bound's feasible set, which lies inside the exact one, or at
+    ``initial`` pulled strictly inside.
     """
-    if spec.mu is None or spec.rate_target is None or spec.msd_target is None:
-        raise ValueError("sca_min_rate needs mu, rate_target and msd_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
-    lam_t = spec.lambda_target()
-    gamma_msd = spec.msd_target
-    mu = spec.mu
+    inst, lam_t, rate, _, center = _min_rate_setup(spec, "sca_min_rate")
+    mu, gamma = spec.mu, spec.msd_target
+    msd = _msd(inst, mu)
 
-    if initial is None:
-        p, _ = solve_min_rate_convex(spec)
-        p = p.probs.copy()
-    else:
-        p = _as_probs(initial, inst.n).copy()
-        lam0 = float(np.linalg.eigvalsh(inst.gram(p))[0])
-        if lam0 < lam_t - 1e-9 or inst.exact_msd(p, mu) > gamma_msd + 1e-9:
-            raise InfeasibleDesignError("sca_min_rate: initial point is infeasible")
+    def entry(p):
+        value = msd(p)
+        return p.sum(), max(lam_t - inst.lam_min(p), value - gamma, 0.0), value
 
-    ones = np.ones(inst.n)
-    trace = SolverTrace()
-
-    def residual(q):
-        lam = float(np.linalg.eigvalsh(inst.gram(q))[0])
-        return max(lam_t - lam, 0.0, inst.exact_msd(q, mu) - gamma_msd)
-
-    trace.record(p, p.sum(), residual(p), inst.exact_msd(p, mu))
-    gammas = _gamma_steps(step_schedule)
-    curvature = 1.0
-    converged = False
-    stall = 0
-    for _ in range(max_outer):
-        z = p.copy()
-        msd_z = inst.exact_msd(z, mu)
-        grad_z = msd_gradient(z, mu, spec.noise, spec.bandlimit)
-
-        p_hat = None
-        for _ in range(60):
-            big_l = curvature
-
-            def evaluate(q, big_l=big_l):
-                d = q - z
-                dd = float(d @ d)
-                vals, vecs = inst.h_eig(q)
-                lam = float(vals[0])
-                gsub = inst.u @ vecs[:, 0]
-                gsub *= gsub
-                ball = msd_z + float(grad_z @ d) + 0.5 * big_l * dd - gamma_msd
-                return _Eval(
-                    obj=float(q.sum()) + 0.5 * tau * dd,
-                    grad=ones + tau * d,
-                    viols=(lam_t - lam, ball),
-                    vgrads=(-gsub, grad_z + big_l * d),
-                )
-
-            res = _subgrad_minimize(evaluate, z, inst.ub, iters=1500,
-                                    step_a=0.8, step_b=15.0,
-                                    stall_limit=400, seeds=(z,))
-            cand = res.p if res.found else z
-            d = cand - z
-            surrogate = msd_z + float(grad_z @ d) + 0.5 * curvature * float(d @ d)
-            if inst.exact_msd(cand, mu) <= surrogate + 1e-12:
-                p_hat = cand
-                break
-            curvature *= 2.0
-        if p_hat is None:
-            p_hat = z
-
-        step = next(gammas)
-        p_next = np.clip(z + step * (p_hat - z), 0.0, inst.ub)
-        trace.record(p_next, p_next.sum(), residual(p_next), inst.exact_msd(p_next, mu))
-        move = float(np.abs(p_next - z).max(initial=0.0))
-        inner_move = float(np.abs(p_hat - z).max(initial=0.0))
-        p = p_next
-        if move < 1e-7:
-            converged = True
-            break
-        # subgradient noise in the inner solves keeps the literal 1e-7 test
-        # from firing on some instances; a persistent fixed point is as good
-        stall = stall + 1 if inner_move < 1e-6 else 0
-        if stall >= 10:
-            converged = True
-            break
-    # the exact MSD is scale-invariant in p, so snapping onto the rate floor
-    # keeps the second constraint intact
-    final = _rate_polish(_truncate(p), inst, lam_t)
-    trace.record(final, final.sum(), residual(final), inst.exact_msd(final, mu))
-    trace.converged = converged and trace.residuals[-1] <= FEAS_TOL
-    return SamplingProbabilities(probs=final, bounds=inst.ub), trace
+    prog = _Barrier(inst, [rate], objective=np.ones(inst.n), constraints=(_msd(inst, mu, gamma),))
+    return _run(prog, _start(prog, center, initial), entry)
 
 
 # ---------------------------------------------------------------------------
 # MSD-minimal sampling under rate and budget constraints
 
-def _feasible_in_c(inst, lam_t, budget, initial):
-    seeds = []
-    if initial is not None:
-        seeds.append(_as_probs(initial, inst.n))
-    ceiling = inst.ub.copy()
-    if budget is not None and ceiling.sum() > budget:
-        ceiling = _project(ceiling * (budget / ceiling.sum()), inst.ub, budget)
-    seeds.append(ceiling)
-    for q in seeds:
-        lam = float(np.linalg.eigvalsh(inst.gram(q))[0])
-        if lam >= lam_t - 1e-12:
-            return q, lam
-    # push lambda_min up by supergradient ascent inside box and budget
-
-    def evaluate(p):
-        vals, vecs = inst.h_eig(p)
-        gsub = inst.u @ vecs[:, 0]
-        gsub *= gsub
-        return _Eval(obj=-float(vals[0]), grad=-gsub)
-
-    res = _subgrad_minimize(evaluate, ceiling, inst.ub, budget=budget,
-                            iters=3000, stall_limit=800,
-                            stop_below=-(lam_t + 1e-9))
-    best_lam = -res.obj if res.found else 0.0
-    if best_lam < lam_t - 1e-12:
+def _min_msd_setup(spec, name):
+    """The instance, the rate LMI and a point strictly inside the rate LMI,
+    the box and the budget, or the infeasibility error with the largest
+    lambda_min the budget allows."""
+    if spec.mu is None or spec.rate_target is None:
+        raise ValueError(f"{name} needs mu and rate_target")
+    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
+    lam_t = spec.lambda_target()
+    rate = (np.zeros(inst.n), lam_t, 0.0)
+    center, margin = _interior(inst, [rate], spec.budget)
+    if margin <= 0.0:
+        best = lam_t + margin
         raise InfeasibleDesignError(
             f"rate target unreachable under the budget: best achievable "
-            f"lambda_min is {best_lam:.6g} < required {lam_t:.6g}",
-            max_achievable_lambda=best_lam,
+            f"lambda_min is {best:.6g} < required {lam_t:.6g}",
+            max_achievable_lambda=best,
         )
-    return res.p, best_lam
+    return inst, lam_t, rate, center
 
 
-def dinkelbach_min_msd(spec: DesignSpec, initial=None, max_outer: int = 60,
-                       inner_iters: int = 3000):
+def dinkelbach_min_msd(spec: DesignSpec, initial=None):
     """Minimize the MSD upper bound Tr(G(p)) / lambda_min(H(p)) over the
     rate-and-budget feasible set by Dinkelbach's parametric method.
 
-    Each round minimizes h(p, w) = Tr(G(p)) - w * lambda_min(H(p)) and
-    updates w to the new ratio; w is nonincreasing and the loop stops when
-    |h| < 1e-8.  The recorded objective is the bound value (mu/2) * ratio.
+    Each round minimizes Tr(G(p)) - w s over H(p) >= s I, one barrier run
+    from the interior start (or ``initial``, pulled strictly inside), and
+    updates w to the new ratio.  A round is kept only if it lowers the
+    ratio, and the method stops once the round's value is within GAP of 0.
+    The recorded objective is the bound value (mu/2) * ratio.
     """
-    if spec.mu is None or spec.rate_target is None:
-        raise ValueError("dinkelbach_min_msd needs mu and rate_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
-    lam_t = spec.lambda_target()
-    budget = spec.budget
+    inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach_min_msd")
     mu = spec.mu
-
-    p, _ = _feasible_in_c(inst, lam_t, budget, initial)
-    p = np.asarray(p, dtype=float)
-
-    def ratio(q):
-        lam = float(np.linalg.eigvalsh(inst.gram(q))[0])
-        return inst.tr_g(q) / lam, lam
-
+    epigraph = (np.zeros(inst.n), 0.0, 1.0)
     trace = SolverTrace()
 
     def record(q):
-        r, lam = ratio(q)
-        trace.record(q, 0.5 * mu * r, max(lam_t - lam, 0.0), inst.exact_msd(q, mu))
+        lam = inst.lam_min(q)
+        trace.record(q, 0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0),
+                     inst.exact_msd(q, mu))
 
+    p = start = _start(_Barrier(inst, [rate], budget=spec.budget), center, initial)
     record(p)
-    converged = False
-    omega, _ = ratio(p)
-    for _ in range(max_outer):
-        def evaluate(q, omega=omega):
-            vals, vecs = inst.h_eig(q)
-            lam = float(vals[0])
-            gsub = inst.u @ vecs[:, 0]
-            gsub *= gsub
-            h_val = inst.tr_g(q) - omega * lam
-            polished = None
-            if lam > 1e-15:
-                live = q > 1e-15
-                total = q.sum()
-                t_hi = min((inst.ub[live] / q[live]).min(initial=math.inf),
-                           math.inf if budget is None or total < 1e-15
-                           else budget / total)
-                t = t_hi if h_val < 0 else max(lam_t / lam, 0.0)
-                if math.isfinite(t) and t > 0:
-                    qq = _project(t * q, inst.ub, budget)
-                    lam_q = t * lam
-                    polished = (qq, t * h_val, max(lam_t - lam_q, 0.0))
-            return _Eval(obj=h_val, grad=inst.g_lin - omega * gsub,
-                         viols=(lam_t - lam,), vgrads=(-gsub,),
-                         polished=polished)
-
-        res = _solve_penalized(evaluate, p, inst.ub, budget=budget,
-                               iters=inner_iters, stall_limit=800, seeds=(p,))
-        if not res.found:
+    omega = inst.tr_g(p) / inst.lam_min(p)
+    converged = True
+    while True:
+        prog = _Barrier(inst, [rate, epigraph], objective=np.append(inst.g_lin, -omega),
+                        budget=spec.budget, epigraph=True)
+        x, converged = _barrier(prog, np.append(start[prog.free], lam_t))
+        q = prog.point(x)
+        lam = inst.lam_min(q)
+        h = inst.tr_g(q) - omega * lam
+        if not h < 0.0:
             break
-        p = res.p
+        p, omega = q, inst.tr_g(q) / lam
         record(p)
-        h_val = res.obj
-        if abs(h_val) < 1e-8:
-            converged = True
-            break
-        new_omega, _ = ratio(p)
-        if new_omega >= omega - 1e-15:
-            converged = True
-            break
-        omega = new_omega
-    final = _truncate(p)
-    record(final)
-    trace.converged = converged
-    return SamplingProbabilities(probs=final, bounds=inst.ub), trace
-
-
-def sca_min_msd(spec: DesignSpec, tau: float = 1e-6, step_schedule=None,
-                initial=None, max_outer: int = 500, inner_iters: int = 1200):
-    """Minimize the exact MSD over the rate-and-budget feasible set by
-    successive convex approximation with the partially linearized surrogate
-    of :func:`sca_msd_surrogate` and diminishing convex-combination steps."""
-    if spec.mu is None or spec.rate_target is None:
-        raise ValueError("sca_min_msd needs mu and rate_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
-    lam_t = spec.lambda_target()
-    budget = spec.budget
-    mu = spec.mu
-
-    p, _ = _feasible_in_c(inst, lam_t, budget, initial)
-    p = np.asarray(p, dtype=float)
-
-    trace = SolverTrace()
-
-    def record(q):
-        lam = float(np.linalg.eigvalsh(inst.gram(q))[0])
-        msd = inst.exact_msd(q, mu)
-        trace.record(q, msd, max(lam_t - lam, 0.0), msd)
-
-    record(p)
-    gammas = _gamma_steps(step_schedule)
-    converged = False
-    stall = 0
-    budget_slack = math.inf if budget is None else budget
-    half_mu = 0.5 * mu
-    for outer in range(max_outer):
-        z = p.copy()
-        vals_z, vecs_z = inst.h_eig(z)
-        kz = vecs_z @ ((vecs_z.T @ inst.u.T) / np.maximum(vals_z, 1e-15)[:, None])
-        lin = 0.5 * mu * inst.sig2 * np.einsum("nf,fn->n", inst.u, kz)
-        g_z = inst.gram(z * inst.sig2)
-
-        def evaluate(q):
-            d = q - z
-            vals, vecs = inst.h_eig(q)
-            lam = float(vals[0])
-            vals_f = np.maximum(vals, 1e-12 * max(vals[-1], 1.0))
-            gsub = inst.u @ vecs[:, 0]
-            gsub *= gsub
-            core = vecs.T @ g_z @ vecs
-            val2 = half_mu * float((core.diagonal() / vals_f).sum())
-            k = vecs.T @ inst.u.T
-            k /= vals_f[:, None]
-            k = vecs @ k
-            grad2 = np.einsum("fn,fg,gn->n", k, g_z, k)
-            grad2 *= -half_mu
-            grad = tau * d
-            grad += lin
-            grad += grad2
-            return _Eval(
-                obj=0.5 * tau * float(d @ d) + float(lin @ q) + val2,
-                grad=grad,
-                viols=(lam_t - lam,),
-                vgrads=(-gsub,),
-            )
-
-        res = _subgrad_minimize(
-            evaluate, z, inst.ub, budget=budget,
-            iters=inner_iters if outer < 2 else max(400, inner_iters // 3),
-            step_a=0.8, step_b=15.0, stall_limit=300, seeds=(z,))
-        p_hat = res.p if res.found else z
-
-        step = next(gammas)
-        p_next = np.clip(z + step * (p_hat - z), 0.0, inst.ub)
-        if p_next.sum() > budget_slack:
-            p_next = _project(p_next, inst.ub, budget)
-        record(p_next)
-        move = float(np.abs(p_next - z).max(initial=0.0))
-        inner_move = float(np.abs(p_hat - z).max(initial=0.0))
-        p = p_next
-        if move < 1e-7:
-            converged = True
-            break
-        stall = stall + 1 if inner_move < 1e-6 else 0
-        if stall >= 10:
-            converged = True
+        if h > -GAP:
             break
     final = _truncate(p)
     record(final)
     trace.converged = converged
     return SamplingProbabilities(probs=final, bounds=inst.ub), trace
+
+
+def sca_min_msd(spec: DesignSpec, initial=None):
+    """Minimize the exact MSD over the rate-and-budget feasible set: one
+    barrier run whose Newton model is the SCA surrogate of
+    :func:`sca_msd_surrogate` re-anchored at every step."""
+    inst, lam_t, rate, center = _min_msd_setup(spec, "sca_min_msd")
+    msd = _msd(inst, spec.mu)
+
+    def entry(p):
+        value = msd(p)
+        return value, max(lam_t - inst.lam_min(p), 0.0), value
+
+    prog = _Barrier(inst, [rate], objective=msd, budget=spec.budget)
+    return _run(prog, _start(prog, center, initial), entry)
 
 
 # ---------------------------------------------------------------------------
 # RLS sampling design (convex)
 
-def solve_rls_design(spec: DesignSpec, iters: int = 10_000):
+def solve_rls_design(spec: DesignSpec):
     """Minimize sum(p) subject to the RLS steady-state MSD target:
     Tr[(U_F^T diag(p) C_v^{-1} U_F)^{-1}] <= gamma (1+beta)/(1-beta).
 
@@ -808,66 +666,23 @@ def solve_rls_design(spec: DesignSpec, iters: int = 10_000):
     if spec.beta is None or spec.msd_target is None:
         raise ValueError("solve_rls_design needs beta and msd_target")
     inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
-    beta = spec.beta
-    scale = (1.0 - beta) / (1.0 + beta)
+    scale = (1.0 - spec.beta) / (1.0 + spec.beta)
     t_target = spec.msd_target / scale
-
-    def trace_inv(p):
-        vals, vecs = _eigh(inst.gram(p / inst.sig2))
-        floor = 1e-14 * max(vals[-1], 1.0)
-        vals_f = np.maximum(vals, floor)
-        t = float((1.0 / vals_f).sum())
-        w = inst.u @ vecs
-        w *= w
-        w /= vals_f * vals_f
-        grad = -w.sum(axis=1)
-        grad /= inst.sig2
-        return t, grad, float(vals[0])
-
-    t_ceiling, _, lam_ceiling = trace_inv(inst.ub)
-    if lam_ceiling <= 0.0 or t_ceiling > t_target + 1e-12:
+    trace_inv = _trace_inverse(inst, 0.0)
+    t_ceiling = trace_inv(inst.ub)
+    if not t_ceiling < t_target:
         raise InfeasibleDesignError(
             f"MSD target unreachable: minimum achievable MSD is "
             f"{scale * t_ceiling:.6g} > requested {spec.msd_target:.6g}",
             min_achievable_msd=scale * t_ceiling,
         )
 
-    ones = np.ones(inst.n)
-    ub_tol = inst.ub + 1e-15
+    def entry(p):
+        t = trace_inv(p)
+        return p.sum(), max(t - t_target, 0.0), scale * t
 
-    def evaluate(p):
-        t, grad, _ = trace_inv(p)
-        c = t - t_target
-        polished = None
-        if t < math.inf and t > 0.0:
-            ratio = t / t_target
-            q = ratio * p
-            if (q <= ub_tol).all():
-                polished = (np.minimum(q, inst.ub), float(q.sum()), 0.0)
-        return _Eval(obj=float(p.sum()), grad=ones,
-                     viols=(c,), vgrads=(grad,), polished=polished)
-
-    trace = SolverTrace()
-
-    def recorder(p, obj, viol):
-        t, _, lam = trace_inv(p)
-        trace.record(p, obj, viol, scale * t if lam > 0 else math.nan)
-
-    res = _solve_penalized(evaluate, inst.ub, inst.ub, iters=iters,
-                           stall_limit=2500, recorder=recorder, record_every=100)
-    if not res.found:
-        raise InfeasibleDesignError(
-            f"no feasible design found (best residual {res.fallback_viol:.3e})",
-            min_achievable_msd=scale * t_ceiling,
-        )
-    final = _truncate(res.p)
-    t_fin, _, lam_fin = trace_inv(final)
-    if lam_fin > 0.0 and math.isfinite(t_fin):
-        # trace-inverse scales as 1/t in p, so this lands exactly on target
-        scaled = (t_fin / t_target) * final
-        if (scaled <= inst.ub + 1e-15).all():
-            final = np.minimum(scaled, inst.ub)
-            t_fin, _, _ = trace_inv(final)
-    trace.record(final, final.sum(), max(t_fin - t_target, 0.0), scale * t_fin)
-    trace.converged = True
-    return SamplingProbabilities(probs=final, bounds=inst.ub), trace
+    prog = _Barrier(inst, objective=np.ones(inst.n),
+                    constraints=(_trace_inverse(inst, t_target),))
+    # the trace inverse scales as 1/theta along theta * p_max, so this start
+    # lies strictly inside
+    return _run(prog, 0.5 * (1.0 + t_ceiling / t_target) * inst.ub, entry)

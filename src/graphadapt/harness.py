@@ -511,7 +511,6 @@ def run_experiment(config: dict) -> LearningCurve:
         "trials": setup.trials,
         "horizon": setup.horizon,
         "sampling_rate": float(probs.probs.sum()),
-        "theory_rate": math.nan,
     }
     per_node = None
     if kind == "lms":
@@ -618,12 +617,15 @@ def compare_sampling(config: dict) -> list:
     if not isinstance(ccfg, dict):
         raise ConfigError("compare: section is missing")
     targets = _need(ccfg, "compare", "rate_targets", list)
-    mu = float(_need(ccfg, "compare", "mu", (int, float)))
+    for alpha in targets:
+        if not 0.0 < _typed("compare.rate_targets", alpha, (int, float)) < 1.0:
+            raise ConfigError(f"compare.rate_targets: each must lie in (0, 1), got {alpha:g}")
+    mu = _real(ccfg, "compare", "mu")
     if "msd_target_db" in ccfg:
-        gamma = 10.0 ** (float(ccfg["msd_target_db"]) / 10.0)
+        gamma = 10.0 ** (_need(ccfg, "compare", "msd_target_db", (int, float)) / 10.0)
     else:
-        gamma = float(_need(ccfg, "compare", "msd_target", (int, float)))
-    seeds = int(ccfg.get("random_seeds", 200))
+        gamma = _real(ccfg, "compare", "msd_target")
+    seeds = _count(ccfg, "compare", "random_seeds", 200)
 
     bl, noise = setup.bandlimit, setup.noise
     n = setup.graph.n
@@ -637,11 +639,12 @@ def compare_sampling(config: dict) -> list:
     for alpha in targets:
         alpha = float(alpha)
         lam_t = (1.0 - alpha) / (2.0 * mu)
-        spec = design_mod.DesignSpec(
-            bandlimit=bl, noise=noise, mu=mu,
-            rate_target=alpha, msd_target=gamma,
-            bounds=ccfg.get("p_max"),
-        )
+        with _domain("compare.p_max"):
+            spec = design_mod.DesignSpec(
+                bandlimit=bl, noise=noise, mu=mu,
+                rate_target=alpha, msd_target=gamma,
+                bounds=ccfg.get("p_max"),
+            )
         try:
             designed, _ = design_mod.solve_min_rate_convex(spec)
             designed_rate = float(designed.probs.sum())
@@ -723,7 +726,7 @@ def write_compare_csv(rows, path) -> None:
 def write_metadata(curve: LearningCurve, config: dict, path) -> None:
     payload = {"config": config, "metadata": curve.metadata}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
         fh.write("\n")
 
 

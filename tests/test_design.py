@@ -3,7 +3,8 @@
 The 3-node path admits closed-form 2x2 spectral algebra, so the small
 programs are cross-checked against an exhaustive grid over the probability
 box evaluated with hand-derived eigenvalue formulas; gradients are checked
-against central finite differences.
+against central finite differences, and the convex min-rate program against
+a cutting-plane lower bound.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from graphadapt import (
     DesignSpec,
@@ -30,7 +31,6 @@ from graphadapt import (
     solve_rls_design,
     weighted_gram,
 )
-from graphadapt.design import FEAS_TOL, _eigh, _project
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
 MU = 0.1
@@ -409,79 +409,6 @@ class TestDesignSpecValidation:
             bare.lambda_target()
 
 
-# ------------------------------------------------------ projection oracle
-
-
-def bisection_project(p, ub, budget):
-    """The fixed 80-step budget bisection the engine's projection must match."""
-    q = np.clip(p, 0.0, ub)
-    if budget is None or q.sum() <= budget + 1e-12:
-        return q
-    lo, hi = 0.0, float(p.max(initial=0.0))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if np.clip(p - mid, 0.0, ub).sum() > budget:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(p - hi, 0.0, ub)
-
-
-@st.composite
-def projection_inputs(draw):
-    """Entries below 0, inside the box and above it; bounds with zeros; no
-    budget, a share of the clipped sum (slack from 1 on), or the clipped sum
-    less a tiny gap, which puts the shift near 0 and the bisection at its cap."""
-    n = draw(st.integers(1, 30))
-    p = np.array(draw(st.lists(st.one_of(st.floats(-1.0, 2.0), st.floats(-1e-20, 1e-20),
-                                         st.sampled_from([0.0, 1.0])),
-                               min_size=n, max_size=n)))
-    ub = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(0.0)),
-                                min_size=n, max_size=n)))
-    total = float(np.clip(p, 0.0, ub).sum())
-    budget = draw(st.one_of(st.none(),
-                            st.floats(0.0, 1.2).map(lambda share: share * total),
-                            st.floats(2e-12, 1e-8).map(lambda gap: max(total - gap, 0.0))))
-    return p, ub, budget
-
-
-@settings(deadline=None, derandomize=True, max_examples=150)
-@given(inputs=projection_inputs())
-@example(inputs=(np.array([0.5, 0.3, 0.2]), np.ones(3), 1.0 - 1e-10))  # 80-step cap
-def test_project_matches_fixed_bisection(inputs):
-    p, ub, budget = inputs
-    expected = bisection_project(p, ub, budget)
-    got = _project(p, ub, budget)
-    assert np.array_equal(got, expected)
-    assert got.tobytes() == expected.tobytes()  # signed zeros too
-
-
-@pytest.mark.parametrize("f", [1, 3, 6, 8])
-def test_eigh_matches_numpy_bit_for_bit(f):
-    rng = np.random.default_rng(f)
-    for _ in range(50):
-        a = rng.normal(size=(f, f))
-        m = a + a.T
-        vals, vecs = _eigh(m)
-        ref_vals, ref_vecs = np.linalg.eigh(m)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert vecs.tobytes() == ref_vecs.tobytes()
-
-
-def test_eigh_raises_on_nonconvergence():
-    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
-        _eigh(np.full((3, 3), np.nan))
-
-
-def test_eigh_falls_back_to_the_wrapper(monkeypatch):
-    monkeypatch.setattr("graphadapt.design._eigh_lo", None)
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    vals, vecs = _eigh(m)
-    ref_vals, ref_vecs = np.linalg.eigh(m)
-    assert vals.tobytes() == ref_vals.tobytes()
-    assert vecs.tobytes() == ref_vecs.tobytes()
-
-
 # ---------------------------------------------------- closed-form oracle
 
 
@@ -497,26 +424,69 @@ def test_min_rate_uniform_optimum_on_lowest_band(n, seed):
     tr_g = float(np.trace(weighted_gram(b, uniform * noise.variances)))
     assert 0.5 * MU * tr_g <= spec.msd_target * lam_t
     probs, _ = solve_min_rate_convex(spec)
-    # the rate polish scales onto lambda_min = lambda_t, exact up to rounding
-    assert n * lam_t * (1 - 1e-12) <= probs.probs.sum() <= n * lam_t * (1 + FEAS_TOL)
+    # the barrier ends within its duality-gap bound 1e-9 of the optimum
+    assert n * lam_t * (1 - 1e-12) <= probs.probs.sum() <= n * lam_t * (1 + 1e-6)
+
+
+# ------------------------------------------------------ optimality oracle
+
+
+def kelley_min_rate_bound(spec, tol=1e-7, rounds=200):
+    """Lower bound on the optimum of solve_min_rate_convex's program by
+    Kelley's cutting planes.  For every unit v both constraints imply one
+    inequality linear in p: v^T H(p) v >= lambda_t and
+    (mu/2) Tr G(p) <= gamma v^T H(p) v.  The LP over any set of such cuts
+    relaxes the program; cuts at the bottom eigenvector of each LP solution
+    are added until it violates the constraints by at most ``tol``, about
+    where the LP solver's feasibility tolerance stalls the method."""
+    u = spec.bandlimit.basis_slice
+    n, f = u.shape
+    lam_t, gamma = spec.lambda_target(), spec.msd_target
+    half_g = 0.5 * spec.mu * spec.noise.variances * (u ** 2).sum(axis=1)
+    rows, rhs = [], []
+
+    def cut(v):
+        w = (u @ v) ** 2
+        rows.extend([-w, half_g - gamma * w])
+        rhs.extend([-lam_t, 0.0])
+
+    for v in np.eye(f):
+        cut(v)
+    for _ in range(rounds):
+        res = linprog(np.ones(n), A_ub=np.array(rows), b_ub=np.array(rhs),
+                      bounds=np.column_stack([np.zeros(n), spec.bounds]))
+        vals, vecs = np.linalg.eigh(weighted_gram(spec.bandlimit, res.x))
+        if max(lam_t - vals[0], half_g @ res.x - gamma * vals[0]) <= tol:
+            return res.fun
+        cut(vecs[:, 0])
+    raise AssertionError("the cutting planes did not converge")
+
+
+def test_min_rate_convex_reaches_the_cutting_plane_bound():
+    # a non-degenerate instance: the band leaves out the constant vector
+    # and some per-vertex bounds bind
+    spec = golden_instance()[0]
+    lower = kelley_min_rate_bound(spec)
+    total = float(solve_min_rate_convex(spec)[0].probs.sum())
+    assert lower <= total <= lower * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------- golden designs
 
 # SHA-256 of probs.tobytes() followed by the trace objectives (float64) of
-# each solver on golden_instance(), as computed by the engine before its
-# per-evaluation overhead was trimmed; the engine must reproduce the bytes.
+# each solver on golden_instance(), as computed by the log-barrier engine;
+# a change to the engine that moves a design or its trace shows here.
 GOLDEN_DESIGNS = {
     "min_rate_convex":
-        "eeba628173ce6eb912ab8e33c44482c214f40f17a6c36ba6befeeefebc643e5a",
+        "64f69ae3438f33e65c383932045d34662e71875c61fc75d657d8490779d2838c",
     "sca_min_rate":
-        "bfb526c136c79026f4ee30fb736a4da446042192d37dd392b4f399fd6e124192",
+        "ef42c87116e7cf53446d52ee8892bc881e9001c61c66c45fb728f0a6039168e2",
     "dinkelbach":
-        "26141518faad47d80c76b4b80f09d143410325d6648695ac55dea2cfb391703f",
+        "5b79291a96c5856c31d0c00f800d11dd13686f8a1e0872d9a94bc161052343d7",
     "sca_min_msd":
-        "f0f1122f5544ea1eb3d58121e0720165055874dedb59f238ee518ecc7b57708a",
+        "2041dae5ad39fb4c0e3cf38fec7770a757ab2ce3dc84ff641f74326ee1b59a81",
     "rls":
-        "45d8e3f837ea2d18b28ce811f25b9f80d4a8774c4e52962a9caa88f29ee7d575",
+        "f9753b7de0875c301cb0020698be499c1b44fde09ea30e4eefef720070d86a79",
 }
 
 
@@ -538,13 +508,13 @@ def golden_instance():
 @pytest.fixture(scope="module")
 def golden_designs():
     rate, budget, rls = golden_instance()
-    convex = solve_min_rate_convex(rate, iters=1500)
+    convex = solve_min_rate_convex(rate)
     return {
         "min_rate_convex": convex,
-        "sca_min_rate": sca_min_rate(rate, initial=convex[0], max_outer=4),
-        "dinkelbach": dinkelbach_min_msd(budget, max_outer=3, inner_iters=600),
-        "sca_min_msd": sca_min_msd(budget, max_outer=4, inner_iters=400),
-        "rls": solve_rls_design(rls, iters=1500),
+        "sca_min_rate": sca_min_rate(rate, initial=convex[0]),
+        "dinkelbach": dinkelbach_min_msd(budget),
+        "sca_min_msd": sca_min_msd(budget),
+        "rls": solve_rls_design(rls),
     }
 
 

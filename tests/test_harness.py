@@ -49,6 +49,12 @@ def tiny_config():
     }
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# a valid compare section for tiny_config()
+COMPARE = {"rate_targets": [0.98], "mu": 0.1, "msd_target_db": -20, "random_seeds": 2}
+
+
 def dump(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -302,7 +308,7 @@ class TestRunExperiment:
         cfg = tiny_config()
         cfg["algorithm"] = {"kind": "rls", "beta": 0.9}
         curve = run_experiment(cfg)
-        assert math.isnan(curve.metadata["theory_rate"])
+        assert "theory_rate" not in curve.metadata
         assert curve.per_node is None
         assert curve.msd_linear.shape == (80,)
 
@@ -427,10 +433,10 @@ def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of comparison.csv for configs/compare_sampling.yaml as written by the
-# per-prefix eigvalsh loop and the eigvalsh-per-candidate determinant greedy;
-# the batched prefix checks must reproduce these bytes.
-GOLDEN_COMPARISON = "53a2ce231ebd3649d16c43344da209bd22561c7e3c5d3dbb30a251bfa53995c0"
+# SHA-256 of comparison.csv for configs/compare_sampling.yaml: the baseline
+# rows as written by the per-prefix eigvalsh loop and the eigvalsh-per-
+# candidate determinant greedy, the designed rows by the log-barrier engine.
+GOLDEN_COMPARISON = "6cd319a481e22bc8ded3f589870e1ff55a6c864ce3feec2b318292653caf63f1"
 
 
 def test_comparison_csv_matches_golden_digest(tmp_path):
@@ -561,15 +567,24 @@ def test_curve_csv_schema(tmp_path):
     assert rows[-1]["iteration"] == "79"
 
 
+def _reject_constant(name):
+    raise ValueError(f"meta.json holds {name}, which is not JSON")
+
+
 def test_metadata_json_round_trip(tmp_path):
-    cfg = tiny_config()
-    curve = run_experiment(cfg)
-    path = tmp_path / "meta.json"
-    write_metadata(curve, cfg, str(path))
-    payload = json.loads(path.read_text())
-    assert payload["config"]["seed"] == 3
-    assert payload["metadata"]["algorithm"] == "lms"
-    assert payload["metadata"]["config_hash"] == config_hash(cfg)
+    # RLS and DRLS have no rate prediction: the key is left out, not NaN
+    for algorithm in ({"kind": "lms", "mu": 0.1}, {"kind": "rls", "beta": 0.9},
+                      {"kind": "drls", "beta": 0.95, "rho": 20.0, "inner_iters": 2,
+                       "comm": "complete"}):
+        cfg = dict(tiny_config(), trials=3, horizon=40, algorithm=algorithm)
+        curve = run_experiment(cfg)
+        path = tmp_path / "meta.json"
+        write_metadata(curve, cfg, str(path))
+        payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert payload["config"]["seed"] == 3
+        assert payload["metadata"]["algorithm"] == algorithm["kind"]
+        assert payload["metadata"]["config_hash"] == config_hash(cfg)
+        assert ("theory_rate" in payload["metadata"]) == (algorithm["kind"] == "lms")
 
 
 def test_outputs_are_reproducible(tmp_path):
@@ -677,6 +692,16 @@ class TestCli:
         ("algorithm.rho", "run-drls",
          {"trials": 2, "horizon": 40, "signal": {"scale": 0.0},
           "algorithm": {"kind": "drls", "beta": 0.95, "rho": 5000, "comm": "ring"}}),
+        ("compare.random_seeds", "compare-sampling",
+         {"compare": dict(COMPARE, random_seeds="two")}),
+        ("compare.rate_targets", "compare-sampling",
+         {"compare": dict(COMPARE, rate_targets=[1.5])}),
+        ("compare.mu", "compare-sampling", {"compare": dict(COMPARE, mu=-0.1)}),
+        ("compare.msd_target_db", "compare-sampling",
+         {"compare": dict(COMPARE, msd_target_db="x")}),
+        # zero permutations used to average nothing into NaN uniform rows
+        ("compare.random_seeds", "compare-sampling",
+         {"compare": dict(COMPARE, random_seeds=0)}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -685,8 +710,37 @@ class TestCli:
                          "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
-        for name in ("curve.csv", "meta.json", "theory.csv"):
+        for name in ("curve.csv", "meta.json", "theory.csv", "comparison.csv"):
             assert not (out / name).exists()
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in CONFIG_DIR.glob("*.yaml")
+        if load_config(path)["sampling"]["kind"] == "design"))
+    def test_shipped_design_configs_meet_their_constraints(self, tmp_path, capsys, name):
+        config = load_config(CONFIG_DIR / name)
+        out = tmp_path / "out"
+        assert cli.main(["design", "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
+        capsys.readouterr()
+        table = np.loadtxt(out / "design_p.csv", delimiter=",", skiprows=1)
+        p, p_max = table[:, 1], table[:, 3]
+        assert (p >= 0).all() and (p <= p_max).all()
+        setup = build_setup(config)
+        bl, noise, scfg = setup.bandlimit, setup.noise, config["sampling"]
+        probs = graphadapt.SamplingProbabilities(probs=p)
+        target = 10.0 ** (scfg.get("msd_target_db", 0.0) / 10.0)
+        slack = 1.0 + 1e-9
+        if scfg["problem"] == "rls":
+            assert graphadapt.rls_msd_theory(probs, scfg["beta"], noise, bl) <= target * slack
+            return
+        mu = scfg["mu"]
+        lam_t = (1.0 - scfg["rate_target"]) / (2.0 * mu)
+        assert np.linalg.eigvalsh(graphadapt.weighted_gram(bl, p))[0] >= lam_t / slack
+        if scfg["problem"] == "min_rate_convex":
+            assert graphadapt.lms_msd_upper_bound(probs, mu, noise, bl) <= target * slack
+        if scfg["problem"] == "sca_min_rate":
+            assert graphadapt.lms_msd_theory(probs, mu, noise, bl) <= target * slack
+        if "budget" in scfg:
+            assert p.sum() <= scfg["budget"] * slack
 
     @pytest.mark.parametrize("scale", [0.01, 0.0])
     @pytest.mark.parametrize("command, algorithm", [

@@ -4,10 +4,10 @@ Monte Carlo: one call is one step of a 64-trial chunk at the scaled instance
 (n=300, |F|=20); divide by 64 for the per-trial-step figures the repository
 benchmark reports as ``harness.lms_step_ns`` / ``harness.rls_step_ns``.
 
-Design: one call is one evaluation of the projected-subgradient engine at
-the size of the benchmark's design instance (n=40, |F|=6): a projection
-whose budget binds, so it runs the bisection, and one evaluation of the
-min-rate program (Gram, eigendecomposition, subgradients, polish).
+Design: one call is one Newton step of the log-barrier engine at the size
+of the benchmark's design instance (n=40, |F|=6) on the min-rate program:
+the barrier's gradient and Hessian (one eigendecomposition, two LMIs, the
+box) and the Jacobi-scaled dense solve.
 
 Run only these with ``pytest --benchmark-only``.  The round counts are fixed
 and small so the suite pays well under a second for them.
@@ -16,7 +16,7 @@ and small so the suite pays well under a second for them.
 import numpy as np
 import pytest
 
-from graphadapt.design import _Instance, _min_rate_evaluate, _project
+from graphadapt.design import _Barrier, _Instance, _newton_step
 from graphadapt.graphs import Bandlimit
 from graphadapt.harness import TRIAL_CHUNK, lms_update, rls_outer_table, rls_update
 from graphadapt.sampling import NoiseModel
@@ -79,20 +79,14 @@ def design_instance():
     return _Instance(band, noise, ub)
 
 
-def test_project_binding_budget(benchmark, design_instance):
+def test_barrier_newton_step(benchmark, design_instance):
     inst = design_instance
-    p = np.random.default_rng(2).uniform(-0.2, 1.2, DESIGN_N)
-    budget = DESIGN_N / 4
-    assert np.clip(p, 0.0, inst.ub).sum() > budget
-    q = benchmark.pedantic(_project, args=(p, inst.ub, budget), rounds=DESIGN_ROUNDS,
-                           iterations=1, warmup_rounds=1)
-    assert q.sum() <= budget
-
-
-def test_min_rate_evaluation(benchmark, design_instance):
-    inst = design_instance
-    evaluate = _min_rate_evaluate(inst, 0.1, 0.1, 10 ** -2.2)
-    p = np.random.default_rng(3).uniform(0.2, 0.8, DESIGN_N)
-    ev = benchmark.pedantic(evaluate, args=(p,), rounds=DESIGN_ROUNDS, iterations=1,
-                            warmup_rounds=1)
-    assert len(ev.viols) == 2 and ev.polished is not None
+    rate = (np.zeros(DESIGN_N), 0.1, 0.0)
+    bound = (0.5 * 0.1 / 10 ** -2.0 * inst.g_lin, 0.0, 0.0)     # -20 dB
+    prog = _Barrier(inst, [rate, bound], objective=np.ones(DESIGN_N))
+    x = 0.5 * inst.ub
+    assert np.isfinite(prog(x))
+    _, step, decrement = benchmark.pedantic(_newton_step, args=(prog, x, 10.0),
+                                            rounds=DESIGN_ROUNDS, iterations=1,
+                                            warmup_rounds=1)
+    assert step.shape == (DESIGN_N,) and decrement > 0
