@@ -21,9 +21,10 @@ bound is 0 stays at 0.  A run centres by Newton steps, each accepted by a
 backtracking line search on the exact barrier value, and multiplies t by 20
 until the duality-gap bound m/t reaches ``GAP``, m being the degree of the
 barrier.  On the convex programs that bounds the distance to the optimum.
-The exact MSD is not convex; its Newton model is the SCA surrogate of
-:func:`sca_msd_surrogate` re-anchored at the current point, whose curvature
-is positive semidefinite.
+The exact MSD is not convex.  Its Newton steps take the exact Hessian
+wherever the Newton matrix is positive definite, and otherwise fall back on
+the curvature of the SCA surrogate of :func:`sca_msd_surrogate` anchored at
+the current point, which is positive semidefinite.
 """
 
 from __future__ import annotations
@@ -156,12 +157,31 @@ class _Instance:
     def tr_g(self, p):
         return float(self.g_lin @ p)
 
-    def exact_msd(self, p, mu):
+    def exact_msd(self, p, mu, derivs=False):
+        """The MSD (mu/2) Tr[H(p)^-1 G(p)], inf where H(p) is singular.
+
+        With ``derivs`` it returns (value, gradient, Hessian, excess), all from
+        one eigendecomposition of H(p).  With K = U H^-1 U^T and
+        L = U H^-1 G H^-1 U^T the gradient is (mu/2)(sigma^2 o diag K - diag L)
+        and the Hessian mu K o L - E, E_ij = (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2.
+        The Hessian is indefinite in general; the excess E lifts it to the
+        PSD curvature mu K o L of the surrogate of :func:`sca_msd_surrogate`
+        anchored at p.
+        """
         vals, vecs = self.h_eig(p)
         if vals[0] <= 1e-12 * max(vals[-1], 1.0):
             return math.inf
         core = vecs.T @ self.gram(p * self.sig2) @ vecs
-        return 0.5 * mu * float((np.diag(core) / vals).sum())
+        value = 0.5 * mu * float((np.diag(core) / vals).sum())
+        if not derivs:
+            return value
+        q = self.u @ vecs
+        r = q / vals                            # U H^-1 in the eigenbasis
+        k = r @ q.T
+        l = r @ core @ r.T
+        grad = 0.5 * mu * (self.sig2 * k.diagonal() - l.diagonal())
+        excess = 0.5 * mu * (self.sig2[:, None] + self.sig2) * k * k
+        return value, grad, mu * k * l - excess, excess
 
 
 def _as_probs(p, n):
@@ -181,18 +201,10 @@ def msd_gradient(p, mu, noise: NoiseModel, b: Bandlimit) -> np.ndarray:
     """
     if mu <= 0:
         raise ValueError("step size mu must be positive")
-    probs = _as_probs(p, b.n)
-    inst = _Instance(b, noise, np.ones(b.n))
-    vals, vecs = inst.h_eig(probs)
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
-        raise ReconstructabilityError(
-            f"msd_gradient: Gram matrix is singular (lambda_min = {vals[0]:.3e})"
-        )
-    k = vecs @ ((vecs.T @ inst.u.T) / vals[:, None])       # H^{-1} U_F^T
-    g = inst.gram(probs * inst.sig2)
-    t1 = inst.sig2 * np.einsum("nf,fn->n", inst.u, k)
-    t2 = np.einsum("fn,fg,gn->n", k, g, k)
-    return 0.5 * mu * (t1 - t2)
+    out = _Instance(b, noise, np.ones(b.n)).exact_msd(_as_probs(p, b.n), mu, derivs=True)
+    if out == math.inf:
+        raise ReconstructabilityError("msd_gradient: Gram matrix is singular")
+    return out[1]
 
 
 def lambda_min_subgradient(p, b: Bandlimit) -> np.ndarray:
@@ -204,8 +216,18 @@ def lambda_min_subgradient(p, b: Bandlimit) -> np.ndarray:
     return (inst.u @ vecs[:, 0]) ** 2
 
 
-def _surrogate(inst, mu, p, z, tau):
-    """Value, gradient and Hessian at p of the surrogate anchored at z."""
+def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float = 1e-6):
+    """Partially linearized MSD surrogate of the SCA method.
+
+    Returns (value, gradient) at ``p`` for the anchor point ``z``:
+    (tau/2)||p-z||^2 + (mu/2) Tr[H(z)^{-1} G(p)] + (mu/2) Tr[H(p)^{-1} G(z)].
+    At p = z the value is exactly twice the MSD and the gradient coincides
+    with :func:`msd_gradient`.  Its Hessian there, mu K o L, is the PSD
+    curvature the exact-MSD solvers fall back on where the exact Hessian
+    leaves the Newton matrix indefinite (see :meth:`_Instance.exact_msd`).
+    """
+    inst = _Instance(b, noise, np.ones(b.n))
+    p, z = _as_probs(p, b.n), _as_probs(anchor, b.n)
     vals_z, vecs_z = inst.h_eig(z)
     if vals_z[0] <= 1e-12 * max(vals_z[-1], 1.0):
         raise ReconstructabilityError("sca_msd_surrogate: singular Gram at the anchor")
@@ -218,42 +240,19 @@ def _surrogate(inst, mu, p, z, tau):
     core = vecs.T @ g_z @ vecs
     val2 = 0.5 * mu * float((np.diag(core) / vals_f).sum())
     k = vecs @ ((vecs.T @ inst.u.T) / vals_f[:, None])     # H(p)^{-1} U_F^T
-    kg = g_z @ k
-    grad2 = -0.5 * mu * np.einsum("fn,fn->n", k, kg)
-    # the Hessian of (mu/2) Tr[H(p)^{-1} G(z)]: a Schur product of two PSD
-    # matrices, so PSD itself
-    hess = mu * (inst.u @ k) * (k.T @ kg) + tau * np.eye(inst.n)
+    grad2 = -0.5 * mu * np.einsum("fn,fn->n", k, g_z @ k)
 
     d = p - z
     value = 0.5 * tau * float(d @ d) + float(lin @ p) + val2
-    return value, tau * d + lin + grad2, hess
-
-
-def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float = 1e-6):
-    """Partially linearized MSD surrogate, the Newton model of the exact-MSD
-    solvers :func:`sca_min_rate` and :func:`sca_min_msd`.
-
-    Returns (value, gradient) at ``p`` for the anchor point ``z``:
-    (tau/2)||p-z||^2 + (mu/2) Tr[H(z)^{-1} G(p)] + (mu/2) Tr[H(p)^{-1} G(z)].
-    At p = z the value is exactly twice the MSD and the gradient coincides
-    with :func:`msd_gradient`.
-    """
-    inst = _Instance(b, noise, np.ones(b.n))
-    value, gradient, _ = _surrogate(inst, mu, _as_probs(p, b.n), _as_probs(anchor, b.n), tau)
-    return value, gradient
+    return value, tau * d + lin + grad2
 
 
 def _msd(inst, mu, offset=0.0):
-    """The exact MSD less ``offset`` as a smooth barrier function: with
-    ``derivs`` it also returns the gradient and curvature of the surrogate
-    anchored at p, which are the MSD's gradient and a PSD stand-in for its
-    Hessian."""
+    """The exact MSD less ``offset`` as a smooth barrier function; with
+    ``derivs`` the quadruple of :meth:`_Instance.exact_msd`."""
     def fn(p, derivs=False):
-        value = inst.exact_msd(p, mu) - offset
-        if not derivs:
-            return value
-        _, grad, hess = _surrogate(inst, mu, p, p, 0.0)
-        return value, grad, hess
+        out = inst.exact_msd(p, mu, derivs)
+        return (out[0] - offset, *out[1:]) if derivs else out - offset
     return fn
 
 
@@ -269,7 +268,7 @@ def _trace_inverse(inst, offset):
         q = (inst.u @ vecs) / np.sqrt(inst.sig2)[:, None]
         k1 = (q / vals) @ q.T                   # u_i^T M^{-1} u_j / (sigma_i sigma_j)
         k2 = (q / vals ** 2) @ q.T
-        return value, -k2.diagonal().copy(), 2.0 * k1 * k2
+        return value, -k2.diagonal().copy(), 2.0 * k1 * k2, 0.0
     return fn
 
 
@@ -290,7 +289,9 @@ class _Barrier:
     (p, s) (a linear objective) or a smooth function of p; ``constraints`` are
     smooth functions of p that must stay negative.  A smooth function
     ``fn(p, derivs)`` returns its value, inf outside its domain, or with
-    ``derivs`` the triple (value, gradient, Hessian) over all n vertices.
+    ``derivs`` the quadruple (value, gradient, Hessian, excess) over all n
+    vertices: the excess is 0.0 for a convex function, else the matrix that
+    lifts an indefinite Hessian to a PSD curvature.
     The scalar s exists only with ``epigraph``; vertices with bound 0 are
     not variables and stay at 0.
     """
@@ -315,21 +316,30 @@ class _Barrier:
         p[self.free] = x[:self.k]
         return p
 
-    def _lift(self, grad, hess):
+    def _lift(self, grad, *mats):
+        """A gradient and matrices over all n vertices as ones over x; a
+        scalar 0.0 stays as it is."""
         nv, k = self.u.shape[0], self.k
-        gx, hx = np.zeros(nv), np.zeros((nv, nv))
+        gx = np.zeros(nv)
         gx[:k] = grad[self.free]
-        hx[:k, :k] = hess[np.ix_(self.free, self.free)]
-        return gx, hx
+        lifted = [gx]
+        for mat in mats:
+            if np.isscalar(mat):
+                lifted.append(mat)
+                continue
+            hx = np.zeros((nv, nv))
+            hx[:k, :k] = mat[np.ix_(self.free, self.free)]
+            lifted.append(hx)
+        return lifted
 
     def f0(self, x, derivs=False):
         """The objective at x, inf outside its domain; with ``derivs`` the
-        triple (value, gradient, Hessian) over x."""
+        quadruple (value, gradient, Hessian, excess) over x."""
         if callable(self.objective):
             out = self.objective(self.point(x), derivs)
-            return (out[0], *self._lift(out[1], out[2])) if derivs else out
+            return (out[0], *self._lift(*out[1:])) if derivs else out
         value = float(self.objective @ x)
-        return (value, self.objective, 0.0) if derivs else value
+        return (value, self.objective, 0.0, 0.0) if derivs else value
 
     def f0_change(self, x, y):
         # a linear objective's change is taken from y - x, which is exact for
@@ -340,7 +350,8 @@ class _Barrier:
 
     def __call__(self, x, derivs=False):
         """The barrier at x, inf outside the domain; with ``derivs`` the
-        triple (value, gradient, Hessian)."""
+        quadruple (value, gradient, Hessian, excess), the excess summed from
+        the smooth constraints."""
         xp, k = x[:self.k], self.k
         room = self.ub - xp
         if xp.min(initial=1.0) <= 0.0 or room.min(initial=1.0) <= 0.0:
@@ -348,7 +359,7 @@ class _Barrier:
         value = -float(np.log(xp).sum() + np.log(room).sum())
         if derivs:
             nv = self.u.shape[0]
-            grad, hess = np.zeros(nv), np.zeros((nv, nv))
+            grad, hess, excess = np.zeros(nv), np.zeros((nv, nv)), 0.0
             grad[:k] = 1.0 / room - 1.0 / xp
             hess[range(k), range(k)] = 1.0 / xp ** 2 + 1.0 / room ** 2
         if self.budget is not None:
@@ -389,18 +400,41 @@ class _Barrier:
                 return math.inf
             value -= math.log(-g)
             if derivs:
-                gx, hx = self._lift(out[1], out[2])
+                gx, hx, ex = self._lift(*out[1:])
                 grad += gx / -g
                 hess += np.outer(gx, gx) / g ** 2 + hx / -g
-        return (value, grad, hess) if derivs else value
+                excess = excess + ex / -g
+        return (value, grad, hess, excess) if derivs else value
+
+
+def _positive_definite(hess):
+    """Whether ``hess`` is positive definite, by one Cholesky factorization
+    of its Jacobi scaling; a diagonal entry <= 0 already says no."""
+    diag = hess.diagonal()
+    if not diag.min() > 0.0:
+        return False
+    scale = 1.0 / np.sqrt(diag)
+    try:
+        np.linalg.cholesky(hess * scale * scale[:, None])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _newton_step(prog, x, t):
     """(barrier value, Newton step, Newton decrement) of t f0 + barrier at
-    x; the step is None when the Newton system is singular."""
-    phi, grad, hess = prog(x, True)
-    _, obj_grad, obj_hess = prog.f0(x, True)
+    x; the step is None when the Newton system is singular.
+
+    Where the objective or a constraint is not convex (a nonzero excess),
+    the step takes the exact Hessian when the Newton matrix is positive
+    definite and the PSD curvature, Hessian plus excess, otherwise.
+    """
+    phi, grad, hess, excess = prog(x, True)
+    _, obj_grad, obj_hess, obj_excess = prog.f0(x, True)
     grad, hess = grad + t * obj_grad, hess + t * obj_hess
+    excess = excess + t * obj_excess
+    if not np.isscalar(excess) and not _positive_definite(hess):
+        hess = hess + excess
     # Jacobi scaling: near the boundary the box terms span ~20 decades.  A
     # nearly active LMI adds a rank-one term that can swamp the rest in
     # floating point and leave the system singular.
@@ -555,10 +589,11 @@ def sca_min_rate(spec: DesignSpec, initial=None):
     """Minimize sum(p) subject to the convergence-rate floor and the exact
     MSD constraint MSD(p) <= gamma.
 
-    One barrier run on the exact MSD whose Newton model is the SCA
-    surrogate re-anchored at every step.  It starts inside the convex
-    bound's feasible set, which lies inside the exact one, or at
-    ``initial`` pulled strictly inside.
+    One barrier run on the exact MSD, whose Newton steps fall back on the
+    SCA surrogate's curvature where the exact Hessian leaves the Newton
+    matrix indefinite.  It starts inside the convex bound's feasible set,
+    which lies inside the exact one, or at ``initial`` pulled strictly
+    inside.
     """
     inst, lam_t, rate, _, center = _min_rate_setup(spec, "sca_min_rate")
     mu, gamma = spec.mu, spec.msd_target
@@ -640,8 +675,9 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None):
 
 def sca_min_msd(spec: DesignSpec, initial=None):
     """Minimize the exact MSD over the rate-and-budget feasible set: one
-    barrier run whose Newton model is the SCA surrogate of
-    :func:`sca_msd_surrogate` re-anchored at every step."""
+    barrier run whose Newton steps fall back on the curvature of the SCA
+    surrogate of :func:`sca_msd_surrogate` where the exact Hessian leaves
+    the Newton matrix indefinite."""
     inst, lam_t, rate, center = _min_msd_setup(spec, "sca_min_msd")
     msd = _msd(inst, spec.mu)
 

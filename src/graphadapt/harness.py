@@ -237,32 +237,44 @@ def build_setup(config: dict) -> Setup:
     )
 
 
-def _design_spec(setup: Setup, scfg: dict) -> design_mod.DesignSpec:
+def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
+    """The design problem of the sampling section.  Every field in
+    ``needs`` must be given, and a rejected value names its field."""
     def number(key, fallback=None):
         return float(_need(scfg, "sampling", key, (int, float))) if key in scfg else fallback
 
-    msd_target = number("msd_target")
-    if "msd_target_db" in scfg:
-        msd_target = 10.0 ** (number("msd_target_db") / 10.0)
     acfg = setup.config.get("algorithm")
-    return design_mod.DesignSpec(
-        bandlimit=setup.bandlimit,
-        noise=setup.noise,
-        mu=number("mu", _get(acfg, "mu")),
-        beta=number("beta", _get(acfg, "beta")),
-        rate_target=number("rate_target"),
-        msd_target=msd_target,
-        budget=number("budget"),
-        bounds=scfg.get("p_max"),
-    )
+    # (DesignSpec argument, config field, value); bounds come before the budget
+    fields = [("bounds", "sampling.p_max", scfg.get("p_max"))]
+    for key in ("mu", "beta"):
+        fallback = _get(acfg, key)
+        name = f"sampling.{key}" if key in scfg or fallback is None else f"algorithm.{key}"
+        fields.append((key, name, number(key, fallback)))
+    fields.append(("rate_target", "sampling.rate_target", number("rate_target")))
+    if "msd_target_db" in scfg:
+        fields.append(("msd_target", "sampling.msd_target_db",
+                       10.0 ** (number("msd_target_db") / 10.0)))
+    else:
+        fields.append(("msd_target", "sampling.msd_target", number("msd_target")))
+    fields.append(("budget", "sampling.budget", number("budget")))
+    kwargs = {}
+    for key, name, value in fields:
+        if value is None and key in needs:
+            raise ConfigError(f"{name}: required field is missing")
+        kwargs[key] = value
+        # the spec checks its fields together, so add them one at a time
+        with _domain(name):
+            spec = design_mod.DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise, **kwargs)
+    return spec
 
 
+# each design problem and the DesignSpec fields it needs
 _DESIGN_PROBLEMS = {
-    "min_rate_convex": design_mod.solve_min_rate_convex,
-    "sca_min_rate": design_mod.sca_min_rate,
-    "dinkelbach": design_mod.dinkelbach_min_msd,
-    "sca_min_msd": design_mod.sca_min_msd,
-    "rls": design_mod.solve_rls_design,
+    "min_rate_convex": (design_mod.solve_min_rate_convex, ("mu", "rate_target", "msd_target")),
+    "sca_min_rate": (design_mod.sca_min_rate, ("mu", "rate_target", "msd_target")),
+    "dinkelbach": (design_mod.dinkelbach_min_msd, ("mu", "rate_target")),
+    "sca_min_msd": (design_mod.sca_min_msd, ("mu", "rate_target")),
+    "rls": (design_mod.solve_rls_design, ("beta", "msd_target")),
 }
 
 
@@ -292,8 +304,10 @@ def resolve_sampling(setup: Setup):
                 f"sampling.problem: unknown problem {problem!r}; "
                 f"choose from {sorted(_DESIGN_PROBLEMS)}"
             )
+        solve, needs = _DESIGN_PROBLEMS[problem]
+        spec = _design_spec(setup, scfg, needs)
         with _domain("sampling"):
-            return _DESIGN_PROBLEMS[problem](_design_spec(setup, scfg))
+            return solve(spec)
     if kind == "strategy":
         name = _need(scfg, "sampling", "strategy", str)
         m = _count(scfg, "sampling", "m")

@@ -2,13 +2,14 @@
 
 The 3-node path admits closed-form 2x2 spectral algebra, so the small
 programs are cross-checked against an exhaustive grid over the probability
-box evaluated with hand-derived eigenvalue formulas; gradients are checked
-against central finite differences, and the convex min-rate program against
-a cutting-plane lower bound.
+box evaluated with hand-derived eigenvalue formulas; gradients and the MSD
+Hessian are checked against central finite differences, and the convex
+min-rate program against a cutting-plane lower bound.
 """
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +32,15 @@ from graphadapt import (
     solve_rls_design,
     weighted_gram,
 )
+from graphadapt import design
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
+from graphadapt.harness import build_setup, load_config, resolve_sampling
 
+# a NaN from a negative curvature or a singular Gram must fail a test, not
+# slip through quietly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MU = 0.1
 # lambda floor implied by rate target 0.98 at mu = 0.1
 LAM_T = 0.1
@@ -80,6 +88,58 @@ def test_msd_gradient_matches_finite_differences():
                 - lms_msd_theory(SamplingProbabilities(lo), MU, noise, b)
             ) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def msd_hessian_parts(spec, p):
+    """The exact MSD Hessian and excess of the engine at p, and K = U H^-1 U^T,
+    L = U H^-1 G H^-1 U^T formed with an explicit inverse."""
+    u = spec.bandlimit.basis_slice
+    inst = design._Instance(spec.bandlimit, spec.noise, spec.bounds)
+    _, _, hess, excess = inst.exact_msd(p, MU, derivs=True)
+    h_inv = np.linalg.inv(weighted_gram(spec.bandlimit, p))
+    g = weighted_gram(spec.bandlimit, p * spec.noise.variances)
+    return hess, excess, u @ h_inv @ u.T, u @ h_inv @ g @ h_inv @ u.T
+
+
+def test_msd_hessian_matches_finite_differences():
+    spec = golden_instance()[1]
+    b, noise = spec.bandlimit, spec.noise
+    p = 0.5 * spec.bounds
+    hess, _, _, _ = msd_hessian_parts(spec, p)
+    h = 1e-6
+    fd = np.empty_like(hess)
+    for j in range(b.n):
+        lo, hi = p.copy(), p.copy()
+        lo[j] -= h
+        hi[j] += h
+        fd[:, j] = (msd_gradient(hi, MU, noise, b) - msd_gradient(lo, MU, noise, b)) / (2.0 * h)
+    np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
+    # the MSD is not convex: its Hessian here has a negative eigenvalue
+    assert np.linalg.eigvalsh(hess)[0] < 0.0
+
+
+def test_psd_curvature_less_exact_hessian_is_the_excess():
+    spec = golden_instance()[1]
+    sig2 = spec.noise.variances
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        p = rng.uniform(0.2, 1.0, size=spec.bandlimit.n) * spec.bounds
+        hess, excess, k, l = msd_hessian_parts(spec, p)
+        psd = MU * k * l
+        np.testing.assert_allclose(excess, 0.5 * MU * (sig2[:, None] + sig2) * k * k,
+                                   rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(psd - hess, excess, rtol=1e-9, atol=1e-14)
+        # the PSD curvature is the surrogate's Hessian at its anchor
+        h = 1e-6
+        for j in range(spec.bandlimit.n):
+            lo, hi = p.copy(), p.copy()
+            lo[j] -= h
+            hi[j] += h
+            fd = (sca_msd_surrogate(hi, p, MU, spec.noise, spec.bandlimit, tau=0.0)[1]
+                  - sca_msd_surrogate(lo, p, MU, spec.noise, spec.bandlimit, tau=0.0)[1])
+            np.testing.assert_allclose(fd / (2.0 * h), psd[:, j], rtol=1e-5,
+                                       atol=1e-8 * np.abs(psd).max())
+        assert np.linalg.eigvalsh(psd)[0] >= -1e-12 * np.abs(psd).max()
 
 
 def test_lambda_subgradient_matches_finite_differences():
@@ -480,11 +540,11 @@ GOLDEN_DESIGNS = {
     "min_rate_convex":
         "64f69ae3438f33e65c383932045d34662e71875c61fc75d657d8490779d2838c",
     "sca_min_rate":
-        "ef42c87116e7cf53446d52ee8892bc881e9001c61c66c45fb728f0a6039168e2",
+        "3984b61af504730a2ca5e672778e920fe78a2f50a1ccaaaf390a588ccc075249",
     "dinkelbach":
         "5b79291a96c5856c31d0c00f800d11dd13686f8a1e0872d9a94bc161052343d7",
     "sca_min_msd":
-        "2041dae5ad39fb4c0e3cf38fec7770a757ab2ce3dc84ff641f74326ee1b59a81",
+        "fb7a59582c58244d4d690ad3da791218fd3a9318a4ecf446e1aa402cbd373490",
     "rls":
         "f9753b7de0875c301cb0020698be499c1b44fde09ea30e4eefef720070d86a79",
 }
@@ -524,3 +584,46 @@ def test_design_matches_golden_digest(golden_designs, problem):
     digest = hashlib.sha256(probs.probs.tobytes()
                             + np.asarray(trace.objectives).tobytes()).hexdigest()
     assert digest == GOLDEN_DESIGNS[problem]
+
+
+# ------------------------------------------------------- exact-MSD solvers
+
+# Final objectives of the exact-MSD solvers when their Newton model used the
+# surrogate's PSD curvature at every step.  The exact Hessian changes the path,
+# not the optimum; the barrier stops within its gap bound m/t <= 1e-9 of it,
+# and on the golden budget instance both engines stop about 1.1e-7 (relative)
+# above the optimum and 1.15e-8 apart, so that pin allows 2e-8.
+@pytest.mark.parametrize("case, before, rel", [
+    ("sca_min_rate", 3.049968889933388, 1e-8),
+    ("sca_min_msd", 0.0014107098719623908, 2e-8),
+    ("design_min_msd.yaml", 0.0030825819759142756, 1e-8),
+])
+def test_sca_objective_matches_the_surrogate_curvature_engine(golden_designs, case,
+                                                              before, rel):
+    if case in golden_designs:
+        _, trace = golden_designs[case]
+    else:
+        _, trace = design_config(case)
+    assert trace.objectives[-1] == pytest.approx(before, rel=rel, abs=0.0)
+
+
+def test_sca_min_msd_ends_within_the_gap_bound(golden_designs, monkeypatch):
+    _, trace = golden_designs["sca_min_msd"]
+    bound = design.GAP
+    monkeypatch.setattr(design, "GAP", 1e-13)
+    _, tight = sca_min_msd(golden_instance()[1])
+    assert 0.0 <= trace.objectives[-1] - tight.objectives[-1] <= bound
+
+
+def design_config(name, **edits):
+    config = load_config(CONFIG_DIR / name)
+    config["sampling"].update(edits)
+    return resolve_sampling(build_setup(config))
+
+
+@pytest.mark.parametrize("edits, ceiling", [({}, 150), ({"budget": 6}, 200)])
+def test_sca_min_msd_newton_steps(edits, ceiling):
+    # with the PSD curvature alone these took 389 and 1,848 steps
+    _, trace = design_config("design_min_msd.yaml", **edits)
+    assert trace.converged
+    assert trace.iterations <= ceiling

@@ -54,6 +54,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # a valid compare section for tiny_config()
 COMPARE = {"rate_targets": [0.98], "mu": 0.1, "msd_target_db": -20, "random_seeds": 2}
 
+# a valid design sampling section for tiny_config()
+DESIGN = {"kind": "design", "problem": "min_rate_convex", "mu": 0.1, "rate_target": 0.98,
+          "msd_target_db": -20}
+
 
 def dump(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
@@ -702,6 +706,13 @@ class TestCli:
         # zero permutations used to average nothing into NaN uniform rows
         ("compare.random_seeds", "compare-sampling",
          {"compare": dict(COMPARE, random_seeds=0)}),
+        ("sampling.p_max", "design", {"sampling": dict(DESIGN, p_max=[0.5, 0.5])}),
+        ("sampling.rate_target", "design", {"sampling": dict(DESIGN, rate_target=1.0)}),
+        ("sampling.budget", "design",
+         {"sampling": dict(DESIGN, problem="sca_min_msd", budget=-1)}),
+        ("sampling.msd_target", "design",
+         {"sampling": {k: v for k, v in DESIGN.items() if k != "msd_target_db"}}),
+        ("sampling.mu", "design", {"sampling": dict(DESIGN, mu=0)}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):

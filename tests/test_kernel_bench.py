@@ -5,9 +5,12 @@ Monte Carlo: one call is one step of a 64-trial chunk at the scaled instance
 benchmark reports as ``harness.lms_step_ns`` / ``harness.rls_step_ns``.
 
 Design: one call is one Newton step of the log-barrier engine at the size
-of the benchmark's design instance (n=40, |F|=6) on the min-rate program:
-the barrier's gradient and Hessian (one eigendecomposition, two LMIs, the
-box) and the Jacobi-scaled dense solve.
+of the benchmark's design instances (n=40, |F|=6).  On the min-rate program
+that is the barrier's gradient and Hessian (one eigendecomposition, two
+LMIs, the box) and the Jacobi-scaled dense solve.  On the exact-MSD program
+of ``sca_min_msd`` it is the rate LMI, the box and the budget, the MSD's
+value, gradient, Hessian and excess from a second eigendecomposition, the
+Cholesky test of the Newton matrix and the solve.
 
 Run only these with ``pytest --benchmark-only``.  The round counts are fixed
 and small so the suite pays well under a second for them.
@@ -16,7 +19,7 @@ and small so the suite pays well under a second for them.
 import numpy as np
 import pytest
 
-from graphadapt.design import _Barrier, _Instance, _newton_step
+from graphadapt.design import _Barrier, _Instance, _msd, _newton_step
 from graphadapt.graphs import Bandlimit
 from graphadapt.harness import TRIAL_CHUNK, lms_update, rls_outer_table, rls_update
 from graphadapt.sampling import NoiseModel
@@ -87,6 +90,18 @@ def test_barrier_newton_step(benchmark, design_instance):
     x = 0.5 * inst.ub
     assert np.isfinite(prog(x))
     _, step, decrement = benchmark.pedantic(_newton_step, args=(prog, x, 10.0),
+                                            rounds=DESIGN_ROUNDS, iterations=1,
+                                            warmup_rounds=1)
+    assert step.shape == (DESIGN_N,) and decrement > 0
+
+
+def test_sca_min_msd_newton_step(benchmark, design_instance):
+    inst = design_instance
+    rate = (np.zeros(DESIGN_N), 0.1, 0.0)
+    prog = _Barrier(inst, [rate], objective=_msd(inst, 0.1), budget=0.6 * inst.ub.sum())
+    x = 0.5 * inst.ub
+    assert np.isfinite(prog(x))
+    _, step, decrement = benchmark.pedantic(_newton_step, args=(prog, x, 1e5),
                                             rounds=DESIGN_ROUNDS, iterations=1,
                                             warmup_rounds=1)
     assert step.shape == (DESIGN_N,) and decrement > 0
