@@ -8,7 +8,10 @@ reproduces the centralized RLS information matrix exactly, which is the
 invariant that makes K large recover the centralized estimator.
 
 The network state is held as arrays with one row per node, and each inner
-iteration is one batched solve over all nodes.  The per-link multipliers
+iteration is one batched solve over all nodes.  Every state array may carry
+leading trial axes, so independent Monte Carlo trials advance together
+through the same code: ``drls_simulate`` takes (trials, horizon, n) draws as
+readily as horizon x n ones.  The per-link multipliers
 lambda_ij stay antisymmetric, and the local update reads them only through
 alpha_i = sum_j (lambda_ij - lambda_ji), so only these aggregated duals are
 kept; they advance as alpha <- alpha + rho L s with L the communication
@@ -28,6 +31,7 @@ fixtures).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +123,10 @@ class DrlsConfig:
 @dataclass
 class DrlsNetwork:
     """Every node's state as one row of an array: information pairs
-    ``psi`` (n, f, f) and ``psiv`` (n, f), consensus ``estimates`` (n, f),
-    aggregated duals ``alpha`` (n, f), plus a message counter."""
+    ``psi`` (..., n, f, f) and ``psiv`` (..., n, f), consensus ``estimates``
+    (..., n, f), aggregated duals ``alpha`` (..., n, f), plus a message
+    counter summed over all trials.  The leading axes ``...`` index
+    independent trials and are empty for a single network."""
 
     comm: CommGraph
     basis: Bandlimit
@@ -133,28 +139,40 @@ class DrlsNetwork:
 
 
 def drls_network_init(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
-                      config: DrlsConfig) -> DrlsNetwork:
+                      config: DrlsConfig, batch: tuple = ()) -> DrlsNetwork:
     """Fresh network: each node starts with Psi_i = (delta/N) I so the sum
-    over nodes equals the centralized initialization exactly."""
+    over nodes equals the centralized initialization exactly.  ``batch`` is
+    the shape of the leading trial axes."""
     if comm.n != b.n or noise.n != b.n:
         raise ValueError("communication graph, basis and noise sizes must agree")
     n, f = comm.n, b.size
     return DrlsNetwork(comm=comm, basis=b, noise=noise,
-                       psi=np.tile(config.delta / n * np.eye(f), (n, 1, 1)),
-                       psiv=np.zeros((n, f)), estimates=np.zeros((n, f)),
-                       alpha=np.zeros((n, f)))
+                       psi=np.tile(config.delta / n * np.eye(f), (*batch, n, 1, 1)),
+                       psiv=np.zeros((*batch, n, f)), estimates=np.zeros((*batch, n, f)),
+                       alpha=np.zeros((*batch, n, f)))
+
+
+def _penalized(psi: np.ndarray, comm: CommGraph, rho: float) -> np.ndarray:
+    """The local update's matrices Psi_i + rho d_i I."""
+    f = psi.shape[-1]
+    return psi + (rho * np.diagonal(comm.laplacian))[:, None, None] * np.eye(f)
 
 
 def drls_local_update(psi: np.ndarray, psiv: np.ndarray, alpha: np.ndarray,
-                      estimates: np.ndarray, comm: CommGraph, rho: float) -> np.ndarray:
+                      estimates: np.ndarray, comm: CommGraph, rho: float,
+                      penalized: np.ndarray = None) -> np.ndarray:
     """Closed-form minimizers of every node's local augmented Lagrangian,
     one batched solve:
     s_i = (Psi_i + rho d_i I)^{-1} [psi_i + rho sum_{j in N_i} s_j - alpha_i / 2].
+
+    ``penalized`` holds the matrices Psi_i + rho d_i I when the caller has
+    built them already: they do not change between the inner iterations of
+    one instant.  Every array may carry leading trial axes.
     """
-    f = psiv.shape[1]
-    lhs = psi + (rho * np.diagonal(comm.laplacian))[:, None, None] * np.eye(f)
+    if penalized is None:
+        penalized = _penalized(psi, comm, rho)
     rhs = psiv + rho * (comm.adjacency @ estimates) - 0.5 * alpha
-    return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    return np.linalg.solve(penalized, rhs[..., None])[..., 0]
 
 
 def drls_multiplier_update(alpha: np.ndarray, estimates: np.ndarray, comm: CommGraph,
@@ -175,46 +193,57 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
     Psi_i <- beta Psi_i + d_i u_i u_i^T / sigma_i^2 (likewise psi_i), then
     ``config.inner_iters`` synchronous consensus iterations follow.  Each
     solves on the previous iteration's estimates, advances the duals on the
-    fresh ones, and adds 2 |E| messages, one per directed edge.
+    fresh ones, and adds 2 |E| messages per trial, one per directed edge.
+
+    ``draws`` and ``observations`` are (..., n), with the network's leading
+    trial axes.
     """
-    n = network.comm.n
     draws = np.asarray(draws)
     observations = np.asarray(observations, dtype=float)
-    if draws.shape != (n,) or observations.shape != (n,):
-        raise ValueError("draws and observations must be length-n vectors")
+    shape = network.psiv.shape[:-1]
+    if draws.shape != shape or observations.shape != shape:
+        raise ValueError(f"draws and observations must both have shape {shape}")
     u = network.basis.basis_slice
     w = draws / network.noise.variances
-    network.psi = config.beta * network.psi + w[:, None, None] * (u[:, :, None] * u[:, None, :])
-    network.psiv = config.beta * network.psiv + (w * observations)[:, None] * u
+    network.psi = config.beta * network.psi + w[..., None, None] * (u[:, :, None] * u[:, None, :])
+    network.psiv = config.beta * network.psiv + (w * observations)[..., None] * u
+    penalized = _penalized(network.psi, network.comm, config.rho)
+    messages = 2 * network.comm.num_edges * math.prod(shape[:-1])
     for _ in range(config.inner_iters):
         network.estimates = drls_local_update(network.psi, network.psiv, network.alpha,
-                                              network.estimates, network.comm, config.rho)
+                                              network.estimates, network.comm, config.rho,
+                                              penalized)
         network.alpha = drls_multiplier_update(network.alpha, network.estimates,
                                                network.comm, config.rho)
-        network.message_count += 2 * network.comm.num_edges
+        network.message_count += messages
     return network
 
 
 def drls_simulate(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
                   config: DrlsConfig, draws: np.ndarray, observations: np.ndarray,
                   x_true: np.ndarray):
-    """Run the network over pre-drawn masks/observations (horizon x n each).
+    """Run the network over pre-drawn masks/observations: horizon x n each
+    for one trial, or (trials, horizon, n) for independent trials that
+    advance together.
 
-    Returns (curves, network): curves[t, i] is the squared deviation of node
-    i's synthesized estimate from the true signal before instant t is
-    sensed, matching the centralized learning-curve convention.
+    Returns (curves, network).  ``curves`` has the shape of ``draws``:
+    curves[..., t, i] is the squared deviation of node i's synthesized
+    estimate from the true signal before instant t is sensed, matching the
+    centralized learning-curve convention.  The network carries the trial
+    axis and counts every trial's messages.
     """
     draws = np.asarray(draws)
     observations = np.asarray(observations, dtype=float)
-    if draws.ndim != 2 or draws.shape != observations.shape:
-        raise ValueError("draws and observations must both be horizon x n")
-    horizon = draws.shape[0]
-    network = drls_network_init(comm, b, noise, config)
+    if draws.ndim not in (2, 3) or draws.shape != observations.shape:
+        raise ValueError("draws and observations must both be horizon x n "
+                         "or trials x horizon x n")
+    horizon = draws.shape[-2]
+    network = drls_network_init(comm, b, noise, config, batch=draws.shape[:-2])
     u = b.basis_slice
     x_true = np.asarray(x_true, dtype=float)
-    curves = np.empty((horizon, comm.n))
+    curves = np.empty(draws.shape)
     for t in range(horizon):
         err = network.estimates @ u.T - x_true
-        curves[t] = np.einsum("ij,ij->i", err, err)
-        drls_round(network, draws[t], observations[t], config)
+        curves[..., t, :] = np.einsum("...ij,...ij->...i", err, err)
+        drls_round(network, draws[..., t, :], observations[..., t, :], config)
     return curves, network

@@ -46,10 +46,16 @@ from .sampling import (
     weighted_gram,  # noqa: F401 (harness.weighted_gram stays importable)
 )
 
-TRIAL_CHUNK = 64
+# The most trials one Monte Carlo pass advances together; every shipped
+# config runs in a single pass.
+TRIAL_CHUNK = 256
 # Monte Carlo draws are generated in blocks of at most this many entries
-# (masks plus noise for a chunk of trials over a run of steps).
+# (masks plus noise for the trials of a pass over a run of steps).
 DRAW_BLOCK = 1 << 20
+
+# libyaml's parser where PyYAML was built with it: the same documents, parsed
+# several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -66,8 +72,13 @@ def config_hash(config: dict) -> str:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     version = raw.get("version", 1)
@@ -367,37 +378,72 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     ``(len(trials), steps, n)`` covering the horizon in order, with
     ``steps`` chosen so that a block holds at most ``max_elements`` entries,
     but at least one step.
+
+    Every block is a view of one masks/noise pair filled in place, so a
+    yielded block stays valid only until the next one is requested: copy it
+    to keep it.  The consumer may overwrite the noise, never the masks.
+    When every probability is 0 or 1 the masks are the same at every
+    instant: they are set once and no uniforms are drawn, which leaves the
+    noise as it was (it comes from its own advanced generator).
     """
     n = probs.shape[0]
     trials = list(trials)
-    mask_rngs = [np.random.default_rng(seed + t) for t in trials]
+    steps = min(horizon, max(1, max_elements // (len(trials) * n)))
+    masks = np.empty((len(trials), steps, n), dtype=np.int8)
+    noise = np.empty((len(trials), steps, n))
+    fixed = bool(np.all((probs == 0.0) | (probs == 1.0)))
+    if fixed:
+        masks[...] = probs == 1.0
+    else:
+        mask_rngs = [np.random.default_rng(seed + t) for t in trials]
+        uniforms = np.empty((steps, n))
     noise_rngs = []
     for t in trials:
         bits = np.random.PCG64(seed + t)
         bits.advance(horizon * n)  # one 64-bit draw per uniform
         noise_rngs.append(np.random.Generator(bits))
-    steps = max(1, max_elements // (len(trials) * n))
     for start in range(0, horizon, steps):
         k = min(steps, horizon - start)
-        masks = np.empty((len(trials), k, n), dtype=np.int8)
-        noise = np.empty((len(trials), k, n))
+        block_masks, block_noise = masks[:, :k], noise[:, :k]
         for c in range(len(trials)):
-            masks[c] = mask_rngs[c].random((k, n)) < probs
-            noise_rngs[c].standard_normal(out=noise[c])
+            if not fixed:
+                mask_rngs[c].random(out=uniforms[:k])
+                np.less(uniforms[:k], probs, out=block_masks[c])
+            noise_rngs[c].standard_normal(out=block_noise[c])
         # the same values as normal(0.0, std), which computes 0.0 + std * z
-        noise *= std
-        yield masks, noise
+        block_noise *= std
+        yield block_masks, block_noise
 
 
-def _trial_steps(setup: Setup, probs: SamplingProbabilities, chunk):
-    """``(step, masks, y)`` for every instant of one chunk of trials, where
-    ``y = x_true + noise``; draws are streamed block by block."""
-    t = 0
-    for masks, noise in draw_blocks(setup.seed, chunk, setup.horizon, probs.probs,
-                                    setup.noise.std, DRAW_BLOCK):
-        for j in range(masks.shape[1]):
-            yield t, masks[:, j, :], setup.x_true + noise[:, j, :]
-            t += 1
+def _passes(trials: int, size: int):
+    """The trial ranges of the Monte Carlo passes, ``size`` trials each but
+    the last."""
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+
+
+def _observed_blocks(setup: Setup, probs: SamplingProbabilities, trials):
+    """``(start, masks, y, traj)`` for every time block of one pass over
+    ``trials``: ``start`` is the block's first instant, ``y = x_true +
+    noise`` is formed in place in the draw buffer, and ``traj`` is a
+    (steps, trials, f) buffer, reused across blocks, for the estimates the
+    consumer holds before each instant."""
+    start, traj = 0, None
+    for masks, y in draw_blocks(setup.seed, trials, setup.horizon, probs.probs,
+                                setup.noise.std, DRAW_BLOCK):
+        steps = masks.shape[1]
+        if traj is None:
+            traj = np.empty((steps, len(trials), setup.bandlimit.size))
+        y += setup.x_true
+        yield start, masks, y, traj[:steps]
+        start += steps
+
+
+def _squared_deviation(traj: np.ndarray, s_true: np.ndarray) -> np.ndarray:
+    """sum over trials of ||s - s_true||^2, per step of a (steps, trials, f)
+    trajectory (overwritten)."""
+    traj -= s_true
+    traj *= traj
+    return traj.reshape(traj.shape[0], -1).sum(axis=1)
 
 
 def lms_update(s_hat: np.ndarray, masks: np.ndarray, y: np.ndarray, u: np.ndarray,
@@ -428,39 +474,35 @@ def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
 @np.errstate(over="ignore", invalid="ignore")
 def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
-    s_true = setup.signal_coeffs
-    trials = setup.trials
     acc = np.zeros(setup.horizon)
-    for start in range(0, trials, TRIAL_CHUNK):
-        chunk = range(start, min(start + TRIAL_CHUNK, trials))
-        s_hat = np.zeros((len(chunk), setup.bandlimit.size))
-        for t, masks, y in _trial_steps(setup, probs, chunk):
-            err = s_hat - s_true
-            acc[t] += float((err * err).sum())
-            s_hat = lms_update(s_hat, masks, y, u, mu)
-    return acc / trials
+    for trials in _passes(setup.trials, TRIAL_CHUNK):
+        s_hat = np.zeros((len(trials), setup.bandlimit.size))
+        for start, masks, y, traj in _observed_blocks(setup, probs, trials):
+            for j in range(traj.shape[0]):
+                traj[j] = s_hat
+                s_hat = lms_update(s_hat, masks[:, j], y[:, j], u, mu)
+            acc[start:start + traj.shape[0]] += _squared_deviation(traj, setup.signal_coeffs)
+    return acc / setup.trials
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_rls_mc(setup: Setup, probs: SamplingProbabilities, beta: float,
                 delta: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
-    s_true = setup.signal_coeffs
-    trials = setup.trials
     f = setup.bandlimit.size
     inv_var = 1.0 / setup.noise.variances
     outer = rls_outer_table(u)
     acc = np.zeros(setup.horizon)
-    for start in range(0, trials, TRIAL_CHUNK):
-        chunk = range(start, min(start + TRIAL_CHUNK, trials))
-        psi = np.tile(delta * np.eye(f), (len(chunk), 1, 1))
-        psiv = np.zeros((len(chunk), f))
-        for t, masks, y in _trial_steps(setup, probs, chunk):
-            s_hat = np.linalg.solve(psi, psiv[:, :, None])[:, :, 0]
-            err = s_hat - s_true
-            acc[t] += float((err * err).sum())
-            psi, psiv = rls_update(psi, psiv, masks * inv_var, y, u, outer, beta)
-    return acc / trials
+    for trials in _passes(setup.trials, TRIAL_CHUNK):
+        psi = np.tile(delta * np.eye(f), (len(trials), 1, 1))
+        psiv = np.zeros((len(trials), f))
+        for start, masks, y, traj in _observed_blocks(setup, probs, trials):
+            for j in range(traj.shape[0]):
+                traj[j] = np.linalg.solve(psi, psiv[:, :, None])[:, :, 0]
+                psi, psiv = rls_update(psi, psiv, masks[:, j] * inv_var, y[:, j], u, outer,
+                                       beta)
+            acc[start:start + traj.shape[0]] += _squared_deviation(traj, setup.signal_coeffs)
+    return acc / setup.trials
 
 
 def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
@@ -479,19 +521,21 @@ def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
 @np.errstate(over="ignore", invalid="ignore")
 def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
                  comm: CommGraph):
-    horizon, trials = setup.horizon, setup.trials
-    x_true = setup.x_true
-    acc = np.zeros((horizon, setup.graph.n))
-    for t in range(trials):
-        # drls_simulate consumes the whole horizon at once: a single block
-        masks, vs = next(draw_blocks(setup.seed, [t], horizon, probs.probs,
-                                     setup.noise.std, max_elements=horizon * setup.graph.n))
-        masks, vs = masks[0], vs[0]
-        observations = masks * (x_true + vs)
+    horizon, n = setup.horizon, setup.graph.n
+    # drls_simulate consumes whole-horizon draws, so a pass holds at most
+    # DRAW_BLOCK draw entries (but at least one trial)
+    size = min(TRIAL_CHUNK, max(1, DRAW_BLOCK // (horizon * n)))
+    acc = np.zeros((horizon, n))
+    for trials in _passes(setup.trials, size):
+        masks, observations = next(draw_blocks(setup.seed, trials, horizon, probs.probs,
+                                               setup.noise.std, len(trials) * horizon * n))
+        observations += setup.x_true
+        observations *= masks
         curves, _ = drls_simulate(comm, setup.bandlimit, setup.noise, cfg,
-                                  masks, observations, x_true)
-        acc += curves
-    per_node = acc / trials
+                                  masks, observations, setup.x_true)
+        for trial_curves in curves:  # in trial order, as one trial at a time would
+            acc += trial_curves
+    per_node = acc / setup.trials
     return per_node.mean(axis=1), per_node
 
 
@@ -602,19 +646,20 @@ def fit_rate(curve) -> float:
 
 def _prefix_stats(bl: Bandlimit, noise: NoiseModel, order) -> tuple:
     """lambda_min(U_F^T D_S U_F) and Tr G = sum_S sigma_i^2 ||u_i||^2 for every
-    prefix S of ``order``: cumulative sums of the rows' outer products, one
-    batched eigvalsh."""
+    prefix S of ``order``, one ordering (n,) or a stack of them (..., n):
+    cumulative sums of the rows' outer products, one batched eigvalsh."""
     u = bl.basis_slice[order]
-    grams = np.cumsum(u[:, :, None] * u[:, None, :], axis=0)
-    tr_g = np.cumsum(noise.variances[order] * leverage_scores(bl)[order])
-    return np.linalg.eigvalsh(grams)[:, 0], tr_g
+    grams = np.cumsum(u[..., :, None] * u[..., None, :], axis=-3)
+    tr_g = np.cumsum(noise.variances[order] * leverage_scores(bl)[order], axis=-1)
+    return np.linalg.eigvalsh(grams)[..., 0], tr_g
 
 
-def _min_prefix(stats, mu, lam_t, gamma):
-    """Length of the shortest prefix meeting the rate and MSD-bound checks."""
+def _min_prefix(stats, mu, lam_t, gamma) -> np.ndarray:
+    """Length of the shortest prefix meeting the rate and MSD-bound checks,
+    per ordering; NaN where no prefix does."""
     lam, tr_g = stats
     ok = (lam >= lam_t - 1e-12) & (0.5 * mu * tr_g <= gamma * lam + 1e-12)
-    return int(np.argmax(ok)) + 1 if ok.any() else math.nan
+    return np.where(ok.any(axis=-1), np.argmax(ok, axis=-1) + 1.0, math.nan)
 
 
 def compare_sampling(config: dict) -> list:
@@ -647,7 +692,11 @@ def compare_sampling(config: dict) -> list:
                "leverage": _prefix_stats(bl, noise,
                                          np.argsort(-leverage_scores(bl), kind="stable"))}
     rng = np.random.default_rng(setup.seed)
-    perms = [_prefix_stats(bl, noise, rng.permutation(n)) for _ in range(seeds)]
+    perms = np.array([rng.permutation(n) for _ in range(seeds)])
+    # the permutations' prefix Gram matrices in groups of at most DRAW_BLOCK entries
+    group = max(1, DRAW_BLOCK // (n * bl.size ** 2))
+    stats = [_prefix_stats(bl, noise, perms[i:i + group]) for i in range(0, seeds, group)]
+    random_stats = tuple(np.concatenate(parts) for parts in zip(*stats))
 
     rows = []
     for alpha in targets:
@@ -666,12 +715,11 @@ def compare_sampling(config: dict) -> list:
             designed_rate = math.nan
         rows.append({"strategy": "designed", "rate_target": alpha,
                      "sampling_rate": designed_rate, "sampling_rate_std": 0.0})
-        for name, stats in ordered.items():
+        for name, order_stats in ordered.items():
             rows.append({"strategy": name, "rate_target": alpha,
-                         "sampling_rate": _min_prefix(stats, mu, lam_t, gamma),
+                         "sampling_rate": float(_min_prefix(order_stats, mu, lam_t, gamma)),
                          "sampling_rate_std": 0.0})
-        counts = np.array([_min_prefix(stats, mu, lam_t, gamma) for stats in perms],
-                          dtype=float)
+        counts = _min_prefix(random_stats, mu, lam_t, gamma)
         rows.append({"strategy": "uniform", "rate_target": alpha,
                      "sampling_rate": float(np.nanmean(counts)),
                      "sampling_rate_std": float(np.nanstd(counts))})

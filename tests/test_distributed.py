@@ -388,6 +388,28 @@ def test_simulate_curve_convention():
     assert (curves[-1] < curves[0]).all()
 
 
+def test_batched_simulate_matches_per_trial_runs():
+    """Trials stacked on a leading axis advance as if run one at a time, and
+    the network counts every trial's messages."""
+    b, noise = make_setup(n=6, f=3)
+    comm = CommGraph.from_graph(random_geometric_graph(6, radius=0.9, seed=4))
+    cfg = DrlsConfig(rho=20.0, inner_iters=2, beta=0.9)
+    rng = np.random.default_rng(41)
+    x_true = b.basis_slice @ rng.standard_normal(3)
+    trials, horizon = 3, 12
+    draws = (rng.random((trials, horizon, 6)) < 0.7).astype(np.int8)
+    obs = draws * (x_true + 0.1 * rng.standard_normal((trials, horizon, 6)))
+    curves, net = drls_simulate(comm, b, noise, cfg, draws, obs, x_true)
+    assert curves.shape == (trials, horizon, 6)
+    assert net.estimates.shape == (trials, 6, 3)
+    assert net.message_count == 2 * comm.num_edges * 2 * horizon * trials
+    for c in range(trials):
+        alone, single = drls_simulate(comm, b, noise, cfg, draws[c], obs[c], x_true)
+        np.testing.assert_array_equal(curves[c], alone)
+        np.testing.assert_array_equal(net.estimates[c], single.estimates)
+        np.testing.assert_array_equal(net.alpha[c], single.alpha)
+
+
 def test_simulate_validates_shapes():
     b, noise = make_setup(n=5, f=2)
     comm = CommGraph.complete(5)

@@ -366,7 +366,9 @@ class TestDrawBlocks:
         probs = rng.uniform(0.2, 0.9, n)
         std = np.sqrt(rng.uniform(0.005, 0.03, n))
         cap = DRAW_BLOCK if steps is None else steps * len(trials) * n
-        blocks = list(draw_blocks(11, trials, horizon, probs, std, cap))
+        # a block stays valid only until the next one is drawn: keep copies
+        blocks = [(m.copy(), z.copy()) for m, z in draw_blocks(11, trials, horizon, probs,
+                                                               std, cap)]
         for masks, noise in blocks:
             assert masks.dtype == np.int8
             assert masks.shape == noise.shape
@@ -377,6 +379,21 @@ class TestDrawBlocks:
         assert masks.shape == (len(trials), horizon, n)
         for c, t in enumerate(trials):
             ref_masks, ref_noise = _dense_trial_stream(11, t, horizon, probs, std)
+            np.testing.assert_array_equal(masks[c], ref_masks)
+            np.testing.assert_array_equal(noise[c], ref_noise)
+
+    def test_zero_one_probabilities_match_dense_stream(self):
+        # no uniforms are drawn for fixed masks; the noise must not move
+        n, horizon, trials = 6, 19, range(2, 5)
+        probs = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        std = np.sqrt(np.linspace(0.005, 0.03, n))
+        blocks = [(m.copy(), z.copy())
+                  for m, z in draw_blocks(7, trials, horizon, probs, std, 4 * len(trials) * n)]
+        assert len(blocks) == 5
+        masks = np.concatenate([b[0] for b in blocks], axis=1)
+        noise = np.concatenate([b[1] for b in blocks], axis=1)
+        for c, t in enumerate(trials):
+            ref_masks, ref_noise = _dense_trial_stream(7, t, horizon, probs, std)
             np.testing.assert_array_equal(masks[c], ref_masks)
             np.testing.assert_array_equal(noise[c], ref_noise)
 
@@ -462,9 +479,11 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_batched_kernels_match_single_trial_filters():
+def _check_against_single_trial_filters(trials):
+    """The LMS and RLS curves of a 12-vertex explicit-sampling run must match
+    the single-trial filters fed with each trial's dense stream."""
     cfg = tiny_config()
-    cfg.update(seed=9, trials=5, horizon=40)
+    cfg.update(seed=9, trials=trials, horizon=40)
     cfg["graph"] = {"kind": "random_geometric", "n": 12, "radius": 0.6}
     cfg["noise"] = {"kind": "loguniform", "low": 0.005, "high": 0.03}
     cfg["sampling"] = {"kind": "explicit",
@@ -473,22 +492,38 @@ def test_batched_kernels_match_single_trial_filters():
     setup = build_setup(cfg)
     probs, _ = resolve_sampling(setup)
     bl, x_true = setup.bandlimit, setup.x_true
-    masks, noise = next(draw_blocks(setup.seed, range(5), 40, probs.probs,
-                                    setup.noise.std, DRAW_BLOCK))
     ref_lms = np.zeros(40)
     ref_rls = np.zeros(40)
-    for c in range(5):
+    for c in range(trials):
+        masks, noise = _dense_trial_stream(setup.seed, c, 40, probs.probs, setup.noise.std)
         lms, rls = lms_init(bl, mu), rls_init(bl, beta, delta)
         for t in range(40):
             ref_lms[t] += float(np.sum((lms.estimate - x_true) ** 2))
             ref_rls[t] += float(np.sum((rls_estimate(rls, bl) - x_true) ** 2))
-            draw, y = SamplingDraw(masks[c, t]), x_true + noise[c, t]
+            draw, y = SamplingDraw(masks[t].astype(np.int8)), x_true + noise[t]
             lms = lms_step(lms, y, draw, bl)
             rls = rls_step(rls, y, draw, setup.noise, bl)
     cfg["algorithm"] = {"kind": "lms", "mu": mu}
-    np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_lms / 5, rtol=1e-10)
+    np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_lms / trials, rtol=1e-10)
     cfg["algorithm"] = {"kind": "rls", "beta": beta, "delta": delta}
-    np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_rls / 5, rtol=1e-10)
+    np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_rls / trials, rtol=1e-10)
+
+
+def test_batched_kernels_match_single_trial_filters():
+    _check_against_single_trial_filters(5)
+
+
+@pytest.mark.parametrize("chunk, block", [
+    (None, None),         # all 70 trials in one pass and one block
+    (32, 32 * 12 * 7),    # three passes, the last short; 7-step blocks
+])
+def test_many_trials_match_single_trial_filters(monkeypatch, chunk, block):
+    # one pass advances more trials than the old 64-trial chunks held; the
+    # GEMM's rows may round differently with the batch height, hence rtol
+    if chunk is not None:
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+    _check_against_single_trial_filters(70)
 
 
 class TestLearningCurve:
@@ -640,6 +675,17 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["malformed", "directory"])
+    def test_unreadable_config_exits_2_naming_the_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.yaml"
+        if kind == "malformed":
+            path.write_text("graph: {kind: random_geometric\n")
+        else:
+            path.mkdir()
+        code = cli.main(["run-lms", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
 
     def test_theory_command(self, tmp_path, capsys):
         out = tmp_path / "out"

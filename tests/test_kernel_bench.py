@@ -1,8 +1,15 @@
 """Per-call timings of the inner kernels (pytest-benchmark).
 
-Monte Carlo: one call is one step of a 64-trial chunk at the scaled instance
-(n=300, |F|=20); divide by 64 for the per-trial-step figures the repository
-benchmark reports as ``harness.lms_step_ns`` / ``harness.rls_step_ns``.
+Monte Carlo: one call is one step of a ``TRIAL_CHUNK``-trial pass at the
+scaled instance (n=300, |F|=20); divide by ``TRIAL_CHUNK`` for the
+per-trial-step figures the repository benchmark reports as
+``harness.lms_step_ns`` / ``harness.rls_step_ns``.  Filling one draw block
+of such a pass (``DRAW_BLOCK`` entries of masks and noise) is timed on its
+own.
+
+Distributed: one call is one sensing instant of the consensus network,
+all trials of a pass together, at the size of ``configs/drls.yaml`` (n=20,
+|F|=5, three inner iterations, 50 trials).
 
 Design: one call is one Newton step of the log-barrier engine at the size
 of the benchmark's design instances (n=40, |F|=6).  On the min-rate program
@@ -20,12 +27,23 @@ import numpy as np
 import pytest
 
 from graphadapt.design import _Barrier, _Instance, _msd, _newton_step
+from graphadapt.distributed import CommGraph, DrlsConfig, drls_network_init, drls_round
 from graphadapt.graphs import Bandlimit
-from graphadapt.harness import TRIAL_CHUNK, lms_update, rls_outer_table, rls_update
+from graphadapt.harness import (
+    DRAW_BLOCK,
+    TRIAL_CHUNK,
+    draw_blocks,
+    lms_update,
+    rls_outer_table,
+    rls_update,
+)
 from graphadapt.sampling import NoiseModel
 
 N, F = 300, 20
 ROUNDS = 40
+DRAW_ROUNDS = 8
+DRLS_N, DRLS_F, DRLS_TRIALS = 20, 5, 50
+DRLS_ROUNDS = 200
 DESIGN_N, DESIGN_F = 40, 6
 DESIGN_ROUNDS = 200
 
@@ -70,6 +88,34 @@ def test_rls_step(benchmark, chunk_step):
     new_psi, new_psiv = benchmark.pedantic(step, rounds=ROUNDS, iterations=1,
                                            warmup_rounds=1)
     assert new_psi is psi and new_psiv.shape == (TRIAL_CHUNK, F)
+
+
+def test_draw_block(benchmark):
+    rng = np.random.default_rng(2)
+    probs = rng.uniform(0.2, 0.9, N)
+    std = np.sqrt(rng.uniform(0.005, 0.03, N))
+    steps = DRAW_BLOCK // (TRIAL_CHUNK * N)
+    # one block per round, the warm-up round included
+    blocks = draw_blocks(0, range(TRIAL_CHUNK), (DRAW_ROUNDS + 1) * steps, probs, std,
+                         DRAW_BLOCK)
+    masks, noise = benchmark.pedantic(next, args=(blocks,), rounds=DRAW_ROUNDS,
+                                      iterations=1, warmup_rounds=1)
+    assert masks.shape == noise.shape == (TRIAL_CHUNK, steps, N)
+
+
+def test_drls_round(benchmark):
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.normal(size=(DRLS_N, DRLS_F)))[0]
+    band = Bandlimit(freq_set=tuple(range(DRLS_F)), basis_slice=u)
+    noise = NoiseModel.uniform(DRLS_N, 0.01)
+    cfg = DrlsConfig(rho=20.0, inner_iters=3, beta=0.95)
+    net = drls_network_init(CommGraph.ring(DRLS_N), band, noise, cfg, batch=(DRLS_TRIALS,))
+    draws = (rng.random((DRLS_TRIALS, DRLS_N)) < 0.7).astype(np.int8)
+    obs = draws * rng.normal(size=(DRLS_TRIALS, DRLS_N))
+    out = benchmark.pedantic(drls_round, args=(net, draws, obs, cfg), rounds=DRLS_ROUNDS,
+                             iterations=1, warmup_rounds=1)
+    assert out.estimates.shape == (DRLS_TRIALS, DRLS_N, DRLS_F)
+    assert np.isfinite(out.estimates).all()
 
 
 @pytest.fixture(scope="module")
