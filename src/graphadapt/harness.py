@@ -693,7 +693,8 @@ def compare_sampling(config: dict) -> list:
                                          np.argsort(-leverage_scores(bl), kind="stable"))}
     rng = np.random.default_rng(setup.seed)
     perms = np.array([rng.permutation(n) for _ in range(seeds)])
-    # the permutations' prefix Gram matrices in groups of at most DRAW_BLOCK entries
+    # (seeds, n, f, f) Gram stacks grow fast with n and f: bound each group
+    # to DRAW_BLOCK entries
     group = max(1, DRAW_BLOCK // (n * bl.size ** 2))
     stats = [_prefix_stats(bl, noise, perms[i:i + group]) for i in range(0, seeds, group)]
     random_stats = tuple(np.concatenate(parts) for parts in zip(*stats))
