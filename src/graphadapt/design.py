@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .filters import _gram, _lms_msd, _rls_trace_inverse, _singular
 from .graphs import Bandlimit
 from .sampling import NoiseModel, SamplingProbabilities, ReconstructabilityError
 
@@ -109,27 +110,25 @@ class DesignSpec:
 class SolverTrace:
     """Recorded iterates of one solver run.
 
-    ``points[k]`` is the k-th recorded probability vector with matching
-    ``objectives``, ``residuals`` (max constraint violation, 0 = feasible)
-    and ``msd_values``; ``iterations`` equals ``len(points) - 1``.  The
-    barrier solvers record their start, every Newton step and the final
-    design; Dinkelbach's method records its start, every round and the
-    final design.
+    Entry k of ``objectives``, ``residuals`` (max constraint violation,
+    0 = feasible) and ``msd_values`` belongs to the k-th recorded
+    probability vector; ``iterations`` is one less than the number of
+    records.  The barrier solvers record their start, every Newton step and
+    the final design; Dinkelbach's method records its start, every round
+    and the final design.
     """
 
-    points: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     msd_values: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
 
-    def record(self, p, objective, residual, msd):
-        self.points.append(np.asarray(p, dtype=float).copy())
+    def record(self, objective, residual, msd):
         self.objectives.append(float(objective))
         self.residuals.append(float(residual))
         self.msd_values.append(float(msd))
-        self.iterations = len(self.points) - 1
+        self.iterations = len(self.objectives) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,44 +143,21 @@ class _Instance:
         self.row2 = (self.u ** 2).sum(axis=1)
         self.g_lin = self.sig2 * self.row2     # gradient of Tr G(p)
 
-    def gram(self, w):
-        m = self.u.T @ (w[:, None] * self.u)
-        return (m + m.T) / 2.0
-
     def h_eig(self, p):
-        return np.linalg.eigh(self.gram(p))
+        return np.linalg.eigh(_gram(self.u, p))
 
     def lam_min(self, p):
-        return float(np.linalg.eigvalsh(self.gram(p))[0])
+        return float(np.linalg.eigvalsh(_gram(self.u, p))[0])
 
     def tr_g(self, p):
         return float(self.g_lin @ p)
 
     def exact_msd(self, p, mu, derivs=False):
-        """The MSD (mu/2) Tr[H(p)^-1 G(p)], inf where H(p) is singular.
-
-        With ``derivs`` it returns (value, gradient, Hessian, excess), all from
-        one eigendecomposition of H(p).  With K = U H^-1 U^T and
-        L = U H^-1 G H^-1 U^T the gradient is (mu/2)(sigma^2 o diag K - diag L)
-        and the Hessian mu K o L - E, E_ij = (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2.
-        The Hessian is indefinite in general; the excess E lifts it to the
-        PSD curvature mu K o L of the surrogate of :func:`sca_msd_surrogate`
-        anchored at p.
-        """
-        vals, vecs = self.h_eig(p)
-        if vals[0] <= 1e-12 * max(vals[-1], 1.0):
-            return math.inf
-        core = vecs.T @ self.gram(p * self.sig2) @ vecs
-        value = 0.5 * mu * float((np.diag(core) / vals).sum())
-        if not derivs:
-            return value
-        q = self.u @ vecs
-        r = q / vals                            # U H^-1 in the eigenbasis
-        k = r @ q.T
-        l = r @ core @ r.T
-        grad = 0.5 * mu * (self.sig2 * k.diagonal() - l.diagonal())
-        excess = 0.5 * mu * (self.sig2[:, None] + self.sig2) * k * k
-        return value, grad, mu * k * l - excess, excess
+        """The MSD of :func:`filters._lms_msd`: inf where H(p) is singular,
+        with ``derivs`` (value, gradient, Hessian, excess); the excess lifts
+        the Hessian to the PSD curvature of :func:`sca_msd_surrogate`
+        anchored at p."""
+        return _lms_msd(self.u, self.sig2, p, mu, derivs)
 
 
 def _as_probs(p, n):
@@ -201,7 +177,7 @@ def msd_gradient(p, mu, noise: NoiseModel, b: Bandlimit) -> np.ndarray:
     """
     if mu <= 0:
         raise ValueError("step size mu must be positive")
-    out = _Instance(b, noise, np.ones(b.n)).exact_msd(_as_probs(p, b.n), mu, derivs=True)
+    out = _lms_msd(b.basis_slice, noise.variances, _as_probs(p, b.n), mu, derivs=True)
     if out == math.inf:
         raise ReconstructabilityError("msd_gradient: Gram matrix is singular")
     return out[1]
@@ -210,10 +186,9 @@ def msd_gradient(p, mu, noise: NoiseModel, b: Bandlimit) -> np.ndarray:
 def lambda_min_subgradient(p, b: Bandlimit) -> np.ndarray:
     """Supergradient of lambda_min(U_F^T diag(p) U_F): component i is
     (v^T u_i)^2 for a unit eigenvector v of the smallest eigenvalue."""
-    probs = _as_probs(p, b.n)
-    inst = _Instance(b, NoiseModel.uniform(b.n, 1.0), np.ones(b.n))
-    _, vecs = inst.h_eig(probs)
-    return (inst.u @ vecs[:, 0]) ** 2
+    u = b.basis_slice
+    _, vecs = np.linalg.eigh(_gram(u, _as_probs(p, b.n)))
+    return (u @ vecs[:, 0]) ** 2
 
 
 def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float = 1e-6):
@@ -229,11 +204,11 @@ def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float
     inst = _Instance(b, noise, np.ones(b.n))
     p, z = _as_probs(p, b.n), _as_probs(anchor, b.n)
     vals_z, vecs_z = inst.h_eig(z)
-    if vals_z[0] <= 1e-12 * max(vals_z[-1], 1.0):
+    if _singular(vals_z):
         raise ReconstructabilityError("sca_msd_surrogate: singular Gram at the anchor")
     kz = vecs_z @ ((vecs_z.T @ inst.u.T) / vals_z[:, None])
     lin = 0.5 * mu * inst.sig2 * np.einsum("nf,fn->n", inst.u, kz)
-    g_z = inst.gram(z * inst.sig2)
+    g_z = _gram(inst.u, z * inst.sig2)
 
     vals, vecs = inst.h_eig(p)
     vals_f = np.maximum(vals, 1e-12 * max(vals[-1], 1.0))
@@ -247,29 +222,23 @@ def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float
     return value, tau * d + lin + grad2
 
 
-def _msd(inst, mu, offset=0.0):
-    """The exact MSD less ``offset`` as a smooth barrier function; with
-    ``derivs`` the quadruple of :meth:`_Instance.exact_msd`."""
+def _less(evaluate, offset):
+    """``evaluate(p, derivs)`` less ``offset`` as a smooth barrier function:
+    its value, or with ``derivs`` its quadruple, shifted by -offset."""
     def fn(p, derivs=False):
-        out = inst.exact_msd(p, mu, derivs)
+        out = evaluate(p, derivs)
         return (out[0] - offset, *out[1:]) if derivs else out - offset
     return fn
 
 
+def _msd(inst, mu, offset=0.0):
+    """The exact MSD of :meth:`_Instance.exact_msd` less ``offset``."""
+    return _less(lambda p, derivs: inst.exact_msd(p, mu, derivs), offset)
+
+
 def _trace_inverse(inst, offset):
     """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}] less ``offset``, inf where singular."""
-    def fn(p, derivs=False):
-        vals, vecs = np.linalg.eigh(inst.gram(p / inst.sig2))
-        if vals[0] <= 1e-14 * max(vals[-1], 1.0):
-            return math.inf
-        value = float((1.0 / vals).sum()) - offset
-        if not derivs:
-            return value
-        q = (inst.u @ vecs) / np.sqrt(inst.sig2)[:, None]
-        k1 = (q / vals) @ q.T                   # u_i^T M^{-1} u_j / (sigma_i sigma_j)
-        k2 = (q / vals ** 2) @ q.T
-        return value, -k2.diagonal().copy(), 2.0 * k1 * k2, 0.0
-    return fn
+    return _less(lambda p, derivs: _rls_trace_inverse(inst.u, inst.sig2, p, derivs), offset)
 
 
 def _truncate(p):
@@ -372,7 +341,7 @@ class _Barrier:
                 hess[:k, :k] += 1.0 / slack ** 2
         p = self.point(x)
         if self.lmis:
-            lam, vecs = np.linalg.eigh(self.inst.gram(p))
+            lam, vecs = self.inst.h_eig(p)
             q = self.u @ vecs
             for c, const in self.lmis:
                 eig = lam - (float(c @ x) + const)
@@ -526,7 +495,7 @@ def _run(prog, start, entry):
     trace = SolverTrace()
 
     def record(p):
-        trace.record(p, *entry(p))
+        trace.record(*entry(p))
 
     record(start)
     x, trace.converged = _barrier(prog, start[prog.free], record)
@@ -647,7 +616,7 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None):
 
     def record(q):
         lam = inst.lam_min(q)
-        trace.record(q, 0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0),
+        trace.record(0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0),
                      inst.exact_msd(q, mu))
 
     p = start = _start(_Barrier(inst, [rate], budget=spec.budget), center, initial)

@@ -3,8 +3,12 @@
 Two online estimators consume the stream of masked noisy observations: a
 stochastic-gradient filter (constant step mu, projected onto the bandlimited
 subspace) and an exponentially weighted recursive least-squares filter
-(forgetting factor beta).  Both come with closed-form steady-state
-mean-square-deviation predictions driven by the sampling probabilities.
+(forgetting factor beta).  Their updates are batched kernels in bandlimited
+coordinates: every array carries any number of leading trial axes, so one
+call advances all the trials of a Monte Carlo pass.  Both estimators come
+with closed-form steady-state mean-square-deviation predictions driven by
+the sampling probabilities, evaluated by :func:`_lms_msd` and
+:func:`_rls_trace_inverse`, which the design solvers share.
 """
 
 from __future__ import annotations
@@ -18,35 +22,9 @@ from .graphs import Bandlimit
 from .sampling import (
     NoiseModel,
     ReconstructabilityError,
-    SamplingDraw,
     SamplingProbabilities,
     weighted_gram,
 )
-
-_COND_LIMIT = 1e12
-
-
-@dataclass
-class LmsState:
-    """Stochastic-gradient filter state: current estimate and step size."""
-
-    estimate: np.ndarray
-    step: float
-
-
-@dataclass
-class RlsState:
-    """Recursive least-squares state.
-
-    psi_mat accumulates the exponentially weighted information matrix,
-    psi_vec the matching weighted observation correlation; regularizer is
-    the initialization Pi = delta * I kept for batch cross-checks.
-    """
-
-    psi_mat: np.ndarray
-    psi_vec: np.ndarray
-    beta: float
-    regularizer: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,36 +40,98 @@ class TheoryReport:
         return 10.0 * math.log10(self.msd)
 
 
-def _check_lengths(b: Bandlimit, *vectors):
-    for v in vectors:
-        if v is not None and v.shape[0] != b.n:
-            raise ValueError("vector length must match the graph size")
+# ---------------------------------------------------------------------------
+# estimator kernels
+
+def lms_update(s_hat: np.ndarray, masks: np.ndarray, y: np.ndarray, u: np.ndarray,
+               mu: float) -> np.ndarray:
+    """One LMS step for a chunk of trials, in bandlimited coordinates:
+    s <- s + mu U_F^T D_S (y - U_F s)."""
+    return s_hat + mu * ((masks * (y - s_hat @ u.T)) @ u)
 
 
-def lms_init(b: Bandlimit, step: float, x0=None) -> LmsState:
-    """Fresh filter state; any initial guess is projected onto the bandlimit."""
-    if step <= 0:
-        raise ValueError("step size must be positive")
-    if x0 is None:
-        est = np.zeros(b.n)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        _check_lengths(b, x0)
-        est = b.basis_slice @ (b.basis_slice.T @ x0)
-    return LmsState(estimate=est, step=float(step))
+def rls_outer_table(u: np.ndarray) -> np.ndarray:
+    """Row i holds vec(u_i u_i^T), so ``w @ table`` is sum_i w_i u_i u_i^T."""
+    n, f = u.shape
+    return (u[:, :, None] * u[:, None, :]).reshape(n, f * f)
 
 
-def lms_step(state: LmsState, y, draw: SamplingDraw, b: Bandlimit) -> LmsState:
-    """One stochastic-gradient update
-    x <- x + mu * B_F D_S (y - x), evaluated in factored form."""
-    y = np.asarray(y, dtype=float)
-    _check_lengths(b, y, state.estimate)
-    if draw.n != b.n:
-        raise ValueError("mask length must match the graph size")
-    residual = draw.mask * (y - state.estimate)
-    update = b.basis_slice @ (b.basis_slice.T @ residual)
-    return LmsState(estimate=state.estimate + state.step * update, step=state.step)
+def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
+               u: np.ndarray, outer: np.ndarray, beta: float):
+    """One RLS step for a chunk of trials, with weights w = D_S C_v^{-1}:
+    Psi <- beta Psi + U_F^T W U_F (one GEMM against ``outer``, in place),
+    psi <- beta psi + U_F^T W y.  The estimate is U_F Psi^{-1} psi."""
+    psi *= beta
+    psi += (w @ outer).reshape(psi.shape)
+    return psi, beta * psiv + (w * y) @ u
 
+
+# ---------------------------------------------------------------------------
+# closed-form evaluators, shared with the design solvers
+
+def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U_F^T diag(w) U_F, symmetrized, with no checks."""
+    m = u.T @ (w[:, None] * u)
+    return (m + m.T) / 2.0
+
+
+def _singular(vals: np.ndarray) -> bool:
+    """Whether a Gram matrix with ascending eigenvalues ``vals`` is
+    numerically singular: lambda_min <= 1e-12 max(lambda_max, 1)."""
+    return vals[0] <= 1e-12 * max(vals[-1], 1.0)
+
+
+def _lms_msd(u, sig2, p, mu, derivs=False):
+    """The LMS MSD (mu/2) Tr[H(p)^-1 G(p)], H(p) = U^T diag(p) U and
+    G(p) = U^T diag(p sigma^2) U; inf where H(p) is singular.
+
+    With ``derivs`` it returns (value, gradient, Hessian, excess), all from
+    one eigendecomposition of H(p).  With K = U H^-1 U^T and
+    L = U H^-1 G H^-1 U^T the gradient is (mu/2)(sigma^2 o diag K - diag L)
+    and the Hessian mu K o L - E, E_ij = (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2.
+    The Hessian is indefinite in general; the excess E lifts it to the PSD
+    curvature mu K o L of the SCA surrogate anchored at p.
+    """
+    vals, vecs = np.linalg.eigh(_gram(u, p))
+    if _singular(vals):
+        return math.inf
+    core = vecs.T @ _gram(u, p * sig2) @ vecs
+    value = 0.5 * mu * float((np.diag(core) / vals).sum())
+    if not derivs:
+        return value
+    q = u @ vecs
+    r = q / vals                            # U H^-1 in the eigenbasis
+    k = r @ q.T
+    l = r @ core @ r.T
+    grad = 0.5 * mu * (sig2 * k.diagonal() - l.diagonal())
+    excess = 0.5 * mu * (sig2[:, None] + sig2) * k * k
+    return value, grad, mu * k * l - excess, excess
+
+
+def _rls_trace_inverse(u, sig2, p, derivs=False):
+    """Tr[M(p)^-1], M(p) = U^T diag(p / sigma^2) U, inf where M(p) is
+    singular; with ``derivs`` (value, gradient, Hessian, 0.0), the function
+    being convex.  The value alone takes no eigenvectors."""
+    m = _gram(u, p / sig2)
+    vals, vecs = np.linalg.eigh(m) if derivs else (np.linalg.eigvalsh(m), None)
+    if _singular(vals):
+        return math.inf
+    value = float((1.0 / vals).sum())
+    if not derivs:
+        return value
+    q = (u @ vecs) / np.sqrt(sig2)[:, None]
+    k1 = (q / vals) @ q.T                   # u_i^T M^{-1} u_j / (sigma_i sigma_j)
+    k2 = (q / vals ** 2) @ q.T
+    return value, -k2.diagonal().copy(), 2.0 * k1 * k2, 0.0
+
+
+def _check_sizes(p: SamplingProbabilities, noise: NoiseModel, b: Bandlimit) -> None:
+    if p.n != b.n or noise.n != b.n:
+        raise ValueError("probabilities and noise model must match the graph size")
+
+
+# ---------------------------------------------------------------------------
+# closed-form theory
 
 def lms_step_bound(p: SamplingProbabilities, b: Bandlimit) -> float:
     """Largest mean-square stable step size, 2 lambda_min / lambda_max^2 of
@@ -103,44 +143,31 @@ def lms_step_bound(p: SamplingProbabilities, b: Bandlimit) -> float:
     return 2.0 * max(lam_min, 0.0) / lam_max ** 2
 
 
-def _gram_pair(p: SamplingProbabilities, noise: NoiseModel, b: Bandlimit):
-    if p.n != b.n or noise.n != b.n:
-        raise ValueError("probabilities and noise model must match the graph size")
-    h = weighted_gram(b, p.probs)
-    g = weighted_gram(b, p.probs * noise.variances)
-    return h, g
-
-
-def _require_invertible(h: np.ndarray, what: str) -> None:
-    eigs = np.linalg.eigvalsh(h)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-        raise ReconstructabilityError(
-            f"{what}: expected sampling pattern is rank deficient "
-            f"(lambda_min = {eigs[0]:.3e}); increase the probabilities or "
-            "shrink the bandlimit"
-        )
-
-
 def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> float:
     """Small-step steady-state MSD prediction
     (mu/2) Tr[H^{-1} U_F^T diag(p) C_v U_F]; reduces to (mu/2) |F| sigma^2
     under white noise and full-rank expected sampling."""
     if mu <= 0:
         raise ValueError("step size must be positive")
-    h, g = _gram_pair(p, noise, b)
-    _require_invertible(h, "lms_msd_theory")
-    return 0.5 * mu * float(np.trace(np.linalg.solve(h, g)))
+    _check_sizes(p, noise, b)
+    msd = _lms_msd(b.basis_slice, noise.variances, p.probs, mu)
+    if msd == math.inf:
+        raise ReconstructabilityError(
+            "lms_msd_theory: expected sampling pattern is rank deficient; "
+            "increase the probabilities or shrink the bandlimit"
+        )
+    return msd
 
 
 def lms_msd_upper_bound(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> float:
     """Convexity-friendly upper bound (mu/2) Tr(G) / lambda_min(H) >= MSD."""
     if mu <= 0:
         raise ValueError("step size must be positive")
-    h, g = _gram_pair(p, noise, b)
-    lam_min = float(np.linalg.eigvalsh(h)[0])
+    _check_sizes(p, noise, b)
+    lam_min = float(np.linalg.eigvalsh(weighted_gram(b, p.probs))[0])
     if lam_min <= 0.0:
         return math.inf
-    return 0.5 * mu * float(np.trace(g)) / lam_min
+    return 0.5 * mu * float(np.trace(weighted_gram(b, p.probs * noise.variances))) / lam_min
 
 
 def lms_rate_theory(p: SamplingProbabilities, mu: float, b: Bandlimit) -> float:
@@ -165,70 +192,18 @@ def lms_theory_report(p: SamplingProbabilities, mu: float, noise: NoiseModel, b:
     )
 
 
-def rls_init(b: Bandlimit, beta: float, delta: float = 1e-3) -> RlsState:
-    """Fresh RLS state with regularized information matrix Pi = delta I."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("forgetting factor must lie in (0, 1]")
-    if delta <= 0:
-        raise ValueError("regularizer must be positive")
-    eye = np.eye(b.size)
-    return RlsState(
-        psi_mat=delta * eye,
-        psi_vec=np.zeros(b.size),
-        beta=float(beta),
-        regularizer=delta * eye,
-    )
-
-
-def rls_step(state: RlsState, y, draw: SamplingDraw, noise: NoiseModel, b: Bandlimit) -> RlsState:
-    """One exponentially weighted update of the information pair:
-    Psi <- beta Psi + U_F^T D_S C_v^{-1} U_F,  psi <- beta psi + U_F^T D_S C_v^{-1} y.
-    """
-    y = np.asarray(y, dtype=float)
-    _check_lengths(b, y)
-    if draw.n != b.n or noise.n != b.n:
-        raise ValueError("mask and noise model must match the graph size")
-    sampled = draw.mask.astype(bool)
-    rows = b.basis_slice[sampled]
-    inv_var = 1.0 / noise.variances[sampled]
-    psi_mat = state.beta * state.psi_mat + rows.T @ (inv_var[:, None] * rows)
-    psi_vec = state.beta * state.psi_vec + rows.T @ (inv_var * y[sampled])
-    return RlsState(
-        psi_mat=(psi_mat + psi_mat.T) / 2.0,
-        psi_vec=psi_vec,
-        beta=state.beta,
-        regularizer=state.regularizer,
-    )
-
-
-def rls_estimate(state: RlsState, b: Bandlimit) -> np.ndarray:
-    """Current estimate U_F Psi^{-1} psi, once Psi is checked positive definite
-    and well conditioned."""
-    eigs = np.linalg.eigvalsh(state.psi_mat)
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
-        raise ReconstructabilityError(
-            "rls_estimate: information matrix is numerically singular "
-            f"(condition number {eigs[-1] / max(eigs[0], 1e-300):.3e}); "
-            "the sampling pattern does not cover the bandlimit"
-        )
-    return b.basis_slice @ np.linalg.solve(state.psi_mat, state.psi_vec)
-
-
 def rls_msd_theory(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> float:
     """Steady-state MSD prediction
     ((1-beta)/(1+beta)) Tr[(U_F^T diag(p) C_v^{-1} U_F)^{-1}]."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("forgetting factor must lie in (0, 1]")
-    if p.n != b.n or noise.n != b.n:
-        raise ValueError("probabilities and noise model must match the graph size")
-    info = weighted_gram(b, p.probs / noise.variances)
-    eigs = np.linalg.eigvalsh(info)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+    _check_sizes(p, noise, b)
+    trace = _rls_trace_inverse(b.basis_slice, noise.variances, p.probs)
+    if trace == math.inf:
         raise ReconstructabilityError(
-            "rls_msd_theory: expected sampling pattern is rank deficient "
-            f"(lambda_min = {eigs[0]:.3e})"
+            "rls_msd_theory: expected sampling pattern is rank deficient"
         )
-    return (1.0 - beta) / (1.0 + beta) * float((1.0 / eigs).sum())
+    return (1.0 - beta) / (1.0 + beta) * trace
 
 
 def rls_theory_report(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> TheoryReport:

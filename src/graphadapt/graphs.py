@@ -188,28 +188,9 @@ def synthesize(b: Bandlimit, coefficients) -> np.ndarray:
     return b.basis_slice @ s
 
 
-def analyze(basis: SpectralBasis, x) -> np.ndarray:
-    """Graph Fourier transform U^T x."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (basis.n,):
-        raise ValueError(f"expected a length-{basis.n} signal, got shape {xv.shape}")
-    return basis.vectors.T @ xv
-
-
 def bandlimit_projector(b: Bandlimit) -> np.ndarray:
     """Orthogonal projector B_F = U_F U_F^T onto the bandlimited subspace."""
     return b.basis_slice @ b.basis_slice.T
-
-
-def vertex_limiter(s_set, n: int) -> np.ndarray:
-    """Diagonal selection matrix D_S = diag(1_S)."""
-    d = np.zeros(n)
-    for i in s_set:
-        ii = int(i)
-        if not 0 <= ii < n:
-            raise ValueError(f"vertex index {ii} out of range for n={n}")
-        d[ii] = 1.0
-    return np.diag(d)
 
 
 def connected_components(g: Graph) -> int:

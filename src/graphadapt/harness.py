@@ -5,7 +5,8 @@ bandlimit, the noise, how sampling probabilities are obtained (fixed,
 designed, or a baseline strategy), the estimator, and the Monte Carlo
 budget.  Runs aggregate per-iteration squared deviation over independent
 trials whose generators are seeded ``seed + trial_index``, so results are
-reproducible and trial order is irrelevant.
+reproducible and trial order is irrelevant.  The estimator kernels come
+from :mod:`filters` and the draws from :func:`sampling.draw_blocks`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .filters import (
     lms_msd_theory,
     lms_rate_theory,
     lms_step_bound,
+    lms_update,
     rls_msd_theory,
+    rls_outer_table,
+    rls_update,
 )
 from .graphs import (
     Bandlimit,
@@ -40,9 +44,11 @@ from .graphs import (
 from .sampling import (
     NoiseModel,
     SamplingProbabilities,
+    draw_blocks,
     leverage_score_probabilities,
     leverage_scores,
     max_det_greedy,
+    uniform_random_set,
     weighted_gram,  # noqa: F401 (harness.weighted_gram stays importable)
 )
 
@@ -330,8 +336,7 @@ def resolve_sampling(setup: Setup):
             chosen = max_det_greedy(setup.bandlimit, m, setup.noise)
             return SamplingProbabilities.from_support(chosen, n), None
         if name == "uniform":
-            rng = np.random.default_rng([setup.seed, 303])
-            chosen = np.sort(rng.choice(n, size=m, replace=False))
+            chosen = uniform_random_set(n, m, np.random.default_rng([setup.seed, 303]))
             return SamplingProbabilities.from_support(chosen, n), None
         raise ConfigError(f"sampling.strategy: unknown strategy {name!r}")
     raise ConfigError(f"sampling.kind: unknown kind {kind!r}")
@@ -365,56 +370,6 @@ class LearningCurve:
         return to_db(self.steady_state_linear())
 
 
-def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndarray,
-                max_elements: int):
-    """Per-trial sampling masks and noise, streamed in time blocks.
-
-    Trial ``t`` owns the stream of ``default_rng(seed + t)``: ``horizon``
-    rows of uniforms, thresholded against ``probs`` into 0/1 masks, then
-    ``horizon`` rows of Gaussian noise with per-vertex ``std``.  The masks
-    are read from that generator; the noise from a second copy advanced
-    past the uniforms, so each block is drawn without materializing the
-    rest of the horizon.  Yields ``(masks, noise)`` of shape
-    ``(len(trials), steps, n)`` covering the horizon in order, with
-    ``steps`` chosen so that a block holds at most ``max_elements`` entries,
-    but at least one step.
-
-    Every block is a view of one masks/noise pair filled in place, so a
-    yielded block stays valid only until the next one is requested: copy it
-    to keep it.  The consumer may overwrite the noise, never the masks.
-    When every probability is 0 or 1 the masks are the same at every
-    instant: they are set once and no uniforms are drawn, which leaves the
-    noise as it was (it comes from its own advanced generator).
-    """
-    n = probs.shape[0]
-    trials = list(trials)
-    steps = min(horizon, max(1, max_elements // (len(trials) * n)))
-    masks = np.empty((len(trials), steps, n), dtype=np.int8)
-    noise = np.empty((len(trials), steps, n))
-    fixed = bool(np.all((probs == 0.0) | (probs == 1.0)))
-    if fixed:
-        masks[...] = probs == 1.0
-    else:
-        mask_rngs = [np.random.default_rng(seed + t) for t in trials]
-        uniforms = np.empty((steps, n))
-    noise_rngs = []
-    for t in trials:
-        bits = np.random.PCG64(seed + t)
-        bits.advance(horizon * n)  # one 64-bit draw per uniform
-        noise_rngs.append(np.random.Generator(bits))
-    for start in range(0, horizon, steps):
-        k = min(steps, horizon - start)
-        block_masks, block_noise = masks[:, :k], noise[:, :k]
-        for c in range(len(trials)):
-            if not fixed:
-                mask_rngs[c].random(out=uniforms[:k])
-                np.less(uniforms[:k], probs, out=block_masks[c])
-            noise_rngs[c].standard_normal(out=block_noise[c])
-        # the same values as normal(0.0, std), which computes 0.0 + std * z
-        block_noise *= std
-        yield block_masks, block_noise
-
-
 def _passes(trials: int, size: int):
     """The trial ranges of the Monte Carlo passes, ``size`` trials each but
     the last."""
@@ -444,29 +399,6 @@ def _squared_deviation(traj: np.ndarray, s_true: np.ndarray) -> np.ndarray:
     traj -= s_true
     traj *= traj
     return traj.reshape(traj.shape[0], -1).sum(axis=1)
-
-
-def lms_update(s_hat: np.ndarray, masks: np.ndarray, y: np.ndarray, u: np.ndarray,
-               mu: float) -> np.ndarray:
-    """One LMS step for a chunk of trials, in bandlimited coordinates:
-    s <- s + mu U_F^T D_S (y - U_F s)."""
-    return s_hat + mu * ((masks * (y - s_hat @ u.T)) @ u)
-
-
-def rls_outer_table(u: np.ndarray) -> np.ndarray:
-    """Row i holds vec(u_i u_i^T), so ``w @ table`` is sum_i w_i u_i u_i^T."""
-    n, f = u.shape
-    return (u[:, :, None] * u[:, None, :]).reshape(n, f * f)
-
-
-def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
-               u: np.ndarray, outer: np.ndarray, beta: float):
-    """One RLS step for a chunk of trials, with weights w = D_S C_v^{-1}:
-    Psi <- beta Psi + U_F^T W U_F (one GEMM against ``outer``, in place),
-    psi <- beta psi + U_F^T W y."""
-    psi *= beta
-    psi += (w @ outer).reshape(psi.shape)
-    return psi, beta * psiv + (w * y) @ u
 
 
 # The kernels do not warn about overflow: run_experiment reports a non-finite
@@ -513,9 +445,18 @@ def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
         return CommGraph.complete(setup.graph.n)
     if comm == "ring":
         return CommGraph.ring(setup.graph.n)
-    if isinstance(comm, str):
-        return CommGraph.load(comm)
-    raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
+    if not isinstance(comm, str):
+        raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
+    try:
+        graph = CommGraph.load(comm)
+    except OSError as exc:
+        raise ConfigError(f"algorithm.comm: {comm}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # malformed (the message names the line) or disconnected
+        raise ConfigError(f"algorithm.comm: {exc}") from exc
+    if graph.n != setup.graph.n:
+        raise ConfigError(f"algorithm.comm: {comm} has {graph.n} nodes, "
+                          f"the graph has {setup.graph.n}")
+    return graph
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -773,7 +714,7 @@ def write_design_csv(probs: SamplingProbabilities, noise: NoiseModel, path) -> N
 def write_trace_csv(trace, path) -> None:
     rows = [
         (k, trace.objectives[k], trace.msd_values[k])
-        for k in range(len(trace.points))
+        for k in range(len(trace.objectives))
     ]
     _write_csv(path, ["iteration", "objective", "msd"], rows)
 
@@ -801,13 +742,9 @@ __all__ = [
     "build_setup",
     "compare_sampling",
     "config_hash",
-    "draw_blocks",
     "fit_rate",
-    "lms_update",
     "load_config",
     "resolve_sampling",
-    "rls_outer_table",
-    "rls_update",
     "run_experiment",
     "to_db",
     "write_compare_csv",

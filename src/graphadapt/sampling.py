@@ -2,14 +2,15 @@
 
 Each vertex i is observed independently across time with probability p_i;
 observations are corrupted by zero-mean Gaussian noise with per-vertex
-variance.  Whether a probability vector can support reconstruction of a
-bandlimited signal is governed by the smallest eigenvalue of the weighted
-Gram matrix U_F^T diag(p) U_F.
+variance.  :func:`draw_blocks` is the one stream of these draws, for any
+number of trials at once.  Whether a probability vector can support
+reconstruction of a bandlimited signal is governed by the smallest
+eigenvalue of the weighted Gram matrix U_F^T diag(p) U_F.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,30 +66,6 @@ class SamplingProbabilities:
 
 
 @dataclass(frozen=True)
-class SamplingDraw:
-    """One realization of the random sampling set, as a 0/1 mask."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mask)
-        if m.ndim != 1:
-            raise ValueError("mask must be a vector")
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        frozen = np.ascontiguousarray(m, dtype=np.int8)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "mask", frozen)
-
-    @property
-    def n(self) -> int:
-        return self.mask.shape[0]
-
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.mask)[0]
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Independent zero-mean Gaussian observation noise, diagonal covariance."""
 
@@ -125,21 +102,54 @@ def weighted_gram(b: Bandlimit, weights) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
-def draw_sampling_set(p: SamplingProbabilities, rng: np.random.Generator) -> SamplingDraw:
-    """Independent Bernoulli(p_i) draw of the sampling mask."""
-    mask = (rng.random(p.n) < p.probs).astype(np.int8)
-    return SamplingDraw(mask=mask)
+def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndarray,
+                max_elements: int):
+    """Per-trial sampling masks and noise, streamed in time blocks.
 
+    Trial ``t`` owns the stream of ``default_rng(seed + t)``: ``horizon``
+    rows of uniforms, thresholded against ``probs`` into 0/1 masks, then
+    ``horizon`` rows of Gaussian noise with per-vertex ``std``.  The masks
+    are read from that generator; the noise from a second copy advanced
+    past the uniforms, so each block is drawn without materializing the
+    rest of the horizon.  Yields ``(masks, noise)`` of shape
+    ``(len(trials), steps, n)`` covering the horizon in order, with
+    ``steps`` chosen so that a block holds at most ``max_elements`` entries,
+    but at least one step.
 
-def observe(x_true, draw: SamplingDraw, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Noisy masked observation y = D_S (x + v), v ~ N(0, diag(variances))."""
-    x = np.asarray(x_true, dtype=float)
-    if x.shape != (draw.n,):
-        raise ValueError("signal length must match mask length")
-    if noise.n != draw.n:
-        raise ValueError("noise model length must match mask length")
-    v = rng.normal(0.0, noise.std)
-    return draw.mask * (x + v)
+    Every block is a view of one masks/noise pair filled in place, so a
+    yielded block stays valid only until the next one is requested: copy it
+    to keep it.  The consumer may overwrite the noise, never the masks.
+    When every probability is 0 or 1 the masks are the same at every
+    instant: they are set once and no uniforms are drawn, which leaves the
+    noise as it was (it comes from its own advanced generator).
+    """
+    n = probs.shape[0]
+    trials = list(trials)
+    steps = min(horizon, max(1, max_elements // (len(trials) * n)))
+    masks = np.empty((len(trials), steps, n), dtype=np.int8)
+    noise = np.empty((len(trials), steps, n))
+    fixed = bool(np.all((probs == 0.0) | (probs == 1.0)))
+    if fixed:
+        masks[...] = probs == 1.0
+    else:
+        mask_rngs = [np.random.default_rng(seed + t) for t in trials]
+        uniforms = np.empty((steps, n))
+    noise_rngs = []
+    for t in trials:
+        bits = np.random.PCG64(seed + t)
+        bits.advance(horizon * n)  # one 64-bit draw per uniform
+        noise_rngs.append(np.random.Generator(bits))
+    for start in range(0, horizon, steps):
+        k = min(steps, horizon - start)
+        block_masks, block_noise = masks[:, :k], noise[:, :k]
+        for c in range(len(trials)):
+            if not fixed:
+                mask_rngs[c].random(out=uniforms[:k])
+                np.less(uniforms[:k], probs, out=block_masks[c])
+            noise_rngs[c].standard_normal(out=block_noise[c])
+        # the same values as normal(0.0, std), which computes 0.0 + std * z
+        block_noise *= std
+        yield block_masks, block_noise
 
 
 def reconstructability_lambda(p: SamplingProbabilities, b: Bandlimit) -> float:

@@ -1,0 +1,27 @@
+"""Sequential single-trial LMS and RLS recursions in the vertex domain.
+
+The independent oracle for the batched kernels of ``graphadapt.filters``:
+one trial and one instant at a time, on plain arrays, with no validation.
+``u`` is the (n, |F|) bandlimited basis, ``mask`` the 0/1 sampling mask.
+"""
+
+import numpy as np
+
+
+def lms_step(x, y, mask, u, mu):
+    """x <- x + mu U_F U_F^T D_S (y - x)."""
+    return x + mu * (u @ (u.T @ (mask * (y - x))))
+
+
+def rls_step(psi, psiv, y, mask, u, inv_var, beta):
+    """Psi <- beta Psi + U_S^T C_S^{-1} U_S, psi <- beta psi + U_S^T C_S^{-1} y_S
+    over the sampled rows S."""
+    sampled = mask.astype(bool)
+    rows, w = u[sampled], inv_var[sampled]
+    psi = beta * psi + rows.T @ (w[:, None] * rows)
+    return (psi + psi.T) / 2.0, beta * psiv + rows.T @ (w * y[sampled])
+
+
+def rls_estimate(psi, psiv, u):
+    """The vertex-domain estimate U_F Psi^{-1} psi."""
+    return u @ np.linalg.solve(psi, psiv)

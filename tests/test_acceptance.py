@@ -199,11 +199,13 @@ def test_ac6_distributed_tracks_centralized():
     dcfg = ga.DrlsConfig(rho=300.0, inner_iters=50, beta=0.95, delta=1e-3)
     _, network = ga.drls_simulate(ga.CommGraph.complete(5), bl, noise, dcfg,
                                   draws, observations, x_true)
-    state = ga.rls_init(bl, 0.95, 1e-3)
+    u = bl.basis_slice
+    outer = ga.rls_outer_table(u)
+    psi, psiv = 1e-3 * np.eye(3), np.zeros(3)
     for t in range(horizon):
-        state = ga.rls_step(state, observations[t],
-                            ga.SamplingDraw(mask=draws[t]), noise, bl)
-    central = ga.rls_estimate(state, bl)
+        psi, psiv = ga.rls_update(psi, psiv, draws[t] / noise.variances, observations[t],
+                                  u, outer, 0.95)
+    central = u @ np.linalg.solve(psi, psiv)
     deviation = float(np.abs(network.estimates @ bl.basis_slice.T - central).max())
     ok_match = deviation <= 1e-4
 
@@ -304,21 +306,21 @@ def _ac7_batch_recursive():
         variances=np.random.default_rng(210).uniform(0.005, 0.03, 8))
     rng = np.random.default_rng(211)
     beta, delta, steps = 0.9, 1e-3, 25
-    state = ga.rls_init(bl, beta, delta)
     masks = (rng.random((steps, 8)) < 0.6).astype(np.int8)
     obs = rng.normal(size=(steps, 8)) * masks
-    for t in range(steps):
-        state = ga.rls_step(state, obs[t], ga.SamplingDraw(mask=masks[t]),
-                            noise, bl)
     u, inv_var = bl.basis_slice, 1.0 / noise.variances
+    outer = ga.rls_outer_table(u)
+    psi, psiv = delta * np.eye(3), np.zeros(3)
+    for t in range(steps):
+        psi, psiv = ga.rls_update(psi, psiv, masks[t] * inv_var, obs[t], u, outer, beta)
     psi_mat = beta ** steps * delta * np.eye(3)
     psi_vec = np.zeros(3)
     for t in range(steps):
         w = beta ** (steps - 1 - t) * masks[t] * inv_var
         psi_mat += u.T @ (w[:, None] * u)
         psi_vec += u.T @ (w * obs[t])
-    return (np.abs(state.psi_mat - psi_mat).max() <= 1e-8
-            and np.abs(state.psi_vec - psi_vec).max() <= 1e-8)
+    return (np.abs(psi - psi_mat).max() <= 1e-8
+            and np.abs(psiv - psi_vec).max() <= 1e-8)
 
 
 def _ac7_information_split():

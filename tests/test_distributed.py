@@ -15,14 +15,13 @@ from graphadapt import (
     CommGraph,
     DrlsConfig,
     NoiseModel,
-    SamplingDraw,
     drls_local_update,
     drls_multiplier_update,
     drls_network_init,
     drls_round,
     drls_simulate,
-    rls_init,
-    rls_step,
+    rls_outer_table,
+    rls_update,
 )
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
@@ -127,15 +126,17 @@ def test_information_sums_to_centralized():
     comm = CommGraph.complete(b.n)
     cfg = DrlsConfig(rho=50.0, inner_iters=2, beta=0.9, delta=1e-3)
     net = drls_network_init(comm, b, noise, cfg)
-    central = rls_init(b, beta=0.9, delta=1e-3)
+    u = b.basis_slice
+    outer = rls_outer_table(u)
+    psi, psiv = 1e-3 * np.eye(b.size), np.zeros(b.size)
     rng = np.random.default_rng(11)
     for _ in range(10):
         draws = (rng.random(b.n) < 0.6).astype(np.int8)
         obs = draws * rng.standard_normal(b.n)
         net = drls_round(net, draws, obs, cfg)
-        central = rls_step(central, obs, SamplingDraw(mask=draws), noise, b)
-    np.testing.assert_allclose(net.psi.sum(axis=0), central.psi_mat, atol=1e-10)
-    np.testing.assert_allclose(net.psiv.sum(axis=0), central.psi_vec, atol=1e-10)
+        psi, psiv = rls_update(psi, psiv, draws / noise.variances, obs, u, outer, 0.9)
+    np.testing.assert_allclose(net.psi.sum(axis=0), psi, atol=1e-10)
+    np.testing.assert_allclose(net.psiv.sum(axis=0), psiv, atol=1e-10)
 
 
 def test_sense_formula():
@@ -363,10 +364,12 @@ def test_many_inner_iterations_recover_centralized():
 
     _, net = drls_simulate(comm, b, noise, cfg, draws, obs, x_true)
 
-    central = rls_init(b, beta=0.95, delta=1e-3)
+    u = b.basis_slice
+    outer = rls_outer_table(u)
+    psi, psiv = 1e-3 * np.eye(f), np.zeros(f)
     for t in range(horizon):
-        central = rls_step(central, obs[t], SamplingDraw(mask=draws[t]), noise, b)
-    reference = np.linalg.solve(central.psi_mat, central.psi_vec)
+        psi, psiv = rls_update(psi, psiv, draws[t] / noise.variances, obs[t], u, outer, 0.95)
+    reference = np.linalg.solve(psi, psiv)
     for estimate in net.estimates:
         np.testing.assert_allclose(estimate, reference, atol=1e-5)
 

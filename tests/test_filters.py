@@ -1,4 +1,4 @@
-"""Estimator updates and closed-form mean-square predictions.
+"""Estimator kernels and closed-form mean-square predictions.
 
 Frozen numbers come from the 3-node path with the two lowest frequencies
 kept: the expected Gram at p = (1, 1, 0) is [[2/3, 1/sqrt(6)], [1/sqrt(6),
@@ -14,31 +14,32 @@ import pytest
 from graphadapt import (
     NoiseModel,
     ReconstructabilityError,
-    SamplingDraw,
     SamplingProbabilities,
-    lms_init,
     lms_msd_theory,
     lms_msd_upper_bound,
     lms_rate_theory,
-    lms_step,
     lms_step_bound,
     lms_theory_report,
-    rls_estimate,
-    rls_init,
+    lms_update,
     rls_msd_theory,
-    rls_step,
+    rls_outer_table,
     rls_theory_report,
+    rls_update,
 )
-from graphadapt.filters import RlsState
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
-
-def draw_from_mask(mask):
-    return SamplingDraw(mask=np.asarray(mask, dtype=np.int8))
+FULL = np.ones(3, dtype=np.int8)
 
 
-def full_draw(n):
-    return draw_from_mask(np.ones(n, dtype=np.int8))
+def rls_steps(b, noise, beta, delta, masks, ys):
+    """The information pair after one rls_update per (mask, y) row, from
+    Psi = delta I, psi = 0."""
+    u = b.basis_slice
+    outer = rls_outer_table(u)
+    psi, psiv = delta * np.eye(b.size), np.zeros(b.size)
+    for mask, y in zip(masks, ys):
+        psi, psiv = rls_update(psi, psiv, mask / noise.variances, y, u, outer, beta)
+    return psi, psiv
 
 
 @pytest.fixture(scope="module")
@@ -47,64 +48,38 @@ def two_of_three():
     return SamplingProbabilities(np.array([1.0, 1.0, 0.0]))
 
 
-# ---------------------------------------------------------------- LMS state
-
-
-def test_lms_init_defaults_to_zero(path3_band):
-    state = lms_init(path3_band, step=0.1)
-    assert np.array_equal(state.estimate, np.zeros(3))
-    assert state.step == 0.1
-
-
-def test_lms_init_projects_initial_guess(path3_band):
-    state = lms_init(path3_band, step=0.1, x0=[1.0, 0.0, 0.0])
-    # B_F e_0 = u0/sqrt(3) + u1/sqrt(2) componentwise
-    expected = np.array([5.0 / 6.0, 1.0 / 3.0, -1.0 / 6.0])
-    np.testing.assert_allclose(state.estimate, expected, atol=1e-12)
-
-
-def test_lms_init_validation(path3_band):
-    with pytest.raises(ValueError):
-        lms_init(path3_band, step=0.0)
-    with pytest.raises(ValueError):
-        lms_init(path3_band, step=0.1, x0=np.ones(4))
+# ---------------------------------------------------------------- LMS kernel
 
 
 def test_lms_step_matches_dense_projector_formula(path3_band):
     rng = np.random.default_rng(7)
     u = path3_band.basis_slice
     proj = u @ u.T
-    state = lms_init(path3_band, step=0.3, x0=rng.standard_normal(3))
+    s_hat = u.T @ rng.standard_normal(3)
     for _ in range(5):
         y = rng.standard_normal(3)
         mask = (rng.random(3) < 0.6).astype(np.int8)
-        dense = state.estimate + 0.3 * proj @ (mask * (y - state.estimate))
-        state = lms_step(state, y, draw_from_mask(mask), path3_band)
-        np.testing.assert_allclose(state.estimate, dense, atol=1e-12)
+        x = u @ s_hat
+        dense = x + 0.3 * proj @ (mask * (y - x))
+        s_hat = lms_update(s_hat, mask, y, u, 0.3)
+        np.testing.assert_allclose(u @ s_hat, dense, atol=1e-12)
 
 
 def test_lms_step_unit_step_full_sampling_projects(path3_band):
     # from zero with mu = 1 and everything observed, one step lands on B_F y
     y = np.array([2.0, -1.0, 0.5])
-    state = lms_init(path3_band, step=1.0)
-    state = lms_step(state, y, full_draw(3), path3_band)
     u = path3_band.basis_slice
-    np.testing.assert_allclose(state.estimate, u @ (u.T @ y), atol=1e-12)
+    s_hat = lms_update(np.zeros(2), FULL, y, u, 1.0)
+    np.testing.assert_allclose(u @ s_hat, u @ (u.T @ y), atol=1e-12)
 
 
 def test_lms_noiseless_convergence(path3_band):
     u = path3_band.basis_slice
     x_true = u @ np.array([1.0, -2.0])
-    state = lms_init(path3_band, step=0.5)
+    s_hat = np.zeros(2)
     for _ in range(100):
-        state = lms_step(state, x_true, full_draw(3), path3_band)
-    assert np.linalg.norm(state.estimate - x_true) < 1e-12
-
-
-def test_lms_step_mask_length_check(path3_band):
-    state = lms_init(path3_band, step=0.1)
-    with pytest.raises(ValueError):
-        lms_step(state, np.zeros(3), draw_from_mask([1, 0]), path3_band)
+        s_hat = lms_update(s_hat, FULL, x_true, u, 0.5)
+    assert np.linalg.norm(u @ s_hat - x_true) < 1e-12
 
 
 # -------------------------------------------------------------- LMS theory
@@ -210,35 +185,14 @@ def test_lms_theory_report(path3_band, two_of_three, white_noise3):
 # -------------------------------------------------------------------- RLS
 
 
-def test_rls_init_state(path3_band):
-    state = rls_init(path3_band, beta=0.9, delta=1e-2)
-    np.testing.assert_allclose(state.psi_mat, 1e-2 * np.eye(2))
-    np.testing.assert_allclose(state.psi_vec, np.zeros(2))
-    assert state.beta == 0.9
-
-
-def test_rls_init_validation(path3_band):
-    for beta in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            rls_init(path3_band, beta=beta)
-    with pytest.raises(ValueError):
-        rls_init(path3_band, beta=0.9, delta=0.0)
-
-
-def test_rls_fresh_estimate_is_zero(path3_band):
-    state = rls_init(path3_band, beta=0.95)
-    np.testing.assert_allclose(rls_estimate(state, path3_band), np.zeros(3))
-
-
 def test_rls_step_frozen(path3_band, white_noise3):
-    state = rls_init(path3_band, beta=0.95, delta=1e-3)
     y = np.array([1.0, 2.0, 3.0])
-    state = rls_step(state, y, full_draw(3), white_noise3, path3_band)
+    psi, psiv = rls_steps(path3_band, white_noise3, 0.95, 1e-3, [FULL], [y])
     # Psi = 0.95 * 1e-3 I + (1/0.01) U_F^T U_F and U_F has orthonormal columns
-    np.testing.assert_allclose(state.psi_mat, (0.95e-3 + 100.0) * np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(psi, (0.95e-3 + 100.0) * np.eye(2), atol=1e-9)
     # psi = 100 * U_F^T y with U_F^T y = (6/sqrt(3), -2/sqrt(2))
     expected = 100.0 * np.array([6.0 / math.sqrt(3.0), -2.0 / math.sqrt(2.0)])
-    np.testing.assert_allclose(state.psi_vec, expected, atol=1e-9)
+    np.testing.assert_allclose(psiv, expected, atol=1e-9)
 
 
 def test_rls_matches_batch_solution():
@@ -252,13 +206,11 @@ def test_rls_matches_batch_solution():
     noise = NoiseModel(variances)
     beta, delta, steps = 0.9, 1e-3, 25
 
-    state = rls_init(b, beta=beta, delta=delta)
     history = []
     for _ in range(steps):
         mask = (rng.random(10) < 0.7).astype(np.int8)
-        y = rng.standard_normal(10) * mask
-        history.append((mask, y))
-        state = rls_step(state, y, draw_from_mask(mask), noise, b)
+        history.append((mask, rng.standard_normal(10) * mask))
+    state_mat, state_vec = rls_steps(b, noise, beta, delta, *zip(*history))
 
     u = b.basis_slice
     inv_c = np.diag(1.0 / variances)
@@ -268,42 +220,23 @@ def test_rls_matches_batch_solution():
         d = np.diag(mask.astype(float))
         psi_mat = psi_mat + beta ** (steps - 1 - t) * u.T @ d @ inv_c @ u
         psi_vec = psi_vec + beta ** (steps - 1 - t) * u.T @ d @ inv_c @ y
-    np.testing.assert_allclose(state.psi_mat, psi_mat, atol=1e-10)
-    np.testing.assert_allclose(state.psi_vec, psi_vec, atol=1e-10)
+    np.testing.assert_allclose(state_mat, psi_mat, atol=1e-10)
+    np.testing.assert_allclose(state_vec, psi_vec, atol=1e-10)
     batch = u @ np.linalg.solve(psi_mat, psi_vec)
-    np.testing.assert_allclose(rls_estimate(state, b), batch, atol=1e-8)
+    np.testing.assert_allclose(u @ np.linalg.solve(state_mat, state_vec), batch, atol=1e-8)
 
 
 def test_rls_beta_one_accumulates(path3_band, white_noise3):
     # with no forgetting and white noise, Psi = delta I + m I / sigma^2
     y = np.array([0.5, -1.0, 2.0])
-    state = rls_init(path3_band, beta=1.0, delta=1e-3)
     m = 7
-    for _ in range(m):
-        state = rls_step(state, y, full_draw(3), white_noise3, path3_band)
-    np.testing.assert_allclose(state.psi_mat, (1e-3 + m * 100.0) * np.eye(2), atol=1e-9)
+    psi, psiv = rls_steps(path3_band, white_noise3, 1.0, 1e-3, [FULL] * m, [y] * m)
+    np.testing.assert_allclose(psi, (1e-3 + m * 100.0) * np.eye(2), atol=1e-9)
     u = path3_band.basis_slice
     shrink = m * 100.0 / (1e-3 + m * 100.0)
     np.testing.assert_allclose(
-        rls_estimate(state, path3_band), shrink * (u @ (u.T @ y)), atol=1e-10
+        u @ np.linalg.solve(psi, psiv), shrink * (u @ (u.T @ y)), atol=1e-10
     )
-
-
-def test_rls_estimate_rejects_singular_information(path3_band):
-    bad = RlsState(
-        psi_mat=np.diag([1.0, 1e-13]),
-        psi_vec=np.ones(2),
-        beta=0.95,
-        regularizer=1e-3 * np.eye(2),
-    )
-    with pytest.raises(ReconstructabilityError):
-        rls_estimate(bad, path3_band)
-
-
-def test_rls_step_size_checks(path3_band, white_noise3):
-    state = rls_init(path3_band, beta=0.95)
-    with pytest.raises(ValueError):
-        rls_step(state, np.zeros(4), full_draw(4), white_noise3, path3_band)
 
 
 # ------------------------------------------------------------- RLS theory

@@ -14,8 +14,8 @@ import pytest
 import yaml
 
 import graphadapt
-from graphadapt import SamplingDraw, cli, harness
-from graphadapt.filters import lms_init, lms_step, rls_estimate, rls_init, rls_step
+import reference
+from graphadapt import cli, harness
 from graphadapt.harness import (
     DRAW_BLOCK,
     ConfigError,
@@ -24,7 +24,6 @@ from graphadapt.harness import (
     build_setup,
     compare_sampling,
     config_hash,
-    draw_blocks,
     fit_rate,
     load_config,
     resolve_sampling,
@@ -34,6 +33,7 @@ from graphadapt.harness import (
     write_curve_csv,
     write_metadata,
 )
+from graphadapt.sampling import draw_blocks
 
 
 def tiny_config():
@@ -50,6 +50,7 @@ def tiny_config():
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # a valid compare section for tiny_config()
 COMPARE = {"rate_targets": [0.98], "mu": 0.1, "msd_target_db": -20, "random_seeds": 2}
@@ -479,9 +480,26 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_benchmark_lookup_names_resolve():
+    # the benchmark wraps library functions where their callers look them
+    # up; a renamed or moved function must fail here, not in a traced run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "benchmarks"), str(root / "src"), os.environ.get("PYTHONPATH"))
+        if p))
+    probe = ("import checks, worker\n"
+             "from graphadapt import harness\n"
+             "worker.instrument(worker.Tracer())\n"
+             "worker._probe_messages(harness, [])\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def _check_against_single_trial_filters(trials):
     """The LMS and RLS curves of a 12-vertex explicit-sampling run must match
-    the single-trial filters fed with each trial's dense stream."""
+    the sequential vertex-domain recursions of ``reference`` fed with each
+    trial's dense stream."""
     cfg = tiny_config()
     cfg.update(seed=9, trials=trials, horizon=40)
     cfg["graph"] = {"kind": "random_geometric", "n": 12, "radius": 0.6}
@@ -491,18 +509,19 @@ def _check_against_single_trial_filters(trials):
     mu, beta, delta = 0.3, 0.9, 1e-2
     setup = build_setup(cfg)
     probs, _ = resolve_sampling(setup)
-    bl, x_true = setup.bandlimit, setup.x_true
+    u, x_true = setup.bandlimit.basis_slice, setup.x_true
+    inv_var, f = 1.0 / setup.noise.variances, setup.bandlimit.size
     ref_lms = np.zeros(40)
     ref_rls = np.zeros(40)
     for c in range(trials):
         masks, noise = _dense_trial_stream(setup.seed, c, 40, probs.probs, setup.noise.std)
-        lms, rls = lms_init(bl, mu), rls_init(bl, beta, delta)
+        x, psi, psiv = np.zeros(12), delta * np.eye(f), np.zeros(f)
         for t in range(40):
-            ref_lms[t] += float(np.sum((lms.estimate - x_true) ** 2))
-            ref_rls[t] += float(np.sum((rls_estimate(rls, bl) - x_true) ** 2))
-            draw, y = SamplingDraw(masks[t].astype(np.int8)), x_true + noise[t]
-            lms = lms_step(lms, y, draw, bl)
-            rls = rls_step(rls, y, draw, setup.noise, bl)
+            ref_lms[t] += float(np.sum((x - x_true) ** 2))
+            ref_rls[t] += float(np.sum((reference.rls_estimate(psi, psiv, u) - x_true) ** 2))
+            y = x_true + noise[t]
+            x = reference.lms_step(x, y, masks[t], u, mu)
+            psi, psiv = reference.rls_step(psi, psiv, y, masks[t], u, inv_var, beta)
     cfg["algorithm"] = {"kind": "lms", "mu": mu}
     np.testing.assert_allclose(run_experiment(cfg).msd_linear, ref_lms / trials, rtol=1e-10)
     cfg["algorithm"] = {"kind": "rls", "beta": beta, "delta": delta}
@@ -759,6 +778,11 @@ class TestCli:
         ("sampling.msd_target", "design",
          {"sampling": {k: v for k, v in DESIGN.items() if k != "msd_target_db"}}),
         ("sampling.mu", "design", {"sampling": dict(DESIGN, mu=0)}),
+        # communication edge lists: 3 nodes for an 8-node graph, two
+        # components, no such file
+        *(("algorithm.comm", "run-drls",
+           {"algorithm": {"kind": "drls", "beta": 0.95, "comm": str(DATA_DIR / name)}})
+          for name in ("comm_path3.txt", "comm_split8.txt", "no_such_comm.txt")),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):

@@ -28,16 +28,10 @@ import pytest
 
 from graphadapt.design import _Barrier, _Instance, _msd, _newton_step
 from graphadapt.distributed import CommGraph, DrlsConfig, drls_network_init, drls_round
+from graphadapt.filters import lms_update, rls_outer_table, rls_update
 from graphadapt.graphs import Bandlimit
-from graphadapt.harness import (
-    DRAW_BLOCK,
-    TRIAL_CHUNK,
-    draw_blocks,
-    lms_update,
-    rls_outer_table,
-    rls_update,
-)
-from graphadapt.sampling import NoiseModel
+from graphadapt.harness import DRAW_BLOCK, TRIAL_CHUNK
+from graphadapt.sampling import NoiseModel, draw_blocks
 
 N, F = 300, 20
 ROUNDS = 40

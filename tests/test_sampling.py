@@ -114,36 +114,19 @@ class TestReconstructability:
 
 
 class TestDrawsAndObservations:
-    def test_draw_matches_probabilities(self, path3_band):
+    def test_draw_matches_probabilities(self):
         # binomial check: at p=0.3 over 20000 draws the count stays within
         # 3 sigma of the mean
-        p = ga.SamplingProbabilities(probs=np.array([0.3, 0.3, 0.3]))
-        rng = np.random.default_rng(0)
-        count = sum(int(ga.draw_sampling_set(p, rng).mask.sum())
-                    for _ in range(20000))
+        probs, std = np.full(3, 0.3), np.full(3, 0.1)
+        masks, _ = next(ga.draw_blocks(0, range(1), 20000, probs, std, 60000))
+        count = int(masks.sum())
         mean, sigma = 0.3 * 60000, np.sqrt(60000 * 0.3 * 0.7)
         assert abs(count - mean) < 3 * sigma
 
-    def test_deterministic_probabilities(self, path3_band):
-        rng = np.random.default_rng(0)
-        d = ga.draw_sampling_set(ga.SamplingProbabilities.full(3), rng)
-        assert np.array_equal(d.mask, [1, 1, 1])
-        d = ga.draw_sampling_set(indicator([], 3), rng)
-        assert np.array_equal(d.mask, [0, 0, 0])
-
-    def test_observe_masks_unsampled_vertices(self, white_noise3):
-        draw = ga.SamplingDraw(mask=np.array([1, 0, 1], dtype=np.int8))
-        rng = np.random.default_rng(1)
-        y = ga.observe(np.array([5.0, 5.0, 5.0]), draw, white_noise3, rng)
-        assert y[1] == 0.0
-        assert y[0] != 0.0 and y[2] != 0.0
-
     def test_observe_noise_variance(self, white_noise3):
-        draw = ga.SamplingDraw(mask=np.ones(3, dtype=np.int8))
-        rng = np.random.default_rng(2)
-        resid = np.array([ga.observe(np.zeros(3), draw, white_noise3, rng)
-                          for _ in range(4000)])
-        assert np.allclose(resid.var(axis=0), 0.01, rtol=0.15)
+        _, noise = next(ga.draw_blocks(2, range(1), 4000, np.ones(3), white_noise3.std,
+                                       12000))
+        assert np.allclose(noise[0].var(axis=0), 0.01, rtol=0.15)
 
 
 class TestLeverageScores:
