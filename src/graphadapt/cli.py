@@ -2,8 +2,8 @@
 
 Every subcommand reads one YAML config and writes CSV (plus a JSON metadata
 sidecar for runs) into --out.  Exit status is 0 on success and 2 on any
-configuration, feasibility, or input-format problem, with a diagnostic on
-stderr.
+invalid config value, with ``error: <field>: ...`` on stderr (the config
+file itself stands in for the field when it cannot be read).
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import sys
 
 import numpy as np
 
-from .design import InfeasibleDesignError
 from .filters import lms_theory_report, rls_theory_report
-from .graphs import GraphFormatError, save_edge_list
+from .graphs import save_edge_list
 from .harness import (
     ConfigError,
     build_graph,
     build_setup,
     compare_sampling,
+    config_field,
     load_config,
     resolve_sampling,
     run_experiment,
@@ -34,7 +34,6 @@ from .harness import (
     write_per_node_csv,
     write_trace_csv,
 )
-from .sampling import ReconstructabilityError
 
 _RUN_COMMANDS = {"run-lms": "lms", "run-rls": "rls", "run-drls": "drls"}
 
@@ -98,7 +97,8 @@ def _run(args) -> int:
         probs, _ = resolve_sampling(setup)
         kind, param = theory_parameter(setup.config)
         theory = lms_theory_report if kind == "lms" else rls_theory_report
-        report = theory(probs, param, setup.noise, setup.bandlimit)
+        with config_field("sampling"):
+            report = theory(probs, param, setup.noise, setup.bandlimit)
         rows = [("msd_linear", report.msd), ("msd_db", report.msd_db)]
         if report.rate is not None:
             rows.append(("convergence_rate", report.rate))
@@ -146,11 +146,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, InfeasibleDesignError, ReconstructabilityError,
-            GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

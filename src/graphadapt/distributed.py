@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Bandlimit, Graph, connected_components, load_edge_list
+from .graphs import Bandlimit, Graph, connected_components
 from .sampling import NoiseModel
 
 
@@ -93,10 +93,6 @@ class CommGraph:
         if n < 3:
             raise ValueError("a ring needs at least three nodes")
         return cls(tuple(((i - 1) % n, (i + 1) % n) for i in range(n)))
-
-    @classmethod
-    def load(cls, path) -> "CommGraph":
-        return cls.from_graph(load_edge_list(path))
 
 
 @dataclass(frozen=True)
@@ -160,17 +156,16 @@ def _penalized(psi: np.ndarray, comm: CommGraph, rho: float) -> np.ndarray:
 
 def drls_local_update(psi: np.ndarray, psiv: np.ndarray, alpha: np.ndarray,
                       estimates: np.ndarray, comm: CommGraph, rho: float,
-                      penalized: np.ndarray = None) -> np.ndarray:
+                      penalized: np.ndarray) -> np.ndarray:
     """Closed-form minimizers of every node's local augmented Lagrangian,
     one batched solve:
     s_i = (Psi_i + rho d_i I)^{-1} [psi_i + rho sum_{j in N_i} s_j - alpha_i / 2].
 
-    ``penalized`` holds the matrices Psi_i + rho d_i I when the caller has
-    built them already: they do not change between the inner iterations of
-    one instant.  Every array may carry leading trial axes.
+    ``penalized`` holds the matrices Psi_i + rho d_i I, built once per
+    instant by ``_penalized`` (they do not change between its inner
+    iterations), so ``psi`` itself is not read.  Every array may carry
+    leading trial axes.
     """
-    if penalized is None:
-        penalized = _penalized(psi, comm, rho)
     rhs = psiv + rho * (comm.adjacency @ estimates) - 0.5 * alpha
     return np.linalg.solve(penalized, rhs[..., None])[..., 0]
 

@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .filters import (
 from .graphs import (
     Bandlimit,
     Graph,
+    GraphFormatError,
     build_laplacian,
     connected_components,
     eigendecompose,
@@ -43,6 +45,7 @@ from .graphs import (
 )
 from .sampling import (
     NoiseModel,
+    ReconstructabilityError,
     SamplingProbabilities,
     draw_blocks,
     leverage_score_probabilities,
@@ -135,16 +138,23 @@ def _real(cfg: dict, section: str, key: str, default=None, high: float = math.in
     return val
 
 
+# what the library raises on a bad input value, besides a plain ValueError
+_INPUT_ERRORS = (OSError, design_mod.InfeasibleDesignError, ReconstructabilityError,
+                 GraphFormatError)
+
+
 @contextlib.contextmanager
-def _domain(name: str):
-    """Report a plain ValueError raised on a config value as an error of the
-    field ``name``; its subclasses (ConfigError, infeasibility) pass through."""
+def config_field(name: str):
+    """Report an OSError, a plain ValueError or a library input error raised
+    on a config value as a ConfigError of the field ``name``; every other
+    exception passes through, np.linalg.LinAlgError (a ValueError) too."""
     try:
         yield
-    except ValueError as exc:
-        if type(exc) is not ValueError:
+    except (OSError, ValueError) as exc:
+        if type(exc) is not ValueError and not isinstance(exc, _INPUT_ERRORS):
             raise
-        raise ConfigError(f"{name}: {exc}") from exc
+        detail = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        raise ConfigError(f"{name}: {detail}") from exc
 
 
 def _get(cfg: dict, key: str, default=None):
@@ -175,16 +185,14 @@ def build_graph(config: dict) -> Graph:
         raise ConfigError("graph: section is missing")
     kind = _need(gcfg, "graph", "kind", str)
     if kind == "edge_list":
-        return load_edge_list(_need(gcfg, "graph", "path", str))
+        path = _need(gcfg, "graph", "path", str)
+        with config_field("graph.path"):
+            return load_edge_list(path)
     if kind != "random_geometric":
         raise ConfigError(f"graph.kind: unknown kind {kind!r}")
     n = _count(gcfg, "graph", "n", low=2)
     radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
     seed = _count(gcfg, "graph", "seed", config.get("seed", 0), low=0)
-    if not gcfg.get("ensure_connected", True):
-        return random_geometric_graph(n, radius, seed)
-    import warnings
-
     for offset in range(200):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -209,7 +217,7 @@ def build_setup(config: dict) -> Setup:
     if not isinstance(bcfg, dict):
         raise ConfigError("bandlimit: section is missing")
     if "indices" in bcfg:
-        with _domain("bandlimit.indices"):
+        with config_field("bandlimit.indices"):
             bl = Bandlimit.from_indices(basis, bcfg["indices"])
     else:
         size = _count(bcfg, "bandlimit", "size")
@@ -227,7 +235,7 @@ def build_setup(config: dict) -> Setup:
         vals = _need(ncfg, "noise", "values", list)
         if len(vals) != graph.n:
             raise ConfigError(f"noise.values: expected {graph.n} entries, got {len(vals)}")
-        with _domain("noise.values"):
+        with config_field("noise.values"):
             noise = NoiseModel(variances=np.asarray(vals, dtype=float))
     elif nkind == "loguniform":
         low = float(_need(ncfg, "noise", "low", (int, float)))
@@ -254,6 +262,16 @@ def build_setup(config: dict) -> Setup:
     )
 
 
+def _msd_target(cfg: dict, section: str) -> tuple:
+    """The section's MSD target, given in dB as ``msd_target_db`` or linear
+    as ``msd_target``: (field name, linear value or None if neither is set)."""
+    if "msd_target_db" in cfg:
+        db = _need(cfg, section, "msd_target_db", (int, float))
+        return _name(section, "msd_target_db"), 10.0 ** (db / 10.0)
+    name = _name(section, "msd_target")
+    return name, _real(cfg, section, "msd_target") if "msd_target" in cfg else None
+
+
 def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
     """The design problem of the sampling section.  Every field in
     ``needs`` must be given, and a rejected value names its field."""
@@ -268,11 +286,7 @@ def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
         name = f"sampling.{key}" if key in scfg or fallback is None else f"algorithm.{key}"
         fields.append((key, name, number(key, fallback)))
     fields.append(("rate_target", "sampling.rate_target", number("rate_target")))
-    if "msd_target_db" in scfg:
-        fields.append(("msd_target", "sampling.msd_target_db",
-                       10.0 ** (number("msd_target_db") / 10.0)))
-    else:
-        fields.append(("msd_target", "sampling.msd_target", number("msd_target")))
+    fields.append(("msd_target", *_msd_target(scfg, "sampling")))
     fields.append(("budget", "sampling.budget", number("budget")))
     kwargs = {}
     for key, name, value in fields:
@@ -280,7 +294,7 @@ def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
             raise ConfigError(f"{name}: required field is missing")
         kwargs[key] = value
         # the spec checks its fields together, so add them one at a time
-        with _domain(name):
+        with config_field(name):
             spec = design_mod.DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise, **kwargs)
     return spec
 
@@ -312,7 +326,7 @@ def resolve_sampling(setup: Setup):
         p = _need(scfg, "sampling", "p", list)
         if len(p) != n:
             raise ConfigError(f"sampling.p: expected {n} entries, got {len(p)}")
-        with _domain("sampling.p"):
+        with config_field("sampling.p"):
             return SamplingProbabilities(probs=np.asarray(p, dtype=float)), None
     if kind == "design":
         problem = _need(scfg, "sampling", "problem", str)
@@ -323,7 +337,7 @@ def resolve_sampling(setup: Setup):
             )
         solve, needs = _DESIGN_PROBLEMS[problem]
         spec = _design_spec(setup, scfg, needs)
-        with _domain("sampling"):
+        with config_field("sampling"):
             return solve(spec)
     if kind == "strategy":
         name = _need(scfg, "sampling", "strategy", str)
@@ -333,7 +347,7 @@ def resolve_sampling(setup: Setup):
         if name == "leverage":
             return leverage_score_probabilities(setup.bandlimit, m), None
         if name == "max_det":
-            chosen = max_det_greedy(setup.bandlimit, m, setup.noise)
+            chosen = max_det_greedy(setup.bandlimit, m)
             return SamplingProbabilities.from_support(chosen, n), None
         if name == "uniform":
             chosen = uniform_random_set(n, m, np.random.default_rng([setup.seed, 303]))
@@ -439,20 +453,16 @@ def _run_rls_mc(setup: Setup, probs: SamplingProbabilities, beta: float,
 
 def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
     comm = acfg.get("comm", "processing")
-    if comm == "processing":
-        return CommGraph.from_graph(setup.graph)
-    if comm == "complete":
-        return CommGraph.complete(setup.graph.n)
-    if comm == "ring":
-        return CommGraph.ring(setup.graph.n)
-    if not isinstance(comm, str):
-        raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
-    try:
-        graph = CommGraph.load(comm)
-    except OSError as exc:
-        raise ConfigError(f"algorithm.comm: {comm}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # malformed (the message names the line) or disconnected
-        raise ConfigError(f"algorithm.comm: {exc}") from exc
+    with config_field("algorithm.comm"):
+        if comm == "processing":
+            return CommGraph.from_graph(setup.graph)
+        if comm == "complete":
+            return CommGraph.complete(setup.graph.n)
+        if comm == "ring":
+            return CommGraph.ring(setup.graph.n)
+        if not isinstance(comm, str):
+            raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
+        graph = CommGraph.from_graph(load_edge_list(comm))
     if graph.n != setup.graph.n:
         raise ConfigError(f"algorithm.comm: {comm} has {graph.n} nodes, "
                           f"the graph has {setup.graph.n}")
@@ -511,31 +521,31 @@ def run_experiment(config: dict) -> LearningCurve:
         "horizon": setup.horizon,
         "sampling_rate": float(probs.probs.sum()),
     }
+    # the theory fails only on the sampling pattern (rank deficient)
+    with config_field("sampling"):
+        if kind == "lms":
+            theory = lms_msd_theory(probs, param, setup.noise, setup.bandlimit)
+            meta["theory_rate"] = lms_rate_theory(probs, param, setup.bandlimit)
+            meta["step_bound"] = lms_step_bound(probs, setup.bandlimit)
+        else:
+            theory = rls_msd_theory(probs, param, setup.noise, setup.bandlimit)
     per_node = None
     if kind == "lms":
-        mu = param
-        theory = lms_msd_theory(probs, mu, setup.noise, setup.bandlimit)
-        meta["theory_rate"] = lms_rate_theory(probs, mu, setup.bandlimit)
-        meta["step_bound"] = lms_step_bound(probs, setup.bandlimit)
-        diverged = (f"algorithm.mu: the learning curve diverged; mu = {mu:g}, "
+        diverged = (f"algorithm.mu: the learning curve diverged; mu = {param:g}, "
                     f"step_bound = {meta['step_bound']:.6g}")
-        curve = _run_lms_mc(setup, probs, mu)
+        curve = _run_lms_mc(setup, probs, param)
     elif kind == "rls":
-        beta = param
         delta = _real(acfg, "algorithm", "delta", 1e-3)
-        theory = rls_msd_theory(probs, beta, setup.noise, setup.bandlimit)
         diverged = "algorithm: the learning curve diverged"
-        curve = _run_rls_mc(setup, probs, beta, delta)
+        curve = _run_rls_mc(setup, probs, param, delta)
     else:  # drls
-        beta = param
         cfg = DrlsConfig(
             rho=_real(acfg, "algorithm", "rho", 1.0),
             inner_iters=_count(acfg, "algorithm", "inner_iters", 1),
-            beta=beta,
+            beta=param,
             delta=_real(acfg, "algorithm", "delta", 1e-3),
         )
         comm = _comm_from_config(setup, acfg)
-        theory = rls_msd_theory(probs, beta, setup.noise, setup.bandlimit)
         diverged = (f"algorithm.rho: the learning curve diverged; rho = {cfg.rho:g}, "
                     "lower it or raise inner_iters")
         curve, per_node = _run_drls_mc(setup, probs, cfg, comm)
@@ -621,15 +631,14 @@ def compare_sampling(config: dict) -> list:
         if not 0.0 < _typed("compare.rate_targets", alpha, (int, float)) < 1.0:
             raise ConfigError(f"compare.rate_targets: each must lie in (0, 1), got {alpha:g}")
     mu = _real(ccfg, "compare", "mu")
-    if "msd_target_db" in ccfg:
-        gamma = 10.0 ** (_need(ccfg, "compare", "msd_target_db", (int, float)) / 10.0)
-    else:
-        gamma = _real(ccfg, "compare", "msd_target")
+    name, gamma = _msd_target(ccfg, "compare")
+    if gamma is None:
+        raise ConfigError(f"{name}: required field is missing")
     seeds = _count(ccfg, "compare", "random_seeds", 200)
 
     bl, noise = setup.bandlimit, setup.noise
     n = setup.graph.n
-    ordered = {"max_det": _prefix_stats(bl, noise, max_det_greedy(bl, n, noise)),
+    ordered = {"max_det": _prefix_stats(bl, noise, max_det_greedy(bl, n)),
                "leverage": _prefix_stats(bl, noise,
                                          np.argsort(-leverage_scores(bl), kind="stable"))}
     rng = np.random.default_rng(setup.seed)
@@ -643,13 +652,13 @@ def compare_sampling(config: dict) -> list:
     rows = []
     for alpha in targets:
         alpha = float(alpha)
-        lam_t = (1.0 - alpha) / (2.0 * mu)
-        with _domain("compare.p_max"):
+        with config_field("compare.p_max"):
             spec = design_mod.DesignSpec(
                 bandlimit=bl, noise=noise, mu=mu,
                 rate_target=alpha, msd_target=gamma,
                 bounds=ccfg.get("p_max"),
             )
+        lam_t = spec.lambda_target()
         try:
             designed, _ = design_mod.solve_min_rate_convex(spec)
             designed_rate = float(designed.probs.sum())
@@ -741,6 +750,7 @@ __all__ = [
     "build_graph",
     "build_setup",
     "compare_sampling",
+    "config_field",
     "config_hash",
     "fit_rate",
     "load_config",

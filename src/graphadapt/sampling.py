@@ -204,7 +204,7 @@ def _pick(score: np.ndarray) -> int:
     return int(np.flatnonzero(score >= best - _TIE_RTOL * abs(best))[0])
 
 
-def max_det_greedy(b: Bandlimit, m: int, noise: NoiseModel = None) -> np.ndarray:
+def max_det_greedy(b: Bandlimit, m: int) -> np.ndarray:
     """Greedy vertex selection maximizing det(U_F^T D_S U_F), in O(m n |F|).
 
     Each pick multiplies the determinant (by the determinant lemma) by the
@@ -216,9 +216,7 @@ def max_det_greedy(b: Bandlimit, m: int, noise: NoiseModel = None) -> np.ndarray
     A candidate already in that span scores 0.  From |F| rows on, the score
     is 1 + u_i^T G^{-1} u_i, with G^{-1} kept by Sherman-Morrison updates.
     Returned in selection order, so prefixes of the result are the greedy
-    sets of every smaller size.  The noise model does not enter the score;
-    the parameter is accepted for interface uniformity with the other
-    strategies.
+    sets of every smaller size.
     """
     if not 0 <= m <= b.n:
         raise ValueError(f"target size m={m} out of range for n={b.n}")

@@ -23,6 +23,7 @@ from graphadapt import (
     rls_outer_table,
     rls_update,
 )
+from graphadapt.distributed import _penalized
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
 
@@ -174,7 +175,7 @@ def test_local_update_is_stationary_point():
         psiv = rng.standard_normal((n, f))
         alpha = rng.standard_normal((n, f))
         old = rng.standard_normal((n, f))
-        s = drls_local_update(psi, psiv, alpha, old, comm, rho)
+        s = drls_local_update(psi, psiv, alpha, old, comm, rho, _penalized(psi, comm, rho))
         for i in range(n):
             grad = psi[i] @ s[i] - psiv[i] + 0.5 * alpha[i]
             for j in comm.neighbor_sets[i]:
@@ -190,7 +191,8 @@ def test_local_update_fixed_point():
     s_star = rng.standard_normal(f)
     psi = np.stack([random_spd(f, rng) for _ in range(n)])
     estimates = np.tile(s_star, (n, 1))
-    s = drls_local_update(psi, psi @ s_star, np.zeros((n, f)), estimates, comm, rho=12.0)
+    s = drls_local_update(psi, psi @ s_star, np.zeros((n, f)), estimates, comm, 12.0,
+                          _penalized(psi, comm, 12.0))
     np.testing.assert_allclose(s, estimates, atol=1e-12)
 
 

@@ -783,6 +783,17 @@ class TestCli:
         *(("algorithm.comm", "run-drls",
            {"algorithm": {"kind": "drls", "beta": 0.95, "comm": str(DATA_DIR / name)}})
           for name in ("comm_path3.txt", "comm_split8.txt", "no_such_comm.txt")),
+        # graph edge lists: no such file, a directory, a malformed file
+        *(("graph.path", "run-lms", {"graph": {"kind": "edge_list", "path": str(path)}})
+          for path in (DATA_DIR / "no_such_graph.txt", DATA_DIR,
+                       DATA_DIR / "graph_malformed.txt")),
+        ("algorithm.comm", "run-drls",
+         {"graph": {"kind": "random_geometric", "n": 2, "radius": 0.8},
+          "bandlimit": {"size": 1}, "algorithm": {"kind": "drls", "beta": 0.95, "comm": "ring"}}),
+        # one sampled vertex cannot reconstruct three frequencies
+        *(("sampling", command, {"sampling": {"kind": "explicit", "p": [1, 0, 0, 0, 0, 0, 0, 0]}})
+          for command in ("run-lms", "theory")),
+        ("sampling", "design", {"sampling": dict(DESIGN, msd_target_db=-80)}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -840,13 +851,13 @@ class TestCli:
         initial = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1, max_rows=1)[1]
         assert 10.0 ** (meta["steady_state_db"] / 10.0) > initial
 
-    def test_infeasible_design_exits_2(self, tmp_path, capsys):
-        cfg = tiny_config()
-        cfg["sampling"] = {
-            "kind": "design", "problem": "rls", "beta": 0.95,
-            "msd_target_db": -80,
-        }
-        code = cli.main(["design", "--config", dump(tmp_path, cfg),
-                         "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_linalg_error_in_the_design_solve_propagates(self, tmp_path, monkeypatch):
+        # a LinAlgError is a ValueError, but a numerical failure, not a bad value
+        def solve(spec):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(harness._DESIGN_PROBLEMS, "min_rate_convex",
+                            (solve, harness._DESIGN_PROBLEMS["min_rate_convex"][1]))
+        cfg = dict(tiny_config(), sampling=DESIGN)
+        with pytest.raises(np.linalg.LinAlgError):
+            cli.main(["design", "--config", dump(tmp_path, cfg), "--out", str(tmp_path / "out")])
