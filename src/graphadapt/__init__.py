@@ -12,14 +12,12 @@ from .graphs import (
     Graph,
     GraphFormatError,
     SpectralBasis,
-    bandlimit_projector,
     build_laplacian,
     connected_components,
     eigendecompose,
     load_edge_list,
     random_geometric_graph,
     save_edge_list,
-    synthesize,
 )
 from .sampling import (
     NoiseModel,
@@ -28,7 +26,6 @@ from .sampling import (
     draw_blocks,
     leverage_score_probabilities,
     leverage_scores,
-    localization_norm,
     max_det_greedy,
     reconstructability_lambda,
     uniform_random_set,
@@ -52,11 +49,8 @@ from .design import (
     InfeasibleDesignError,
     SolverTrace,
     dinkelbach_min_msd,
-    lambda_min_subgradient,
-    msd_gradient,
     sca_min_msd,
     sca_min_rate,
-    sca_msd_surrogate,
     solve_min_rate_convex,
     solve_rls_design,
 )
@@ -99,7 +93,6 @@ __all__ = [
     "SolverTrace",
     "SpectralBasis",
     "TheoryReport",
-    "bandlimit_projector",
     "build_laplacian",
     "build_setup",
     "compare_sampling",
@@ -113,7 +106,6 @@ __all__ = [
     "drls_simulate",
     "eigendecompose",
     "fit_rate",
-    "lambda_min_subgradient",
     "leverage_score_probabilities",
     "leverage_scores",
     "lms_msd_theory",
@@ -124,9 +116,7 @@ __all__ = [
     "lms_update",
     "load_config",
     "load_edge_list",
-    "localization_norm",
     "max_det_greedy",
-    "msd_gradient",
     "random_geometric_graph",
     "reconstructability_lambda",
     "rls_msd_theory",
@@ -137,10 +127,8 @@ __all__ = [
     "save_edge_list",
     "sca_min_msd",
     "sca_min_rate",
-    "sca_msd_surrogate",
     "solve_min_rate_convex",
     "solve_rls_design",
-    "synthesize",
     "uniform_random_set",
     "weighted_gram",
 ]

@@ -23,8 +23,9 @@ until the duality-gap bound m/t reaches ``GAP``, m being the degree of the
 barrier.  On the convex programs that bounds the distance to the optimum.
 The exact MSD is not convex.  Its Newton steps take the exact Hessian
 wherever the Newton matrix is positive definite, and otherwise fall back on
-the curvature of the SCA surrogate of :func:`sca_msd_surrogate` anchored at
-the current point, which is positive semidefinite.
+the curvature mu K o L, the Schur product of K = U_F H(p)^-1 U_F^T and
+L = U_F H(p)^-1 G(p) H(p)^-1 U_F^T with G(p) = U_F^T diag(p sigma^2) U_F.
+Both factors are positive semidefinite, so their Schur product is too.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import _gram, _lms_msd, _rls_trace_inverse, _singular
+from .filters import _lms_msd, _rls_trace_inverse
 from .graphs import Bandlimit
-from .sampling import NoiseModel, SamplingProbabilities, ReconstructabilityError
+from .sampling import NoiseModel, SamplingProbabilities, leverage_scores, weighted_gram
 
 TRUNCATE_TOL = 1e-9
 GAP = 1e-9              # duality-gap bound m/t at which a barrier run stops
@@ -136,90 +137,21 @@ class SolverTrace:
 
 class _Instance:
     def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
+        self.b = b
         self.u = b.basis_slice
         self.n, self.f = self.u.shape
         self.ub = ub
         self.sig2 = noise.variances
-        self.row2 = (self.u ** 2).sum(axis=1)
-        self.g_lin = self.sig2 * self.row2     # gradient of Tr G(p)
+        self.g_lin = self.sig2 * leverage_scores(b)     # gradient of Tr G(p)
 
     def h_eig(self, p):
-        return np.linalg.eigh(_gram(self.u, p))
+        return np.linalg.eigh(weighted_gram(self.b, p))
 
     def lam_min(self, p):
-        return float(np.linalg.eigvalsh(_gram(self.u, p))[0])
+        return float(np.linalg.eigvalsh(weighted_gram(self.b, p))[0])
 
     def tr_g(self, p):
         return float(self.g_lin @ p)
-
-    def exact_msd(self, p, mu, derivs=False):
-        """The MSD of :func:`filters._lms_msd`: inf where H(p) is singular,
-        with ``derivs`` (value, gradient, Hessian, excess); the excess lifts
-        the Hessian to the PSD curvature of :func:`sca_msd_surrogate`
-        anchored at p."""
-        return _lms_msd(self.u, self.sig2, p, mu, derivs)
-
-
-def _as_probs(p, n):
-    if isinstance(p, SamplingProbabilities):
-        arr = p.probs
-    else:
-        arr = np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a length-{n} probability vector")
-    return arr
-
-
-def msd_gradient(p, mu, noise: NoiseModel, b: Bandlimit) -> np.ndarray:
-    """Gradient of the steady-state MSD prediction with respect to p.
-
-    Component i is (mu/2) [sigma_i^2 u_i^T H^{-1} u_i - u_i^T H^{-1} G H^{-1} u_i].
-    """
-    if mu <= 0:
-        raise ValueError("step size mu must be positive")
-    out = _lms_msd(b.basis_slice, noise.variances, _as_probs(p, b.n), mu, derivs=True)
-    if out == math.inf:
-        raise ReconstructabilityError("msd_gradient: Gram matrix is singular")
-    return out[1]
-
-
-def lambda_min_subgradient(p, b: Bandlimit) -> np.ndarray:
-    """Supergradient of lambda_min(U_F^T diag(p) U_F): component i is
-    (v^T u_i)^2 for a unit eigenvector v of the smallest eigenvalue."""
-    u = b.basis_slice
-    _, vecs = np.linalg.eigh(_gram(u, _as_probs(p, b.n)))
-    return (u @ vecs[:, 0]) ** 2
-
-
-def sca_msd_surrogate(p, anchor, mu, noise: NoiseModel, b: Bandlimit, tau: float = 1e-6):
-    """Partially linearized MSD surrogate of the SCA method.
-
-    Returns (value, gradient) at ``p`` for the anchor point ``z``:
-    (tau/2)||p-z||^2 + (mu/2) Tr[H(z)^{-1} G(p)] + (mu/2) Tr[H(p)^{-1} G(z)].
-    At p = z the value is exactly twice the MSD and the gradient coincides
-    with :func:`msd_gradient`.  Its Hessian there, mu K o L, is the PSD
-    curvature the exact-MSD solvers fall back on where the exact Hessian
-    leaves the Newton matrix indefinite (see :meth:`_Instance.exact_msd`).
-    """
-    inst = _Instance(b, noise, np.ones(b.n))
-    p, z = _as_probs(p, b.n), _as_probs(anchor, b.n)
-    vals_z, vecs_z = inst.h_eig(z)
-    if _singular(vals_z):
-        raise ReconstructabilityError("sca_msd_surrogate: singular Gram at the anchor")
-    kz = vecs_z @ ((vecs_z.T @ inst.u.T) / vals_z[:, None])
-    lin = 0.5 * mu * inst.sig2 * np.einsum("nf,fn->n", inst.u, kz)
-    g_z = _gram(inst.u, z * inst.sig2)
-
-    vals, vecs = inst.h_eig(p)
-    vals_f = np.maximum(vals, 1e-12 * max(vals[-1], 1.0))
-    core = vecs.T @ g_z @ vecs
-    val2 = 0.5 * mu * float((np.diag(core) / vals_f).sum())
-    k = vecs @ ((vecs.T @ inst.u.T) / vals_f[:, None])     # H(p)^{-1} U_F^T
-    grad2 = -0.5 * mu * np.einsum("fn,fn->n", k, g_z @ k)
-
-    d = p - z
-    value = 0.5 * tau * float(d @ d) + float(lin @ p) + val2
-    return value, tau * d + lin + grad2
 
 
 def _less(evaluate, offset):
@@ -232,13 +164,14 @@ def _less(evaluate, offset):
 
 
 def _msd(inst, mu, offset=0.0):
-    """The exact MSD of :meth:`_Instance.exact_msd` less ``offset``."""
-    return _less(lambda p, derivs: inst.exact_msd(p, mu, derivs), offset)
+    """The exact MSD of :func:`filters._lms_msd` less ``offset``: inf where
+    H(p) is singular, with ``derivs`` (value, gradient, Hessian, excess)."""
+    return _less(lambda p, derivs: _lms_msd(inst.b, inst.sig2, p, mu, derivs), offset)
 
 
 def _trace_inverse(inst, offset):
     """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}] less ``offset``, inf where singular."""
-    return _less(lambda p, derivs: _rls_trace_inverse(inst.u, inst.sig2, p, derivs), offset)
+    return _less(lambda p, derivs: _rls_trace_inverse(inst.b, inst.sig2, p, derivs), offset)
 
 
 def _truncate(p):
@@ -478,11 +411,17 @@ def _interior(inst, lmis, budget):
 
 
 def _start(prog, center, initial):
-    """``center``, or ``initial`` clipped to the box and pulled strictly
-    inside ``prog``'s domain by mixing in a little of ``center``."""
+    """``center``, or ``initial`` (probabilities or a vector) clipped to the
+    box and pulled strictly inside ``prog``'s domain by mixing in a little
+    of ``center``."""
     if initial is None:
         return center
-    q = np.clip(_as_probs(initial, prog.inst.n), 0.0, prog.inst.ub)
+    if isinstance(initial, SamplingProbabilities):
+        initial = initial.probs
+    q = np.asarray(initial, dtype=float)
+    if q.shape != (prog.inst.n,):
+        raise ValueError(f"expected a length-{prog.inst.n} probability vector")
+    q = np.clip(q, 0.0, prog.inst.ub)
     p = (1.0 - _PULL) * q + _PULL * center
     if not math.isfinite(prog(p[prog.free])):
         raise InfeasibleDesignError("the initial point is infeasible")
@@ -545,11 +484,12 @@ def solve_min_rate_convex(spec: DesignSpec):
     """
     inst, lam_t, rate, bound, center = _min_rate_setup(spec, "solve_min_rate_convex")
     mu, gamma = spec.mu, spec.msd_target
+    msd = _msd(inst, mu)
 
     def entry(p):
         lam = inst.lam_min(p)
         residual = max(lam_t - lam, 0.5 * mu * inst.tr_g(p) - gamma * lam, 0.0)
-        return p.sum(), residual, inst.exact_msd(p, mu)
+        return p.sum(), residual, msd(p)
 
     return _run(_Barrier(inst, [rate, bound], objective=np.ones(inst.n)), center, entry)
 
@@ -559,8 +499,8 @@ def sca_min_rate(spec: DesignSpec, initial=None):
     MSD constraint MSD(p) <= gamma.
 
     One barrier run on the exact MSD, whose Newton steps fall back on the
-    SCA surrogate's curvature where the exact Hessian leaves the Newton
-    matrix indefinite.  It starts inside the convex bound's feasible set,
+    PSD curvature mu K o L where the exact Hessian leaves the Newton matrix
+    indefinite.  It starts inside the convex bound's feasible set,
     which lies inside the exact one, or at ``initial`` pulled strictly
     inside.
     """
@@ -611,13 +551,13 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None):
     """
     inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach_min_msd")
     mu = spec.mu
+    msd = _msd(inst, mu)
     epigraph = (np.zeros(inst.n), 0.0, 1.0)
     trace = SolverTrace()
 
     def record(q):
         lam = inst.lam_min(q)
-        trace.record(0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0),
-                     inst.exact_msd(q, mu))
+        trace.record(0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0), msd(q))
 
     p = start = _start(_Barrier(inst, [rate], budget=spec.budget), center, initial)
     record(p)
@@ -644,9 +584,8 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None):
 
 def sca_min_msd(spec: DesignSpec, initial=None):
     """Minimize the exact MSD over the rate-and-budget feasible set: one
-    barrier run whose Newton steps fall back on the curvature of the SCA
-    surrogate of :func:`sca_msd_surrogate` where the exact Hessian leaves
-    the Newton matrix indefinite."""
+    barrier run whose Newton steps fall back on the PSD curvature mu K o L
+    where the exact Hessian leaves the Newton matrix indefinite."""
     inst, lam_t, rate, center = _min_msd_setup(spec, "sca_min_msd")
     msd = _msd(inst, spec.mu)
 

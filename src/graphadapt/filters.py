@@ -23,6 +23,7 @@ from .sampling import (
     NoiseModel,
     ReconstructabilityError,
     SamplingProbabilities,
+    reconstructability_lambda,
     weighted_gram,
 )
 
@@ -69,37 +70,32 @@ def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 # closed-form evaluators, shared with the design solvers
 
-def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """U_F^T diag(w) U_F, symmetrized, with no checks."""
-    m = u.T @ (w[:, None] * u)
-    return (m + m.T) / 2.0
-
-
 def _singular(vals: np.ndarray) -> bool:
     """Whether a Gram matrix with ascending eigenvalues ``vals`` is
     numerically singular: lambda_min <= 1e-12 max(lambda_max, 1)."""
     return vals[0] <= 1e-12 * max(vals[-1], 1.0)
 
 
-def _lms_msd(u, sig2, p, mu, derivs=False):
+def _lms_msd(b, sig2, p, mu, derivs=False):
     """The LMS MSD (mu/2) Tr[H(p)^-1 G(p)], H(p) = U^T diag(p) U and
-    G(p) = U^T diag(p sigma^2) U; inf where H(p) is singular.
+    G(p) = U^T diag(p sigma^2) U over the basis U of bandlimit ``b``; inf
+    where H(p) is singular.
 
     With ``derivs`` it returns (value, gradient, Hessian, excess), all from
     one eigendecomposition of H(p).  With K = U H^-1 U^T and
     L = U H^-1 G H^-1 U^T the gradient is (mu/2)(sigma^2 o diag K - diag L)
     and the Hessian mu K o L - E, E_ij = (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2.
-    The Hessian is indefinite in general; the excess E lifts it to the PSD
-    curvature mu K o L of the SCA surrogate anchored at p.
+    The Hessian is indefinite in general; the excess E lifts it to the
+    curvature mu K o L, the Schur product of two PSD matrices and so PSD.
     """
-    vals, vecs = np.linalg.eigh(_gram(u, p))
+    vals, vecs = np.linalg.eigh(weighted_gram(b, p))
     if _singular(vals):
         return math.inf
-    core = vecs.T @ _gram(u, p * sig2) @ vecs
+    core = vecs.T @ weighted_gram(b, p * sig2) @ vecs
     value = 0.5 * mu * float((np.diag(core) / vals).sum())
     if not derivs:
         return value
-    q = u @ vecs
+    q = b.basis_slice @ vecs
     r = q / vals                            # U H^-1 in the eigenbasis
     k = r @ q.T
     l = r @ core @ r.T
@@ -108,18 +104,19 @@ def _lms_msd(u, sig2, p, mu, derivs=False):
     return value, grad, mu * k * l - excess, excess
 
 
-def _rls_trace_inverse(u, sig2, p, derivs=False):
-    """Tr[M(p)^-1], M(p) = U^T diag(p / sigma^2) U, inf where M(p) is
-    singular; with ``derivs`` (value, gradient, Hessian, 0.0), the function
-    being convex.  The value alone takes no eigenvectors."""
-    m = _gram(u, p / sig2)
+def _rls_trace_inverse(b, sig2, p, derivs=False):
+    """Tr[M(p)^-1], M(p) = U^T diag(p / sigma^2) U over the basis U of
+    bandlimit ``b``, inf where M(p) is singular; with ``derivs`` (value,
+    gradient, Hessian, 0.0), the function being convex.  The value alone
+    takes no eigenvectors."""
+    m = weighted_gram(b, p / sig2)
     vals, vecs = np.linalg.eigh(m) if derivs else (np.linalg.eigvalsh(m), None)
     if _singular(vals):
         return math.inf
     value = float((1.0 / vals).sum())
     if not derivs:
         return value
-    q = (u @ vecs) / np.sqrt(sig2)[:, None]
+    q = (b.basis_slice @ vecs) / np.sqrt(sig2)[:, None]
     k1 = (q / vals) @ q.T                   # u_i^T M^{-1} u_j / (sigma_i sigma_j)
     k2 = (q / vals ** 2) @ q.T
     return value, -k2.diagonal().copy(), 2.0 * k1 * k2, 0.0
@@ -134,8 +131,11 @@ def _check_sizes(p: SamplingProbabilities, noise: NoiseModel, b: Bandlimit) -> N
 # closed-form theory
 
 def lms_step_bound(p: SamplingProbabilities, b: Bandlimit) -> float:
-    """Largest mean-square stable step size, 2 lambda_min / lambda_max^2 of
-    the expected Gram matrix."""
+    """The small-step figure 2 lambda_min / lambda_max^2 of H = U_F^T diag(p) U_F.
+
+    Not the mean-square stability bound: it leaves out the sampling variance
+    term (on ``configs/design_min_rate.yaml`` it reads 8.61, yet mu = 3
+    diverges).  The exact bound is left to ROADMAP.md, item 1."""
     eigs = np.linalg.eigvalsh(weighted_gram(b, p.probs))
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_max <= 0.0:
@@ -150,7 +150,7 @@ def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Ba
     if mu <= 0:
         raise ValueError("step size must be positive")
     _check_sizes(p, noise, b)
-    msd = _lms_msd(b.basis_slice, noise.variances, p.probs, mu)
+    msd = _lms_msd(b, noise.variances, p.probs, mu)
     if msd == math.inf:
         raise ReconstructabilityError(
             "lms_msd_theory: expected sampling pattern is rank deficient; "
@@ -164,7 +164,7 @@ def lms_msd_upper_bound(p: SamplingProbabilities, mu: float, noise: NoiseModel, 
     if mu <= 0:
         raise ValueError("step size must be positive")
     _check_sizes(p, noise, b)
-    lam_min = float(np.linalg.eigvalsh(weighted_gram(b, p.probs))[0])
+    lam_min = reconstructability_lambda(p, b)
     if lam_min <= 0.0:
         return math.inf
     return 0.5 * mu * float(np.trace(weighted_gram(b, p.probs * noise.variances))) / lam_min
@@ -178,10 +178,7 @@ def lms_rate_theory(p: SamplingProbabilities, mu: float, b: Bandlimit) -> float:
     """
     if mu <= 0:
         raise ValueError("step size must be positive")
-    if p.n != b.n:
-        raise ValueError("probability vector length must match the graph size")
-    lam_min = float(np.linalg.eigvalsh(weighted_gram(b, p.probs))[0])
-    return 1.0 - 2.0 * mu * lam_min
+    return 1.0 - 2.0 * mu * reconstructability_lambda(p, b)
 
 
 def lms_theory_report(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> TheoryReport:
@@ -198,7 +195,7 @@ def rls_msd_theory(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: 
     if not 0.0 < beta <= 1.0:
         raise ValueError("forgetting factor must lie in (0, 1]")
     _check_sizes(p, noise, b)
-    trace = _rls_trace_inverse(b.basis_slice, noise.variances, p.probs)
+    trace = _rls_trace_inverse(b, noise.variances, p.probs)
     if trace == math.inf:
         raise ReconstructabilityError(
             "rls_msd_theory: expected sampling pattern is rank deficient"

@@ -180,19 +180,6 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     return SpectralBasis(eigenvalues=vals, vectors=_fix_signs(vecs))
 
 
-def synthesize(b: Bandlimit, coefficients) -> np.ndarray:
-    """Vertex-domain signal U_F s from bandlimited coefficients s."""
-    s = np.asarray(coefficients, dtype=float)
-    if s.shape != (b.size,):
-        raise ValueError(f"expected {b.size} coefficients, got shape {s.shape}")
-    return b.basis_slice @ s
-
-
-def bandlimit_projector(b: Bandlimit) -> np.ndarray:
-    """Orthogonal projector B_F = U_F U_F^T onto the bandlimited subspace."""
-    return b.basis_slice @ b.basis_slice.T
-
-
 def connected_components(g: Graph) -> int:
     """Number of connected components (breadth-first search)."""
     n = g.n
@@ -258,58 +245,62 @@ def save_edge_list(g: Graph, path) -> None:
 def load_edge_list(path) -> Graph:
     """Read a graph written by :func:`save_edge_list`.
 
-    Blank lines and lines starting with ``#`` are ignored.  Malformed lines,
-    out-of-range indices, self loops, and conflicting duplicate edges are
-    rejected with :class:`GraphFormatError`.
+    Blank lines and lines starting with ``#`` are ignored.  A file that is
+    not UTF-8 text, malformed lines, out-of-range indices, self loops, and
+    conflicting duplicate edges are rejected with :class:`GraphFormatError`.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
     n = None
     entries = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if n is None:
-                if len(fields) != 1:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: first data line must be the node count"
-                    )
-                try:
-                    n = int(fields[0])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: node count {fields[0]!r} is not an integer"
-                    ) from None
-                if n < 1:
-                    raise GraphFormatError(f"{path}:{lineno}: node count must be positive")
-                continue
-            if len(fields) != 3:
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if n is None:
+            if len(fields) != 1:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'i j w', got {line!r}"
+                    f"{path}:{lineno}: first data line must be the node count"
                 )
             try:
-                i, j = int(fields[0]), int(fields[1])
-                w = float(fields[2])
+                n = int(fields[0])
             except ValueError:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: could not parse edge {line!r}"
+                    f"{path}:{lineno}: node count {fields[0]!r} is not an integer"
                 ) from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: edge ({i}, {j}) out of range for n={n}"
-                )
-            if i == j:
-                raise GraphFormatError(f"{path}:{lineno}: self loop on node {i}")
-            if w < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative weight {w}")
-            key = (min(i, j), max(i, j))
-            if key in entries and entries[key] != w:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: conflicting weights for edge {key}: "
-                    f"{entries[key]} vs {w}"
-                )
-            entries[key] = w
+            if n < 1:
+                raise GraphFormatError(f"{path}:{lineno}: node count must be positive")
+            continue
+        if len(fields) != 3:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected 'i j w', got {line!r}"
+            )
+        try:
+            i, j = int(fields[0]), int(fields[1])
+            w = float(fields[2])
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{lineno}: could not parse edge {line!r}"
+            ) from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphFormatError(
+                f"{path}:{lineno}: edge ({i}, {j}) out of range for n={n}"
+            )
+        if i == j:
+            raise GraphFormatError(f"{path}:{lineno}: self loop on node {i}")
+        if w < 0:
+            raise GraphFormatError(f"{path}:{lineno}: negative weight {w}")
+        key = (min(i, j), max(i, j))
+        if key in entries and entries[key] != w:
+            raise GraphFormatError(
+                f"{path}:{lineno}: conflicting weights for edge {key}: "
+                f"{entries[key]} vs {w}"
+            )
+        entries[key] = w
     if n is None:
         raise GraphFormatError(f"{path}: missing node count line")
     weights = np.zeros((n, n))

@@ -155,29 +155,7 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
 def reconstructability_lambda(p: SamplingProbabilities, b: Bandlimit) -> float:
     """Smallest eigenvalue of U_F^T diag(p) U_F; positive iff the expected
     sampling pattern supports reconstruction of the bandlimit."""
-    if p.n != b.n:
-        raise ValueError("probability vector length must match basis size")
-    gram = weighted_gram(b, p.probs)
-    return float(np.linalg.eigvalsh(gram)[0])
-
-
-def localization_norm(expected_set, b: Bandlimit) -> float:
-    """Spectral norm of the bandlimited basis restricted to the complement
-    of the expected sampling set.
-
-    Strictly below one exactly when sampling the given set can see every
-    bandlimited signal; equals one when some signal is perfectly localized
-    off the sampled vertices.
-    """
-    w = np.ones(b.n)
-    for i in expected_set:
-        ii = int(i)
-        if not 0 <= ii < b.n:
-            raise ValueError(f"vertex index {ii} out of range for n={b.n}")
-        w[ii] = 0.0
-    # ||D_c U_F||^2 = lambda_max(U_F^T D_c U_F), computed on the small Gram
-    lam_max = float(np.linalg.eigvalsh(weighted_gram(b, w))[-1])
-    return float(np.sqrt(min(max(lam_max, 0.0), 1.0)))
+    return float(np.linalg.eigvalsh(weighted_gram(b, p.probs))[0])
 
 
 def leverage_scores(b: Bandlimit) -> np.ndarray:

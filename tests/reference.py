@@ -1,8 +1,10 @@
-"""Sequential single-trial LMS and RLS recursions in the vertex domain.
+"""Independent oracles on plain arrays, with no validation.
 
-The independent oracle for the batched kernels of ``graphadapt.filters``:
-one trial and one instant at a time, on plain arrays, with no validation.
-``u`` is the (n, |F|) bandlimited basis, ``mask`` the 0/1 sampling mask.
+The sequential single-trial LMS and RLS recursions in the vertex domain
+check the batched kernels of ``graphadapt.filters``, one trial and one
+instant at a time; the localization norm checks the reconstructability
+eigenvalue of ``graphadapt.sampling``.  ``u`` is the (n, |F|) bandlimited
+basis, ``mask`` the 0/1 sampling mask.
 """
 
 import numpy as np
@@ -25,3 +27,12 @@ def rls_step(psi, psiv, y, mask, u, inv_var, beta):
 def rls_estimate(psi, psiv, u):
     """The vertex-domain estimate U_F Psi^{-1} psi."""
     return u @ np.linalg.solve(psi, psiv)
+
+
+def localization_norm(sampled, u):
+    """Spectral norm ||D_c U_F|| of the basis rows off the ``sampled``
+    vertices: below one exactly when sampling that set sees every
+    bandlimited signal, one when some such signal lives entirely off it."""
+    off = np.ones(u.shape[0], dtype=bool)
+    off[list(sampled)] = False
+    return float(np.linalg.norm(u[off], 2))

@@ -2,9 +2,10 @@
 
 The 3-node path admits closed-form 2x2 spectral algebra, so the small
 programs are cross-checked against an exhaustive grid over the probability
-box evaluated with hand-derived eigenvalue formulas; gradients and the MSD
-Hessian are checked against central finite differences, and the convex
-min-rate program against a cutting-plane lower bound.
+box evaluated with hand-derived eigenvalue formulas; the gradients and
+Hessians the barrier core runs (the exact MSD, the RLS trace inverse and
+the LMI log-det terms) are checked against central finite differences, and
+the convex min-rate program against a cutting-plane lower bound.
 """
 
 import hashlib
@@ -21,18 +22,16 @@ from graphadapt import (
     NoiseModel,
     SamplingProbabilities,
     dinkelbach_min_msd,
-    lambda_min_subgradient,
     lms_msd_theory,
-    msd_gradient,
     rls_msd_theory,
     sca_min_msd,
     sca_min_rate,
-    sca_msd_surrogate,
     solve_min_rate_convex,
     solve_rls_design,
     weighted_gram,
 )
 from graphadapt import design
+from graphadapt.filters import _lms_msd, _rls_trace_inverse
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 from graphadapt.harness import build_setup, load_config, resolve_sampling
 
@@ -72,13 +71,29 @@ def path3_grid(step=0.01):
 # ------------------------------------------------------------- derivatives
 
 
+def msd_gradient(p, noise, b):
+    """The gradient of the exact MSD that the design solvers run."""
+    return _lms_msd(b, noise.variances, p, MU, derivs=True)[1]
+
+
+def central_differences(fn, p, h=1e-6):
+    """Column j holds (fn(p + h e_j) - fn(p - h e_j)) / 2h."""
+    cols = []
+    for j in range(p.size):
+        lo, hi = p.copy(), p.copy()
+        lo[j] -= h
+        hi[j] += h
+        cols.append((np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 def test_msd_gradient_matches_finite_differences():
     b, noise = random_instance()
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(5):
         p = rng.uniform(0.3, 0.9, size=b.n)
-        grad = msd_gradient(p, MU, noise, b)
+        grad = msd_gradient(p, noise, b)
         for i in range(b.n):
             lo, hi = p.copy(), p.copy()
             lo[i] -= h
@@ -94,8 +109,7 @@ def msd_hessian_parts(spec, p):
     """The exact MSD Hessian and excess of the engine at p, and K = U H^-1 U^T,
     L = U H^-1 G H^-1 U^T formed with an explicit inverse."""
     u = spec.bandlimit.basis_slice
-    inst = design._Instance(spec.bandlimit, spec.noise, spec.bounds)
-    _, _, hess, excess = inst.exact_msd(p, MU, derivs=True)
+    _, _, hess, excess = _lms_msd(spec.bandlimit, spec.noise.variances, p, MU, derivs=True)
     h_inv = np.linalg.inv(weighted_gram(spec.bandlimit, p))
     g = weighted_gram(spec.bandlimit, p * spec.noise.variances)
     return hess, excess, u @ h_inv @ u.T, u @ h_inv @ g @ h_inv @ u.T
@@ -106,13 +120,7 @@ def test_msd_hessian_matches_finite_differences():
     b, noise = spec.bandlimit, spec.noise
     p = 0.5 * spec.bounds
     hess, _, _, _ = msd_hessian_parts(spec, p)
-    h = 1e-6
-    fd = np.empty_like(hess)
-    for j in range(b.n):
-        lo, hi = p.copy(), p.copy()
-        lo[j] -= h
-        hi[j] += h
-        fd[:, j] = (msd_gradient(hi, MU, noise, b) - msd_gradient(lo, MU, noise, b)) / (2.0 * h)
+    fd = central_differences(lambda q: msd_gradient(q, noise, b), p)
     np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
     # the MSD is not convex: its Hessian here has a negative eigenvalue
     assert np.linalg.eigvalsh(hess)[0] < 0.0
@@ -120,85 +128,93 @@ def test_msd_hessian_matches_finite_differences():
 
 def test_psd_curvature_less_exact_hessian_is_the_excess():
     spec = golden_instance()[1]
-    sig2 = spec.noise.variances
+    b, sig2 = spec.bandlimit, spec.noise.variances
+    u = b.basis_slice
     rng = np.random.default_rng(71)
     for _ in range(5):
-        p = rng.uniform(0.2, 1.0, size=spec.bandlimit.n) * spec.bounds
+        p = rng.uniform(0.2, 1.0, size=b.n) * spec.bounds
         hess, excess, k, l = msd_hessian_parts(spec, p)
         psd = MU * k * l
         np.testing.assert_allclose(excess, 0.5 * MU * (sig2[:, None] + sig2) * k * k,
                                    rtol=1e-9, atol=1e-14)
         np.testing.assert_allclose(psd - hess, excess, rtol=1e-9, atol=1e-14)
-        # the PSD curvature is the surrogate's Hessian at its anchor
-        h = 1e-6
-        for j in range(spec.bandlimit.n):
-            lo, hi = p.copy(), p.copy()
-            lo[j] -= h
-            hi[j] += h
-            fd = (sca_msd_surrogate(hi, p, MU, spec.noise, spec.bandlimit, tau=0.0)[1]
-                  - sca_msd_surrogate(lo, p, MU, spec.noise, spec.bandlimit, tau=0.0)[1])
-            np.testing.assert_allclose(fd / (2.0 * h), psd[:, j], rtol=1e-5,
-                                       atol=1e-8 * np.abs(psd).max())
+        # the PSD curvature is the Hessian at q = p of the convex part
+        # (mu/2) Tr[H(q)^-1 G(p)] of the MSD, whose gradient is
+        # -(mu/2) diag(U H(q)^-1 G(p) H(q)^-1 U^T)
+        g_p = weighted_gram(b, p * sig2)
+
+        def convex_part_gradient(q):
+            r = u @ np.linalg.inv(weighted_gram(b, q))
+            return -0.5 * MU * np.einsum("ij,jk,ik->i", r, g_p, r)
+
+        np.testing.assert_allclose(central_differences(convex_part_gradient, p), psd,
+                                   rtol=1e-5, atol=1e-8 * np.abs(psd).max())
         assert np.linalg.eigvalsh(psd)[0] >= -1e-12 * np.abs(psd).max()
 
 
-def test_lambda_subgradient_matches_finite_differences():
-    b, noise = random_instance()
-    rng = np.random.default_rng(29)
-    h = 1e-6
+def test_rls_trace_inverse_derivatives_match_finite_differences():
+    spec = golden_instance()[2]
+    b, sig2 = spec.bandlimit, spec.noise.variances
+    rng = np.random.default_rng(83)
     for _ in range(5):
-        p = rng.uniform(0.3, 0.9, size=b.n)
-        eigs = np.linalg.eigvalsh(weighted_gram(b, p))
-        if eigs[1] - eigs[0] < 1e-3:
-            continue  # needs a simple eigenvalue to be differentiable
-        grad = lambda_min_subgradient(p, b)
-        for i in range(b.n):
-            lo, hi = p.copy(), p.copy()
-            lo[i] -= h
-            hi[i] += h
-            fd = (
-                np.linalg.eigvalsh(weighted_gram(b, hi))[0]
-                - np.linalg.eigvalsh(weighted_gram(b, lo))[0]
-            ) / (2.0 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+        p = rng.uniform(0.2, 1.0, size=b.n) * spec.bounds
+        value, grad, hess, excess = _rls_trace_inverse(b, sig2, p, derivs=True)
+        assert value == pytest.approx(_rls_trace_inverse(b, sig2, p), rel=1e-12)
+        assert excess == 0.0
+        fd_grad = central_differences(lambda q: _rls_trace_inverse(b, sig2, q), p)
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-8 * np.abs(grad).max())
+        fd_hess = central_differences(lambda q: _rls_trace_inverse(b, sig2, q, True)[1], p)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
 
 
-def test_lambda_subgradient_supergradient_inequality():
-    # lambda_min is concave in p, so the first-order expansion dominates it
-    b, _ = random_instance()
+def lmi_terms(prog, box):
+    """The LMI terms of barrier ``prog``: its value, gradient and Hessian
+    less those of ``box``, the same program without LMIs."""
+    def fn(x, derivs=False):
+        if not derivs:
+            return prog(x) - box(x)
+        full, only_box = prog(x, True), box(x, True)
+        return tuple(a - c for a, c in zip(full[:3], only_box[:3]))
+    return fn
+
+
+@pytest.mark.parametrize("epigraph", [False, True])
+def test_lmi_barrier_derivatives_match_finite_differences(epigraph):
+    # -log det(H(p) - (c @ p + const + e s) I), with a rank-one term in c and,
+    # for the epigraph program, a margin variable s
+    spec = golden_instance()[0]
+    inst = design._Instance(spec.bandlimit, spec.noise, spec.bounds)
+    lam_t = spec.lambda_target()
+    c = 0.5 * spec.mu / spec.msd_target * inst.g_lin
+    lmis = [(np.zeros(inst.n), lam_t, float(epigraph)), (c, 0.0, 0.0)]
+    prog = design._Barrier(inst, lmis, epigraph=epigraph)
+    box = design._Barrier(inst, epigraph=epigraph)
+    fn = lmi_terms(prog, box)
+    x = 0.9 * spec.bounds[prog.free]
+    if epigraph:
+        x = np.append(x, -0.01)
+    assert math.isfinite(prog(x))
+    _, grad, hess = fn(x, True)
+    fd_grad = central_differences(fn, x)
+    np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-8 * np.abs(grad).max())
+    fd_hess = central_differences(lambda y: fn(y, True)[1], x)
+    np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
+
+
+def test_lmi_barrier_first_order_inequality():
+    # -log det(H(p) - l I) is convex in p, so its first-order expansion at
+    # any interior point stays below it
+    b, noise = random_instance()
+    inst = design._Instance(b, noise, np.ones(b.n))
+    box = design._Barrier(inst)
     rng = np.random.default_rng(41)
     for _ in range(20):
         p = rng.uniform(0.2, 1.0, size=b.n)
-        q = rng.uniform(0.0, 1.0, size=b.n)
-        lam_p = float(np.linalg.eigvalsh(weighted_gram(b, p))[0])
-        lam_q = float(np.linalg.eigvalsh(weighted_gram(b, q))[0])
-        g = lambda_min_subgradient(p, b)
-        assert lam_q <= lam_p + float(g @ (q - p)) + 1e-10
-
-
-def test_surrogate_identities_at_anchor():
-    b, noise = random_instance()
-    rng = np.random.default_rng(53)
-    for _ in range(5):
-        z = rng.uniform(0.3, 0.9, size=b.n)
-        value, gradient = sca_msd_surrogate(z, z, MU, noise, b, tau=1e-6)
-        exact = lms_msd_theory(SamplingProbabilities(z), MU, noise, b)
-        assert value == pytest.approx(2.0 * exact, rel=1e-10)
-        np.testing.assert_allclose(gradient, msd_gradient(z, MU, noise, b), rtol=1e-9, atol=1e-12)
-
-
-def test_surrogate_upper_bounds_twice_the_msd():
-    # convexity of Tr[H(p)^{-1} G(z)] and linearity of G(p) make the
-    # surrogate dominate MSD(p) + MSD(z) everywhere
-    b, noise = random_instance()
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        z = rng.uniform(0.4, 1.0, size=b.n)
-        p = rng.uniform(0.4, 1.0, size=b.n)
-        value, _ = sca_msd_surrogate(p, z, MU, noise, b, tau=0.0)
-        exact_p = lms_msd_theory(SamplingProbabilities(p), MU, noise, b)
-        exact_z = lms_msd_theory(SamplingProbabilities(z), MU, noise, b)
-        assert value >= exact_p + exact_z - 1e-12
+        q = rng.uniform(0.2, 1.0, size=b.n)
+        floor = 0.5 * min(inst.lam_min(p), inst.lam_min(q))
+        fn = lmi_terms(design._Barrier(inst, [(np.zeros(b.n), floor, 0.0)]), box)
+        value, grad, _ = fn(p, True)
+        assert fn(q) >= value + float(grad @ (q - p)) - 1e-10
 
 
 # ------------------------------------------------ budget-minimal rate design

@@ -468,6 +468,28 @@ def test_comparison_csv_matches_golden_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COMPARISON
 
 
+# SHA-256 of theory.csv as written by the `theory` command while the design
+# evaluators still formed their own Gram matrices: the LMS rows pin the MSD,
+# convergence_rate and step_bound, the RLS rows the designed MSD.
+GOLDEN_THEORY = {
+    "lms_full.yaml": "6fdf188ea7c447a97203d13ca0a552e509c02fd765612c527f8481d06ea45f49",
+    "rls_designed.yaml": "da9aad8fdd3ddf9e2693e47fa21cd26f3fe7d569e77129f9675d8b4ed69091c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_THEORY))
+def test_theory_csv_matches_golden_digest(tmp_path, capsys, name):
+    assert cli.main(["theory", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "theory.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_THEORY[name]
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in graphadapt.__all__ if not hasattr(graphadapt, name)]
+    assert missing == []
+    assert len(set(graphadapt.__all__)) == len(graphadapt.__all__)
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter: this test process may already hold scipy
     src = os.path.dirname(os.path.dirname(graphadapt.__file__))
@@ -794,6 +816,12 @@ class TestCli:
         *(("sampling", command, {"sampling": {"kind": "explicit", "p": [1, 0, 0, 0, 0, 0, 0, 0]}})
           for command in ("run-lms", "theory")),
         ("sampling", "design", {"sampling": dict(DESIGN, msd_target_db=-80)}),
+        # graph and communication edge lists that are not UTF-8 text
+        ("graph.path", "run-lms",
+         {"graph": {"kind": "edge_list", "path": str(DATA_DIR / "graph_not_utf8.txt")}}),
+        ("algorithm.comm", "run-drls",
+         {"algorithm": {"kind": "drls", "beta": 0.95,
+                        "comm": str(DATA_DIR / "graph_not_utf8.txt")}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
