@@ -11,7 +11,6 @@ from .graphs import (
     Bandlimit,
     Graph,
     GraphFormatError,
-    SpectralBasis,
     build_laplacian,
     connected_components,
     eigendecompose,
@@ -32,7 +31,6 @@ from .sampling import (
     weighted_gram,
 )
 from .filters import (
-    TheoryReport,
     lms_msd_theory,
     lms_msd_upper_bound,
     lms_rate_theory,
@@ -47,7 +45,6 @@ from .filters import (
 from .design import (
     DesignSpec,
     InfeasibleDesignError,
-    SolverTrace,
     dinkelbach_min_msd,
     sca_min_msd,
     sca_min_rate,
@@ -57,7 +54,6 @@ from .design import (
 from .distributed import (
     CommGraph,
     DrlsConfig,
-    DrlsNetwork,
     drls_local_update,
     drls_multiplier_update,
     drls_network_init,
@@ -65,13 +61,8 @@ from .distributed import (
     drls_simulate,
 )
 from .harness import (
-    ConfigError,
-    LearningCurve,
     build_setup,
     compare_sampling,
-    fit_rate,
-    load_config,
-    run_experiment,
 )
 
 __version__ = "0.1.0"
@@ -79,20 +70,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Bandlimit",
     "CommGraph",
-    "ConfigError",
     "DesignSpec",
     "DrlsConfig",
-    "DrlsNetwork",
     "Graph",
     "GraphFormatError",
     "InfeasibleDesignError",
-    "LearningCurve",
     "NoiseModel",
     "ReconstructabilityError",
     "SamplingProbabilities",
-    "SolverTrace",
-    "SpectralBasis",
-    "TheoryReport",
     "build_laplacian",
     "build_setup",
     "compare_sampling",
@@ -105,7 +90,6 @@ __all__ = [
     "drls_round",
     "drls_simulate",
     "eigendecompose",
-    "fit_rate",
     "leverage_score_probabilities",
     "leverage_scores",
     "lms_msd_theory",
@@ -114,7 +98,6 @@ __all__ = [
     "lms_step_bound",
     "lms_theory_report",
     "lms_update",
-    "load_config",
     "load_edge_list",
     "max_det_greedy",
     "random_geometric_graph",
@@ -123,7 +106,6 @@ __all__ = [
     "rls_outer_table",
     "rls_theory_report",
     "rls_update",
-    "run_experiment",
     "save_edge_list",
     "sca_min_msd",
     "sca_min_rate",

@@ -19,6 +19,11 @@ Laplacian (Shi, Ling, Yuan, Wu & Yin, IEEE TSP 2014; D-RLS as in Mateos,
 Schizas & Giannakis, IEEE TSP 2009).  Messages are still counted per link:
 each inner iteration sends one payload per directed edge, 2 |E| in total.
 
+The simulator reuses the shared math: a ``CommGraph`` is a 0/1 adjacency
+matrix checked by :class:`graphs.Graph`, its L is ``graphs.build_laplacian``,
+and the per-node sensing reads the u_i u_i^T table of
+``filters.rls_outer_table`` instead of forming it at every instant.
+
 The consensus penalty rho is only conditionally stable: the local update
 anchors on raw neighbor estimates, so the inner loop converges for rho
 below a ceiling that depends on the topology and on the conditioning of
@@ -36,63 +41,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Bandlimit, Graph, connected_components
+from .filters import rls_outer_table
+from .graphs import Bandlimit, Graph, build_laplacian, connected_components
 from .sampling import NoiseModel
 
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Undirected, connected communication topology as neighbor tuples,
-    with its 0/1 adjacency matrix and combinatorial Laplacian D - A."""
+    """Undirected, connected communication topology: a 0/1 adjacency matrix
+    checked by :class:`Graph`, with its Laplacian from ``build_laplacian``."""
 
-    neighbor_sets: tuple
-    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    adjacency: np.ndarray
     laplacian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cleaned = []
-        n = len(self.neighbor_sets)
-        adjacency = np.zeros((n, n))
-        for i, nbrs in enumerate(self.neighbor_sets):
-            ns = tuple(sorted(int(j) for j in nbrs))
-            if any(not 0 <= j < n for j in ns):
-                raise ValueError(f"neighbor index out of range at node {i}")
-            if i in ns:
-                raise ValueError(f"node {i} lists itself as a neighbor")
-            if len(set(ns)) != len(ns):
-                raise ValueError(f"duplicate neighbor at node {i}")
-            cleaned.append(ns)
-            adjacency[i, list(ns)] = 1.0
-        asymmetric = np.argwhere(adjacency > adjacency.T)
-        if asymmetric.size:
-            raise ValueError("asymmetric link {}->{}".format(*asymmetric[0]))
-        if connected_components(Graph(adjacency)) != 1:
+        g = Graph(self.adjacency)
+        if not np.isin(g.weights, (0.0, 1.0)).all():
+            raise ValueError("communication links must have weight 0 or 1")
+        if connected_components(g) != 1:
             raise ValueError("communication graph must be connected")
-        object.__setattr__(self, "neighbor_sets", tuple(cleaned))
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "laplacian", np.diag(adjacency.sum(axis=1)) - adjacency)
+        object.__setattr__(self, "adjacency", g.weights)
+        object.__setattr__(self, "laplacian", build_laplacian(g))
 
     @property
     def n(self) -> int:
-        return len(self.neighbor_sets)
+        return self.adjacency.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.neighbor_sets) // 2
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     @classmethod
     def from_graph(cls, g: Graph) -> "CommGraph":
-        return cls(tuple(tuple(g.neighbors(i)) for i in range(g.n)))
+        return cls((g.weights != 0).astype(float))
 
     @classmethod
     def complete(cls, n: int) -> "CommGraph":
-        return cls(tuple(tuple(j for j in range(n) if j != i) for i in range(n)))
+        return cls(1.0 - np.eye(n))
 
     @classmethod
     def ring(cls, n: int) -> "CommGraph":
         if n < 3:
             raise ValueError("a ring needs at least three nodes")
-        return cls(tuple(((i - 1) % n, (i + 1) % n) for i in range(n)))
+        return cls(np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
 
 
 @dataclass(frozen=True)
@@ -122,11 +113,13 @@ class DrlsNetwork:
     ``psi`` (..., n, f, f) and ``psiv`` (..., n, f), consensus ``estimates``
     (..., n, f), aggregated duals ``alpha`` (..., n, f), plus a message
     counter summed over all trials.  The leading axes ``...`` index
-    independent trials and are empty for a single network."""
+    independent trials and are empty for a single network.  ``outer``
+    (n, f, f) is the ``rls_outer_table`` of the basis rows, u_i u_i^T."""
 
     comm: CommGraph
     basis: Bandlimit
     noise: NoiseModel
+    outer: np.ndarray
     psi: np.ndarray
     psiv: np.ndarray
     estimates: np.ndarray
@@ -143,6 +136,7 @@ def drls_network_init(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
         raise ValueError("communication graph, basis and noise sizes must agree")
     n, f = comm.n, b.size
     return DrlsNetwork(comm=comm, basis=b, noise=noise,
+                       outer=rls_outer_table(b.basis_slice).reshape(n, f, f),
                        psi=np.tile(config.delta / n * np.eye(f), (*batch, n, 1, 1)),
                        psiv=np.zeros((*batch, n, f)), estimates=np.zeros((*batch, n, f)),
                        alpha=np.zeros((*batch, n, f)))
@@ -154,17 +148,15 @@ def _penalized(psi: np.ndarray, comm: CommGraph, rho: float) -> np.ndarray:
     return psi + (rho * np.diagonal(comm.laplacian))[:, None, None] * np.eye(f)
 
 
-def drls_local_update(psi: np.ndarray, psiv: np.ndarray, alpha: np.ndarray,
-                      estimates: np.ndarray, comm: CommGraph, rho: float,
-                      penalized: np.ndarray) -> np.ndarray:
+def drls_local_update(psiv: np.ndarray, alpha: np.ndarray, estimates: np.ndarray,
+                      comm: CommGraph, rho: float, penalized: np.ndarray) -> np.ndarray:
     """Closed-form minimizers of every node's local augmented Lagrangian,
     one batched solve:
     s_i = (Psi_i + rho d_i I)^{-1} [psi_i + rho sum_{j in N_i} s_j - alpha_i / 2].
 
     ``penalized`` holds the matrices Psi_i + rho d_i I, built once per
     instant by ``_penalized`` (they do not change between its inner
-    iterations), so ``psi`` itself is not read.  Every array may carry
-    leading trial axes.
+    iterations).  Every array may carry leading trial axes.
     """
     rhs = psiv + rho * (comm.adjacency @ estimates) - 0.5 * alpha
     return np.linalg.solve(penalized, rhs[..., None])[..., 0]
@@ -200,14 +192,13 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
         raise ValueError(f"draws and observations must both have shape {shape}")
     u = network.basis.basis_slice
     w = draws / network.noise.variances
-    network.psi = config.beta * network.psi + w[..., None, None] * (u[:, :, None] * u[:, None, :])
+    network.psi = config.beta * network.psi + w[..., None, None] * network.outer
     network.psiv = config.beta * network.psiv + (w * observations)[..., None] * u
     penalized = _penalized(network.psi, network.comm, config.rho)
     messages = 2 * network.comm.num_edges * math.prod(shape[:-1])
     for _ in range(config.inner_iters):
-        network.estimates = drls_local_update(network.psi, network.psiv, network.alpha,
-                                              network.estimates, network.comm, config.rho,
-                                              penalized)
+        network.estimates = drls_local_update(network.psiv, network.alpha, network.estimates,
+                                              network.comm, config.rho, penalized)
         network.alpha = drls_multiplier_update(network.alpha, network.estimates,
                                                network.comm, config.rho)
         network.message_count += messages

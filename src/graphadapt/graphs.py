@@ -7,7 +7,6 @@ bandlimited when its transform is supported on a fixed frequency index set.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +54,6 @@ class Graph:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.nonzero(self.weights[i])[0]
 
 
 @dataclass(frozen=True)
@@ -202,10 +198,8 @@ def connected_components(g: Graph) -> int:
 
 def random_geometric_graph(n: int, radius: float, seed: int) -> Graph:
     """Random geometric graph: n nodes uniform on the unit square, unit-weight
-    edges between pairs at Euclidean distance <= radius.
-
-    A disconnected draw is reported with a warning; the caller decides
-    whether to resample with a different seed.
+    edges between pairs at Euclidean distance <= radius.  The draw may be
+    disconnected; the caller decides whether to resample with another seed.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -217,14 +211,7 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> Graph:
     dist2 = (diff ** 2).sum(axis=2)
     w = (dist2 <= radius * radius).astype(float)
     np.fill_diagonal(w, 0.0)
-    g = Graph(w)
-    if connected_components(g) > 1:
-        warnings.warn(
-            f"random geometric graph (n={n}, radius={radius}, seed={seed}) "
-            "is disconnected; consider resampling",
-            stacklevel=2,
-        )
-    return g
+    return Graph(w)
 
 
 def save_edge_list(g: Graph, path) -> None:

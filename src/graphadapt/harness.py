@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,9 +193,7 @@ def build_graph(config: dict) -> Graph:
     radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
     seed = _count(gcfg, "graph", "seed", config.get("seed", 0), low=0)
     for offset in range(200):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = random_geometric_graph(n, radius, seed + offset)
+        g = random_geometric_graph(n, radius, seed + offset)
         if connected_components(g) == 1:
             return g
     raise ConfigError(
@@ -531,8 +528,7 @@ def run_experiment(config: dict) -> LearningCurve:
             theory = rls_msd_theory(probs, param, setup.noise, setup.bandlimit)
     per_node = None
     if kind == "lms":
-        diverged = (f"algorithm.mu: the learning curve diverged; mu = {param:g}, "
-                    f"step_bound = {meta['step_bound']:.6g}")
+        diverged = f"algorithm.mu: the learning curve diverged; mu = {param:g}"
         curve = _run_lms_mc(setup, probs, param)
     elif kind == "rls":
         delta = _real(acfg, "algorithm", "delta", 1e-3)
@@ -546,8 +542,7 @@ def run_experiment(config: dict) -> LearningCurve:
             delta=_real(acfg, "algorithm", "delta", 1e-3),
         )
         comm = _comm_from_config(setup, acfg)
-        diverged = (f"algorithm.rho: the learning curve diverged; rho = {cfg.rho:g}, "
-                    "lower it or raise inner_iters")
+        diverged = f"algorithm.rho: the learning curve diverged; rho = {cfg.rho:g}"
         curve, per_node = _run_drls_mc(setup, probs, cfg, comm)
         meta["inner_iters"] = cfg.inner_iters
     result = LearningCurve(msd_linear=curve, metadata=meta, per_node=per_node)
@@ -599,8 +594,8 @@ def _prefix_stats(bl: Bandlimit, noise: NoiseModel, order) -> tuple:
     """lambda_min(U_F^T D_S U_F) and Tr G = sum_S sigma_i^2 ||u_i||^2 for every
     prefix S of ``order``, one ordering (n,) or a stack of them (..., n):
     cumulative sums of the rows' outer products, one batched eigvalsh."""
-    u = bl.basis_slice[order]
-    grams = np.cumsum(u[..., :, None] * u[..., None, :], axis=-3)
+    n, f = bl.basis_slice.shape
+    grams = np.cumsum(rls_outer_table(bl.basis_slice).reshape(n, f, f)[order], axis=-3)
     tr_g = np.cumsum(noise.variances[order] * leverage_scores(bl)[order], axis=-1)
     return np.linalg.eigvalsh(grams)[..., 0], tr_g
 

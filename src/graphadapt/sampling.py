@@ -47,9 +47,9 @@ class SamplingProbabilities:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    def support(self, tol: float = 0.0) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Indices of vertices sampled with positive probability."""
-        return np.nonzero(self.probs > tol)[0]
+        return np.nonzero(self.probs > 0)[0]
 
     @classmethod
     def full(cls, n: int) -> "SamplingProbabilities":

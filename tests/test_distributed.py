@@ -24,13 +24,25 @@ from graphadapt import (
     rls_update,
 )
 from graphadapt.distributed import _penalized
-from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
+from graphadapt.graphs import (
+    Bandlimit,
+    Graph,
+    build_laplacian,
+    eigendecompose,
+    random_geometric_graph,
+)
+
+PATH2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def make_setup(n=6, f=3, seed=4, sigma=0.01):
     g = random_geometric_graph(n, radius=0.9, seed=seed)
     b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), f)
     return b, NoiseModel.uniform(n, sigma)
+
+
+def neighbors(comm):
+    return [np.nonzero(row)[0] for row in comm.adjacency]
 
 
 def random_spd(f, rng, scale=1.0):
@@ -46,46 +58,44 @@ class TestCommGraph:
         ring = CommGraph.ring(5)
         assert ring.n == 5
         assert ring.num_edges == 5
-        assert ring.neighbor_sets[0] == (1, 4)
+        assert list(neighbors(ring)[0]) == [1, 4]
 
     def test_complete_structure(self):
         comm = CommGraph.complete(4)
         assert comm.num_edges == 6
-        assert all(len(nbrs) == 3 for nbrs in comm.neighbor_sets)
+        assert (comm.adjacency.sum(axis=1) == 3).all()
 
     def test_ring_minimum_size(self):
         with pytest.raises(ValueError):
             CommGraph.ring(2)
 
     def test_two_node_path_is_valid(self):
-        comm = CommGraph(((1,), (0,)))
+        comm = CommGraph(PATH2)
         assert comm.num_edges == 1
 
     def test_asymmetric_link_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            CommGraph(((1,), ()))
+        with pytest.raises(ValueError, match="symmetric"):
+            CommGraph([[0.0, 1.0], [0.0, 0.0]])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="itself"):
-            CommGraph(((0, 1), (0,)))
+        with pytest.raises(ValueError, match="self loop"):
+            CommGraph([[1.0, 1.0], [1.0, 0.0]])
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            CommGraph(((2,), (0,)))
-
-    def test_duplicate_neighbor_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            CommGraph(((1, 1), (0,)))
+    def test_weighted_link_rejected(self):
+        with pytest.raises(ValueError, match="weight 0 or 1"):
+            CommGraph([[0.0, 2.0], [2.0, 0.0]])
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
-            CommGraph(((1,), (0,), (3,), (2,)))
+            CommGraph(np.kron(np.eye(2), PATH2))
 
     def test_from_graph_matches_neighbors(self):
+        # a weighted graph: every edge becomes one unit link
         g = random_geometric_graph(8, radius=0.7, seed=3)
-        comm = CommGraph.from_graph(g)
-        for i in range(8):
-            assert comm.neighbor_sets[i] == tuple(g.neighbors(i))
+        weighted = Graph(g.weights * np.add.outer(np.arange(8.0), np.arange(8.0) + 1.0))
+        comm = CommGraph.from_graph(weighted)
+        np.testing.assert_array_equal(comm.adjacency, g.weights)
+        assert comm.num_edges == np.count_nonzero(np.triu(g.weights))
 
 
 class TestDrlsConfig:
@@ -175,10 +185,10 @@ def test_local_update_is_stationary_point():
         psiv = rng.standard_normal((n, f))
         alpha = rng.standard_normal((n, f))
         old = rng.standard_normal((n, f))
-        s = drls_local_update(psi, psiv, alpha, old, comm, rho, _penalized(psi, comm, rho))
-        for i in range(n):
+        s = drls_local_update(psiv, alpha, old, comm, rho, _penalized(psi, comm, rho))
+        for i, nbrs in enumerate(neighbors(comm)):
             grad = psi[i] @ s[i] - psiv[i] + 0.5 * alpha[i]
-            for j in comm.neighbor_sets[i]:
+            for j in nbrs:
                 grad += rho * (s[i] - old[j])
             np.testing.assert_allclose(grad, np.zeros(f), atol=1e-10)
 
@@ -191,13 +201,13 @@ def test_local_update_fixed_point():
     s_star = rng.standard_normal(f)
     psi = np.stack([random_spd(f, rng) for _ in range(n)])
     estimates = np.tile(s_star, (n, 1))
-    s = drls_local_update(psi, psi @ s_star, np.zeros((n, f)), estimates, comm, 12.0,
+    s = drls_local_update(psi @ s_star, np.zeros((n, f)), estimates, comm, 12.0,
                           _penalized(psi, comm, 12.0))
     np.testing.assert_allclose(s, estimates, atol=1e-12)
 
 
 def test_multiplier_update_direction():
-    comm = CommGraph(((1,), (0,)))
+    comm = CommGraph(PATH2)
     alpha = np.array([[1.0, -2.0], [-1.0, 2.0]])
     s = np.array([[3.0, 0.0], [1.0, 0.0]])
     out = drls_multiplier_update(alpha, s, comm, rho=4.0)
@@ -232,7 +242,7 @@ def per_link_reference(comm, b, noise, cfg, draws, obs):
     psi = [cfg.delta / n * np.eye(f) for _ in range(n)]
     psiv = [np.zeros(f) for _ in range(n)]
     s = [np.zeros(f) for _ in range(n)]
-    lam = {(i, j): np.zeros(f) for i in range(n) for j in comm.neighbor_sets[i]}
+    lam = {(i, j): np.zeros(f) for i, nbrs in enumerate(neighbors(comm)) for j in nbrs}
     for d, y in zip(draws, obs):
         for i in range(n):
             w = d[i] / noise.variances[i]
@@ -240,7 +250,7 @@ def per_link_reference(comm, b, noise, cfg, draws, obs):
             psiv[i] = cfg.beta * psiv[i] + w * y[i] * u[i]
         for _ in range(cfg.inner_iters):
             old = list(s)
-            for i, nbrs in enumerate(comm.neighbor_sets):
+            for i, nbrs in enumerate(neighbors(comm)):
                 rhs = psiv[i] + sum(cfg.rho * old[j] - 0.5 * (lam[i, j] - lam[j, i])
                                     for j in nbrs)
                 s[i] = np.linalg.solve(psi[i] + cfg.rho * len(nbrs) * np.eye(f), rhs)
@@ -273,7 +283,7 @@ def test_matches_per_link_reference(topology):
 
 def test_zero_data_node_pulled_toward_neighbor():
     # node 1 never observes anything; consensus drags it to node 0
-    comm = CommGraph(((1,), (0,)))
+    comm = CommGraph(PATH2)
     basis = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
 
     class TinyBand:

@@ -16,6 +16,7 @@ import yaml
 import graphadapt
 import reference
 from graphadapt import cli, harness
+from graphadapt.graphs import connected_components, random_geometric_graph
 from graphadapt.harness import (
     DRAW_BLOCK,
     ConfigError,
@@ -133,6 +134,32 @@ class TestBuildGraph:
     def test_missing_field_named_in_error(self):
         with pytest.raises(ConfigError, match="graph.radius"):
             build_graph({"graph": {"kind": "random_geometric", "n": 8}})
+
+    @staticmethod
+    def _counting_draws(monkeypatch):
+        seeds = []
+
+        def draw(n, radius, seed):
+            seeds.append(seed)
+            return random_geometric_graph(n, radius, seed)
+
+        monkeypatch.setattr(harness, "random_geometric_graph", draw)
+        return seeds
+
+    def test_redraws_a_disconnected_graph(self, monkeypatch):
+        # draw 0 of this instance is disconnected and draw 1 is connected
+        assert connected_components(random_geometric_graph(20, 0.35, 0)) > 1
+        seeds = self._counting_draws(monkeypatch)
+        g = build_graph({"graph": {"kind": "random_geometric", "n": 20, "radius": 0.35,
+                                   "seed": 0}})
+        assert seeds == [0, 1]
+        np.testing.assert_array_equal(g.weights, random_geometric_graph(20, 0.35, 1).weights)
+
+    def test_gives_up_after_200_disconnected_draws(self, monkeypatch):
+        seeds = self._counting_draws(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^graph: no connected draw in 200 attempts"):
+            build_graph({"graph": {"kind": "random_geometric", "n": 30, "radius": 0.05}})
+        assert seeds == list(range(200))
 
 
 class TestBuildSetup:
@@ -832,6 +859,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         for name in ("curve.csv", "meta.json", "theory.csv", "comparison.csv"):
             assert not (out / name).exists()
+
+    @pytest.mark.parametrize("command, name, horizon, edits, message", [
+        # the small-step figure reads 8.61 here, yet mu = 3 diverges
+        ("run-lms", "design_min_rate.yaml", 1000, {"mu": 3},
+         "algorithm.mu: the learning curve diverged; mu = 3"),
+        # a ring diverges at every rho tried, however many inner iterations
+        ("run-drls", "drls.yaml", 40, {"comm": "ring", "rho": 0.1, "inner_iters": 30},
+         "algorithm.rho: the learning curve diverged; rho = 0.1"),
+    ], ids=["lms", "drls_ring"])
+    def test_divergence_error_gives_only_field_and_value(self, tmp_path, capsys, command,
+                                                         name, horizon, edits, message):
+        config = dict(load_config(CONFIG_DIR / name), trials=4, horizon=horizon)
+        config["algorithm"].update(edits)
+        code = cli.main([command, "--config", dump(tmp_path, config), "--out",
+                         str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", sorted(
         path.name for path in CONFIG_DIR.glob("*.yaml")
