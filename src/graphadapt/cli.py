@@ -98,18 +98,12 @@ def _run(args) -> int:
         kind, param = theory_parameter(setup.config)
         theory = lms_theory_report if kind == "lms" else rls_theory_report
         with config_field("sampling"):
-            report = theory(probs, param, setup.noise, setup.bandlimit)
-        rows = [("msd_linear", report.msd), ("msd_db", report.msd_db)]
-        if report.rate is not None:
-            rows.append(("convergence_rate", report.rate))
-        if report.step_bound is not None:
-            rows.append(("step_bound", report.step_bound))
+            rows = theory(probs, param, setup.noise, setup.bandlimit)
         with open(os.path.join(args.out, "theory.csv"), "w") as fh:
             fh.write("quantity,value\n")
-            for name, value in rows:
+            for name, value in rows.items():
                 fh.write(f"{name},{value:.12g}\n")
-        for name, value in rows:
-            print(f"{name} = {value:.6g}")
+                print(f"{name} = {value:.6g}")
         return 0
 
     if args.command == "compare-sampling":

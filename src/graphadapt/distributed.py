@@ -10,8 +10,8 @@ invariant that makes K large recover the centralized estimator.
 The network state is held as arrays with one row per node, and each inner
 iteration is one batched solve over all nodes.  Every state array may carry
 leading trial axes, so independent Monte Carlo trials advance together
-through the same code: ``drls_simulate`` takes (trials, horizon, n) draws as
-readily as horizon x n ones.  The per-link multipliers
+through the same code: ``drls_simulate`` streams (trials, steps, n) blocks
+of draws and keeps only their trial-summed curve.  The per-link multipliers
 lambda_ij stay antisymmetric, and the local update reads them only through
 alpha_i = sum_j (lambda_ij - lambda_ji), so only these aggregated duals are
 kept; they advance as alpha <- alpha + rho L s with L the communication
@@ -206,30 +206,29 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
 
 
 def drls_simulate(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
-                  config: DrlsConfig, draws: np.ndarray, observations: np.ndarray,
-                  x_true: np.ndarray):
-    """Run the network over pre-drawn masks/observations: horizon x n each
-    for one trial, or (trials, horizon, n) for independent trials that
-    advance together.
+                  config: DrlsConfig, blocks, x_true: np.ndarray):
+    """Run independent trials of the network, advancing together, over
+    ``blocks``: ``(draws, observations)`` pairs of shape (trials, steps, n)
+    that cover the horizon in order, as ``sampling.draw_blocks`` streams
+    them.  An unobserved vertex (draw 0) adds nothing, whatever its
+    observation.
 
-    Returns (curves, network).  ``curves`` has the shape of ``draws``:
-    curves[..., t, i] is the squared deviation of node i's synthesized
-    estimate from the true signal before instant t is sensed, matching the
-    centralized learning-curve convention.  The network carries the trial
-    axis and counts every trial's messages.
+    Returns (curve, network).  curve[t, i] is the squared deviation of node
+    i's synthesized estimate from the true signal before instant t is
+    sensed, summed over the trials, matching the centralized learning-curve
+    convention.  The network carries the trial axis and counts every
+    trial's messages.
     """
-    draws = np.asarray(draws)
-    observations = np.asarray(observations, dtype=float)
-    if draws.ndim not in (2, 3) or draws.shape != observations.shape:
-        raise ValueError("draws and observations must both be horizon x n "
-                         "or trials x horizon x n")
-    horizon = draws.shape[-2]
-    network = drls_network_init(comm, b, noise, config, batch=draws.shape[:-2])
     u = b.basis_slice
-    x_true = np.asarray(x_true, dtype=float)
-    curves = np.empty(draws.shape)
-    for t in range(horizon):
-        err = network.estimates @ u.T - x_true
-        curves[..., t, :] = np.einsum("...ij,...ij->...i", err, err)
-        drls_round(network, draws[..., t, :], observations[..., t, :], config)
-    return curves, network
+    network, rows = None, []
+    for draws, observations in blocks:
+        if draws.shape != observations.shape:
+            raise ValueError("draws and observations must have the same shape, "
+                             f"got {draws.shape} and {observations.shape}")
+        if network is None:
+            network = drls_network_init(comm, b, noise, config, batch=draws.shape[:1])
+        for t in range(draws.shape[1]):
+            err = network.estimates @ u.T - x_true
+            rows.append(np.einsum("...ij,...ij->...i", err, err).sum(axis=0))
+            drls_round(network, draws[:, t], observations[:, t], config)
+    return np.array(rows), network

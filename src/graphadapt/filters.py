@@ -14,7 +14,6 @@ the sampling probabilities, evaluated by :func:`_lms_msd` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +25,6 @@ from .sampling import (
     reconstructability_lambda,
     weighted_gram,
 )
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    """Closed-form predictions for one estimator configuration."""
-
-    msd: float
-    rate: float = None
-    step_bound: float = None
-
-    @property
-    def msd_db(self) -> float:
-        return 10.0 * math.log10(self.msd)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +123,9 @@ def lms_step_bound(p: SamplingProbabilities, b: Bandlimit) -> float:
     term (on ``configs/design_min_rate.yaml`` it reads 8.61, yet mu = 3
     diverges).  The exact bound is left to ROADMAP.md, item 1."""
     eigs = np.linalg.eigvalsh(weighted_gram(b, p.probs))
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_max <= 0.0:
+    if _singular(eigs):
         return 0.0
-    return 2.0 * max(lam_min, 0.0) / lam_max ** 2
+    return 2.0 * float(eigs[0]) / float(eigs[-1]) ** 2
 
 
 def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> float:
@@ -164,10 +149,10 @@ def lms_msd_upper_bound(p: SamplingProbabilities, mu: float, noise: NoiseModel, 
     if mu <= 0:
         raise ValueError("step size must be positive")
     _check_sizes(p, noise, b)
-    lam_min = reconstructability_lambda(p, b)
-    if lam_min <= 0.0:
+    eigs = np.linalg.eigvalsh(weighted_gram(b, p.probs))
+    if _singular(eigs):
         return math.inf
-    return 0.5 * mu * float(np.trace(weighted_gram(b, p.probs * noise.variances))) / lam_min
+    return 0.5 * mu * float(np.trace(weighted_gram(b, p.probs * noise.variances))) / float(eigs[0])
 
 
 def lms_rate_theory(p: SamplingProbabilities, mu: float, b: Bandlimit) -> float:
@@ -181,12 +166,11 @@ def lms_rate_theory(p: SamplingProbabilities, mu: float, b: Bandlimit) -> float:
     return 1.0 - 2.0 * mu * reconstructability_lambda(p, b)
 
 
-def lms_theory_report(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> TheoryReport:
-    return TheoryReport(
-        msd=lms_msd_theory(p, mu, noise, b),
-        rate=lms_rate_theory(p, mu, b),
-        step_bound=lms_step_bound(p, b),
-    )
+def lms_theory_report(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> dict:
+    """theory.csv's LMS rows, in order."""
+    msd = lms_msd_theory(p, mu, noise, b)
+    return {"msd_linear": msd, "msd_db": 10.0 * math.log10(msd),
+            "convergence_rate": lms_rate_theory(p, mu, b), "step_bound": lms_step_bound(p, b)}
 
 
 def rls_msd_theory(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> float:
@@ -203,5 +187,7 @@ def rls_msd_theory(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: 
     return (1.0 - beta) / (1.0 + beta) * trace
 
 
-def rls_theory_report(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> TheoryReport:
-    return TheoryReport(msd=rls_msd_theory(p, beta, noise, b))
+def rls_theory_report(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> dict:
+    """theory.csv's RLS rows, in order."""
+    msd = rls_msd_theory(p, beta, noise, b)
+    return {"msd_linear": msd, "msd_db": 10.0 * math.log10(msd)}

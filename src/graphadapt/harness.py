@@ -469,20 +469,14 @@ def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
 @np.errstate(over="ignore", invalid="ignore")
 def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
                  comm: CommGraph):
-    horizon, n = setup.horizon, setup.graph.n
-    # drls_simulate consumes whole-horizon draws, so a pass holds at most
-    # DRAW_BLOCK draw entries (but at least one trial)
-    size = min(TRIAL_CHUNK, max(1, DRAW_BLOCK // (horizon * n)))
-    acc = np.zeros((horizon, n))
+    n, f = setup.graph.n, setup.bandlimit.size
+    # a pass's (trials, n, f, f) information matrices hold at most DRAW_BLOCK
+    # entries (but at least one trial)
+    size = min(TRIAL_CHUNK, max(1, DRAW_BLOCK // (n * f * f)))
+    acc = np.zeros((setup.horizon, n))
     for trials in _passes(setup.trials, size):
-        masks, observations = next(draw_blocks(setup.seed, trials, horizon, probs.probs,
-                                               setup.noise.std, len(trials) * horizon * n))
-        observations += setup.x_true
-        observations *= masks
-        curves, _ = drls_simulate(comm, setup.bandlimit, setup.noise, cfg,
-                                  masks, observations, setup.x_true)
-        for trial_curves in curves:  # in trial order, as one trial at a time would
-            acc += trial_curves
+        blocks = ((masks, y) for _, masks, y, _ in _observed_blocks(setup, probs, trials))
+        acc += drls_simulate(comm, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true)[0]
     per_node = acc / setup.trials
     return per_node.mean(axis=1), per_node
 

@@ -201,7 +201,7 @@ def test_ac6_distributed_tracks_centralized():
     observations = draws * (x_true + rng.normal(0.0, noise.std, size=(horizon, 5)))
     dcfg = ga.DrlsConfig(rho=300.0, inner_iters=50, beta=0.95, delta=1e-3)
     _, network = ga.drls_simulate(ga.CommGraph.complete(5), bl, noise, dcfg,
-                                  draws, observations, x_true)
+                                  [(draws[None], observations[None])], x_true)
     u = bl.basis_slice
     outer = ga.rls_outer_table(u)
     psi, psiv = 1e-3 * np.eye(3), np.zeros(3)
@@ -209,7 +209,7 @@ def test_ac6_distributed_tracks_centralized():
         psi, psiv = ga.rls_update(psi, psiv, draws[t] / noise.variances, observations[t],
                                   u, outer, 0.95)
     central = u @ np.linalg.solve(psi, psiv)
-    deviation = float(np.abs(network.estimates @ bl.basis_slice.T - central).max())
+    deviation = float(np.abs(network.estimates[0] @ bl.basis_slice.T - central).max())
     ok_match = deviation <= 1e-4
 
     # more consensus iterations close the steady-state gap to centralized

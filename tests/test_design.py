@@ -392,6 +392,24 @@ class TestScaMinMsd:
         assert trace.msd_values[-1] <= trace.msd_values[0] + 1e-12
 
 
+@pytest.mark.parametrize("solver", [dinkelbach_min_msd, sca_min_msd])
+@pytest.mark.parametrize("budget", [0.5, 1.0, 2.0])
+def test_min_msd_unreachable_rate_reports_budget_ceiling(solver, budget):
+    """With the constant eigenvector u_1 = 1/sqrt(n) in the band,
+    lambda_min(H(p)) <= u_1^T H(p) u_1 = sum(p) / n <= B / n, and p = (B/n) 1
+    attains it with H = (B/n) I: the largest achievable lambda_min is B / n,
+    below lambda_t = 0.5 for every budget here."""
+    n = 10
+    g = random_geometric_graph(n, radius=0.6, seed=3)
+    b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 3)
+    np.testing.assert_allclose(np.abs(b.basis_slice[:, 0]), 1.0 / math.sqrt(n))
+    spec = DesignSpec(bandlimit=b, noise=NoiseModel.uniform(n, 0.01), mu=MU,
+                      rate_target=0.9, budget=budget)
+    with pytest.raises(InfeasibleDesignError, match="unreachable under the budget") as err:
+        solver(spec)
+    assert err.value.max_achievable_lambda == pytest.approx(budget / n, rel=1e-8)
+
+
 # -------------------------------------------------------------- RLS design
 
 

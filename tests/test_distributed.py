@@ -374,7 +374,7 @@ def test_many_inner_iterations_recover_centralized():
     draws = np.ones((horizon, n), dtype=np.int8)
     obs = x_true + rng.normal(0.0, 0.1, size=(horizon, n))
 
-    _, net = drls_simulate(comm, b, noise, cfg, draws, obs, x_true)
+    _, net = drls_simulate(comm, b, noise, cfg, [(draws[None], obs[None])], x_true)
 
     u = b.basis_slice
     outer = rls_outer_table(u)
@@ -382,7 +382,7 @@ def test_many_inner_iterations_recover_centralized():
     for t in range(horizon):
         psi, psiv = rls_update(psi, psiv, draws[t] / noise.variances, obs[t], u, outer, 0.95)
     reference = np.linalg.solve(psi, psiv)
-    for estimate in net.estimates:
+    for estimate in net.estimates[0]:
         np.testing.assert_allclose(estimate, reference, atol=1e-5)
 
 
@@ -394,9 +394,9 @@ def test_simulate_curve_convention():
     coeffs = rng.standard_normal(2)
     x_true = b.basis_slice @ coeffs
     horizon = 4
-    draws = np.ones((horizon, 5), dtype=np.int8)
-    obs = np.tile(x_true, (horizon, 1))
-    curves, _ = drls_simulate(comm, b, noise, cfg, draws, obs, x_true)
+    draws = np.ones((1, horizon, 5), dtype=np.int8)
+    obs = np.tile(x_true, (1, horizon, 1))
+    curves, _ = drls_simulate(comm, b, noise, cfg, [(draws, obs)], x_true)
     assert curves.shape == (horizon, 5)
     # estimates start at zero, so the first row is the signal energy
     np.testing.assert_allclose(curves[0], float(x_true @ x_true) * np.ones(5), atol=1e-12)
@@ -404,8 +404,9 @@ def test_simulate_curve_convention():
 
 
 def test_batched_simulate_matches_per_trial_runs():
-    """Trials stacked on a leading axis advance as if run one at a time, and
-    the network counts every trial's messages."""
+    """Trials stacked on a leading axis and streamed in time blocks advance
+    as if run one at a time: the curve is the in-order sum of the single-
+    trial curves, and the network counts every trial's messages."""
     b, noise = make_setup(n=6, f=3)
     comm = CommGraph.from_graph(random_geometric_graph(6, radius=0.9, seed=4))
     cfg = DrlsConfig(rho=20.0, inner_iters=2, beta=0.9)
@@ -413,21 +414,31 @@ def test_batched_simulate_matches_per_trial_runs():
     x_true = b.basis_slice @ rng.standard_normal(3)
     trials, horizon = 3, 12
     draws = (rng.random((trials, horizon, 6)) < 0.7).astype(np.int8)
-    obs = draws * (x_true + 0.1 * rng.standard_normal((trials, horizon, 6)))
-    curves, net = drls_simulate(comm, b, noise, cfg, draws, obs, x_true)
-    assert curves.shape == (trials, horizon, 6)
+    obs = x_true + 0.1 * rng.standard_normal((trials, horizon, 6))
+
+    def blocks(c):  # 5, 5 and 2 steps
+        return [(draws[c, t:t + 5], obs[c, t:t + 5]) for t in range(0, horizon, 5)]
+
+    curve, net = drls_simulate(comm, b, noise, cfg, blocks(slice(None)), x_true)
+    assert curve.shape == (horizon, 6)
     assert net.estimates.shape == (trials, 6, 3)
     assert net.message_count == 2 * comm.num_edges * 2 * horizon * trials
+    # an unobserved vertex adds nothing, whatever its observation
+    masked, _ = drls_simulate(comm, b, noise, cfg, [(draws, draws * obs)], x_true)
+    np.testing.assert_array_equal(masked, curve)
+    total = np.zeros((horizon, 6))
     for c in range(trials):
-        alone, single = drls_simulate(comm, b, noise, cfg, draws[c], obs[c], x_true)
-        np.testing.assert_array_equal(curves[c], alone)
-        np.testing.assert_array_equal(net.estimates[c], single.estimates)
-        np.testing.assert_array_equal(net.alpha[c], single.alpha)
+        alone, single = drls_simulate(comm, b, noise, cfg, blocks(slice(c, c + 1)), x_true)
+        total += alone
+        np.testing.assert_array_equal(net.estimates[c], single.estimates[0])
+        np.testing.assert_array_equal(net.alpha[c], single.alpha[0])
+    np.testing.assert_array_equal(curve, total)
 
 
 def test_simulate_validates_shapes():
     b, noise = make_setup(n=5, f=2)
     comm = CommGraph.complete(5)
-    with pytest.raises(ValueError):
-        drls_simulate(comm, b, noise, DrlsConfig(), np.ones((4, 5)),
-                      np.zeros((3, 5)), np.zeros(5))
+    blocks = [(np.ones((1, 4, 5)), np.zeros((1, 4, 5))),
+              (np.ones((1, 4, 5)), np.zeros((1, 3, 5)))]
+    with pytest.raises(ValueError, match="same shape"):
+        drls_simulate(comm, b, noise, DrlsConfig(), blocks, np.zeros(5))

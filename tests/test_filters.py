@@ -25,6 +25,7 @@ from graphadapt import (
     rls_outer_table,
     rls_theory_report,
     rls_update,
+    weighted_gram,
 )
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 
@@ -46,6 +47,16 @@ def rls_steps(b, noise, beta, delta, masks, ys):
 def two_of_three():
     # sample vertices {0, 1} deterministically
     return SamplingProbabilities(np.array([1.0, 1.0, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def three_for_four():
+    """(bandlimit, noise, p): three sampled vertices for a 4-dimensional band,
+    so H(p) is singular, yet eigvalsh puts its lambda_min at +1.8e-18."""
+    g = random_geometric_graph(12, 0.6, seed=1)
+    b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 4)
+    p = SamplingProbabilities((np.arange(12) < 3).astype(float))
+    return b, NoiseModel.uniform(12, 0.01), p
 
 
 # ---------------------------------------------------------------- LMS kernel
@@ -95,9 +106,11 @@ def test_step_bound_full_sampling(path3_band):
     assert lms_step_bound(p, path3_band) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_step_bound_rank_deficient_is_zero(path3_band):
+def test_step_bound_rank_deficient_is_zero(path3_band, three_for_four):
     p = SamplingProbabilities(np.array([0.0, 0.0, 1.0]))
     assert lms_step_bound(p, path3_band) == pytest.approx(0.0, abs=1e-12)
+    b, _, p = three_for_four
+    assert lms_step_bound(p, b) == 0.0
 
 
 def test_rate_frozen(path3_band, two_of_three):
@@ -169,17 +182,24 @@ def test_upper_bound_tight_at_full_white(path3_band, white_noise3):
     assert bound == pytest.approx(exact, rel=1e-12)
 
 
-def test_upper_bound_infinite_when_rank_deficient(path3_band, white_noise3):
+def test_upper_bound_infinite_when_rank_deficient(path3_band, white_noise3, three_for_four):
     p = SamplingProbabilities(np.array([0.0, 0.0, 1.0]))
     assert lms_msd_upper_bound(p, 0.1, white_noise3, path3_band) == math.inf
+    # the same rank test as lms_msd_theory, whatever the sign of rounding
+    b, noise, p = three_for_four
+    assert np.linalg.eigvalsh(weighted_gram(b, p.probs))[0] > 0.0
+    with pytest.raises(ReconstructabilityError):
+        lms_msd_theory(p, 0.1, noise, b)
+    assert lms_msd_upper_bound(p, 0.1, noise, b) == math.inf
 
 
 def test_lms_theory_report(path3_band, two_of_three, white_noise3):
     report = lms_theory_report(two_of_three, 0.1, white_noise3, path3_band)
-    assert report.msd == pytest.approx(1e-3, rel=1e-12)
-    assert report.rate == pytest.approx(29.0 / 30.0, abs=1e-12)
-    assert report.step_bound == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert report.msd_db == pytest.approx(-30.0, abs=1e-9)
+    assert list(report) == ["msd_linear", "msd_db", "convergence_rate", "step_bound"]
+    assert report["msd_linear"] == pytest.approx(1e-3, rel=1e-12)
+    assert report["convergence_rate"] == pytest.approx(29.0 / 30.0, abs=1e-12)
+    assert report["step_bound"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert report["msd_db"] == pytest.approx(-30.0, abs=1e-9)
 
 
 # -------------------------------------------------------------------- RLS
@@ -283,6 +303,5 @@ def test_rls_msd_validation(path3_band, white_noise3):
 
 def test_rls_theory_report(path3_band, white_noise3):
     report = rls_theory_report(SamplingProbabilities.full(3), 0.95, white_noise3, path3_band)
-    assert report.msd == pytest.approx(0.02 / 39.0, rel=1e-12)
-    assert report.rate is None
-    assert report.step_bound is None
+    assert list(report) == ["msd_linear", "msd_db"]
+    assert report["msd_linear"] == pytest.approx(0.02 / 39.0, rel=1e-12)

@@ -469,6 +469,10 @@ GOLDEN_CURVES = {
     # single block for the short one
     ("lms", 64 * 10 * 7),
     ("rls", 64 * 10 * 7),
+    # DRLS passes bound their (trials, n, f, f) state: one-trial passes in
+    # 14-step blocks, then both trials in one pass of 10-step blocks
+    ("drls", 2 * 10 * 7),
+    ("drls", 2 * 10 * 10),
 ])
 def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
     if block is not None:
@@ -731,6 +735,20 @@ class TestCli:
         payload = json.loads((out / "meta.json").read_text())
         assert payload["metadata"]["seed"] == 9
         assert payload["metadata"]["trials"] == 2
+
+    def test_edge_list_comm_matches_processing(self, tmp_path, capsys):
+        """``algorithm.comm`` set to the processing graph's edge list, as
+        gen-graph writes it, gives the same curves as ``comm: processing``."""
+        cfg = dict(load_config(CONFIG_DIR / "drls.yaml"), trials=2, horizon=40)
+        assert cli.main(["gen-graph", "--config", dump(tmp_path, cfg),
+                         "--out", str(tmp_path)]) == 0
+        outs = [tmp_path / "processing", tmp_path / "edge_list"]
+        for comm, out in zip(("processing", str(tmp_path / "graph.txt")), outs):
+            cfg["algorithm"] = dict(cfg["algorithm"], comm=comm)
+            assert cli.main(["run-drls", "--config", dump(tmp_path, cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name in ("curve.csv", "curve_per_node.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         code = cli.main(["run-rls", "--config", dump(tmp_path, tiny_config()),
