@@ -89,7 +89,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    version = raw.get("version", 1)
+    version = _typed("version", raw.get("version", 1), int)
     if version != 1:
         raise ConfigError(f"version: unsupported config version {version!r}")
     return raw

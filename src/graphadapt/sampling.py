@@ -3,13 +3,16 @@
 Each vertex i is observed independently across time with probability p_i;
 observations are corrupted by zero-mean Gaussian noise with per-vertex
 variance.  :func:`draw_blocks` is the one stream of these draws, for any
-number of trials at once.  Whether a probability vector can support
-reconstruction of a bandlimited signal is governed by the smallest
-eigenvalue of the weighted Gram matrix U_F^T diag(p) U_F.
+number of trials at once; it fills a block's trials on every usable CPU,
+and the values do not depend on how many.  Whether a probability vector
+can support reconstruction of a bandlimited signal is governed by the
+smallest eigenvalue of the weighted Gram matrix U_F^T diag(p) U_F.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +105,35 @@ def weighted_gram(b: Bandlimit, weights) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
+# threads that fill a draw block, the caller's included: every usable CPU
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _in_parallel(task, shares, *args):
+    """Run ``task(share, *args)`` for every share, the first on this thread
+    and the rest on threads of their own; return once all are done, raising
+    here the first exception any of them raised."""
+    errors = []
+
+    def guarded(share):
+        try:
+            task(share, *args)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        task(shares[0], *args)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndarray,
                 max_elements: int):
     """Per-trial sampling masks and noise, streamed in time blocks.
@@ -115,6 +147,11 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     ``(len(trials), steps, n)`` covering the horizon in order, with
     ``steps`` chosen so that a block holds at most ``max_elements`` entries,
     but at least one step.
+
+    A block's trials are split into min(len(trials), usable CPUs) runs of
+    consecutive trials, filled at once: one on the calling thread, each
+    other on a thread joined before the block is yielded.  Only one thread
+    touches a trial's generators, so the values do not depend on the split.
 
     Every block is a view of one masks/noise pair filled in place, so a
     yielded block stays valid only until the next one is requested: copy it
@@ -133,23 +170,30 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
         masks[...] = probs == 1.0
     else:
         mask_rngs = [np.random.default_rng(seed + t) for t in trials]
-        uniforms = np.empty((steps, n))
     noise_rngs = []
     for t in trials:
         bits = np.random.PCG64(seed + t)
         bits.advance(horizon * n)  # one 64-bit draw per uniform
         noise_rngs.append(np.random.Generator(bits))
+    workers = min(_WORKERS, len(trials))
+    cuts = [len(trials) * w // workers for w in range(workers + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    def fill(share, k):
+        for c in share:
+            rows = noise[c, :k]
+            if not fixed:
+                # the uniforms pass through the noise rows the normals overwrite
+                mask_rngs[c].random(out=rows)
+                np.less(rows, probs, out=masks[c, :k])
+            noise_rngs[c].standard_normal(out=rows)
+            # the same values as normal(0.0, std), which computes 0.0 + std * z
+            rows *= std
+
     for start in range(0, horizon, steps):
         k = min(steps, horizon - start)
-        block_masks, block_noise = masks[:, :k], noise[:, :k]
-        for c in range(len(trials)):
-            if not fixed:
-                mask_rngs[c].random(out=uniforms[:k])
-                np.less(uniforms[:k], probs, out=block_masks[c])
-            noise_rngs[c].standard_normal(out=block_noise[c])
-        # the same values as normal(0.0, std), which computes 0.0 + std * z
-        block_noise *= std
-        yield block_masks, block_noise
+        _in_parallel(fill, shares, k)
+        yield masks[:, :k], noise[:, :k]
 
 
 def reconstructability_lambda(p: SamplingProbabilities, b: Bandlimit) -> float:

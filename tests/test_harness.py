@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import yaml
 
 import graphadapt
 import reference
-from graphadapt import cli, harness
+from graphadapt import cli, harness, sampling
 from graphadapt.graphs import connected_components, random_geometric_graph
 from graphadapt.harness import (
     DRAW_BLOCK,
@@ -90,9 +91,9 @@ def test_load_config_round_trip(tmp_path):
     assert loaded == cfg
 
 
-def test_load_config_rejects_bad_version(tmp_path):
-    cfg = tiny_config()
-    cfg["version"] = 2
+@pytest.mark.parametrize("version", [2, True, 1.0])
+def test_load_config_rejects_bad_version(tmp_path, version):
+    cfg = dict(tiny_config(), version=version)
     with pytest.raises(ConfigError, match="version"):
         load_config(dump(tmp_path, cfg))
 
@@ -382,14 +383,18 @@ def _dense_trial_stream(seed, trial, horizon, probs, std):
 
 
 class TestDrawBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 exceeds the trials of some rows
     @pytest.mark.parametrize("trials, horizon, n, steps", [
         (range(0, 3), 23, 7, 5),       # blocks do not divide the horizon
         (range(0, 3), 23, 7, 1),       # one step per block
         (range(0, 3), 23, 7, 40),      # one block longer than the horizon
         (range(64, 70), 17, 7, 4),     # final chunk of fewer than 64 trials
         (range(0, 64), 60, 300, None),  # default cap at the scaled instance
+        ([5], 11, 7, 3),               # a one-trial stream
     ])
-    def test_blocks_concatenate_to_dense_stream(self, trials, horizon, n, steps):
+    def test_blocks_concatenate_to_dense_stream(self, monkeypatch, workers, trials, horizon,
+                                                n, steps):
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
         rng = np.random.default_rng(0)
         probs = rng.uniform(0.2, 0.9, n)
         std = np.sqrt(rng.uniform(0.005, 0.03, n))
@@ -410,8 +415,10 @@ class TestDrawBlocks:
             np.testing.assert_array_equal(masks[c], ref_masks)
             np.testing.assert_array_equal(noise[c], ref_noise)
 
-    def test_zero_one_probabilities_match_dense_stream(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_zero_one_probabilities_match_dense_stream(self, monkeypatch, workers):
         # no uniforms are drawn for fixed masks; the noise must not move
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
         n, horizon, trials = 6, 19, range(2, 5)
         probs = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         std = np.sqrt(np.linspace(0.005, 0.03, n))
@@ -424,6 +431,53 @@ class TestDrawBlocks:
             ref_masks, ref_noise = _dense_trial_stream(7, t, horizon, probs, std)
             np.testing.assert_array_equal(masks[c], ref_masks)
             np.testing.assert_array_equal(noise[c], ref_noise)
+
+    def test_more_workers_than_cores_match_dense_stream(self, monkeypatch):
+        # four threads switching every microsecond still write each trial's bytes
+        monkeypatch.setattr(sampling, "_WORKERS", 4)
+        n, horizon, trials = 9, 30, range(3, 9)
+        probs, std = np.full(n, 0.6), np.full(n, 0.2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocks = [(m.copy(), z.copy()) for m, z in draw_blocks(5, trials, horizon, probs,
+                                                                   std, 7 * len(trials) * n)]
+        finally:
+            sys.setswitchinterval(interval)
+        masks = np.concatenate([b[0] for b in blocks], axis=1)
+        noise = np.concatenate([b[1] for b in blocks], axis=1)
+        for c, t in enumerate(trials):
+            ref_masks, ref_noise = _dense_trial_stream(5, t, horizon, probs, std)
+            np.testing.assert_array_equal(masks[c], ref_masks)
+            np.testing.assert_array_equal(noise[c], ref_noise)
+
+    def test_no_thread_outlives_a_block(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_WORKERS", 3)
+        probs, std = np.full(5, 0.5), np.full(5, 0.1)
+        before = threading.active_count()
+        for _ in draw_blocks(1, range(4), 9, probs, std, 2 * 4 * 5):
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+        blocks = draw_blocks(1, range(4), 9, probs, std, 2 * 4 * 5)
+        next(blocks)
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
+        # every trial's *= std fails, on the calling thread and the other one
+        monkeypatch.setattr(sampling, "_WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            next(draw_blocks(0, range(4), 9, np.full(5, 0.5), np.full(6, 0.1), DRAW_BLOCK))
+        assert threading.active_count() == before
+
+        def fails_off_the_calling_thread(share, k):
+            if share == 1:
+                raise KeyError(k)
+
+        with pytest.raises(KeyError):
+            sampling._in_parallel(fails_off_the_calling_thread, [0, 1], 9)
+        assert threading.active_count() == before
 
     def test_trials_independent_of_chunking(self):
         probs, std = np.full(5, 0.5), np.full(5, 0.1)
@@ -867,6 +921,7 @@ class TestCli:
         ("algorithm.comm", "run-drls",
          {"algorithm": {"kind": "drls", "beta": 0.95,
                         "comm": str(DATA_DIR / "graph_not_utf8.txt")}}),
+        ("version", "run-lms", {"version": True}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):

@@ -5,7 +5,8 @@ scaled instance (n=300, |F|=20); divide by ``TRIAL_CHUNK`` for the
 per-trial-step figures the repository benchmark reports as
 ``harness.lms_step_ns`` / ``harness.rls_step_ns``.  Filling one draw block
 of such a pass (``DRAW_BLOCK`` entries of masks and noise) is timed on its
-own.
+own; that fill runs on every usable CPU, so its time depends on the core
+count while the kernels' does not.
 
 Distributed: one call is one sensing instant of the consensus network,
 all trials of a pass together, at the size of ``configs/drls.yaml`` (n=20,
