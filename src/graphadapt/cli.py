@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         "design": "solve a sampling-probability design problem",
-        "run-lms": "Monte Carlo learning curve for the diffusion estimator",
+        "run-lms": "Monte Carlo learning curve for the LMS estimator",
         "run-rls": "Monte Carlo learning curve for the recursive estimator",
         "run-drls": "Monte Carlo learning curves for the distributed estimator",
         "theory": "closed-form steady-state predictions for the configured run",

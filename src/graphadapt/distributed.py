@@ -10,8 +10,8 @@ invariant that makes K large recover the centralized estimator.
 The network state is held as arrays with one row per node, and each inner
 iteration is one batched solve over all nodes.  Every state array may carry
 leading trial axes, so independent Monte Carlo trials advance together
-through the same code: ``drls_simulate`` streams (trials, steps, n) blocks
-of draws and keeps only their trial-summed curve.  The per-link multipliers
+through the same code: ``drls_simulate`` runs them in ``filters.track`` and
+keeps only their trial-summed curve.  The per-link multipliers
 lambda_ij stay antisymmetric, and the local update reads them only through
 alpha_i = sum_j (lambda_ij - lambda_ji), so only these aggregated duals are
 kept; they advance as alpha <- alpha + rho L s with L the communication
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import rls_outer_table
+from .filters import rls_outer_table, track
 from .graphs import Bandlimit, Graph, build_laplacian, connected_components
 from .sampling import NoiseModel
 
@@ -207,11 +207,10 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
 
 def drls_simulate(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
                   config: DrlsConfig, blocks, x_true: np.ndarray):
-    """Run independent trials of the network, advancing together, over
-    ``blocks``: ``(draws, observations)`` pairs of shape (trials, steps, n)
-    that cover the horizon in order, as ``sampling.draw_blocks`` streams
-    them.  An unobserved vertex (draw 0) adds nothing, whatever its
-    observation.
+    """Run independent trials of the network together through the one
+    per-instant loop, ``filters.track``, over ``blocks`` of ``(draws,
+    observations)``.  An unobserved vertex (draw 0) adds nothing, whatever
+    its observation.
 
     Returns (curve, network).  curve[t, i] is the squared deviation of node
     i's synthesized estimate from the true signal before instant t is
@@ -219,16 +218,11 @@ def drls_simulate(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
     convention.  The network carries the trial axis and counts every
     trial's messages.
     """
-    u = b.basis_slice
-    network, rows = None, []
-    for draws, observations in blocks:
-        if draws.shape != observations.shape:
-            raise ValueError("draws and observations must have the same shape, "
-                             f"got {draws.shape} and {observations.shape}")
-        if network is None:
-            network = drls_network_init(comm, b, noise, config, batch=draws.shape[:1])
-        for t in range(draws.shape[1]):
-            err = network.estimates @ u.T - x_true
-            rows.append(np.einsum("...ij,...ij->...i", err, err).sum(axis=0))
-            drls_round(network, draws[:, t], observations[:, t], config)
-    return np.array(rows), network
+    def deviation(network):
+        err = network.estimates @ b.basis_slice.T - x_true
+        return np.einsum("...ij,...ij->...i", err, err).sum(axis=0)
+
+    return track(blocks,
+                 lambda trials: drls_network_init(comm, b, noise, config, batch=(trials,)),
+                 lambda network, draws, obs: drls_round(network, draws, obs, config),
+                 deviation)

@@ -1,11 +1,12 @@
 """Adaptive estimators for bandlimited graph signals and their mean-square theory.
 
-Two online estimators consume the stream of masked noisy observations: a
-stochastic-gradient filter (constant step mu, projected onto the bandlimited
-subspace) and an exponentially weighted recursive least-squares filter
-(forgetting factor beta).  Their updates are batched kernels in bandlimited
-coordinates: every array carries any number of leading trial axes, so one
-call advances all the trials of a Monte Carlo pass.  Both estimators come
+Two online estimators consume the stream of masked noisy observations: an
+LMS filter (constant step mu, projected onto the bandlimited subspace) and
+an exponentially weighted recursive least-squares filter (forgetting factor
+beta).  Their updates are batched kernels in bandlimited coordinates: every
+array carries any number of leading trial axes, so one call advances all
+the trials of a Monte Carlo pass, and :func:`track` is the one per-instant
+loop that drives them and the distributed simulator.  Both estimators come
 with closed-form steady-state mean-square-deviation predictions driven by
 the sampling probabilities, evaluated by :func:`_lms_msd` and
 :func:`_rls_trace_inverse`, which the design solvers share.
@@ -51,6 +52,25 @@ def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
     psi *= beta
     psi += (w @ outer).reshape(psi.shape)
     return psi, beta * psiv + (w * y) @ u
+
+
+def track(blocks, init, step, deviation):
+    """The one per-instant loop, over ``(masks, y)`` blocks of shape (trials,
+    steps, n) that cover the horizon in order: the state starts as
+    ``init(trials)``; before each instant t, ``deviation(state)`` is recorded,
+    then ``state = step(state, masks[:, t], y[:, t])``.  Returns the rows,
+    as one array, and the final state."""
+    state, rows = None, []
+    for masks, y in blocks:
+        if masks.shape != y.shape:
+            raise ValueError("masks and observations must have the same shape, "
+                             f"got {masks.shape} and {y.shape}")
+        if state is None:
+            state = init(masks.shape[0])
+        for t in range(masks.shape[1]):
+            rows.append(deviation(state))
+            state = step(state, masks[:, t], y[:, t])
+    return np.array(rows), state
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ bandlimit, the noise, how sampling probabilities are obtained (fixed,
 designed, or a baseline strategy), the estimator, and the Monte Carlo
 budget.  Runs aggregate per-iteration squared deviation over independent
 trials whose generators are seeded ``seed + trial_index``, so results are
-reproducible and trial order is irrelevant.  The estimator kernels come
-from :mod:`filters` and the draws from :func:`sampling.draw_blocks`.
+reproducible and trial order is irrelevant.  Every run goes through the
+one loop over passes, ``_monte_carlo``, fed by :func:`sampling.draw_blocks`:
+LMS and RLS as (init, step, estimate) triples in :func:`filters.track`, the
+one per-instant loop, and DRLS in :func:`distributed.drls_simulate`, which
+runs the same loop.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .filters import (
     rls_msd_theory,
     rls_outer_table,
     rls_update,
+    track,
 )
 from .graphs import (
     Bandlimit,
@@ -108,6 +112,13 @@ def _typed(name: str, val, kind):
     return val
 
 
+def _list_of(name: str, val, kind) -> list:
+    """``val``, checked to be a list whose every entry is of ``kind``."""
+    for entry in _typed(name, val, list):
+        _typed(name, entry, kind)
+    return val
+
+
 def _need(cfg: dict, section: str, key: str, kind=None):
     if key not in cfg:
         raise ConfigError(f"{_name(section, key)}: required field is missing")
@@ -156,8 +167,20 @@ def config_field(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
-def _get(cfg: dict, key: str, default=None):
-    return cfg.get(key, default) if isinstance(cfg, dict) else default
+def _section(config: dict, name: str, optional: bool = False) -> dict:
+    """The mapping ``config[name]``; an optional section may be left out."""
+    cfg = config.get(name)
+    if cfg is None and not optional:
+        raise ConfigError(f"{name}: section is missing")
+    return {} if cfg is None else _typed(name, cfg, dict)
+
+
+def _p_max(cfg: dict, section: str):
+    """The optional per-vertex cap ``p_max``: one number or a list of them."""
+    if "p_max" not in cfg:
+        return None
+    val = _need(cfg, section, "p_max", (int, float, list))
+    return _list_of(_name(section, "p_max"), val, (int, float)) if isinstance(val, list) else val
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +202,7 @@ class Setup:
 
 
 def build_graph(config: dict) -> Graph:
-    gcfg = config.get("graph")
-    if not isinstance(gcfg, dict):
-        raise ConfigError("graph: section is missing")
+    gcfg = _section(config, "graph")
     kind = _need(gcfg, "graph", "kind", str)
     if kind == "edge_list":
         path = _need(gcfg, "graph", "path", str)
@@ -210,26 +231,23 @@ def build_setup(config: dict) -> Setup:
     graph = build_graph(config)
     basis = eigendecompose(build_laplacian(graph))
 
-    bcfg = config.get("bandlimit")
-    if not isinstance(bcfg, dict):
-        raise ConfigError("bandlimit: section is missing")
+    bcfg = _section(config, "bandlimit")
     if "indices" in bcfg:
+        indices = _list_of("bandlimit.indices", bcfg["indices"], int)
         with config_field("bandlimit.indices"):
-            bl = Bandlimit.from_indices(basis, bcfg["indices"])
+            bl = Bandlimit.from_indices(basis, indices)
     else:
         size = _count(bcfg, "bandlimit", "size")
         if not 1 <= size <= graph.n:
             raise ConfigError(f"bandlimit.size: {size} out of range for n={graph.n}")
         bl = Bandlimit.lowest(basis, size)
 
-    ncfg = config.get("noise")
-    if not isinstance(ncfg, dict):
-        raise ConfigError("noise: section is missing")
+    ncfg = _section(config, "noise")
     nkind = ncfg.get("kind", "uniform")
     if nkind == "uniform":
         noise = NoiseModel.uniform(graph.n, _real(ncfg, "noise", "sigma_sq"))
     elif nkind == "values":
-        vals = _need(ncfg, "noise", "values", list)
+        vals = _list_of("noise.values", _need(ncfg, "noise", "values"), (int, float))
         if len(vals) != graph.n:
             raise ConfigError(f"noise.values: expected {graph.n} entries, got {len(vals)}")
         with config_field("noise.values"):
@@ -244,7 +262,8 @@ def build_setup(config: dict) -> Setup:
     else:
         raise ConfigError(f"noise.kind: unknown kind {nkind!r}")
 
-    scale = float(_typed("signal.scale", _get(config.get("signal"), "scale", 1.0), (int, float)))
+    scfg = _section(config, "signal", optional=True)
+    scale = float(_typed("signal.scale", scfg.get("scale", 1.0), (int, float)))
     coeffs = scale * np.random.default_rng([seed, 101]).normal(size=bl.size)
     return Setup(
         config=config,
@@ -275,11 +294,11 @@ def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
     def number(key, fallback=None):
         return float(_need(scfg, "sampling", key, (int, float))) if key in scfg else fallback
 
-    acfg = setup.config.get("algorithm")
+    acfg = _section(setup.config, "algorithm", optional=True)
     # (DesignSpec argument, config field, value); bounds come before the budget
-    fields = [("bounds", "sampling.p_max", scfg.get("p_max"))]
+    fields = [("bounds", "sampling.p_max", _p_max(scfg, "sampling"))]
     for key in ("mu", "beta"):
-        fallback = _get(acfg, key)
+        fallback = acfg.get(key)
         name = f"sampling.{key}" if key in scfg or fallback is None else f"algorithm.{key}"
         fields.append((key, name, number(key, fallback)))
     fields.append(("rate_target", "sampling.rate_target", number("rate_target")))
@@ -312,15 +331,13 @@ def resolve_sampling(setup: Setup):
     Returns (probabilities, trace_or_None); designed sampling also yields
     the solver trace for reporting.
     """
-    scfg = setup.config.get("sampling")
-    if not isinstance(scfg, dict):
-        raise ConfigError("sampling: section is missing")
+    scfg = _section(setup.config, "sampling")
     kind = _need(scfg, "sampling", "kind", str)
     n = setup.graph.n
     if kind == "full":
         return SamplingProbabilities.full(n), None
     if kind == "explicit":
-        p = _need(scfg, "sampling", "p", list)
+        p = _list_of("sampling.p", _need(scfg, "sampling", "p"), (int, float))
         if len(p) != n:
             raise ConfigError(f"sampling.p: expected {n} entries, got {len(p)}")
         with config_field("sampling.p"):
@@ -356,6 +373,11 @@ def resolve_sampling(setup: Setup):
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
 
+def _steady_state(curve: np.ndarray) -> float:
+    """A learning curve's steady state: its final quarter's mean (or last point's)."""
+    return float(curve[-max(1, curve.shape[0] // 4):].mean())
+
+
 @dataclass
 class LearningCurve:
     """Trial-averaged squared-deviation trajectory plus theory annotations.
@@ -374,78 +396,60 @@ class LearningCurve:
         return 10.0 * np.log10(np.maximum(self.msd_linear, 1e-300))
 
     def steady_state_linear(self) -> float:
-        tail = self.msd_linear[-max(1, self.msd_linear.shape[0] // 4):]
-        return float(tail.mean())
+        return _steady_state(self.msd_linear)
 
     def steady_state_db(self) -> float:
         return to_db(self.steady_state_linear())
 
 
-def _passes(trials: int, size: int):
-    """The trial ranges of the Monte Carlo passes, ``size`` trials each but
-    the last."""
-    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
-
-
-def _observed_blocks(setup: Setup, probs: SamplingProbabilities, trials):
-    """``(start, masks, y, traj)`` for every time block of one pass over
-    ``trials``: ``start`` is the block's first instant, ``y = x_true +
-    noise`` is formed in place in the draw buffer, and ``traj`` is a
-    (steps, trials, f) buffer, reused across blocks, for the estimates the
-    consumer holds before each instant."""
-    start, traj = 0, None
-    for masks, y in draw_blocks(setup.seed, trials, setup.horizon, probs.probs,
-                                setup.noise.std, DRAW_BLOCK):
-        steps = masks.shape[1]
-        if traj is None:
-            traj = np.empty((steps, len(trials), setup.bandlimit.size))
-        y += setup.x_true
-        yield start, masks, y, traj[:steps]
-        start += steps
-
-
-def _squared_deviation(traj: np.ndarray, s_true: np.ndarray) -> np.ndarray:
-    """sum over trials of ||s - s_true||^2, per step of a (steps, trials, f)
-    trajectory (overwritten)."""
-    traj -= s_true
-    traj *= traj
-    return traj.reshape(traj.shape[0], -1).sum(axis=1)
-
-
 # The kernels do not warn about overflow: run_experiment reports a non-finite
 # learning curve as an error naming the step size or penalty.
 @np.errstate(over="ignore", invalid="ignore")
+def _monte_carlo(setup: Setup, probs: SamplingProbabilities, pass_size: int,
+                 simulate) -> np.ndarray:
+    """The one loop over passes: ``simulate(blocks)`` runs a pass of at most
+    ``pass_size`` trials over its ``(masks, y = x_true + noise)`` draw blocks
+    and returns (trial-summed curve, final state).  The curves' sum over the
+    passes is divided by the number of trials."""
+    total = 0.0
+    for start in range(0, setup.trials, pass_size):
+        blocks = draw_blocks(setup.seed, range(start, min(start + pass_size, setup.trials)),
+                             setup.horizon, probs.probs, setup.noise.std, DRAW_BLOCK)
+        total = total + simulate((m, np.add(y, setup.x_true, out=y)) for m, y in blocks)[0]
+    return total / setup.trials
+
+
+def _run_filter_mc(setup: Setup, probs: SamplingProbabilities, init, step,
+                   estimate) -> np.ndarray:
+    """The learning curve of a centralized filter: ``track``'s ``init`` and
+    ``step``, and its (trials, f) coefficients ``estimate(state)``."""
+    def deviation(state):
+        return np.square(estimate(state) - setup.signal_coeffs).sum()
+
+    return _monte_carlo(setup, probs, TRIAL_CHUNK,
+                        lambda blocks: track(blocks, init, step, deviation))
+
+
 def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.ndarray:
     u = setup.bandlimit.basis_slice
-    acc = np.zeros(setup.horizon)
-    for trials in _passes(setup.trials, TRIAL_CHUNK):
-        s_hat = np.zeros((len(trials), setup.bandlimit.size))
-        for start, masks, y, traj in _observed_blocks(setup, probs, trials):
-            for j in range(traj.shape[0]):
-                traj[j] = s_hat
-                s_hat = lms_update(s_hat, masks[:, j], y[:, j], u, mu)
-            acc[start:start + traj.shape[0]] += _squared_deviation(traj, setup.signal_coeffs)
-    return acc / setup.trials
+    return _run_filter_mc(setup, probs,
+                          init=lambda trials: np.zeros((trials, u.shape[1])),
+                          step=lambda s_hat, masks, y: lms_update(s_hat, masks, y, u, mu),
+                          estimate=lambda s_hat: s_hat)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _run_rls_mc(setup: Setup, probs: SamplingProbabilities, beta: float,
                 delta: float) -> np.ndarray:
+    # the state is the information pair (Psi, psi), the estimate Psi^-1 psi
     u = setup.bandlimit.basis_slice
-    f = setup.bandlimit.size
+    f = u.shape[1]
     inv_var = 1.0 / setup.noise.variances
     outer = rls_outer_table(u)
-    acc = np.zeros(setup.horizon)
-    for trials in _passes(setup.trials, TRIAL_CHUNK):
-        psi = np.tile(delta * np.eye(f), (len(trials), 1, 1))
-        psiv = np.zeros((len(trials), f))
-        for start, masks, y, traj in _observed_blocks(setup, probs, trials):
-            for j in range(traj.shape[0]):
-                traj[j] = np.linalg.solve(psi, psiv[:, :, None])[:, :, 0]
-                psi, psiv = rls_update(psi, psiv, masks[:, j] * inv_var, y[:, j], u, outer,
-                                       beta)
-            acc[start:start + traj.shape[0]] += _squared_deviation(traj, setup.signal_coeffs)
-    return acc / setup.trials
+    return _run_filter_mc(
+        setup, probs,
+        init=lambda trials: (np.tile(delta * np.eye(f), (trials, 1, 1)), np.zeros((trials, f))),
+        step=lambda state, masks, y: rls_update(*state, masks * inv_var, y, u, outer, beta),
+        estimate=lambda state: np.linalg.solve(state[0], state[1][:, :, None])[:, :, 0])
 
 
 def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
@@ -466,18 +470,14 @@ def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
     return graph
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
                  comm: CommGraph):
     n, f = setup.graph.n, setup.bandlimit.size
     # a pass's (trials, n, f, f) information matrices hold at most DRAW_BLOCK
     # entries (but at least one trial)
     size = min(TRIAL_CHUNK, max(1, DRAW_BLOCK // (n * f * f)))
-    acc = np.zeros((setup.horizon, n))
-    for trials in _passes(setup.trials, size):
-        blocks = ((masks, y) for _, masks, y, _ in _observed_blocks(setup, probs, trials))
-        acc += drls_simulate(comm, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true)[0]
-    per_node = acc / setup.trials
+    per_node = _monte_carlo(setup, probs, size, lambda blocks: drls_simulate(
+        comm, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true))
     return per_node.mean(axis=1), per_node
 
 
@@ -485,9 +485,7 @@ def theory_parameter(config: dict) -> tuple:
     """The configured algorithm kind and the parameter its closed-form theory
     needs: the step size mu for LMS, the forgetting factor beta for RLS and
     DRLS."""
-    acfg = config.get("algorithm")
-    if not isinstance(acfg, dict):
-        raise ConfigError("algorithm: section is missing")
+    acfg = _section(config, "algorithm")
     kind = _need(acfg, "algorithm", "kind", str)
     if kind == "lms":
         return kind, _real(acfg, "algorithm", "mu")
@@ -575,7 +573,7 @@ def fit_rate(curve) -> float:
                    dtype=float)
     if y.ndim != 1 or y.shape[0] < 2:
         raise ValueError("need a 1-d curve with at least two points")
-    steady = float(y[-max(1, y.shape[0] // 4):].mean())
+    steady = _steady_state(y)
     inside = y <= steady * 10.0 ** 0.3
     cut = int(np.argmax(inside)) if inside.any() else y.shape[0]
     window = y[:max(cut, 2)]
@@ -612,9 +610,7 @@ def compare_sampling(config: dict) -> list:
     over ``compare.random_seeds`` permutations (mean and standard deviation).
     """
     setup = build_setup(config)
-    ccfg = setup.config.get("compare")
-    if not isinstance(ccfg, dict):
-        raise ConfigError("compare: section is missing")
+    ccfg = _section(setup.config, "compare")
     targets = _need(ccfg, "compare", "rate_targets", list)
     for alpha in targets:
         if not 0.0 < _typed("compare.rate_targets", alpha, (int, float)) < 1.0:
@@ -645,7 +641,7 @@ def compare_sampling(config: dict) -> list:
             spec = design_mod.DesignSpec(
                 bandlimit=bl, noise=noise, mu=mu,
                 rate_target=alpha, msd_target=gamma,
-                bounds=ccfg.get("p_max"),
+                bounds=_p_max(ccfg, "compare"),
             )
         lam_t = spec.lambda_target()
         try:

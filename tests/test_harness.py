@@ -488,7 +488,8 @@ class TestDrawBlocks:
 
 
 def golden_config(algorithm):
-    """70 trials: one full chunk of 64 plus a short one."""
+    """70 trials: a single pass at the shipped TRIAL_CHUNK, one full pass
+    plus a short one at a TRIAL_CHUNK of 64."""
     return {
         "seed": 5,
         "trials": 70,
@@ -538,6 +539,14 @@ def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
     path = tmp_path / "curve.csv"
     write_curve_csv(run_experiment(cfg), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["lms", "rls"])
+@pytest.mark.parametrize("chunk", [64, 32])
+def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind, chunk):
+    # two passes (64 + 6 trials) or three (32 + 32 + 6) sum to the same bytes
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+    test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, None)
 
 
 # SHA-256 of comparison.csv for configs/compare_sampling.yaml: the baseline
@@ -644,8 +653,8 @@ def test_batched_kernels_match_single_trial_filters():
     (32, 32 * 12 * 7),    # three passes, the last short; 7-step blocks
 ])
 def test_many_trials_match_single_trial_filters(monkeypatch, chunk, block):
-    # one pass advances more trials than the old 64-trial chunks held; the
-    # GEMM's rows may round differently with the batch height, hence rtol
+    # the reference runs one trial at a time in vertex coordinates, so it
+    # rounds differently from the batched kernels: hence rtol
     if chunk is not None:
         monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
         monkeypatch.setattr(harness, "DRAW_BLOCK", block)
@@ -922,6 +931,17 @@ class TestCli:
          {"algorithm": {"kind": "drls", "beta": 0.95,
                         "comm": str(DATA_DIR / "graph_not_utf8.txt")}}),
         ("version", "run-lms", {"version": True}),
+        # malformed lists and sections used to raise a TypeError (exit 1) or
+        # run on with the wrong value
+        *(("bandlimit.indices", command, {"bandlimit": {"indices": indices}})
+          for command in ("run-lms", "design", "theory") for indices in (3, [[1, 2]])),
+        ("sampling.p_max", "design", {"sampling": dict(DESIGN, p_max={"a": 1})}),
+        ("compare.p_max", "compare-sampling", {"compare": dict(COMPARE, p_max={"a": 1})}),
+        ("signal", "run-lms", {"signal": 3}),
+        ("signal", "run-lms", {"signal": [1, 2]}),
+        # NaN variances used to be reported as a diverged step size
+        ("noise.values", "run-lms", {"noise": {"kind": "values", "values": [None] * 8}}),
+        ("sampling.p", "run-lms", {"sampling": {"kind": "explicit", "p": [{"a": 1}] * 8}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
