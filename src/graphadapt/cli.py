@@ -116,8 +116,7 @@ def _run(args) -> int:
 
     if args.command in _RUN_COMMANDS:
         expected = _RUN_COMMANDS[args.command]
-        acfg = config.get("algorithm")
-        kind = acfg.get("kind") if isinstance(acfg, dict) else None
+        kind, _ = theory_parameter(config)
         if kind != expected:
             raise ConfigError(
                 f"algorithm.kind: {args.command} needs kind '{expected}', got {kind!r}"

@@ -43,7 +43,6 @@ TRUNCATE_TOL = 1e-9
 GAP = 1e-9              # duality-gap bound m/t at which a barrier run stops
 _T_GROWTH = 20.0        # factor on t between centerings
 _CENTER_STEPS = 1000    # Newton steps per centering at most
-_PULL = 1e-3            # share of the interior start mixed into a given initial point
 
 
 class InfeasibleDesignError(ValueError):
@@ -144,9 +143,6 @@ class _Instance:
         self.sig2 = noise.variances
         self.g_lin = self.sig2 * leverage_scores(b)     # gradient of Tr G(p)
 
-    def h_eig(self, p):
-        return np.linalg.eigh(weighted_gram(self.b, p))
-
     def lam_min(self, p):
         return float(np.linalg.eigvalsh(weighted_gram(self.b, p))[0])
 
@@ -154,24 +150,15 @@ class _Instance:
         return float(self.g_lin @ p)
 
 
-def _less(evaluate, offset):
-    """``evaluate(p, derivs)`` less ``offset`` as a smooth barrier function:
-    its value, or with ``derivs`` its quadruple, shifted by -offset."""
-    def fn(p, derivs=False):
-        out = evaluate(p, derivs)
-        return (out[0] - offset, *out[1:]) if derivs else out - offset
-    return fn
+def _msd(inst, mu):
+    """The exact MSD of :func:`filters._lms_msd`: inf where H(p) is
+    singular, with ``derivs`` (value, gradient, Hessian, excess)."""
+    return lambda p, derivs=False: _lms_msd(inst.b, inst.sig2, p, mu, derivs)
 
 
-def _msd(inst, mu, offset=0.0):
-    """The exact MSD of :func:`filters._lms_msd` less ``offset``: inf where
-    H(p) is singular, with ``derivs`` (value, gradient, Hessian, excess)."""
-    return _less(lambda p, derivs: _lms_msd(inst.b, inst.sig2, p, mu, derivs), offset)
-
-
-def _trace_inverse(inst, offset):
-    """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}] less ``offset``, inf where singular."""
-    return _less(lambda p, derivs: _rls_trace_inverse(inst.b, inst.sig2, p, derivs), offset)
+def _trace_inverse(inst):
+    """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}], inf where singular."""
+    return lambda p, derivs=False: _rls_trace_inverse(inst.b, inst.sig2, p, derivs)
 
 
 def _truncate(p):
@@ -188,8 +175,9 @@ class _Barrier:
 
     ``lmis`` holds triples (c, const, e), each the LMI
     H(p) - (c @ p + const + e s) I >= 0.  ``objective`` is a vector over
-    (p, s) (a linear objective) or a smooth function of p; ``constraints`` are
-    smooth functions of p that must stay negative.  A smooth function
+    (p, s) (a linear objective) or a smooth function of p; ``constraints``
+    holds pairs (fn, bound), each a smooth function of p held strictly below
+    its bound by the barrier term -log(bound - fn(p)).  A smooth function
     ``fn(p, derivs)`` returns its value, inf outside its domain, or with
     ``derivs`` the quadruple (value, gradient, Hessian, excess) over all n
     vertices: the excess is 0.0 for a convex function, else the matrix that
@@ -274,7 +262,7 @@ class _Barrier:
                 hess[:k, :k] += 1.0 / slack ** 2
         p = self.point(x)
         if self.lmis:
-            lam, vecs = self.inst.h_eig(p)
+            lam, vecs = np.linalg.eigh(weighted_gram(self.inst.b, p))
             q = self.u @ vecs
             for c, const in self.lmis:
                 eig = lam - (float(c @ x) + const)
@@ -295,17 +283,17 @@ class _Barrier:
                     b = b.reshape(len(c), -1)
                     grad += c * w.sum() - (r * r).sum(axis=1)
                     hess += b @ b.T
-        for fn in self.constraints:
+        for fn, bound in self.constraints:
             out = fn(p, derivs)
-            g = out[0] if derivs else out
-            if not g < 0.0:
+            slack = bound - (out[0] if derivs else out)
+            if not slack > 0.0:
                 return math.inf
-            value -= math.log(-g)
+            value -= math.log(slack)
             if derivs:
                 gx, hx, ex = self._lift(*out[1:])
-                grad += gx / -g
-                hess += np.outer(gx, gx) / g ** 2 + hx / -g
-                excess = excess + ex / -g
+                grad += gx / slack
+                hess += np.outer(gx, gx) / slack ** 2 + hx / slack
+                excess = excess + ex / slack
         return (value, grad, hess, excess) if derivs else value
 
 
@@ -410,24 +398,6 @@ def _interior(inst, lmis, budget):
     return phase.point(x), float(x[-1])
 
 
-def _start(prog, center, initial):
-    """``center``, or ``initial`` (probabilities or a vector) clipped to the
-    box and pulled strictly inside ``prog``'s domain by mixing in a little
-    of ``center``."""
-    if initial is None:
-        return center
-    if isinstance(initial, SamplingProbabilities):
-        initial = initial.probs
-    q = np.asarray(initial, dtype=float)
-    if q.shape != (prog.inst.n,):
-        raise ValueError(f"expected a length-{prog.inst.n} probability vector")
-    q = np.clip(q, 0.0, prog.inst.ub)
-    p = (1.0 - _PULL) * q + _PULL * center
-    if not math.isfinite(prog(p[prog.free])):
-        raise InfeasibleDesignError("the initial point is infeasible")
-    return p
-
-
 def _run(prog, start, entry):
     """One barrier run from ``start``, recording the start, every Newton
     step and the final design with (objective, residual, msd) = entry(p)."""
@@ -494,15 +464,14 @@ def solve_min_rate_convex(spec: DesignSpec):
     return _run(_Barrier(inst, [rate, bound], objective=np.ones(inst.n)), center, entry)
 
 
-def sca_min_rate(spec: DesignSpec, initial=None):
+def sca_min_rate(spec: DesignSpec):
     """Minimize sum(p) subject to the convergence-rate floor and the exact
     MSD constraint MSD(p) <= gamma.
 
     One barrier run on the exact MSD, whose Newton steps fall back on the
     PSD curvature mu K o L where the exact Hessian leaves the Newton matrix
-    indefinite.  It starts inside the convex bound's feasible set,
-    which lies inside the exact one, or at ``initial`` pulled strictly
-    inside.
+    indefinite.  It starts inside the convex bound's feasible set, which
+    lies inside the exact one.
     """
     inst, lam_t, rate, _, center = _min_rate_setup(spec, "sca_min_rate")
     mu, gamma = spec.mu, spec.msd_target
@@ -512,8 +481,8 @@ def sca_min_rate(spec: DesignSpec, initial=None):
         value = msd(p)
         return p.sum(), max(lam_t - inst.lam_min(p), value - gamma, 0.0), value
 
-    prog = _Barrier(inst, [rate], objective=np.ones(inst.n), constraints=(_msd(inst, mu, gamma),))
-    return _run(prog, _start(prog, center, initial), entry)
+    prog = _Barrier(inst, [rate], objective=np.ones(inst.n), constraints=[(msd, gamma)])
+    return _run(prog, center, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +508,14 @@ def _min_msd_setup(spec, name):
     return inst, lam_t, rate, center
 
 
-def dinkelbach_min_msd(spec: DesignSpec, initial=None):
+def dinkelbach_min_msd(spec: DesignSpec):
     """Minimize the MSD upper bound Tr(G(p)) / lambda_min(H(p)) over the
     rate-and-budget feasible set by Dinkelbach's parametric method.
 
     Each round minimizes Tr(G(p)) - w s over H(p) >= s I, one barrier run
-    from the interior start (or ``initial``, pulled strictly inside), and
-    updates w to the new ratio.  A round is kept only if it lowers the
-    ratio, and the method stops once the round's value is within GAP of 0.
+    from the interior start, and updates w to the new ratio.  A round is
+    kept only if it lowers the ratio, and the method stops once the round's
+    value is within GAP of 0.
     The recorded objective is the bound value (mu/2) * ratio.
     """
     inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach_min_msd")
@@ -559,14 +528,14 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None):
         lam = inst.lam_min(q)
         trace.record(0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0), msd(q))
 
-    p = start = _start(_Barrier(inst, [rate], budget=spec.budget), center, initial)
+    p = center
     record(p)
     omega = inst.tr_g(p) / inst.lam_min(p)
     converged = True
     while True:
         prog = _Barrier(inst, [rate, epigraph], objective=np.append(inst.g_lin, -omega),
                         budget=spec.budget, epigraph=True)
-        x, converged = _barrier(prog, np.append(start[prog.free], lam_t))
+        x, converged = _barrier(prog, np.append(center[prog.free], lam_t))
         q = prog.point(x)
         lam = inst.lam_min(q)
         h = inst.tr_g(q) - omega * lam
@@ -582,7 +551,7 @@ def dinkelbach_min_msd(spec: DesignSpec, initial=None):
     return SamplingProbabilities(probs=final, bounds=inst.ub), trace
 
 
-def sca_min_msd(spec: DesignSpec, initial=None):
+def sca_min_msd(spec: DesignSpec):
     """Minimize the exact MSD over the rate-and-budget feasible set: one
     barrier run whose Newton steps fall back on the PSD curvature mu K o L
     where the exact Hessian leaves the Newton matrix indefinite."""
@@ -593,8 +562,7 @@ def sca_min_msd(spec: DesignSpec, initial=None):
         value = msd(p)
         return value, max(lam_t - inst.lam_min(p), 0.0), value
 
-    prog = _Barrier(inst, [rate], objective=msd, budget=spec.budget)
-    return _run(prog, _start(prog, center, initial), entry)
+    return _run(_Barrier(inst, [rate], objective=msd, budget=spec.budget), center, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +580,7 @@ def solve_rls_design(spec: DesignSpec):
     inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
     scale = (1.0 - spec.beta) / (1.0 + spec.beta)
     t_target = spec.msd_target / scale
-    trace_inv = _trace_inverse(inst, 0.0)
+    trace_inv = _trace_inverse(inst)
     t_ceiling = trace_inv(inst.ub)
     if not t_ceiling < t_target:
         raise InfeasibleDesignError(
@@ -625,8 +593,7 @@ def solve_rls_design(spec: DesignSpec):
         t = trace_inv(p)
         return p.sum(), max(t - t_target, 0.0), scale * t
 
-    prog = _Barrier(inst, objective=np.ones(inst.n),
-                    constraints=(_trace_inverse(inst, t_target),))
+    prog = _Barrier(inst, objective=np.ones(inst.n), constraints=[(trace_inv, t_target)])
     # the trace inverse scales as 1/theta along theta * p_max, so this start
     # lies strictly inside
     return _run(prog, 0.5 * (1.0 + t_ceiling / t_target) * inst.ub, entry)

@@ -96,7 +96,7 @@ def load_config(path) -> dict:
     version = _typed("version", raw.get("version", 1), int)
     if version != 1:
         raise ConfigError(f"version: unsupported config version {version!r}")
-    return raw
+    return _known(raw, "")
 
 
 def _name(section: str, key: str) -> str:
@@ -167,12 +167,35 @@ def config_field(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
+# every key the top level ("") and each section may hold; any other is rejected
+_KEYS = {
+    "": {"version", "seed", "trials", "horizon", "graph", "bandlimit", "noise", "signal",
+         "sampling", "algorithm", "compare"},
+    "graph": {"kind", "n", "radius", "seed", "path"},
+    "bandlimit": {"size", "indices"},
+    "noise": {"kind", "sigma_sq", "values", "low", "high"},
+    "signal": {"scale"},
+    "sampling": {"kind", "p", "problem", "mu", "beta", "rate_target", "msd_target",
+                 "msd_target_db", "budget", "p_max", "strategy", "m"},
+    "algorithm": {"kind", "mu", "beta", "delta", "rho", "inner_iters", "comm"},
+    "compare": {"rate_targets", "mu", "msd_target", "msd_target_db", "random_seeds", "p_max"},
+}
+
+
+def _known(cfg: dict, section: str) -> dict:
+    """``cfg``, checked to hold only keys of ``_KEYS[section]``."""
+    for key in cfg:
+        if key not in _KEYS[section]:
+            raise ConfigError(f"{_name(section, key)}: unknown field")
+    return cfg
+
+
 def _section(config: dict, name: str, optional: bool = False) -> dict:
     """The mapping ``config[name]``; an optional section may be left out."""
     cfg = config.get(name)
     if cfg is None and not optional:
         raise ConfigError(f"{name}: section is missing")
-    return {} if cfg is None else _typed(name, cfg, dict)
+    return {} if cfg is None else _known(_typed(name, cfg, dict), name)
 
 
 def _p_max(cfg: dict, section: str):
@@ -212,7 +235,7 @@ def build_graph(config: dict) -> Graph:
         raise ConfigError(f"graph.kind: unknown kind {kind!r}")
     n = _count(gcfg, "graph", "n", low=2)
     radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
-    seed = _count(gcfg, "graph", "seed", config.get("seed", 0), low=0)
+    seed = _count(gcfg, "graph", "seed", _count(config, "", "seed", 0, low=0), low=0)
     for offset in range(200):
         g = random_geometric_graph(n, radius, seed + offset)
         if connected_components(g) == 1:
@@ -291,16 +314,18 @@ def _msd_target(cfg: dict, section: str) -> tuple:
 def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
     """The design problem of the sampling section.  Every field in
     ``needs`` must be given, and a rejected value names its field."""
-    def number(key, fallback=None):
-        return float(_need(scfg, "sampling", key, (int, float))) if key in scfg else fallback
-
     acfg = _section(setup.config, "algorithm", optional=True)
+
+    def number(key, section="sampling"):
+        cfg = scfg if section == "sampling" else acfg
+        return float(_need(cfg, section, key, (int, float))) if key in cfg else None
+
     # (DesignSpec argument, config field, value); bounds come before the budget
     fields = [("bounds", "sampling.p_max", _p_max(scfg, "sampling"))]
     for key in ("mu", "beta"):
-        fallback = acfg.get(key)
-        name = f"sampling.{key}" if key in scfg or fallback is None else f"algorithm.{key}"
-        fields.append((key, name, number(key, fallback)))
+        # the sampling section's value, else the algorithm section's
+        section = "algorithm" if key in acfg and key not in scfg else "sampling"
+        fields.append((key, f"{section}.{key}", number(key, section)))
     fields.append(("rate_target", "sampling.rate_target", number("rate_target")))
     fields.append(("msd_target", *_msd_target(scfg, "sampling")))
     fields.append(("budget", "sampling.budget", number("budget")))

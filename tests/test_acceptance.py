@@ -138,9 +138,8 @@ def test_ac4_fractional_and_exact_solvers_agree():
     mu, alpha = 0.1, 0.90
     spec = ga.DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise,
                          mu=mu, rate_target=alpha)
-    start = np.full(setup.graph.n, 0.5)
-    dink, dink_trace = ga.dinkelbach_min_msd(spec, initial=start)
-    sca, _ = ga.sca_min_msd(spec, initial=start)
+    dink, dink_trace = ga.dinkelbach_min_msd(spec)
+    sca, _ = ga.sca_min_msd(spec)
     dink_msd = exact_msd(dink.probs, mu, setup.noise, setup.bandlimit)
     sca_msd = exact_msd(sca.probs, mu, setup.noise, setup.bandlimit)
     rel_gap = abs(dink_msd - sca_msd) / min(dink_msd, sca_msd)

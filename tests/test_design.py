@@ -574,7 +574,7 @@ GOLDEN_DESIGNS = {
     "min_rate_convex":
         "64f69ae3438f33e65c383932045d34662e71875c61fc75d657d8490779d2838c",
     "sca_min_rate":
-        "3984b61af504730a2ca5e672778e920fe78a2f50a1ccaaaf390a588ccc075249",
+        "91999ed7f71e9db7543625e56824012aa4a8564681bee163b85d4d13b26de268",
     "dinkelbach":
         "5b79291a96c5856c31d0c00f800d11dd13686f8a1e0872d9a94bc161052343d7",
     "sca_min_msd":
@@ -602,10 +602,9 @@ def golden_instance():
 @pytest.fixture(scope="module")
 def golden_designs():
     rate, budget, rls = golden_instance()
-    convex = solve_min_rate_convex(rate)
     return {
-        "min_rate_convex": convex,
-        "sca_min_rate": sca_min_rate(rate, initial=convex[0]),
+        "min_rate_convex": solve_min_rate_convex(rate),
+        "sca_min_rate": sca_min_rate(rate),
         "dinkelbach": dinkelbach_min_msd(budget),
         "sca_min_msd": sca_min_msd(budget),
         "rls": solve_rls_design(rls),

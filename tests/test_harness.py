@@ -578,6 +578,29 @@ def test_theory_csv_matches_golden_digest(tmp_path, capsys, name):
     assert digest == GOLDEN_THEORY[name]
 
 
+# SHA-256 of design_p.csv and design_trace.csv as written by the `design`
+# command on the shipped design configs.
+GOLDEN_DESIGN_OUTPUTS = {
+    "design_min_msd.yaml":
+        ("3abf61dc76d6969438fea516ae0214dc1a03866995040f4d2d0eb8a5d2b2301c",
+         "362b571e6bbd7031d2080592fdab2933d6224c7338f058abfd71077e24303383"),
+    "design_min_rate.yaml":
+        ("83f38f551407b5eaa997514a545ae82663dceb08abe37de4992dedd64ab8872f",
+         "670a5a1999521056be9245e1e971b6081d841eb349d19047540f1c332f09bbe7"),
+    "rls_designed.yaml":
+        ("1c71a632b76d99ce7179ff01684bf68356358372b793a7a311dcfe509fc64302",
+         "d403b80375630a1312c4cad3b02cc5c0fdc766253a940c77abcadcde3c25a766"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DESIGN_OUTPUTS))
+def test_design_csvs_match_golden_digest(tmp_path, capsys, name):
+    assert cli.main(["design", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("design_p.csv", "design_trace.csv"))
+    assert digests == GOLDEN_DESIGN_OUTPUTS[name]
+
+
 def test_every_public_name_resolves():
     missing = [name for name in graphadapt.__all__ if not hasattr(graphadapt, name)]
     assert missing == []
@@ -942,6 +965,20 @@ class TestCli:
         # NaN variances used to be reported as a diverged step size
         ("noise.values", "run-lms", {"noise": {"kind": "values", "values": [None] * 8}}),
         ("sampling.p", "run-lms", {"sampling": {"kind": "explicit", "p": [{"a": 1}] * 8}}),
+        # misspelled keys used to run on silently with the default
+        ("algorithm.delat", "run-rls", {"algorithm": {"kind": "rls", "beta": 0.9, "delat": 5}}),
+        ("sampling.pmax", "design", {"sampling": dict(DESIGN, pmax=0.5)}),
+        ("sampling.x", "run-lms",
+         {"sampling": {"kind": "strategy", "strategy": "leverage", "m": 3, "x": 1}}),
+        ("trails", "run-lms", {"trails": 5}),
+        # a non-mapping algorithm section used to be named algorithm.kind
+        ("algorithm", "run-lms", {"algorithm": 3}),
+        # gen-graph used to take the seed unchecked: a TypeError, or true as 1
+        *(("seed", "gen-graph", {"seed": seed}) for seed in ("abc", 2.5, True)),
+        # the design's fallback to the algorithm section used to skip the check
+        *(("algorithm.mu", "design",
+           {"sampling": {k: v for k, v in DESIGN.items() if k != "mu"},
+            "algorithm": {"kind": "lms", "mu": mu}}) for mu in ("abc", True)),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
