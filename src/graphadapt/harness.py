@@ -18,7 +18,7 @@ import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -167,18 +167,45 @@ def config_field(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
+# each design problem: its solver, the DesignSpec fields it needs and those
+# it reads when given
+_DESIGN_PROBLEMS = {
+    "min_rate_convex": (design_mod.solve_min_rate_convex, ("mu", "rate_target", "msd_target"),
+                        ()),
+    "sca_min_rate": (design_mod.sca_min_rate, ("mu", "rate_target", "msd_target"), ()),
+    "dinkelbach": (design_mod.dinkelbach_min_msd, ("mu", "rate_target"), ("budget",)),
+    "sca_min_msd": (design_mod.sca_min_msd, ("mu", "rate_target"), ("budget",)),
+    "rls": (design_mod.solve_rls_design, ("beta", "msd_target"), ()),
+}
+
+
+def _spec_keys(fields) -> set:
+    """The config keys of the DesignSpec ``fields``: the MSD target also as
+    ``msd_target_db``, and the cap ``p_max``, which every design reads."""
+    keys = {"p_max", *fields}
+    return keys | {"msd_target_db"} if "msd_target" in keys else keys
+
+
+# the keys each kind of a section reads besides "kind"; every algorithm kind
+# holds mu and beta, on which a design falls back
+_KIND_KEYS = {
+    "graph": {"random_geometric": {"n", "radius", "seed"}, "edge_list": {"path"}},
+    "noise": {"uniform": {"sigma_sq"}, "values": {"values"}, "loguniform": {"low", "high"}},
+    "sampling": {"full": set(), "explicit": {"p"}, "strategy": {"strategy", "m"},
+                 "design": {"problem"}.union(*(_spec_keys(entry[1] + entry[2])
+                                              for entry in _DESIGN_PROBLEMS.values()))},
+    "algorithm": {"lms": {"mu", "beta"}, "rls": {"mu", "beta", "delta"},
+                  "drls": {"mu", "beta", "delta", "rho", "inner_iters", "comm"}},
+}
+
 # every key the top level ("") and each section may hold; any other is rejected
 _KEYS = {
     "": {"version", "seed", "trials", "horizon", "graph", "bandlimit", "noise", "signal",
          "sampling", "algorithm", "compare"},
-    "graph": {"kind", "n", "radius", "seed", "path"},
     "bandlimit": {"size", "indices"},
-    "noise": {"kind", "sigma_sq", "values", "low", "high"},
     "signal": {"scale"},
-    "sampling": {"kind", "p", "problem", "mu", "beta", "rate_target", "msd_target",
-                 "msd_target_db", "budget", "p_max", "strategy", "m"},
-    "algorithm": {"kind", "mu", "beta", "delta", "rho", "inner_iters", "comm"},
     "compare": {"rate_targets", "mu", "msd_target", "msd_target_db", "random_seeds", "p_max"},
+    **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
 }
 
 
@@ -190,6 +217,14 @@ def _known(cfg: dict, section: str) -> dict:
     return cfg
 
 
+def _reads(cfg: dict, section: str, keys, reader: str) -> None:
+    """Reject a key of ``cfg`` besides "kind" that is not in ``keys``, the
+    keys that ``reader`` reads."""
+    for key in cfg:
+        if key != "kind" and key not in keys:
+            raise ConfigError(f"{_name(section, key)}: not read by {reader}")
+
+
 def _section(config: dict, name: str, optional: bool = False) -> dict:
     """The mapping ``config[name]``; an optional section may be left out."""
     cfg = config.get(name)
@@ -198,12 +233,14 @@ def _section(config: dict, name: str, optional: bool = False) -> dict:
     return {} if cfg is None else _known(_typed(name, cfg, dict), name)
 
 
-def _p_max(cfg: dict, section: str):
-    """The optional per-vertex cap ``p_max``: one number or a list of them."""
-    if "p_max" not in cfg:
-        return None
-    val = _need(cfg, section, "p_max", (int, float, list))
-    return _list_of(_name(section, "p_max"), val, (int, float)) if isinstance(val, list) else val
+def _kind(cfg: dict, section: str, default: str = None) -> str:
+    """The section's kind, one of ``_KIND_KEYS[section]``, checked to be given
+    only the keys it reads; required unless ``default`` is given."""
+    kind = _need(cfg, section, "kind", str) if default is None or "kind" in cfg else default
+    if kind not in _KIND_KEYS[section]:
+        raise ConfigError(f"{section}.kind: unknown kind {kind!r}")
+    _reads(cfg, section, _KIND_KEYS[section][kind], f"kind {kind!r}")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +263,10 @@ class Setup:
 
 def build_graph(config: dict) -> Graph:
     gcfg = _section(config, "graph")
-    kind = _need(gcfg, "graph", "kind", str)
-    if kind == "edge_list":
+    if _kind(gcfg, "graph") == "edge_list":
         path = _need(gcfg, "graph", "path", str)
         with config_field("graph.path"):
             return load_edge_list(path)
-    if kind != "random_geometric":
-        raise ConfigError(f"graph.kind: unknown kind {kind!r}")
     n = _count(gcfg, "graph", "n", low=2)
     radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
     seed = _count(gcfg, "graph", "seed", _count(config, "", "seed", 0, low=0), low=0)
@@ -256,6 +290,8 @@ def build_setup(config: dict) -> Setup:
 
     bcfg = _section(config, "bandlimit")
     if "indices" in bcfg:
+        if "size" in bcfg:
+            raise ConfigError("bandlimit.size: give size or indices, not both")
         indices = _list_of("bandlimit.indices", bcfg["indices"], int)
         with config_field("bandlimit.indices"):
             bl = Bandlimit.from_indices(basis, indices)
@@ -266,7 +302,7 @@ def build_setup(config: dict) -> Setup:
         bl = Bandlimit.lowest(basis, size)
 
     ncfg = _section(config, "noise")
-    nkind = ncfg.get("kind", "uniform")
+    nkind = _kind(ncfg, "noise", "uniform")
     if nkind == "uniform":
         noise = NoiseModel.uniform(graph.n, _real(ncfg, "noise", "sigma_sq"))
     elif nkind == "values":
@@ -275,15 +311,13 @@ def build_setup(config: dict) -> Setup:
             raise ConfigError(f"noise.values: expected {graph.n} entries, got {len(vals)}")
         with config_field("noise.values"):
             noise = NoiseModel(variances=np.asarray(vals, dtype=float))
-    elif nkind == "loguniform":
+    else:  # loguniform
         low = float(_need(ncfg, "noise", "low", (int, float)))
         high = float(_need(ncfg, "noise", "high", (int, float)))
         if not 0 < low <= high:
             raise ConfigError("noise.low/high: need 0 < low <= high")
         rng = np.random.default_rng([seed, 202])
         noise = NoiseModel(variances=np.exp(rng.uniform(np.log(low), np.log(high), graph.n)))
-    else:
-        raise ConfigError(f"noise.kind: unknown kind {nkind!r}")
 
     scfg = _section(config, "signal", optional=True)
     scale = float(_typed("signal.scale", scfg.get("scale", 1.0), (int, float)))
@@ -301,53 +335,47 @@ def build_setup(config: dict) -> Setup:
     )
 
 
-def _msd_target(cfg: dict, section: str) -> tuple:
-    """The section's MSD target, given in dB as ``msd_target_db`` or linear
-    as ``msd_target``: (field name, linear value or None if neither is set)."""
-    if "msd_target_db" in cfg:
+def _design_field(cfg: dict, section: str, key: str) -> tuple:
+    """One DesignSpec field of a section: (config field, value or None if
+    unset).  The MSD target is given in dB as ``msd_target_db`` or linear as
+    ``msd_target``, the cap ``p_max`` as one number or a list of them."""
+    if key == "msd_target" and "msd_target_db" in cfg:
+        if key in cfg:
+            raise ConfigError(f"{_name(section, key)}: give msd_target or msd_target_db, "
+                              "not both")
         db = _need(cfg, section, "msd_target_db", (int, float))
         return _name(section, "msd_target_db"), 10.0 ** (db / 10.0)
-    name = _name(section, "msd_target")
-    return name, _real(cfg, section, "msd_target") if "msd_target" in cfg else None
+    name = _name(section, key)
+    if key not in cfg:
+        return name, None
+    val = _need(cfg, section, key, (int, float, list) if key == "p_max" else (int, float))
+    return name, _list_of(name, val, (int, float)) if isinstance(val, list) else float(val)
 
 
-def _design_spec(setup: Setup, scfg: dict, needs) -> design_mod.DesignSpec:
-    """The design problem of the sampling section.  Every field in
-    ``needs`` must be given, and a rejected value names its field."""
+def _design_spec(setup: Setup, cfg: dict, section: str, needs, optional=()):
+    """The DesignSpec of a config section (``sampling`` for a designed
+    sampling, ``compare`` for compare-sampling), the only code that turns
+    config into one.  It reads the per-vertex cap ``p_max``, each field in
+    ``needs`` (required) and in ``optional``, and no other field; ``mu`` and
+    ``beta`` default to the algorithm section's values.  A rejected value
+    names its field."""
     acfg = _section(setup.config, "algorithm", optional=True)
-
-    def number(key, section="sampling"):
-        cfg = scfg if section == "sampling" else acfg
-        return float(_need(cfg, section, key, (int, float))) if key in cfg else None
-
-    # (DesignSpec argument, config field, value); bounds come before the budget
-    fields = [("bounds", "sampling.p_max", _p_max(scfg, "sampling"))]
-    for key in ("mu", "beta"):
-        # the sampling section's value, else the algorithm section's
-        section = "algorithm" if key in acfg and key not in scfg else "sampling"
-        fields.append((key, f"{section}.{key}", number(key, section)))
-    fields.append(("rate_target", "sampling.rate_target", number("rate_target")))
-    fields.append(("msd_target", *_msd_target(scfg, "sampling")))
-    fields.append(("budget", "sampling.budget", number("budget")))
     kwargs = {}
-    for key, name, value in fields:
+    # bounds come before the budget, which the spec checks against them
+    for key in ("p_max", "mu", "beta", "rate_target", "msd_target", "budget"):
+        if key != "p_max" and key not in needs + optional:
+            continue
+        # mu and beta (the only keys the algorithm section shares with a
+        # design) come from there when the section leaves them out
+        name, value = _design_field(*((acfg, "algorithm") if key in acfg and key not in cfg
+                                      else (cfg, section)), key)
         if value is None and key in needs:
             raise ConfigError(f"{name}: required field is missing")
-        kwargs[key] = value
+        kwargs["bounds" if key == "p_max" else key] = value
         # the spec checks its fields together, so add them one at a time
         with config_field(name):
             spec = design_mod.DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise, **kwargs)
     return spec
-
-
-# each design problem and the DesignSpec fields it needs
-_DESIGN_PROBLEMS = {
-    "min_rate_convex": (design_mod.solve_min_rate_convex, ("mu", "rate_target", "msd_target")),
-    "sca_min_rate": (design_mod.sca_min_rate, ("mu", "rate_target", "msd_target")),
-    "dinkelbach": (design_mod.dinkelbach_min_msd, ("mu", "rate_target")),
-    "sca_min_msd": (design_mod.sca_min_msd, ("mu", "rate_target")),
-    "rls": (design_mod.solve_rls_design, ("beta", "msd_target")),
-}
 
 
 def resolve_sampling(setup: Setup):
@@ -357,7 +385,7 @@ def resolve_sampling(setup: Setup):
     the solver trace for reporting.
     """
     scfg = _section(setup.config, "sampling")
-    kind = _need(scfg, "sampling", "kind", str)
+    kind = _kind(scfg, "sampling")
     n = setup.graph.n
     if kind == "full":
         return SamplingProbabilities.full(n), None
@@ -374,25 +402,26 @@ def resolve_sampling(setup: Setup):
                 f"sampling.problem: unknown problem {problem!r}; "
                 f"choose from {sorted(_DESIGN_PROBLEMS)}"
             )
-        solve, needs = _DESIGN_PROBLEMS[problem]
-        spec = _design_spec(setup, scfg, needs)
+        solve, needs, optional = _DESIGN_PROBLEMS[problem]
+        spec = _design_spec(setup, scfg, "sampling", needs, optional)
+        _reads(scfg, "sampling", {"problem", *_spec_keys(needs + optional)},
+               f"problem {problem!r}")
         with config_field("sampling"):
             return solve(spec)
-    if kind == "strategy":
-        name = _need(scfg, "sampling", "strategy", str)
-        m = _count(scfg, "sampling", "m")
-        if m > n:
-            raise ConfigError(f"sampling.m: {m} out of range for n={n}")
-        if name == "leverage":
-            return leverage_score_probabilities(setup.bandlimit, m), None
-        if name == "max_det":
-            chosen = max_det_greedy(setup.bandlimit, m)
-            return SamplingProbabilities.from_support(chosen, n), None
-        if name == "uniform":
-            chosen = uniform_random_set(n, m, np.random.default_rng([setup.seed, 303]))
-            return SamplingProbabilities.from_support(chosen, n), None
-        raise ConfigError(f"sampling.strategy: unknown strategy {name!r}")
-    raise ConfigError(f"sampling.kind: unknown kind {kind!r}")
+    # a strategy
+    name = _need(scfg, "sampling", "strategy", str)
+    m = _count(scfg, "sampling", "m")
+    if m > n:
+        raise ConfigError(f"sampling.m: {m} out of range for n={n}")
+    if name == "leverage":
+        return leverage_score_probabilities(setup.bandlimit, m), None
+    if name == "max_det":
+        chosen = max_det_greedy(setup.bandlimit, m)
+        return SamplingProbabilities.from_support(chosen, n), None
+    if name == "uniform":
+        chosen = uniform_random_set(n, m, np.random.default_rng([setup.seed, 303]))
+        return SamplingProbabilities.from_support(chosen, n), None
+    raise ConfigError(f"sampling.strategy: unknown strategy {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +540,10 @@ def theory_parameter(config: dict) -> tuple:
     needs: the step size mu for LMS, the forgetting factor beta for RLS and
     DRLS."""
     acfg = _section(config, "algorithm")
-    kind = _need(acfg, "algorithm", "kind", str)
+    kind = _kind(acfg, "algorithm")
     if kind == "lms":
         return kind, _real(acfg, "algorithm", "mu")
-    if kind in ("rls", "drls"):
-        return kind, _real(acfg, "algorithm", "beta", high=1.0)
-    raise ConfigError(f"algorithm.kind: unknown kind {kind!r}")
+    return kind, _real(acfg, "algorithm", "beta", high=1.0)
 
 
 def run_experiment(config: dict) -> LearningCurve:
@@ -628,7 +655,11 @@ def _min_prefix(stats, mu, lam_t, gamma) -> np.ndarray:
 def compare_sampling(config: dict) -> list:
     """Minimal sampling rate per strategy over a grid of rate targets.
 
-    The designed strategy reports sum(p) from the convex program; the greedy
+    The compare section's design inputs (``mu``, which defaults to
+    ``algorithm.mu``, the MSD target and the optional ``p_max``) are read
+    once, by the same reader as a designed sampling section's, and each
+    target in ``compare.rate_targets`` is set on that one spec.  The
+    designed strategy reports sum(p) from the convex program; the greedy
     determinant, leverage-ordered, and uniform-random baselines report the
     smallest number of deterministically sampled vertices whose set meets
     the same rate and MSD-bound constraints.  The random baseline averages
@@ -637,13 +668,13 @@ def compare_sampling(config: dict) -> list:
     setup = build_setup(config)
     ccfg = _section(setup.config, "compare")
     targets = _need(ccfg, "compare", "rate_targets", list)
+    if not targets:
+        raise ConfigError("compare.rate_targets: give at least one target")
     for alpha in targets:
         if not 0.0 < _typed("compare.rate_targets", alpha, (int, float)) < 1.0:
             raise ConfigError(f"compare.rate_targets: each must lie in (0, 1), got {alpha:g}")
-    mu = _real(ccfg, "compare", "mu")
-    name, gamma = _msd_target(ccfg, "compare")
-    if gamma is None:
-        raise ConfigError(f"{name}: required field is missing")
+    base = _design_spec(setup, ccfg, "compare", ("mu", "msd_target"))
+    mu, gamma = base.mu, base.msd_target
     seeds = _count(ccfg, "compare", "random_seeds", 200)
 
     bl, noise = setup.bandlimit, setup.noise
@@ -662,12 +693,7 @@ def compare_sampling(config: dict) -> list:
     rows = []
     for alpha in targets:
         alpha = float(alpha)
-        with config_field("compare.p_max"):
-            spec = design_mod.DesignSpec(
-                bandlimit=bl, noise=noise, mu=mu,
-                rate_target=alpha, msd_target=gamma,
-                bounds=_p_max(ccfg, "compare"),
-            )
+        spec = replace(base, rate_target=alpha)
         lam_t = spec.lambda_target()
         try:
             designed, _ = design_mod.solve_min_rate_convex(spec)
@@ -706,8 +732,9 @@ def _write_csv(path, header, rows):
 def write_curve_csv(curve: LearningCurve, path) -> None:
     theory_db = curve.metadata.get("theory_msd_db", math.nan)
     rate = curve.metadata.get("theory_rate", math.nan)
+    msd_db = curve.msd_db
     rows = [
-        (t, curve.msd_linear[t], curve.msd_db[t], theory_db, rate)
+        (t, curve.msd_linear[t], msd_db[t], theory_db, rate)
         for t in range(curve.msd_linear.shape[0])
     ]
     _write_csv(path, ["iteration", "msd_linear", "msd_db", "theory_msd_db", "theory_rate"], rows)

@@ -601,6 +601,17 @@ def test_design_csvs_match_golden_digest(tmp_path, capsys, name):
     assert digests == GOLDEN_DESIGN_OUTPUTS[name]
 
 
+def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
+    # min_rate_convex never reads beta, and beta = 1 is a valid RLS run: it
+    # used to be rejected as a design field
+    config = dict(load_config(CONFIG_DIR / "design_min_rate.yaml"),
+                  algorithm={"kind": "rls", "beta": 1.0})
+    assert cli.main(["design", "--config", dump(tmp_path, config), "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("design_p.csv", "design_trace.csv"))
+    assert digests == GOLDEN_DESIGN_OUTPUTS["design_min_rate.yaml"]
+
+
 def test_every_public_name_resolves():
     missing = [name for name in graphadapt.__all__ if not hasattr(graphadapt, name)]
     assert missing == []
@@ -743,6 +754,17 @@ def test_compare_sampling_structure():
         assert designed <= per["leverage"]["sampling_rate"] + 1e-9
 
 
+def test_compare_mu_defaults_to_the_algorithm_mu():
+    # COMPARE's mu is tiny_config()'s algorithm.mu
+    without = {k: v for k, v in COMPARE.items() if k != "mu"}
+    fallback = compare_sampling(dict(tiny_config(), compare=without))
+    assert fallback == compare_sampling(dict(tiny_config(), compare=COMPARE))
+    own = compare_sampling(dict(tiny_config(), compare=dict(COMPARE, mu=0.05)))
+    designed = [[r["sampling_rate"] for r in rows if r["strategy"] == "designed"]
+                for rows in (own, fallback)]
+    assert designed[0] != designed[1]
+
+
 def test_compare_sampling_needs_section():
     with pytest.raises(ConfigError, match="compare"):
         compare_sampling(tiny_config())
@@ -883,6 +905,22 @@ class TestCli:
         assert (out / "design_trace.csv").exists()
         assert "sampling rate" in capsys.readouterr().out
 
+    def test_compare_needs_a_step_size(self, tmp_path, capsys):
+        cfg = dict(tiny_config(), algorithm={"kind": "rls", "beta": 0.9},
+                   compare={k: v for k, v in COMPARE.items() if k != "mu"})
+        code = cli.main(["compare-sampling", "--config", dump(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: compare.mu: required field is missing\n"
+
+    def test_compare_reads_no_algorithm_field_but_mu(self, tmp_path, capsys):
+        # compare-sampling never reads beta, so beta = 1 cannot fail it
+        cfg = dict(tiny_config(), algorithm={"kind": "rls", "beta": 1.0}, compare=COMPARE)
+        out = tmp_path / "out"
+        code = cli.main(["compare-sampling", "--config", dump(tmp_path, cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert (out / "comparison.csv").exists()
+
     def test_design_command_needs_design_sampling(self, tmp_path, capsys):
         code = cli.main(["design", "--config", dump(tmp_path, tiny_config()),
                          "--out", str(tmp_path / "out")])
@@ -979,6 +1017,21 @@ class TestCli:
         *(("algorithm.mu", "design",
            {"sampling": {k: v for k, v in DESIGN.items() if k != "mu"},
             "algorithm": {"kind": "lms", "mu": mu}}) for mu in ("abc", True)),
+        # a key that the chosen kind or design problem does not read used to
+        # be accepted and ignored
+        ("graph.seed", "gen-graph",
+         {"graph": {"kind": "edge_list", "path": str(DATA_DIR / "comm_split8.txt"), "seed": 3}}),
+        ("bandlimit.size", "theory", {"bandlimit": {"size": 3, "indices": [0, 1, 2]}}),
+        ("noise.low", "run-lms", {"noise": {"kind": "uniform", "sigma_sq": 0.01, "low": 0.1}}),
+        ("sampling.p", "run-lms", {"sampling": {"kind": "full", "p": [1] * 8}}),
+        ("sampling.budget", "design", {"sampling": dict(DESIGN, budget=1.0)}),
+        ("sampling.msd_target_db", "design", {"sampling": dict(DESIGN, problem="sca_min_msd")}),
+        ("sampling.msd_target", "design", {"sampling": dict(DESIGN, msd_target=0.01)}),
+        ("algorithm.rho", "run-rls", {"algorithm": {"kind": "rls", "beta": 0.9, "rho": 3}}),
+        ("compare.msd_target", "compare-sampling",
+         {"compare": dict(COMPARE, msd_target=0.5)}),
+        # no target used to write a comparison.csv of only its header
+        ("compare.rate_targets", "compare-sampling", {"compare": dict(COMPARE, rate_targets=[])}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -1058,8 +1111,8 @@ class TestCli:
         def solve(spec):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setitem(harness._DESIGN_PROBLEMS, "min_rate_convex",
-                            (solve, harness._DESIGN_PROBLEMS["min_rate_convex"][1]))
+        entry = harness._DESIGN_PROBLEMS["min_rate_convex"]
+        monkeypatch.setitem(harness._DESIGN_PROBLEMS, "min_rate_convex", (solve, *entry[1:]))
         cfg = dict(tiny_config(), sampling=DESIGN)
         with pytest.raises(np.linalg.LinAlgError):
             cli.main(["design", "--config", dump(tmp_path, cfg), "--out", str(tmp_path / "out")])
