@@ -61,8 +61,9 @@ from .sampling import (
 # The most trials one Monte Carlo pass advances together; every shipped
 # config runs in a single pass.
 TRIAL_CHUNK = 256
-# Monte Carlo draws are generated in blocks of at most this many entries
-# (masks plus noise for the trials of a pass over a run of steps).
+# Monte Carlo draws in flight hold at most this many entries (masks plus
+# noise for the trials of a pass over a run of steps): two blocks of half
+# as many, the next filled on the other CPUs while the kernel runs on this one.
 DRAW_BLOCK = 1 << 20
 
 # libyaml's parser where PyYAML was built with it: the same documents, parsed
@@ -357,9 +358,12 @@ def _design_spec(setup: Setup, cfg: dict, section: str, needs, optional=()):
     sampling, ``compare`` for compare-sampling), the only code that turns
     config into one.  It reads the per-vertex cap ``p_max``, each field in
     ``needs`` (required) and in ``optional``, and no other field; ``mu`` and
-    ``beta`` default to the algorithm section's values.  A rejected value
-    names its field."""
+    ``beta`` default to the algorithm section's values.  An algorithm
+    section may be left out; one that is given is checked against its kind.
+    A rejected value names its field."""
     acfg = _section(setup.config, "algorithm", optional=True)
+    if setup.config.get("algorithm") is not None:
+        _kind(acfg, "algorithm")
     kwargs = {}
     # bounds come before the budget, which the spec checks against them
     for key in ("p_max", "mu", "beta", "rate_target", "msd_target", "budget"):
@@ -468,8 +472,10 @@ def _monte_carlo(setup: Setup, probs: SamplingProbabilities, pass_size: int,
     total = 0.0
     for start in range(0, setup.trials, pass_size):
         blocks = draw_blocks(setup.seed, range(start, min(start + pass_size, setup.trials)),
-                             setup.horizon, probs.probs, setup.noise.std, DRAW_BLOCK)
-        total = total + simulate((m, np.add(y, setup.x_true, out=y)) for m, y in blocks)[0]
+                             setup.horizon, probs.probs, setup.noise.std, DRAW_BLOCK // 2)
+        # closing joins the next block's fill should the kernel raise
+        with contextlib.closing(blocks):
+            total = total + simulate((m, np.add(y, setup.x_true, out=y)) for m, y in blocks)[0]
     return total / setup.trials
 
 

@@ -3,10 +3,11 @@
 Each vertex i is observed independently across time with probability p_i;
 observations are corrupted by zero-mean Gaussian noise with per-vertex
 variance.  :func:`draw_blocks` is the one stream of these draws, for any
-number of trials at once; it fills a block's trials on every usable CPU,
-and the values do not depend on how many.  Whether a probability vector
-can support reconstruction of a bandlimited signal is governed by the
-smallest eigenvalue of the weighted Gram matrix U_F^T diag(p) U_F.
+number of trials at once; it fills the next block on the other usable CPUs
+while the consumer works on this one, and the values do not depend on how
+many.  Whether a probability vector can support reconstruction of a
+bandlimited signal is governed by the smallest eigenvalue of the weighted
+Gram matrix U_F^T diag(p) U_F.
 """
 
 from __future__ import annotations
@@ -105,33 +106,62 @@ def weighted_gram(b: Bandlimit, weights) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
-# threads that fill a draw block, the caller's included: every usable CPU
+# threads that fill draw blocks, the consumer's included: every usable CPU
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _in_parallel(task, shares, *args):
-    """Run ``task(share, *args)`` for every share, the first on this thread
-    and the rest on threads of their own; return once all are done, raising
-    here the first exception any of them raised."""
-    errors = []
+class _Fill:
+    """One draw block's fill in flight: ``fill(c)`` for every trial index
+    ``c < count``, each claimed once from a counter under a lock, by
+    ``helpers`` background threads started here and, in ``finish``, by the
+    calling thread."""
 
-    def guarded(share):
+    def __init__(self, fill, count: int, helpers: int):
+        self._fill = fill
+        self._count = count
+        self._next = 0
+        self._lock = threading.Lock()
+        self._errors = []
+        self._threads = [threading.Thread(target=self._help) for _ in range(helpers)]
+        for thread in self._threads:
+            thread.start()
+
+    def _run(self):
+        while True:
+            with self._lock:
+                c = self._next
+                if c == self._count:
+                    return
+                self._next = c + 1
+            self._fill(c)
+
+    def _help(self):
         try:
-            task(share, *args)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+            self._run()
+        except BaseException as exc:  # re-raised on the consuming thread by close
+            self._errors.append(exc)
+            self._stop()
 
-    threads = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        task(shares[0], *args)
-    finally:
-        for thread in threads:
+    def _stop(self):
+        with self._lock:
+            self._next = self._count
+
+    def close(self):
+        """Let no thread claim another trial, join the helpers, and raise
+        here the first exception one of them raised."""
+        self._stop()
+        for thread in self._threads:
             thread.join()
-    if errors:
-        raise errors[0]
+        if self._errors:
+            raise self._errors[0]
+
+    def finish(self):
+        """Fill the trials nobody has claimed on this thread, then close."""
+        try:
+            self._run()
+        finally:
+            self.close()
 
 
 def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndarray,
@@ -148,13 +178,19 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     ``steps`` chosen so that a block holds at most ``max_elements`` entries,
     but at least one step.
 
-    A block's trials are split into min(len(trials), usable CPUs) runs of
-    consecutive trials, filled at once: one on the calling thread, each
-    other on a thread joined before the block is yielded.  Only one thread
-    touches a trial's generators, so the values do not depend on the split.
+    Two blocks are in flight: while the consumer works on one, background
+    threads, one per other usable CPU, fill the next into a second buffer,
+    so the two hold up to twice ``max_elements`` entries (one buffer when a
+    single block covers the horizon).  Asking for the next block, the calling
+    thread fills the trials nobody has started, joins the background
+    threads and raises here any exception they raised; closing the stream
+    stops and joins them too.  Trials are claimed one at a time, only one
+    thread touches a trial's generators within a block, and blocks are
+    filled strictly in order, so the values do not depend on the number of
+    threads.  With one usable CPU no thread is started.
 
-    Every block is a view of one masks/noise pair filled in place, so a
-    yielded block stays valid only until the next one is requested: copy it
+    A yielded block is a view of a buffer that is filled again two blocks
+    later, so it stays valid only until the next one is requested: copy it
     to keep it.  The consumer may overwrite the noise, never the masks.
     When every probability is 0 or 1 the masks are the same at every
     instant: they are set once and no uniforms are drawn, which leaves the
@@ -163,11 +199,13 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     n = probs.shape[0]
     trials = list(trials)
     steps = min(horizon, max(1, max_elements // (len(trials) * n)))
-    masks = np.empty((len(trials), steps, n), dtype=np.int8)
-    noise = np.empty((len(trials), steps, n))
+    starts = range(0, horizon, steps)
+    buffers = [(np.empty((len(trials), steps, n), dtype=np.int8),
+                np.empty((len(trials), steps, n))) for _ in range(min(2, len(starts)))]
     fixed = bool(np.all((probs == 0.0) | (probs == 1.0)))
     if fixed:
-        masks[...] = probs == 1.0
+        for masks, _ in buffers:
+            masks[...] = probs == 1.0
     else:
         mask_rngs = [np.random.default_rng(seed + t) for t in trials]
     noise_rngs = []
@@ -175,25 +213,39 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
         bits = np.random.PCG64(seed + t)
         bits.advance(horizon * n)  # one 64-bit draw per uniform
         noise_rngs.append(np.random.Generator(bits))
-    workers = min(_WORKERS, len(trials))
-    cuts = [len(trials) * w // workers for w in range(workers + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    helpers = min(_WORKERS - 1, len(trials))
 
-    def fill(share, k):
-        for c in share:
-            rows = noise[c, :k]
+    def block(i):
+        masks, noise = buffers[i % 2]
+        k = min(steps, horizon - starts[i])
+        return masks[:, :k], noise[:, :k]
+
+    def fill(i):
+        masks, noise = block(i)
+
+        def fill_trial(c):
+            rows = noise[c]
             if not fixed:
                 # the uniforms pass through the noise rows the normals overwrite
                 mask_rngs[c].random(out=rows)
-                np.less(rows, probs, out=masks[c, :k])
+                np.less(rows, probs, out=masks[c])
             noise_rngs[c].standard_normal(out=rows)
             # the same values as normal(0.0, std), which computes 0.0 + std * z
             rows *= std
 
-    for start in range(0, horizon, steps):
-        k = min(steps, horizon - start)
-        _in_parallel(fill, shares, k)
-        yield masks[:, :k], noise[:, :k]
+        return _Fill(fill_trial, len(trials), helpers)
+
+    pending = fill(0)
+    try:
+        for i in range(len(starts)):
+            current, pending = pending, None
+            current.finish()
+            if i + 1 < len(starts):
+                pending = fill(i + 1)
+            yield block(i)
+    finally:
+        if pending is not None:
+            pending.close()
 
 
 def reconstructability_lambda(p: SamplingProbabilities, b: Bandlimit) -> float:

@@ -382,26 +382,60 @@ def _dense_trial_stream(seed, trial, horizon, probs, std):
     return masks, noise
 
 
+def _kept(blocks, overwrite):
+    """Copies of every block; with ``overwrite`` the consumer then adds to
+    each yielded noise block in place, as the Monte Carlo loop adds the
+    signal, while the next block is being filled."""
+    kept = []
+    for masks, noise in blocks:
+        kept.append((masks.copy(), noise.copy()))
+        if overwrite:
+            noise += np.arange(noise.shape[-1])
+    return kept
+
+
+class _FailsOffTheMainThread(np.ndarray):
+    """Noise levels whose every ufunc fails on any thread but the main one,
+    once ``after`` calls have gone through; ``failed`` is set on failing."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        with self.lock:
+            self.calls += 1
+            fail = (self.calls > self.after
+                    and threading.current_thread() is not threading.main_thread())
+        if fail:
+            self.failed.set()
+            raise KeyError("filled off the main thread")
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    @classmethod
+    def of(cls, values, after):
+        std = np.asarray(values, dtype=float).view(cls)
+        std.lock, std.calls, std.after = threading.Lock(), 0, after
+        std.failed = threading.Event()
+        return std
+
+
 class TestDrawBlocks:
+    @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 exceeds the trials of some rows
     @pytest.mark.parametrize("trials, horizon, n, steps", [
         (range(0, 3), 23, 7, 5),       # blocks do not divide the horizon
         (range(0, 3), 23, 7, 1),       # one step per block
         (range(0, 3), 23, 7, 40),      # one block longer than the horizon
         (range(64, 70), 17, 7, 4),     # final chunk of fewer than 64 trials
-        (range(0, 64), 60, 300, None),  # default cap at the scaled instance
+        (range(0, 64), 60, 300, None),  # the harness's block at the scaled instance
         ([5], 11, 7, 3),               # a one-trial stream
     ])
-    def test_blocks_concatenate_to_dense_stream(self, monkeypatch, workers, trials, horizon,
-                                                n, steps):
+    def test_blocks_concatenate_to_dense_stream(self, monkeypatch, workers, overwrite, trials,
+                                                horizon, n, steps):
         monkeypatch.setattr(sampling, "_WORKERS", workers)
         rng = np.random.default_rng(0)
         probs = rng.uniform(0.2, 0.9, n)
         std = np.sqrt(rng.uniform(0.005, 0.03, n))
-        cap = DRAW_BLOCK if steps is None else steps * len(trials) * n
+        cap = DRAW_BLOCK // 2 if steps is None else steps * len(trials) * n
         # a block stays valid only until the next one is drawn: keep copies
-        blocks = [(m.copy(), z.copy()) for m, z in draw_blocks(11, trials, horizon, probs,
-                                                               std, cap)]
+        blocks = _kept(draw_blocks(11, trials, horizon, probs, std, cap), overwrite)
         for masks, noise in blocks:
             assert masks.dtype == np.int8
             assert masks.shape == noise.shape
@@ -415,15 +449,17 @@ class TestDrawBlocks:
             np.testing.assert_array_equal(masks[c], ref_masks)
             np.testing.assert_array_equal(noise[c], ref_noise)
 
+    @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_zero_one_probabilities_match_dense_stream(self, monkeypatch, workers):
-        # no uniforms are drawn for fixed masks; the noise must not move
+    def test_zero_one_probabilities_match_dense_stream(self, monkeypatch, workers, overwrite):
+        # no uniforms are drawn for fixed masks; the noise must not move, and
+        # both buffers hold the fixed masks
         monkeypatch.setattr(sampling, "_WORKERS", workers)
         n, horizon, trials = 6, 19, range(2, 5)
         probs = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         std = np.sqrt(np.linspace(0.005, 0.03, n))
-        blocks = [(m.copy(), z.copy())
-                  for m, z in draw_blocks(7, trials, horizon, probs, std, 4 * len(trials) * n)]
+        blocks = _kept(draw_blocks(7, trials, horizon, probs, std, 4 * len(trials) * n),
+                       overwrite)
         assert len(blocks) == 5
         masks = np.concatenate([b[0] for b in blocks], axis=1)
         noise = np.concatenate([b[1] for b in blocks], axis=1)
@@ -433,15 +469,16 @@ class TestDrawBlocks:
             np.testing.assert_array_equal(noise[c], ref_noise)
 
     def test_more_workers_than_cores_match_dense_stream(self, monkeypatch):
-        # four threads switching every microsecond still write each trial's bytes
+        # four threads switching every microsecond still write each trial's
+        # bytes, while the consumer overwrites the block it holds
         monkeypatch.setattr(sampling, "_WORKERS", 4)
         n, horizon, trials = 9, 30, range(3, 9)
         probs, std = np.full(n, 0.6), np.full(n, 0.2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            blocks = [(m.copy(), z.copy()) for m, z in draw_blocks(5, trials, horizon, probs,
-                                                                   std, 7 * len(trials) * n)]
+            blocks = _kept(draw_blocks(5, trials, horizon, probs, std, 7 * len(trials) * n),
+                           True)
         finally:
             sys.setswitchinterval(interval)
         masks = np.concatenate([b[0] for b in blocks], axis=1)
@@ -451,16 +488,25 @@ class TestDrawBlocks:
             np.testing.assert_array_equal(masks[c], ref_masks)
             np.testing.assert_array_equal(noise[c], ref_noise)
 
-    def test_no_thread_outlives_a_block(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_WORKERS", 3)
-        probs, std = np.full(5, 0.5), np.full(5, 0.1)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_thread_outlives_the_stream(self, monkeypatch, workers):
+        # blocks of 16 x 50 x 300 entries take milliseconds to fill, so a
+        # background fill is still running when the consumer stops early
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        n, trials, horizon, cap = 300, range(16), 200, 16 * 50 * 300
+        probs, std = np.full(n, 0.5), np.full(n, 0.1)
         before = threading.active_count()
-        for _ in draw_blocks(1, range(4), 9, probs, std, 2 * 4 * 5):
-            assert threading.active_count() == before
+        for _ in draw_blocks(1, trials, horizon, probs, std, cap):
+            # with one worker no thread ever starts
+            assert before <= threading.active_count() <= before + workers - 1
         assert threading.active_count() == before
-        blocks = draw_blocks(1, range(4), 9, probs, std, 2 * 4 * 5)
+        blocks = draw_blocks(1, trials, horizon, probs, std, cap)
         next(blocks)
         blocks.close()
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="the consumer failed"):
+            for _ in draw_blocks(1, trials, horizon, probs, std, cap):
+                raise RuntimeError("the consumer failed")
         assert threading.active_count() == before
 
     def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
@@ -470,14 +516,17 @@ class TestDrawBlocks:
         with pytest.raises(ValueError):
             next(draw_blocks(0, range(4), 9, np.full(5, 0.5), np.full(6, 0.1), DRAW_BLOCK))
         assert threading.active_count() == before
-
-        def fails_off_the_calling_thread(share, k):
-            if share == 1:
-                raise KeyError(k)
-
-        with pytest.raises(KeyError):
-            sampling._in_parallel(fails_off_the_calling_thread, [0, 1], 9)
-        assert threading.active_count() == before
+        # the first block's four trials go through; the second block's fill
+        # then fails on the background thread, while the consumer holds the
+        # first: the error surfaces at the next request, or at close
+        for finish in (next, lambda blocks: blocks.close()):
+            std = _FailsOffTheMainThread.of(np.full(5, 0.1), after=4)
+            blocks = draw_blocks(0, range(4), 9, np.full(5, 0.5), std, 4 * 3 * 5)
+            next(blocks)
+            assert std.failed.wait(timeout=10)
+            with pytest.raises(KeyError):
+                finish(blocks)
+            assert threading.active_count() == before
 
     def test_trials_independent_of_chunking(self):
         probs, std = np.full(5, 0.5), np.full(5, 0.1)
@@ -516,20 +565,22 @@ GOLDEN_CURVES = {
 }
 
 
+# the draw fill's thread count: none besides the consumer, one, two
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kind, block", [
     ("lms", None),
     ("rls", None),
     ("drls", None),
-    # 7-step blocks for the full chunk (not a divisor of the horizon), a
-    # single block for the short one
-    ("lms", 64 * 10 * 7),
-    ("rls", 64 * 10 * 7),
+    # the single pass of 70 trials in ten 6-step blocks, two buffers of them
+    ("lms", 2 * 64 * 10 * 7),
+    ("rls", 2 * 64 * 10 * 7),
     # DRLS passes bound their (trials, n, f, f) state: one-trial passes in
-    # 14-step blocks, then both trials in one pass of 10-step blocks
+    # 7-step blocks, then both trials in one pass of 5-step blocks
     ("drls", 2 * 10 * 7),
     ("drls", 2 * 10 * 10),
 ])
-def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
+def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block, workers):
+    monkeypatch.setattr(sampling, "_WORKERS", workers)
     if block is not None:
         monkeypatch.setattr(harness, "DRAW_BLOCK", block)
     algorithm, digest = GOLDEN_CURVES[kind]
@@ -541,12 +592,16 @@ def test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, block):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["lms", "rls"])
 @pytest.mark.parametrize("chunk", [64, 32])
-def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind, chunk):
-    # two passes (64 + 6 trials) or three (32 + 32 + 6) sum to the same bytes
+def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind, chunk,
+                                                     workers):
+    # two passes (64 + 6 trials) or three (32 + 32 + 6) sum to the same bytes;
+    # the full passes stream 7- or 14-step blocks, the short one a single block
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
-    test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, None)
+    test_curve_csv_matches_golden_digest(tmp_path, monkeypatch, kind, 2 * 64 * 10 * 7,
+                                         workers)
 
 
 # SHA-256 of comparison.csv for configs/compare_sampling.yaml: the baseline
@@ -1030,6 +1085,12 @@ class TestCli:
         ("algorithm.rho", "run-rls", {"algorithm": {"kind": "rls", "beta": 0.9, "rho": 3}}),
         ("compare.msd_target", "compare-sampling",
          {"compare": dict(COMPARE, msd_target=0.5)}),
+        # design and compare-sampling read mu or beta from a given algorithm
+        # section, and used to leave its kind and other fields unchecked
+        *((field, command, {"sampling": DESIGN, "compare": COMPARE, "algorithm": algorithm})
+          for command in ("design", "compare-sampling")
+          for field, algorithm in (("algorithm.kind", {"kind": "quux", "mu": 0.1}),
+                                   ("algorithm.rho", {"kind": "lms", "mu": 0.1, "rho": 3}))),
         # no target used to write a comparison.csv of only its header
         ("compare.rate_targets", "compare-sampling", {"compare": dict(COMPARE, rate_targets=[])}),
     ])

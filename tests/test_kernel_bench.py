@@ -4,9 +4,13 @@ Monte Carlo: one call is one step of a ``TRIAL_CHUNK``-trial pass at the
 scaled instance (n=300, |F|=20); divide by ``TRIAL_CHUNK`` for the
 per-trial-step figures the repository benchmark reports as
 ``harness.lms_step_ns`` / ``harness.rls_step_ns``.  Filling one draw block
-of such a pass (``DRAW_BLOCK`` entries of masks and noise) is timed on its
-own; that fill runs on every usable CPU, so its time depends on the core
-count while the kernels' does not.
+of such a pass (``DRAW_BLOCK // 2`` entries of masks and noise, the block the
+harness streams; two are in flight, ``DRAW_BLOCK`` entries in all) is timed
+on its own.  In a run the next block fills on the other usable CPUs while
+the kernel consumes this one; here each round asks for the next block as
+soon as the last is handed on, so nearly all of the fill is timed, on every
+usable CPU, and its time depends on the core count while the kernels' does
+not.
 
 Distributed: one call is one sensing instant of the consensus network,
 all trials of a pass together, at the size of ``configs/drls.yaml`` (n=20,
@@ -89,10 +93,10 @@ def test_draw_block(benchmark):
     rng = np.random.default_rng(2)
     probs = rng.uniform(0.2, 0.9, N)
     std = np.sqrt(rng.uniform(0.005, 0.03, N))
-    steps = DRAW_BLOCK // (TRIAL_CHUNK * N)
+    steps = DRAW_BLOCK // 2 // (TRIAL_CHUNK * N)
     # one block per round, the warm-up round included
     blocks = draw_blocks(0, range(TRIAL_CHUNK), (DRAW_ROUNDS + 1) * steps, probs, std,
-                         DRAW_BLOCK)
+                         DRAW_BLOCK // 2)
     masks, noise = benchmark.pedantic(next, args=(blocks,), rounds=DRAW_ROUNDS,
                                       iterations=1, warmup_rounds=1)
     assert masks.shape == noise.shape == (TRIAL_CHUNK, steps, N)
