@@ -18,6 +18,8 @@ from .filters import lms_theory_report, rls_theory_report
 from .graphs import save_edge_list
 from .harness import (
     ConfigError,
+    _kind,
+    _section,
     build_graph,
     build_setup,
     compare_sampling,
@@ -81,9 +83,10 @@ def _run(args) -> int:
 
     if args.command == "design":
         setup = build_setup(config)
-        probs, trace = resolve_sampling(setup)
-        if trace is None:
+        # checked before any other sampling, a max-det greedy say, is computed
+        if _kind(_section(setup.config, "sampling"), "sampling") != "design":
             raise ConfigError("sampling.kind: the design command needs kind 'design'")
+        probs, trace = resolve_sampling(setup)
         write_design_csv(probs, setup.noise, os.path.join(args.out, "design_p.csv"))
         write_trace_csv(trace, os.path.join(args.out, "design_trace.csv"))
         status = "converged" if trace.converged else "stopped with a centering at its step cap"

@@ -110,6 +110,9 @@ def _typed(name: str, val, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         raise ConfigError(f"{name}: expected {' or '.join(k.__name__ for k in kinds)}, "
                           f"got {val!r}")
+    # YAML reads .nan and .inf as floats, which no field accepts
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{name}: must be finite, got {val!r}")
     return val
 
 
@@ -137,14 +140,17 @@ def _count(cfg: dict, section: str, key: str, default=None, low: int = 1) -> int
     return val
 
 
-def _real(cfg: dict, section: str, key: str, default=None, high: float = math.inf) -> float:
-    """A number in (0, high]; required unless ``default`` is given."""
+def _real(cfg: dict, section: str, key: str, default=None, high: float = math.inf,
+          open_high: bool = False) -> float:
+    """A number in (0, high], or in (0, high) with ``open_high``; required
+    unless ``default`` is given."""
     if default is None or key in cfg:
         val = float(_need(cfg, section, key, (int, float)))
     else:
         val = float(default)
-    if not 0.0 < val <= high:
-        bound = "be positive" if high == math.inf else f"lie in (0, {high:g}]"
+    if not 0.0 < val <= high or (open_high and val == high):
+        bound = ("be positive" if high == math.inf
+                 else f"lie in (0, {high:g}{')' if open_high else ']'}")
         raise ConfigError(f"{_name(section, key)}: must {bound}, got {val:g}")
     return val
 
@@ -457,7 +463,7 @@ class LearningCurve:
         return _steady_state(self.msd_linear)
 
     def steady_state_db(self) -> float:
-        return to_db(self.steady_state_linear())
+        return to_db(max(self.steady_state_linear(), 1e-300))
 
 
 # The kernels do not warn about overflow: run_experiment reports a non-finite
@@ -549,7 +555,8 @@ def theory_parameter(config: dict) -> tuple:
     kind = _kind(acfg, "algorithm")
     if kind == "lms":
         return kind, _real(acfg, "algorithm", "mu")
-    return kind, _real(acfg, "algorithm", "beta", high=1.0)
+    # beta = 1 forgets nothing, and the RLS closed form is then 0
+    return kind, _real(acfg, "algorithm", "beta", high=1.0, open_high=True)
 
 
 def run_experiment(config: dict) -> LearningCurve:

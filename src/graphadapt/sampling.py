@@ -3,17 +3,18 @@
 Each vertex i is observed independently across time with probability p_i;
 observations are corrupted by zero-mean Gaussian noise with per-vertex
 variance.  :func:`draw_blocks` is the one stream of these draws, for any
-number of trials at once; it fills the next block on the other usable CPUs
-while the consumer works on this one, and the values do not depend on how
-many.  Whether a probability vector can support reconstruction of a
-bandlimited signal is governed by the smallest eigenvalue of the weighted
-Gram matrix U_F^T diag(p) U_F.
+number of trials at once; one thread pool per stream, one thread per other
+usable CPU, fills the next block while the consumer works on this one, and
+the values do not depend on how many.  Whether a probability vector can
+support reconstruction of a bandlimited signal is governed by the smallest
+eigenvalue of the weighted Gram matrix U_F^T diag(p) U_F.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,59 +112,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-class _Fill:
-    """One draw block's fill in flight: ``fill(c)`` for every trial index
-    ``c < count``, each claimed once from a counter under a lock, by
-    ``helpers`` background threads started here and, in ``finish``, by the
-    calling thread."""
-
-    def __init__(self, fill, count: int, helpers: int):
-        self._fill = fill
-        self._count = count
-        self._next = 0
-        self._lock = threading.Lock()
-        self._errors = []
-        self._threads = [threading.Thread(target=self._help) for _ in range(helpers)]
-        for thread in self._threads:
-            thread.start()
-
-    def _run(self):
-        while True:
-            with self._lock:
-                c = self._next
-                if c == self._count:
-                    return
-                self._next = c + 1
-            self._fill(c)
-
-    def _help(self):
-        try:
-            self._run()
-        except BaseException as exc:  # re-raised on the consuming thread by close
-            self._errors.append(exc)
-            self._stop()
-
-    def _stop(self):
-        with self._lock:
-            self._next = self._count
-
-    def close(self):
-        """Let no thread claim another trial, join the helpers, and raise
-        here the first exception one of them raised."""
-        self._stop()
-        for thread in self._threads:
-            thread.join()
-        if self._errors:
-            raise self._errors[0]
-
-    def finish(self):
-        """Fill the trials nobody has claimed on this thread, then close."""
-        try:
-            self._run()
-        finally:
-            self.close()
-
-
 def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndarray,
                 max_elements: int):
     """Per-trial sampling masks and noise, streamed in time blocks.
@@ -178,16 +126,17 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     ``steps`` chosen so that a block holds at most ``max_elements`` entries,
     but at least one step.
 
-    Two blocks are in flight: while the consumer works on one, background
-    threads, one per other usable CPU, fill the next into a second buffer,
-    so the two hold up to twice ``max_elements`` entries (one buffer when a
-    single block covers the horizon).  Asking for the next block, the calling
-    thread fills the trials nobody has started, joins the background
-    threads and raises here any exception they raised; closing the stream
-    stops and joins them too.  Trials are claimed one at a time, only one
-    thread touches a trial's generators within a block, and blocks are
-    filled strictly in order, so the values do not depend on the number of
-    threads.  With one usable CPU no thread is started.
+    Two blocks are in flight: while the consumer works on one, the next is
+    filled into a second buffer, so the two hold up to twice ``max_elements``
+    entries (one buffer when a single block covers the horizon).  One thread
+    pool, one helper per other usable CPU, serves the whole stream: each
+    block's fill submits one claim loop per helper, and the calling thread,
+    asking for that block, fills the trials nobody has started and raises
+    here any exception a helper raised; closing the stream stops the fill
+    and joins the helpers.  Trials are claimed one at a time, only one thread
+    touches a trial's generators within a block, and blocks are filled
+    strictly in order, so the values do not depend on the number of threads.
+    With one usable CPU no thread is started.
 
     A yielded block is a view of a buffer that is filled again two blocks
     later, so it stays valid only until the next one is requested: copy it
@@ -214,13 +163,23 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
         bits.advance(horizon * n)  # one 64-bit draw per uniform
         noise_rngs.append(np.random.Generator(bits))
     helpers = min(_WORKERS - 1, len(trials))
+    lock = threading.Lock()
 
     def block(i):
         masks, noise = buffers[i % 2]
         k = min(steps, horizon - starts[i])
         return masks[:, :k], noise[:, :k]
 
-    def fill(i):
+    def claim(fill_trial, claims):
+        # fill the trials taken one at a time from the shared iterator
+        while True:
+            with lock:
+                c = next(claims, None)
+            if c is None:
+                return
+            fill_trial(c)
+
+    def start(i):
         masks, noise = block(i)
 
         def fill_trial(c):
@@ -233,19 +192,33 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
             # the same values as normal(0.0, std), which computes 0.0 + std * z
             rows *= std
 
-        return _Fill(fill_trial, len(trials), helpers)
+        claims = iter(range(len(trials)))
+        return fill_trial, claims, [pool.submit(claim, fill_trial, claims)
+                                    for _ in range(helpers)]
 
-    pending = fill(0)
-    try:
-        for i in range(len(starts)):
-            current, pending = pending, None
-            current.finish()
-            if i + 1 < len(starts):
-                pending = fill(i + 1)
-            yield block(i)
-    finally:
-        if pending is not None:
-            pending.close()
+    def finish(fill_trial, claims, futures):
+        # fill what nobody has claimed, then raise what a helper raised
+        claim(fill_trial, claims)
+        for future in futures:
+            future.result()
+
+    # the pool starts a thread per submitted task up to its size, so none
+    # when there are no helpers
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        pending = start(0)
+        try:
+            for i in range(len(starts)):
+                current, pending = pending, None
+                finish(*current)
+                if i + 1 < len(starts):
+                    pending = start(i + 1)
+                yield block(i)
+        finally:
+            if pending is not None:
+                with lock:  # leave no trial to claim
+                    for _ in pending[1]:
+                        pass
+                finish(*pending)
 
 
 def reconstructability_lambda(p: SamplingProbabilities, b: Bandlimit) -> float:

@@ -509,6 +509,25 @@ class TestDrawBlocks:
                 raise RuntimeError("the consumer failed")
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_pool_of_helpers_fills_every_block(self, monkeypatch, workers):
+        # twenty one-step blocks, yet a helper thread starts at most once per
+        # stream, not once per block
+        monkeypatch.setattr(sampling, "_WORKERS", workers)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        n, trials, horizon = 7, range(4), 20
+        blocks = _kept(draw_blocks(3, trials, horizon, np.full(n, 0.5), np.full(n, 0.1),
+                                   len(trials) * n), True)
+        assert len(blocks) == horizon
+        assert len(started) <= workers - 1
+
     def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
         # every trial's *= std fails, on the calling thread and the other one
         monkeypatch.setattr(sampling, "_WORKERS", 2)
@@ -657,8 +676,8 @@ def test_design_csvs_match_golden_digest(tmp_path, capsys, name):
 
 
 def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
-    # min_rate_convex never reads beta, and beta = 1 is a valid RLS run: it
-    # used to be rejected as a design field
+    # min_rate_convex never reads beta, so beta = 1, which no RLS run
+    # accepts, cannot fail it: it used to be rejected as a design field
     config = dict(load_config(CONFIG_DIR / "design_min_rate.yaml"),
                   algorithm={"kind": "rls", "beta": 1.0})
     assert cli.main(["design", "--config", dump(tmp_path, config), "--out", str(tmp_path)]) == 0
@@ -761,6 +780,11 @@ class TestLearningCurve:
     def test_msd_db_clips_zeros(self):
         curve = LearningCurve(msd_linear=np.array([1.0, 0.0]))
         assert np.isfinite(curve.msd_db).all()
+
+    def test_steady_state_db_clips_zero(self):
+        # a run with no signal and one instant has an all-zero curve
+        curve = LearningCurve(msd_linear=np.zeros(1))
+        assert curve.steady_state_db() == curve.msd_db[0] == -3000.0
 
 
 class TestFitRate:
@@ -976,11 +1000,22 @@ class TestCli:
         assert code == 0, capsys.readouterr().err
         assert (out / "comparison.csv").exists()
 
-    def test_design_command_needs_design_sampling(self, tmp_path, capsys):
+    def test_design_command_needs_design_sampling(self, tmp_path, capsys, monkeypatch):
         code = cli.main(["design", "--config", dump(tmp_path, tiny_config()),
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "design" in capsys.readouterr().err
+        # the kind is checked before any other sampling is computed
+        def never(*args):
+            raise AssertionError("max_det_greedy ran")
+
+        monkeypatch.setattr(harness, "max_det_greedy", never)
+        cfg = dict(tiny_config(), sampling={"kind": "strategy", "strategy": "max_det", "m": 4})
+        code = cli.main(["design", "--config", dump(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sampling.kind: the design command needs kind 'design'\n")
 
     @pytest.mark.parametrize("field, command, edits", [
         ("noise.sigma_sq", "run-lms", {"noise": {"kind": "uniform", "sigma_sq": -1}}),
@@ -1093,6 +1128,17 @@ class TestCli:
                                    ("algorithm.rho", {"kind": "lms", "mu": 0.1, "rho": 3}))),
         # no target used to write a comparison.csv of only its header
         ("compare.rate_targets", "compare-sampling", {"compare": dict(COMPARE, rate_targets=[])}),
+        # YAML .nan and .inf used to pass as numbers: reported as a diverged
+        # step size, a rank-deficient sampling, or a LinAlgError traceback
+        ("signal.scale", "run-lms", {"signal": {"scale": math.nan}}),
+        ("noise.sigma_sq", "run-lms", {"noise": {"kind": "uniform", "sigma_sq": math.inf}}),
+        ("noise.values", "run-lms", {"noise": {"kind": "values", "values": [math.nan] * 8}}),
+        ("sampling.p", "run-lms", {"sampling": {"kind": "explicit", "p": [math.nan] * 8}}),
+        ("algorithm.mu", "run-lms", {"algorithm": {"kind": "lms", "mu": math.inf}}),
+        # beta = 1 puts the RLS closed form at 0, whose dB figure used to
+        # raise a math domain error or blame the sampling
+        *(("algorithm.beta", command, {"algorithm": {"kind": kind, "beta": 1.0}})
+          for command, kind in (("run-rls", "rls"), ("run-drls", "drls"), ("theory", "rls"))),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
