@@ -14,21 +14,21 @@ import sys
 
 import numpy as np
 
-from .filters import lms_theory_report, rls_theory_report
+from .filters import lms_theory_report, rls_theory_report  # noqa: F401 (benchmarks/worker.py)
 from .graphs import save_edge_list
 from .harness import (
+    ESTIMATORS,
     ConfigError,
     _kind,
     _section,
+    _write_csv,
     build_graph,
     build_setup,
     compare_sampling,
-    config_field,
     load_config,
     resolve_sampling,
     run_experiment,
     theory_parameter,
-    to_db,
     write_compare_csv,
     write_curve_csv,
     write_design_csv,
@@ -36,8 +36,6 @@ from .harness import (
     write_per_node_csv,
     write_trace_csv,
 )
-
-_RUN_COMMANDS = {"run-lms": "lms", "run-rls": "rls", "run-drls": "drls"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,9 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         "design": "solve a sampling-probability design problem",
-        "run-lms": "Monte Carlo learning curve for the LMS estimator",
-        "run-rls": "Monte Carlo learning curve for the recursive estimator",
-        "run-drls": "Monte Carlo learning curves for the distributed estimator",
+        **{f"run-{kind}": estimator.help for kind, estimator in ESTIMATORS.items()},
         "theory": "closed-form steady-state predictions for the configured run",
         "compare-sampling": "sampling budget needed by designed and baseline strategies",
         "gen-graph": "draw the configured graph and save it as an edge list",
@@ -99,14 +95,10 @@ def _run(args) -> int:
         setup = build_setup(config)
         probs, _ = resolve_sampling(setup)
         kind, param = theory_parameter(setup.config)
-        theory = lms_theory_report if kind == "lms" else rls_theory_report
-        with config_field("sampling"):
-            rows = theory(probs, param, setup.noise, setup.bandlimit)
-        with open(os.path.join(args.out, "theory.csv"), "w") as fh:
-            fh.write("quantity,value\n")
-            for name, value in rows.items():
-                fh.write(f"{name},{value:.12g}\n")
-                print(f"{name} = {value:.6g}")
+        rows = ESTIMATORS[kind].theory(param, setup, probs)
+        _write_csv(os.path.join(args.out, "theory.csv"), ["quantity", "value"], rows.items())
+        for name, value in rows.items():
+            print(f"{name} = {value:.6g}")
         return 0
 
     if args.command == "compare-sampling":
@@ -117,13 +109,13 @@ def _run(args) -> int:
                   f"rate={r['sampling_rate']:.6g} +- {r['sampling_rate_std']:.3g}")
         return 0
 
-    if args.command in _RUN_COMMANDS:
-        expected = _RUN_COMMANDS[args.command]
-        kind, _ = theory_parameter(config)
+    if args.command.startswith("run-"):
+        expected = args.command[len("run-"):]
+        # named before any other algorithm field is read
+        kind = _kind(_section(config, "algorithm"), "algorithm")
         if kind != expected:
-            raise ConfigError(
-                f"algorithm.kind: {args.command} needs kind '{expected}', got {kind!r}"
-            )
+            raise ConfigError(f"algorithm.kind: {args.command} needs kind '{expected}', "
+                              f"got {kind!r}")
         curve = run_experiment(config)
         write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
         write_metadata(curve, config, os.path.join(args.out, "meta.json"))

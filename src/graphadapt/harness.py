@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -26,12 +27,14 @@ import yaml
 from . import design as design_mod
 from .distributed import CommGraph, DrlsConfig, drls_simulate
 from .filters import (
-    lms_msd_theory,
-    lms_rate_theory,
-    lms_step_bound,
+    lms_msd_theory,  # noqa: F401 (benchmarks/worker.py wraps it here)
+    lms_rate_theory,  # noqa: F401 (benchmarks/worker.py wraps it here)
+    lms_step_bound,  # noqa: F401 (benchmarks/worker.py wraps it here)
+    lms_theory_report,
     lms_update,
-    rls_msd_theory,
+    rls_msd_theory,  # noqa: F401 (benchmarks/worker.py wraps it here)
     rls_outer_table,
+    rls_theory_report,
     rls_update,
     track,
 )
@@ -191,29 +194,6 @@ def _spec_keys(fields) -> set:
     ``msd_target_db``, and the cap ``p_max``, which every design reads."""
     keys = {"p_max", *fields}
     return keys | {"msd_target_db"} if "msd_target" in keys else keys
-
-
-# the keys each kind of a section reads besides "kind"; every algorithm kind
-# holds mu and beta, on which a design falls back
-_KIND_KEYS = {
-    "graph": {"random_geometric": {"n", "radius", "seed"}, "edge_list": {"path"}},
-    "noise": {"uniform": {"sigma_sq"}, "values": {"values"}, "loguniform": {"low", "high"}},
-    "sampling": {"full": set(), "explicit": {"p"}, "strategy": {"strategy", "m"},
-                 "design": {"problem"}.union(*(_spec_keys(entry[1] + entry[2])
-                                              for entry in _DESIGN_PROBLEMS.values()))},
-    "algorithm": {"lms": {"mu", "beta"}, "rls": {"mu", "beta", "delta"},
-                  "drls": {"mu", "beta", "delta", "rho", "inner_iters", "comm"}},
-}
-
-# every key the top level ("") and each section may hold; any other is rejected
-_KEYS = {
-    "": {"version", "seed", "trials", "horizon", "graph", "bandlimit", "noise", "signal",
-         "sampling", "algorithm", "compare"},
-    "bandlimit": {"size", "indices"},
-    "signal": {"scale"},
-    "compare": {"rate_targets", "mu", "msd_target", "msd_target_db", "random_seeds", "p_max"},
-    **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
-}
 
 
 def _known(cfg: dict, section: str) -> dict:
@@ -486,17 +466,17 @@ def _monte_carlo(setup: Setup, probs: SamplingProbabilities, pass_size: int,
 
 
 def _run_filter_mc(setup: Setup, probs: SamplingProbabilities, init, step,
-                   estimate) -> np.ndarray:
-    """The learning curve of a centralized filter: ``track``'s ``init`` and
-    ``step``, and its (trials, f) coefficients ``estimate(state)``."""
+                   estimate) -> tuple:
+    """A centralized filter's run, from ``track``'s ``init`` and ``step`` and its
+    (trials, f) coefficients ``estimate(state)``: its curve, no per-node curves or metadata."""
     def deviation(state):
         return np.square(estimate(state) - setup.signal_coeffs).sum()
 
     return _monte_carlo(setup, probs, TRIAL_CHUNK,
-                        lambda blocks: track(blocks, init, step, deviation))
+                        lambda blocks: track(blocks, init, step, deviation)), None, {}
 
 
-def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.ndarray:
+def _run_lms(setup: Setup, probs: SamplingProbabilities, mu: float, acfg: dict) -> tuple:
     u = setup.bandlimit.basis_slice
     return _run_filter_mc(setup, probs,
                           init=lambda trials: np.zeros((trials, u.shape[1])),
@@ -504,9 +484,9 @@ def _run_lms_mc(setup: Setup, probs: SamplingProbabilities, mu: float) -> np.nda
                           estimate=lambda s_hat: s_hat)
 
 
-def _run_rls_mc(setup: Setup, probs: SamplingProbabilities, beta: float,
-                delta: float) -> np.ndarray:
+def _run_rls(setup: Setup, probs: SamplingProbabilities, beta: float, acfg: dict) -> tuple:
     # the state is the information pair (Psi, psi), the estimate Psi^-1 psi
+    delta = _real(acfg, "algorithm", "delta", 1e-3)
     u = setup.bandlimit.basis_slice
     f = u.shape[1]
     inv_var = 1.0 / setup.noise.variances
@@ -536,85 +516,114 @@ def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
     return graph
 
 
-def _run_drls_mc(setup: Setup, probs: SamplingProbabilities, cfg: DrlsConfig,
-                 comm: CommGraph):
+def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, acfg: dict) -> tuple:
+    cfg = DrlsConfig(rho=_real(acfg, "algorithm", "rho", DrlsConfig.rho),
+                     inner_iters=_count(acfg, "algorithm", "inner_iters", DrlsConfig.inner_iters),
+                     beta=beta, delta=_real(acfg, "algorithm", "delta", DrlsConfig.delta))
+    comm = _comm_from_config(setup, acfg)
     n, f = setup.graph.n, setup.bandlimit.size
     # a pass's (trials, n, f, f) information matrices hold at most DRAW_BLOCK
-    # entries (but at least one trial)
+    # entries (but at least one trial); drls_simulate is looked up per call
     size = min(TRIAL_CHUNK, max(1, DRAW_BLOCK // (n * f * f)))
     per_node = _monte_carlo(setup, probs, size, lambda blocks: drls_simulate(
         comm, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true))
-    return per_node.mean(axis=1), per_node
+    return per_node.mean(axis=1), per_node, {"inner_iters": cfg.inner_iters}
+
+
+class Estimator(NamedTuple):
+    """One algorithm kind, all that defines it: its run command's help, the keys it reads
+    besides "kind" (each holds mu and beta, on which a design falls back), its closed form's
+    parameter reader, that closed form (theory.csv's rows, also meta.json's theory fields),
+    its Monte Carlo runner (curve, per-node curves or None, extra metadata) and a diverged
+    curve's message, None where no step size or penalty can make the kind unstable."""
+
+    help: str
+    keys: set
+    parameter: Callable
+    closed_form: Callable
+    run: Callable
+    diverged: Callable = None
+
+    def theory(self, param: float, setup: Setup, probs: SamplingProbabilities) -> dict:
+        """The closed form's rows at ``param``; only a rank-deficient sampling fails them."""
+        with config_field("sampling"):
+            return self.closed_form(probs, param, setup.noise, setup.bandlimit)
+
+
+def _beta(acfg: dict) -> float:
+    # beta = 1 forgets nothing, and the RLS closed form is then 0
+    return _real(acfg, "algorithm", "beta", high=1.0, open_high=True)
+
+
+# every algorithm kind; a new kind is one entry
+ESTIMATORS = {
+    "lms": Estimator("Monte Carlo learning curve for the LMS estimator", {"mu", "beta"},
+                     lambda acfg: _real(acfg, "algorithm", "mu"), lms_theory_report, _run_lms,
+                     lambda acfg, mu: f"algorithm.mu: the learning curve diverged; mu = {mu:g}"),
+    "rls": Estimator("Monte Carlo learning curve for the recursive estimator",
+                     {"mu", "beta", "delta"}, _beta, rls_theory_report, _run_rls),
+    "drls": Estimator("Monte Carlo learning curves for the distributed estimator",
+                      {"mu", "beta", "delta", "rho", "inner_iters", "comm"}, _beta,
+                      rls_theory_report, _run_drls, lambda acfg, beta: (
+                          "algorithm.rho: the learning curve diverged; "
+                          f"rho = {_real(acfg, 'algorithm', 'rho', DrlsConfig.rho):g}")),
+}
+
+# the keys each kind of a section reads besides "kind"
+_KIND_KEYS = {
+    "graph": {"random_geometric": {"n", "radius", "seed"}, "edge_list": {"path"}},
+    "noise": {"uniform": {"sigma_sq"}, "values": {"values"}, "loguniform": {"low", "high"}},
+    "sampling": {"full": set(), "explicit": {"p"}, "strategy": {"strategy", "m"},
+                 "design": {"problem"}.union(*(_spec_keys(entry[1] + entry[2])
+                                              for entry in _DESIGN_PROBLEMS.values()))},
+    "algorithm": {kind: estimator.keys for kind, estimator in ESTIMATORS.items()},
+}
+
+# every key the top level ("") and each section may hold; any other is rejected
+_KEYS = {
+    "": {"version", "seed", "trials", "horizon", "graph", "bandlimit", "noise", "signal",
+         "sampling", "algorithm", "compare"},
+    "bandlimit": {"size", "indices"},
+    "signal": {"scale"},
+    "compare": {"rate_targets", "mu", "msd_target", "msd_target_db", "random_seeds", "p_max"},
+    **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
+}
+
+# meta.json's name of each closed-form row
+_THEORY_META = {"msd_linear": "theory_msd_linear", "msd_db": "theory_msd_db",
+                "convergence_rate": "theory_rate", "step_bound": "step_bound"}
 
 
 def theory_parameter(config: dict) -> tuple:
-    """The configured algorithm kind and the parameter its closed-form theory
-    needs: the step size mu for LMS, the forgetting factor beta for RLS and
-    DRLS."""
+    """The configured algorithm kind and the parameter its closed form takes."""
     acfg = _section(config, "algorithm")
     kind = _kind(acfg, "algorithm")
-    if kind == "lms":
-        return kind, _real(acfg, "algorithm", "mu")
-    # beta = 1 forgets nothing, and the RLS closed form is then 0
-    return kind, _real(acfg, "algorithm", "beta", high=1.0, open_high=True)
+    return kind, ESTIMATORS[kind].parameter(acfg)
 
 
 def run_experiment(config: dict) -> LearningCurve:
-    """Monte Carlo learning curve for the configured estimator, with theory
-    predictions embedded in the metadata."""
+    """Monte Carlo learning curve for the configured estimator, with its
+    closed-form theory in the metadata."""
+    kind, param = theory_parameter(config)
     setup = build_setup(config)
     probs, trace = resolve_sampling(setup)
-    kind, param = theory_parameter(setup.config)
-    acfg = setup.config["algorithm"]
-
-    meta = {
-        "config_hash": config_hash(config),
-        "algorithm": kind,
-        "seed": setup.seed,
-        "trials": setup.trials,
-        "horizon": setup.horizon,
-        "sampling_rate": float(probs.probs.sum()),
-    }
-    # the theory fails only on the sampling pattern (rank deficient)
-    with config_field("sampling"):
-        if kind == "lms":
-            theory = lms_msd_theory(probs, param, setup.noise, setup.bandlimit)
-            meta["theory_rate"] = lms_rate_theory(probs, param, setup.bandlimit)
-            meta["step_bound"] = lms_step_bound(probs, setup.bandlimit)
-        else:
-            theory = rls_msd_theory(probs, param, setup.noise, setup.bandlimit)
-    per_node = None
-    if kind == "lms":
-        diverged = f"algorithm.mu: the learning curve diverged; mu = {param:g}"
-        curve = _run_lms_mc(setup, probs, param)
-    elif kind == "rls":
-        delta = _real(acfg, "algorithm", "delta", 1e-3)
-        diverged = "algorithm: the learning curve diverged"
-        curve = _run_rls_mc(setup, probs, param, delta)
-    else:  # drls
-        cfg = DrlsConfig(
-            rho=_real(acfg, "algorithm", "rho", 1.0),
-            inner_iters=_count(acfg, "algorithm", "inner_iters", 1),
-            beta=param,
-            delta=_real(acfg, "algorithm", "delta", 1e-3),
-        )
-        comm = _comm_from_config(setup, acfg)
-        diverged = f"algorithm.rho: the learning curve diverged; rho = {cfg.rho:g}"
-        curve, per_node = _run_drls_mc(setup, probs, cfg, comm)
-        meta["inner_iters"] = cfg.inner_iters
+    estimator = ESTIMATORS[kind]
+    theory = estimator.theory(param, setup, probs)
+    curve, per_node, extra = estimator.run(setup, probs, param, config["algorithm"])
+    meta = {"config_hash": config_hash(config), "algorithm": kind, "seed": setup.seed,
+            "trials": setup.trials, "horizon": setup.horizon,
+            "sampling_rate": float(probs.probs.sum()), **extra,
+            **{_THEORY_META[name]: value for name, value in theory.items()}}
     result = LearningCurve(msd_linear=curve, metadata=meta, per_node=per_node)
-    # a stable LMS or DRLS run settles near its noise floor and below its
-    # initial error, so a finite steady state above both that error and 1e3
-    # times the closed-form floor diverged too (neither bound alone holds at
-    # every signal-to-noise ratio); RLS (beta in (0, 1)) has no step size or
-    # penalty that can make it unstable
+    # a stable run settles near its noise floor and below its initial error, so a
+    # finite steady state above both that error and 1e3 times the closed-form floor
+    # diverged too (neither bound alone holds at every signal-to-noise ratio); a kind
+    # with no message for that (RLS) has no step size or penalty to make it unstable
     if not np.isfinite(curve).all() or (
-            kind != "rls"
-            and result.steady_state_linear() > max(curve[0], 1e3 * theory)):
-        raise ConfigError(diverged)
-
-    meta["theory_msd_linear"] = float(theory)
-    meta["theory_msd_db"] = to_db(theory)
+            estimator.diverged
+            and result.steady_state_linear() > max(curve[0], 1e3 * theory["msd_linear"])):
+        raise ConfigError(estimator.diverged(config["algorithm"], param) if estimator.diverged
+                          else "algorithm: the learning curve diverged")
     if trace is not None:
         meta["design_iterations"] = trace.iterations
         meta["design_converged"] = trace.converged

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +144,10 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     instant: they are set once and no uniforms are drawn, which leaves the
     noise as it was (it comes from its own advanced generator).
     """
+    # imported here, where a pool starts, so that loading the package does
+    # not load concurrent.futures and the logging it imports
+    from concurrent.futures import ThreadPoolExecutor
+
     n = probs.shape[0]
     trials = list(trials)
     steps = min(horizon, max(1, max_elements // (len(trials) * n)))

@@ -584,6 +584,7 @@ GOLDEN_CURVES = {
 }
 
 
+
 # the draw fill's thread count: none besides the consumer, one, two
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kind, block", [
@@ -623,6 +624,28 @@ def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind
                                          workers)
 
 
+# SHA-256 of meta.json for the GOLDEN_CURVES runs, in one pass: the
+# closed-form theory fields (theory_msd_*, and for LMS theory_rate and
+# step_bound), the steady state and DRLS's inner_iters, as written while each
+# algorithm kind was still dispatched by its own branches.  meta.json keeps
+# every bit of a float, and a sum over several passes can move the last one.
+GOLDEN_META = {
+    "lms": "b185b2ce882b6047d756b324f8848e5a49c188d8439651c7059916fd9737335d",
+    "rls": "da32e5b7ad4d571f7578bd978b00aac4b17ce2cfee27a5fee1667f8e79d83c91",
+    "drls": "a9021828608d6dd6cc5fdc20230b916d11dc2a7ff36f4de16f85cf65249bf899",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_META))
+def test_meta_json_matches_golden_digest(tmp_path, kind):
+    cfg = golden_config(GOLDEN_CURVES[kind][0])
+    if kind == "drls":
+        cfg["trials"], cfg["horizon"] = 2, 30
+    path = tmp_path / "meta.json"
+    write_metadata(run_experiment(cfg), cfg, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_META[kind]
+
+
 # SHA-256 of comparison.csv for configs/compare_sampling.yaml: the baseline
 # rows as written by the per-prefix eigvalsh loop and the eigvalsh-per-
 # candidate determinant greedy, the designed rows by the log-barrier engine.
@@ -642,6 +665,8 @@ def test_comparison_csv_matches_golden_digest(tmp_path):
 GOLDEN_THEORY = {
     "lms_full.yaml": "6fdf188ea7c447a97203d13ca0a552e509c02fd765612c527f8481d06ea45f49",
     "rls_designed.yaml": "da9aad8fdd3ddf9e2693e47fa21cd26f3fe7d569e77129f9675d8b4ed69091c6",
+    # the RLS rows of a DRLS run
+    "drls.yaml": "a6234ad61b8695fb36e36053932a73babf1c3e671d4949cbb533b17f99292984",
 }
 
 
@@ -692,16 +717,27 @@ def test_every_public_name_resolves():
     assert len(set(graphadapt.__all__)) == len(graphadapt.__all__)
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter: this test process may already hold scipy
+def _loaded_by_import(package):
+    """The modules of ``package`` that ``import graphadapt, graphadapt.cli``
+    loads, in a fresh interpreter: this test process may already hold them."""
     src = os.path.dirname(os.path.dirname(graphadapt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, graphadapt.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys, graphadapt, graphadapt.cli; "
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging it imports) loads only when a draw
+    # stream starts its pool
+    assert _loaded_by_import("concurrent") == "[]"
 
 
 def test_benchmark_lookup_names_resolve():
@@ -718,6 +754,27 @@ def test_benchmark_lookup_names_resolve():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("workload", ["mc-scaled", "paper"])
+def test_benchmark_traced_run_passes_its_checks(tmp_path, workload):
+    # the benchmark's traced path at its smoke size: every wrapped lookup is
+    # on a working call path, every job passes its output checks, and the
+    # DRLS runner reaches drls_simulate where the message probe replaced it
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "worker.py"), "run", "--workload", workload,
+         "--seed", "0", "--smoke", "--trace", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    jobs = json.loads(result.stdout.strip().splitlines()[-1])["jobs"]
+    assert jobs
+    for job in jobs:
+        assert (job["code"], job["problem"]) == (0, None), (job["command"], job["error"])
+    drls = [job for job in jobs if job["command"] == "run-drls"]
+    assert len(drls) == (workload == "paper")
+    for job in drls:
+        assert job["messages"] and job["quantities"]["messages"] == sum(job["messages"]) > 0
 
 
 def _check_against_single_trial_filters(trials):
@@ -937,11 +994,23 @@ class TestCli:
         for name in ("curve.csv", "curve_per_node.csv"):
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
-    def test_kind_mismatch_exits_2(self, tmp_path, capsys):
-        code = cli.main(["run-rls", "--config", dump(tmp_path, tiny_config()),
+    # every run command on every other kind, with and without the parameter
+    # of the configured kind: the mismatch is named before that parameter
+    # is read
+    @pytest.mark.parametrize("with_parameter", [True, False])
+    @pytest.mark.parametrize("command, kind", [
+        (f"run-{command}", kind) for command in ("lms", "rls", "drls")
+        for kind in ("lms", "rls", "drls") if command != kind])
+    def test_kind_mismatch_exits_2(self, tmp_path, capsys, command, kind, with_parameter):
+        algorithm = {"kind": kind}
+        if with_parameter:
+            algorithm.update({"mu": 0.1} if kind == "lms" else {"beta": 0.9})
+        code = cli.main([command, "--config", dump(tmp_path, dict(tiny_config(),
+                                                                  algorithm=algorithm)),
                          "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: algorithm.kind: {command} needs kind "
+                                           f"'{command[4:]}', got '{kind}'\n")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["run-lms", "--config", str(tmp_path / "absent.yaml"),
