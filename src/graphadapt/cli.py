@@ -67,7 +67,10 @@ def _run(args) -> int:
         config["seed"] = args.seed
     if args.trials is not None:
         config["trials"] = args.trials
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
 
     if args.command == "gen-graph":
         graph = build_graph(config)

@@ -8,6 +8,7 @@ bandlimited when its transform is supported on a fixed frequency index set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class Graph:
             raise ValueError("weight matrix must be square")
         if w.shape[0] < 1:
             raise ValueError("graph needs at least one node")
+        if not np.isfinite(w).all():
+            raise ValueError("edge weights must be finite")
         if np.abs(w - w.T).max(initial=0.0) > 1e-12:
             raise ValueError("weight matrix must be symmetric")
         if w.min(initial=0.0) < 0:
@@ -56,34 +59,13 @@ class Graph:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Full Laplacian eigendecomposition: ascending eigenvalues, orthonormal columns."""
+class SpectralBasis(NamedTuple):
+    """Full Laplacian eigendecomposition: ascending eigenvalues, orthonormal
+    columns, both read-only (built by :func:`eigendecompose`)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.vectors, dtype=float)
-        if vecs.ndim != 2 or vecs.shape[0] != vecs.shape[1]:
-            raise ValueError("eigenvector matrix must be square")
-        n = vecs.shape[0]
-        if vals.shape != (n,):
-            raise ValueError("eigenvalue count must match basis dimension")
-        if n > 1 and np.diff(vals).min() < -1e-10:
-            raise ValueError("eigenvalues must be in ascending order")
-        if vals[0] < -1e-10:
-            raise ValueError("Laplacian eigenvalues must be nonnegative")
-        gram = vecs.T @ vecs
-        if np.abs(gram - np.eye(n)).max() > ORTHO_TOL:
-            raise ValueError("eigenvectors must be orthonormal")
-        object.__setattr__(self, "eigenvalues", _freeze(vals))
-        object.__setattr__(self, "vectors", _freeze(vecs))
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
+    n: int
 
 
 @dataclass(frozen=True)
@@ -149,14 +131,9 @@ def build_laplacian(g: Graph) -> np.ndarray:
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     # sign convention: first entry of nonnegligible magnitude is positive
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col) > 1e-8 * np.abs(col).max()
-        nz = np.nonzero(big)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+    mag = np.abs(vecs)
+    first = (mag > 1e-8 * mag.max(axis=0)).argmax(axis=0)
+    return np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -vecs, vecs)
 
 
 def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
@@ -169,31 +146,27 @@ def eigendecompose(laplacian: np.ndarray) -> SpectralBasis:
     lap = np.asarray(laplacian, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("Laplacian must be a square matrix")
+    if not np.isfinite(lap).all():
+        raise ValueError("Laplacian must be finite")
     asym = np.abs(lap - lap.T).max(initial=0.0)
     if asym > 1e-10:
         raise ValueError(f"Laplacian must be symmetric; max |L - L^T| = {asym:.3e}")
     vals, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
-    return SpectralBasis(eigenvalues=vals, vectors=_fix_signs(vecs))
+    if vals[0] < -1e-10:
+        raise ValueError(f"Laplacian spectrum must be nonnegative; smallest eigenvalue "
+                         f"{vals[0]:.3e}")
+    return SpectralBasis(_freeze(vals), _freeze(_fix_signs(vecs)), lap.shape[0])
 
 
 def connected_components(g: Graph) -> int:
-    """Number of connected components (breadth-first search)."""
-    n = g.n
-    seen = np.zeros(n, dtype=bool)
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(g.weights[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-    return count
+    """Number of connected components: square the reachability matrix until
+    it stops growing, then count each component at its smallest vertex."""
+    reach = ((g.weights > 0) | np.eye(g.n, dtype=bool)).astype(float)
+    while True:
+        grown = (reach @ reach > 0).astype(float)
+        if np.array_equal(grown, reach):
+            return int((reach.argmax(axis=1) == np.arange(g.n)).sum())
+        reach = grown
 
 
 def random_geometric_graph(n: int, radius: float, seed: int) -> Graph:
@@ -206,9 +179,8 @@ def random_geometric_graph(n: int, radius: float, seed: int) -> Graph:
     if not 0.0 < radius <= np.sqrt(2.0):
         raise ValueError("radius must be in (0, sqrt(2)]")
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = (diff ** 2).sum(axis=2)
+    x, y = rng.random((n, 2)).T
+    dist2 = np.subtract.outer(x, x) ** 2 + np.subtract.outer(y, y) ** 2
     w = (dist2 <= radius * radius).astype(float)
     np.fill_diagonal(w, 0.0)
     return Graph(w)
@@ -233,8 +205,9 @@ def load_edge_list(path) -> Graph:
     """Read a graph written by :func:`save_edge_list`.
 
     Blank lines and lines starting with ``#`` are ignored.  A file that is
-    not UTF-8 text, malformed lines, out-of-range indices, self loops, and
-    conflicting duplicate edges are rejected with :class:`GraphFormatError`.
+    not UTF-8 text, malformed lines, out-of-range indices, self loops,
+    negative or non-finite weights, and conflicting duplicate edges are
+    rejected with :class:`GraphFormatError`.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -279,8 +252,8 @@ def load_edge_list(path) -> Graph:
             )
         if i == j:
             raise GraphFormatError(f"{path}:{lineno}: self loop on node {i}")
-        if w < 0:
-            raise GraphFormatError(f"{path}:{lineno}: negative weight {w}")
+        if not 0 <= w < np.inf:
+            raise GraphFormatError(f"{path}:{lineno}: weight {w} must be finite and nonnegative")
         key = (min(i, j), max(i, j))
         if key in entries and entries[key] != w:
             raise GraphFormatError(

@@ -8,12 +8,14 @@ checked against independent oracles (characteristic polynomial roots,
 scipy null spaces).
 """
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import null_space
+from scipy.sparse import csgraph
 
 import graphadapt as ga
 
@@ -38,6 +40,12 @@ class TestGraphValidation:
     def test_rejects_negative_weight(self):
         w = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
+            ga.Graph(weights=w)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, value):
+        w = np.array([[0.0, value], [value, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
             ga.Graph(weights=w)
 
     def test_rejects_self_loop(self):
@@ -125,6 +133,28 @@ class TestEigendecompose:
         b2 = ga.eigendecompose(lap.copy())
         assert np.array_equal(b1.vectors, b2.vectors)
 
+    @pytest.mark.parametrize("n", [10, 40, 300])
+    def test_first_nonnegligible_entry_of_each_column_is_positive(self, n):
+        g = random_graph(n, np.random.default_rng(n))
+        vecs = ga.eigendecompose(ga.build_laplacian(g)).vectors
+        mag = np.abs(vecs)
+        for col, big in zip(vecs.T, (mag > 1e-8 * mag.max(axis=0)).T):
+            assert col[np.flatnonzero(big)[0]] > 0
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="spectrum must be nonnegative"):
+            ga.eigendecompose(np.array([[0.0, 2.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ga.eigendecompose(np.array([[value, -1.0], [-1.0, 1.0]]))
+
+    def test_returns_read_only_arrays(self, path3_basis):
+        for arr in (path3_basis.eigenvalues, path3_basis.vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestBandlimit:
     def test_lowest_picks_ascending_prefix(self, path3_basis):
@@ -188,6 +218,13 @@ class TestComponents:
     def test_isolated_vertices(self):
         assert ga.connected_components(ga.Graph(weights=np.zeros((3, 3)))) == 3
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_on_sparse_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        g = random_graph(n, rng, density=rng.uniform(0.0, 4.0 / n))
+        assert ga.connected_components(g) == csgraph.connected_components(g.weights)[0]
+
 
 class TestRandomGeometric:
     def test_deterministic_per_seed(self):
@@ -199,6 +236,13 @@ class TestRandomGeometric:
         g1 = ga.random_geometric_graph(15, 0.5, seed=9)
         g2 = ga.random_geometric_graph(15, 0.5, seed=10)
         assert not np.array_equal(g1.weights, g2.weights)
+
+    def test_edges_match_the_pairwise_distance_reference(self):
+        n, radius, seed = 40, 0.3, 5
+        pts = np.random.default_rng(seed).random((n, 2))
+        dist2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        expected = (dist2 <= radius * radius) & ~np.eye(n, dtype=bool)
+        assert np.array_equal(ga.random_geometric_graph(n, radius, seed).weights, expected)
 
     def test_returns_a_disconnected_draw_silently(self):
         with warnings.catch_warnings():
@@ -235,6 +279,13 @@ class TestEdgeListIO:
         path = tmp_path / "bad.txt"
         path.write_text(content)
         with pytest.raises(ga.GraphFormatError):
+            ga.load_edge_list(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-1.0"])
+    def test_rejects_negative_or_non_finite_weight_naming_the_line(self, tmp_path, weight):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3\n1 2 1.0\n0 1 {weight}\n")
+        with pytest.raises(ga.GraphFormatError, match=re.escape(f"{path}:3: ")):
             ga.load_edge_list(path)
 
     def test_duplicate_edge_with_same_weight_allowed(self, tmp_path):

@@ -971,6 +971,17 @@ class TestCli:
         assert (out / "meta.json").exists()
         assert "steady-state deviation" in capsys.readouterr().out
 
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys):
+        # an --out naming a regular file used to end in a FileExistsError traceback
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        code = cli.main(["run-lms", "--config", dump(tmp_path, tiny_config()),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert out.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "out"]
+
     def test_seed_and_trials_overrides(self, tmp_path, capsys):
         out = tmp_path / "out"
         cli.main(["run-lms", "--config", dump(tmp_path, tiny_config()),
@@ -1208,6 +1219,12 @@ class TestCli:
         # raise a math domain error or blame the sampling
         *(("algorithm.beta", command, {"algorithm": {"kind": kind, "beta": 1.0}})
           for command, kind in (("run-rls", "rls"), ("run-drls", "drls"), ("theory", "rls"))),
+        # NaN and inf edge weights used to end in a LinAlgError traceback, be
+        # blamed on the step size, or be written out by gen-graph
+        *(("graph.path", command,
+           {"graph": {"kind": "edge_list", "path": str(DATA_DIR / name)}})
+          for name in ("graph_nan_weight.txt", "graph_inf_weight.txt")
+          for command in ("run-lms", "gen-graph")),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -1216,7 +1233,7 @@ class TestCli:
                          "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
-        for name in ("curve.csv", "meta.json", "theory.csv", "comparison.csv"):
+        for name in ("curve.csv", "meta.json", "theory.csv", "comparison.csv", "graph.txt"):
             assert not (out / name).exists()
 
     @pytest.mark.parametrize("command, name, horizon, edits, message", [
