@@ -171,7 +171,7 @@ def _truncate(p):
 # log-barrier Newton core
 
 class _Barrier:
-    """The log barrier of one program over x = (p[free], s).
+    """The log barrier of one program over x = (p, s).
 
     ``lmis`` holds triples (c, const, e), each the LMI
     H(p) - (c @ p + const + e s) I >= 0.  ``objective`` is a vector over
@@ -182,52 +182,27 @@ class _Barrier:
     ``derivs`` the quadruple (value, gradient, Hessian, excess) over all n
     vertices: the excess is 0.0 for a convex function, else the matrix that
     lifts an indefinite Hessian to a PSD curvature.
-    The scalar s exists only with ``epigraph``; vertices with bound 0 are
-    not variables and stay at 0.
+    The scalar s exists only with ``epigraph``, which no program pairs with
+    a smooth function.  A vertex with bound 0 has no box term and is pinned
+    at p_i = 0 by :func:`_newton_step`.
     """
 
     def __init__(self, inst, lmis=(), objective=None, constraints=(), budget=None,
                  epigraph=False):
-        self.inst, self.constraints, self.budget = inst, constraints, budget
-        self.free = np.flatnonzero(inst.ub > 0)
-        self.objective = objective
-        if objective is not None and not callable(objective):
-            self.objective = np.append(objective[self.free], objective[inst.n:])
-        self.k = self.free.size
-        self.ub = inst.ub[self.free]
+        self.inst, self.objective = inst, objective
+        self.constraints, self.budget = constraints, budget
+        self.pinned = np.flatnonzero(inst.ub == 0.0)
         extra = int(epigraph)
-        self.u = np.vstack([inst.u[self.free], np.zeros((extra, inst.f))])
-        self.lmis = [(np.append(c[self.free], [e] * extra), const) for c, const, e in lmis]
-        self.degree = (inst.f * len(self.lmis) + 2 * self.k + (budget is not None)
-                       + len(constraints))
-
-    def point(self, x):
-        p = np.zeros(self.inst.n)
-        p[self.free] = x[:self.k]
-        return p
-
-    def _lift(self, grad, *mats):
-        """A gradient and matrices over all n vertices as ones over x; a
-        scalar 0.0 stays as it is."""
-        nv, k = self.u.shape[0], self.k
-        gx = np.zeros(nv)
-        gx[:k] = grad[self.free]
-        lifted = [gx]
-        for mat in mats:
-            if np.isscalar(mat):
-                lifted.append(mat)
-                continue
-            hx = np.zeros((nv, nv))
-            hx[:k, :k] = mat[np.ix_(self.free, self.free)]
-            lifted.append(hx)
-        return lifted
+        self.u = np.vstack([inst.u, np.zeros((extra, inst.f))])
+        self.lmis = [(np.append(c, [e] * extra), const) for c, const, e in lmis]
+        self.degree = (inst.f * len(self.lmis) + 2 * (inst.n - self.pinned.size)
+                       + (budget is not None) + len(constraints))
 
     def f0(self, x, derivs=False):
         """The objective at x, inf outside its domain; with ``derivs`` the
         quadruple (value, gradient, Hessian, excess) over x."""
         if callable(self.objective):
-            out = self.objective(self.point(x), derivs)
-            return (out[0], *self._lift(*out[1:])) if derivs else out
+            return self.objective(x, derivs)
         value = float(self.objective @ x)
         return (value, self.objective, 0.0, 0.0) if derivs else value
 
@@ -242,25 +217,25 @@ class _Barrier:
         """The barrier at x, inf outside the domain; with ``derivs`` the
         quadruple (value, gradient, Hessian, excess), the excess summed from
         the smooth constraints."""
-        xp, k = x[:self.k], self.k
-        room = self.ub - xp
-        if xp.min(initial=1.0) <= 0.0 or room.min(initial=1.0) <= 0.0:
+        n = self.inst.n
+        p = x[:n]
+        low, room = p.copy(), self.inst.ub - p
+        low[self.pinned] = room[self.pinned] = 1.0     # no box term
+        if low.min() <= 0.0 or room.min() <= 0.0:
             return math.inf
-        value = -float(np.log(xp).sum() + np.log(room).sum())
+        value = -float(np.log(low).sum() + np.log(room).sum())
         if derivs:
-            nv = self.u.shape[0]
-            grad, hess, excess = np.zeros(nv), np.zeros((nv, nv)), 0.0
-            grad[:k] = 1.0 / room - 1.0 / xp
-            hess[range(k), range(k)] = 1.0 / xp ** 2 + 1.0 / room ** 2
+            grad, hess, excess = np.zeros(x.size), np.zeros((x.size, x.size)), 0.0
+            grad[:n] = 1.0 / room - 1.0 / low
+            hess[range(n), range(n)] = 1.0 / low ** 2 + 1.0 / room ** 2
         if self.budget is not None:
-            slack = self.budget - float(xp.sum())
+            slack = self.budget - float(p.sum())
             if slack <= 0.0:
                 return math.inf
             value -= math.log(slack)
             if derivs:
-                grad[:k] += 1.0 / slack
-                hess[:k, :k] += 1.0 / slack ** 2
-        p = self.point(x)
+                grad[:n] += 1.0 / slack
+                hess[:n, :n] += 1.0 / slack ** 2
         if self.lmis:
             lam, vecs = np.linalg.eigh(weighted_gram(self.inst.b, p))
             q = self.u @ vecs
@@ -290,7 +265,7 @@ class _Barrier:
                 return math.inf
             value -= math.log(slack)
             if derivs:
-                gx, hx, ex = self._lift(*out[1:])
+                _, gx, hx, ex = out
                 grad += gx / slack
                 hess += np.outer(gx, gx) / slack ** 2 + hx / slack
                 excess = excess + ex / slack
@@ -318,12 +293,18 @@ def _newton_step(prog, x, t):
     Where the objective or a constraint is not convex (a nonzero excess),
     the step takes the exact Hessian when the Newton matrix is positive
     definite and the PSD curvature, Hessian plus excess, otherwise.
+    A pinned vertex gets a zero gradient entry and the identity's row and
+    column in the Newton matrix, so its step entry is exactly 0.
     """
     phi, grad, hess, excess = prog(x, True)
     _, obj_grad, obj_hess, obj_excess = prog.f0(x, True)
     grad, hess = grad + t * obj_grad, hess + t * obj_hess
     excess = excess + t * obj_excess
+    pin = prog.pinned
+    grad[pin] = hess[pin] = hess[:, pin] = 0.0
+    hess[pin, pin] = 1.0
     if not np.isscalar(excess) and not _positive_definite(hess):
+        excess[pin] = excess[:, pin] = 0.0
         hess = hess + excess
     # Jacobi scaling: near the boundary the box terms span ~20 decades.  A
     # nearly active LMI adds a rank-one term that can swamp the rest in
@@ -339,7 +320,7 @@ def _newton_step(prog, x, t):
 def _barrier(prog, x, record=None, stop=None):
     """Barrier method from the strictly feasible x until m/t <= GAP.
 
-    ``record(p)`` sees every Newton iterate; ``stop(x)`` ends the run early
+    ``record(x)`` sees every Newton iterate; ``stop(x)`` ends the run early
     when true.  A centering ends when the Newton decrement is small, or
     when the line search finds no decrease or the Newton system is
     singular, both of which mean centred to working precision.  Returns
@@ -369,7 +350,7 @@ def _barrier(prog, x, record=None, stop=None):
                 break
             x = trial
             if record is not None:
-                record(prog.point(x))
+                record(x)
             if stop is not None and stop(x):
                 return x, True
         else:
@@ -394,8 +375,8 @@ def _interior(inst, lmis, budget):
     phase = _Barrier(inst, [(c, const, 1.0) for c, const, _ in lmis],
                      objective=np.append(np.zeros(inst.n), -1.0), budget=budget,
                      epigraph=True)
-    x, _ = _barrier(phase, np.append(p[phase.free], margin - 1.0), stop=lambda x: x[-1] > 0.0)
-    return phase.point(x), float(x[-1])
+    x, _ = _barrier(phase, np.append(p, margin - 1.0), stop=lambda x: x[-1] > 0.0)
+    return x[:inst.n], float(x[-1])
 
 
 def _run(prog, start, entry):
@@ -407,8 +388,8 @@ def _run(prog, start, entry):
         trace.record(*entry(p))
 
     record(start)
-    x, trace.converged = _barrier(prog, start[prog.free], record)
-    final = _truncate(prog.point(x))
+    x, trace.converged = _barrier(prog, start, record)
+    final = _truncate(x)
     record(final)
     return SamplingProbabilities(probs=final, bounds=prog.inst.ub), trace
 
@@ -535,8 +516,8 @@ def dinkelbach_min_msd(spec: DesignSpec):
     while True:
         prog = _Barrier(inst, [rate, epigraph], objective=np.append(inst.g_lin, -omega),
                         budget=spec.budget, epigraph=True)
-        x, converged = _barrier(prog, np.append(center[prog.free], lam_t))
-        q = prog.point(x)
+        x, converged = _barrier(prog, np.append(center, lam_t))
+        q = x[:inst.n]
         lam = inst.lam_min(q)
         h = inst.tr_g(q) - omega * lam
         if not h < 0.0:

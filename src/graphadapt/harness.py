@@ -729,9 +729,13 @@ def compare_sampling(config: dict) -> list:
                          "sampling_rate": float(_min_prefix(order_stats, mu, lam_t, gamma)),
                          "sampling_rate_std": 0.0})
         counts = _min_prefix(random_stats, mu, lam_t, gamma)
+        # NaN where no permutation meets the target, without the warnings
+        # of nanmean and nanstd over an all-NaN slice
+        mean = std = math.nan
+        if not np.isnan(counts).all():
+            mean, std = float(np.nanmean(counts)), float(np.nanstd(counts))
         rows.append({"strategy": "uniform", "rate_target": alpha,
-                     "sampling_rate": float(np.nanmean(counts)),
-                     "sampling_rate_std": float(np.nanstd(counts))})
+                     "sampling_rate": mean, "sampling_rate_std": std})
     return rows
 
 

@@ -190,7 +190,7 @@ def test_lmi_barrier_derivatives_match_finite_differences(epigraph):
     prog = design._Barrier(inst, lmis, epigraph=epigraph)
     box = design._Barrier(inst, epigraph=epigraph)
     fn = lmi_terms(prog, box)
-    x = 0.9 * spec.bounds[prog.free]
+    x = 0.9 * spec.bounds
     if epigraph:
         x = np.append(x, -0.01)
     assert math.isfinite(prog(x))
@@ -556,10 +556,11 @@ def kelley_min_rate_bound(spec, tol=1e-7, rounds=200):
     raise AssertionError("the cutting planes did not converge")
 
 
-def test_min_rate_convex_reaches_the_cutting_plane_bound():
+@pytest.mark.parametrize("zero_caps", [(), (3,)], ids=["no_zero_cap", "vertex3_capped_at_0"])
+def test_min_rate_convex_reaches_the_cutting_plane_bound(zero_caps):
     # a non-degenerate instance: the band leaves out the constant vector
     # and some per-vertex bounds bind
-    spec = golden_instance()[0]
+    spec = golden_instance(zero_caps)[0]
     lower = kelley_min_rate_bound(spec)
     total = float(solve_min_rate_convex(spec)[0].probs.sum())
     assert lower <= total <= lower * (1.0 + 1e-6)
@@ -584,31 +585,38 @@ GOLDEN_DESIGNS = {
 }
 
 
-def golden_instance():
+def golden_instance(zero_caps=()):
     """n=10 with the constant eigenvector left out of the band, per-vertex
-    bounds that cap some entries, and a budget that binds the MSD designs."""
+    bounds that cap some entries, and a budget that binds the MSD designs;
+    the vertices in ``zero_caps`` are capped at 0."""
     n = 10
     g = random_geometric_graph(n, radius=0.6, seed=3)
     b = Bandlimit.from_indices(eigendecompose(build_laplacian(g)), (1, 2, 4))
     rng = np.random.default_rng(3)
     noise = NoiseModel(rng.uniform(0.005, 0.03, n))
     bounds = np.round(rng.uniform(0.3, 1.0, n), 2)
+    bounds[list(zero_caps)] = 0.0
     common = dict(bandlimit=b, noise=noise, bounds=bounds)
     return (DesignSpec(**common, mu=MU, rate_target=0.9, msd_target=1e-2),
             DesignSpec(**common, mu=MU, rate_target=0.9, budget=3.6),
             DesignSpec(**common, beta=0.95, msd_target=1e-2))
 
 
+def golden_problems(zero_caps=()):
+    """Each solver of GOLDEN_DESIGNS with its spec from golden_instance()."""
+    rate, budget, rls = golden_instance(zero_caps)
+    return {
+        "min_rate_convex": (solve_min_rate_convex, rate),
+        "sca_min_rate": (sca_min_rate, rate),
+        "dinkelbach": (dinkelbach_min_msd, budget),
+        "sca_min_msd": (sca_min_msd, budget),
+        "rls": (solve_rls_design, rls),
+    }
+
+
 @pytest.fixture(scope="module")
 def golden_designs():
-    rate, budget, rls = golden_instance()
-    return {
-        "min_rate_convex": solve_min_rate_convex(rate),
-        "sca_min_rate": sca_min_rate(rate),
-        "dinkelbach": dinkelbach_min_msd(budget),
-        "sca_min_msd": sca_min_msd(budget),
-        "rls": solve_rls_design(rls),
-    }
+    return {name: solver(spec) for name, (solver, spec) in golden_problems().items()}
 
 
 @pytest.mark.parametrize("problem", sorted(GOLDEN_DESIGNS))
@@ -617,6 +625,41 @@ def test_design_matches_golden_digest(golden_designs, problem):
     digest = hashlib.sha256(probs.probs.tobytes()
                             + np.asarray(trace.objectives).tobytes()).hexdigest()
     assert digest == GOLDEN_DESIGNS[problem]
+
+
+# sum(p) of each solver on golden_instance() with vertex 3 capped at 0, as
+# computed when a capped vertex was left out of the barrier's variables; the
+# barrier now keeps it and pins its Newton row
+ZERO_CAP_TOTALS = {
+    "min_rate_convex": 3.049968889943,
+    "sca_min_rate": 3.049968889945,
+    "dinkelbach": 3.554839460978,
+    "sca_min_msd": 3.599998213252,
+    "rls": 0.304173582965,
+}
+
+
+@pytest.mark.parametrize("problem", sorted(ZERO_CAP_TOTALS))
+def test_zero_cap_keeps_the_vertex_at_zero(problem):
+    solver, spec = golden_problems(zero_caps=(3,))[problem]
+    probs, trace = solver(spec)
+    p, b, noise = probs.probs, spec.bandlimit, spec.noise
+    assert p[3] == 0.0
+    assert trace.converged
+    assert ((0.0 <= p) & (p <= spec.bounds)).all()
+    if problem == "rls":
+        assert rls_msd_theory(probs, spec.beta, noise, b) <= spec.msd_target * (1 + 1e-9)
+    else:
+        lam = float(np.linalg.eigvalsh(weighted_gram(b, p))[0])
+        assert lam >= spec.lambda_target() - 1e-9
+    if problem == "min_rate_convex":
+        tr_g = float(np.trace(weighted_gram(b, p * noise.variances)))
+        assert 0.5 * spec.mu * tr_g <= spec.msd_target * lam + 1e-9
+    elif problem == "sca_min_rate":
+        assert lms_msd_theory(probs, spec.mu, noise, b) <= spec.msd_target * (1 + 1e-9)
+    elif spec.budget is not None:
+        assert p.sum() <= spec.budget + 1e-9
+    assert p.sum() == pytest.approx(ZERO_CAP_TOTALS[problem], rel=1e-9, abs=0.0)
 
 
 # ------------------------------------------------------- exact-MSD solvers

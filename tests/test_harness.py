@@ -890,6 +890,20 @@ def test_compare_sampling_structure():
         assert designed <= per["leverage"]["sampling_rate"] + 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+def test_compare_sampling_unreachable_target_gives_nan_rows():
+    # rate target 0.001 needs lambda_min 4.995, out of reach of every
+    # strategy; the uniform row used to warn of an all-NaN mean and std
+    cfg = dict(tiny_config(), graph={"kind": "random_geometric", "n": 12, "radius": 0.6},
+               compare={"p_max": 0.3, "rate_targets": [0.99, 0.001], "msd_target_db": -20,
+                        "random_seeds": 5})
+    rows = compare_sampling(cfg)
+    assert [r["strategy"] for r in rows[4:]] == ["designed", "max_det", "leverage", "uniform"]
+    assert all(math.isfinite(r["sampling_rate"]) for r in rows[:4])
+    assert all(r["rate_target"] == 0.001 and math.isnan(r["sampling_rate"]) for r in rows[4:])
+    assert math.isnan(rows[-1]["sampling_rate_std"])
+
+
 def test_compare_mu_defaults_to_the_algorithm_mu():
     # COMPARE's mu is tiny_config()'s algorithm.mu
     without = {k: v for k, v in COMPARE.items() if k != "mu"}
@@ -1064,6 +1078,21 @@ class TestCli:
         assert (out / "design_trace.csv").exists()
         assert "sampling rate" in capsys.readouterr().out
 
+    def test_design_step_cap_is_reported(self, tmp_path, capsys, monkeypatch):
+        # two Newton steps per centering leave the shipped designs short of
+        # the gap: design says so, and run-rls records it in meta.json
+        monkeypatch.setattr(graphadapt.design, "_CENTER_STEPS", 2)
+        code = cli.main(["design", "--config", str(CONFIG_DIR / "design_min_rate.yaml"),
+                         "--out", str(tmp_path / "design")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            "design stopped with a centering at its step cap after 19 iterations\n")
+        out = tmp_path / "rls"
+        code = cli.main(["run-rls", "--config", str(CONFIG_DIR / "rls_designed.yaml"),
+                         "--out", str(out), "--trials", "2"])
+        assert code == 0
+        assert json.loads((out / "meta.json").read_text())["metadata"]["design_converged"] is False
+
     def test_compare_needs_a_step_size(self, tmp_path, capsys):
         cfg = dict(tiny_config(), algorithm={"kind": "rls", "beta": 0.9},
                    compare={k: v for k, v in COMPARE.items() if k != "mu"})
@@ -1162,6 +1191,9 @@ class TestCli:
          {"algorithm": {"kind": "drls", "beta": 0.95,
                         "comm": str(DATA_DIR / "graph_not_utf8.txt")}}),
         ("version", "run-lms", {"version": True}),
+        ("sampling.strategy", "run-lms",
+         {"sampling": {"kind": "strategy", "strategy": "foo", "m": 4}}),
+        ("algorithm.comm", "run-drls", {"algorithm": {"kind": "drls", "beta": 0.95, "comm": 3}}),
         # malformed lists and sections used to raise a TypeError (exit 1) or
         # run on with the wrong value
         *(("bandlimit.indices", command, {"bandlimit": {"indices": indices}})
