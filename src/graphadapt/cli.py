@@ -95,9 +95,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "theory":
+        # the algorithm is read first, as run-* reads it, so both name the same field
+        kind, param = theory_parameter(config)
         setup = build_setup(config)
         probs, _ = resolve_sampling(setup)
-        kind, param = theory_parameter(setup.config)
         rows = ESTIMATORS[kind].theory(param, setup, probs)
         _write_csv(os.path.join(args.out, "theory.csv"), ["quantity", "value"], rows.items())
         for name, value in rows.items():

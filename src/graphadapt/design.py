@@ -76,13 +76,13 @@ class DesignSpec:
     def __post_init__(self):
         if self.noise.n != self.bandlimit.n:
             raise ValueError("noise model must match the graph size")
-        if self.mu is not None and self.mu <= 0:
+        if self.mu is not None and not self.mu > 0:
             raise ValueError("step size mu must be positive")
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError("forgetting factor beta must lie in (0, 1)")
         if self.rate_target is not None and not 0.0 < self.rate_target < 1.0:
             raise ValueError("rate target must lie in (0, 1)")
-        if self.msd_target is not None and self.msd_target <= 0:
+        if self.msd_target is not None and not self.msd_target > 0:
             raise ValueError("MSD target must be positive")
         ub = self.bounds
         if ub is None:
@@ -93,7 +93,7 @@ class DesignSpec:
             ub = np.asarray(ub, dtype=float)
             if ub.shape != (self.bandlimit.n,):
                 raise ValueError("bounds must be a scalar or a length-n vector")
-        if (ub < 0).any() or (ub > 1).any():
+        if not ((ub >= 0) & (ub <= 1)).all():
             raise ValueError("bounds must lie in [0, 1]")
         object.__setattr__(self, "bounds", ub)
         if self.budget is not None:

@@ -97,13 +97,13 @@ class DrlsConfig:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("consensus penalty rho must be positive")
-        if self.inner_iters < 1:
+        if not self.inner_iters >= 1:
             raise ValueError("need at least one inner iteration per instant")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("forgetting factor must lie in (0, 1]")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("initialization weight delta must be positive")
 
 

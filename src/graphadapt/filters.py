@@ -152,7 +152,7 @@ def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Ba
     """Small-step steady-state MSD prediction
     (mu/2) Tr[H^{-1} U_F^T diag(p) C_v U_F]; reduces to (mu/2) |F| sigma^2
     under white noise and full-rank expected sampling."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size must be positive")
     _check_sizes(p, noise, b)
     msd = _lms_msd(b, noise.variances, p.probs, mu)
@@ -166,7 +166,7 @@ def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Ba
 
 def lms_msd_upper_bound(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> float:
     """Convexity-friendly upper bound (mu/2) Tr(G) / lambda_min(H) >= MSD."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size must be positive")
     _check_sizes(p, noise, b)
     eigs = np.linalg.eigvalsh(weighted_gram(b, p.probs))
@@ -181,7 +181,7 @@ def lms_rate_theory(p: SamplingProbabilities, mu: float, b: Bandlimit) -> float:
     Accurate in the small-step regime mu << 2 lambda_min / lambda_max^2; for
     larger steps it understates the true factor.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size must be positive")
     return 1.0 - 2.0 * mu * reconstructability_lambda(p, b)
 

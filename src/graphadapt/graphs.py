@@ -25,6 +25,14 @@ def _freeze(a):
     return out
 
 
+def _integers(values, what: str) -> tuple:
+    """``values`` as Python ints; a float (1.5, NaN) is an error, not truncated."""
+    values = tuple(values)
+    if not all(isinstance(i, (int, np.integer)) for i in values):
+        raise ValueError(f"{what} must be integers, got {list(values)}")
+    return tuple(int(i) for i in values)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph.
@@ -81,7 +89,7 @@ class Bandlimit:
     basis_slice: np.ndarray
 
     def __post_init__(self):
-        fs = tuple(int(i) for i in self.freq_set)
+        fs = _integers(self.freq_set, "frequency indices")
         sl = np.asarray(self.basis_slice, dtype=float)
         if sl.ndim != 2:
             raise ValueError("basis slice must be a 2-d array")
@@ -97,7 +105,7 @@ class Bandlimit:
         if any(b <= a for a, b in zip(fs, fs[1:])):
             raise ValueError("frequency indices must be strictly increasing")
         gram = sl.T @ sl
-        if np.abs(gram - np.eye(f)).max() > ORTHO_TOL:
+        if not np.abs(gram - np.eye(f)).max() <= ORTHO_TOL:
             raise ValueError("basis slice columns must be orthonormal")
         object.__setattr__(self, "freq_set", fs)
         object.__setattr__(self, "basis_slice", _freeze(sl))
@@ -112,7 +120,7 @@ class Bandlimit:
 
     @classmethod
     def from_indices(cls, basis: SpectralBasis, indices) -> "Bandlimit":
-        idx = tuple(sorted(int(i) for i in indices))
+        idx = tuple(sorted(_integers(indices, "frequency indices")))
         if any(not 0 <= i < basis.n for i in idx):
             raise ValueError(f"frequency indices out of range for n={basis.n}")
         return cls(freq_set=idx, basis_slice=basis.vectors[:, list(idx)])

@@ -805,25 +805,3 @@ def write_metadata(curve: LearningCurve, config: dict, path) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
         fh.write("\n")
 
-
-__all__ = [
-    "ConfigError",
-    "LearningCurve",
-    "Setup",
-    "build_graph",
-    "build_setup",
-    "compare_sampling",
-    "config_field",
-    "config_hash",
-    "fit_rate",
-    "load_config",
-    "resolve_sampling",
-    "run_experiment",
-    "to_db",
-    "write_compare_csv",
-    "write_curve_csv",
-    "write_design_csv",
-    "write_metadata",
-    "write_per_node_csv",
-    "write_trace_csv",
-]

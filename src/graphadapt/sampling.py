@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Bandlimit, _freeze
+from .graphs import Bandlimit, _freeze, _integers
 
 
 class ReconstructabilityError(ValueError):
@@ -40,9 +40,9 @@ class SamplingProbabilities:
         ub = np.ones_like(p) if ub is None else np.asarray(ub, dtype=float)
         if ub.shape != p.shape:
             raise ValueError("bounds must match probability vector length")
-        if (ub < 0).any() or (ub > 1).any():
+        if not ((ub >= 0) & (ub <= 1)).all():
             raise ValueError("bounds must lie in [0, 1]")
-        if (p < 0).any() or (p > ub + 1e-12).any():
+        if not ((p >= 0) & (p <= ub + 1e-12)).all():
             raise ValueError("probabilities must satisfy 0 <= p <= bounds")
         object.__setattr__(self, "probs", _freeze(np.minimum(p, ub)))
         object.__setattr__(self, "bounds", _freeze(ub))
@@ -62,10 +62,10 @@ class SamplingProbabilities:
     @classmethod
     def from_support(cls, support, n: int) -> "SamplingProbabilities":
         p = np.zeros(n)
-        for i in support:
-            if not 0 <= int(i) < n:
+        for i in _integers(support, "vertex indices"):
+            if not 0 <= i < n:
                 raise ValueError(f"vertex index {i} out of range for n={n}")
-            p[int(i)] = 1.0
+            p[i] = 1.0
         return cls(probs=p)
 
 
@@ -79,8 +79,8 @@ class NoiseModel:
         v = np.asarray(self.variances, dtype=float)
         if v.ndim != 1:
             raise ValueError("variances must be a vector")
-        if (v <= 0).any():
-            raise ValueError("variances must be strictly positive")
+        if not (np.isfinite(v) & (v > 0)).all():
+            raise ValueError("variances must be finite and strictly positive")
         object.__setattr__(self, "variances", _freeze(v))
 
     @property

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from graphadapt import (
-    Bandlimit,
-    Graph,
-    NoiseModel,
-    build_laplacian,
-    eigendecompose,
-)
+from graphadapt.graphs import Bandlimit, Graph, build_laplacian, eigendecompose
+from graphadapt.sampling import NoiseModel
 
 
 @pytest.fixture(scope="session")

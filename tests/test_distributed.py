@@ -11,19 +11,17 @@ that keeps one multiplier per directed link.
 import numpy as np
 import pytest
 
-from graphadapt import (
+from graphadapt.distributed import (
     CommGraph,
     DrlsConfig,
-    NoiseModel,
+    _penalized,
     drls_local_update,
     drls_multiplier_update,
     drls_network_init,
     drls_round,
     drls_simulate,
-    rls_outer_table,
-    rls_update,
 )
-from graphadapt.distributed import _penalized
+from graphadapt.filters import rls_outer_table, rls_update
 from graphadapt.graphs import (
     Bandlimit,
     Graph,
@@ -31,6 +29,7 @@ from graphadapt.graphs import (
     eigendecompose,
     random_geometric_graph,
 )
+from graphadapt.sampling import NoiseModel
 
 PATH2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -106,7 +105,8 @@ class TestDrlsConfig:
     @pytest.mark.parametrize(
         "kw",
         [dict(rho=0.0), dict(rho=-1.0), dict(inner_iters=0),
-         dict(beta=0.0), dict(beta=1.1), dict(delta=0.0)],
+         dict(beta=0.0), dict(beta=1.1), dict(delta=0.0),
+         dict(rho=np.nan), dict(inner_iters=np.nan), dict(delta=np.nan)],
     )
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):

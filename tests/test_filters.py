@@ -11,10 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from graphadapt import (
-    NoiseModel,
-    ReconstructabilityError,
-    SamplingProbabilities,
+from graphadapt.filters import (
     lms_msd_theory,
     lms_msd_upper_bound,
     lms_rate_theory,
@@ -25,9 +22,14 @@ from graphadapt import (
     rls_outer_table,
     rls_theory_report,
     rls_update,
-    weighted_gram,
 )
 from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
+from graphadapt.sampling import (
+    NoiseModel,
+    ReconstructabilityError,
+    SamplingProbabilities,
+    weighted_gram,
+)
 
 FULL = np.ones(3, dtype=np.int8)
 
@@ -299,6 +301,22 @@ def test_rls_msd_validation(path3_band, white_noise3):
         rls_msd_theory(p, 0.0, white_noise3, path3_band)
     with pytest.raises(ValueError):
         rls_msd_theory(p, 1.2, white_noise3, path3_band)
+
+
+@pytest.mark.parametrize("mu", [0.0, math.nan])
+@pytest.mark.parametrize("theory", [
+    lambda p, mu, noise, b: lms_msd_theory(p, mu, noise, b),
+    lambda p, mu, noise, b: lms_msd_upper_bound(p, mu, noise, b),
+    lambda p, mu, noise, b: lms_rate_theory(p, mu, b),
+], ids=["msd", "upper_bound", "rate"])
+def test_lms_theory_rejects_step_size(path3_band, white_noise3, theory, mu):
+    with pytest.raises(ValueError, match="step size must be positive"):
+        theory(SamplingProbabilities.full(3), mu, white_noise3, path3_band)
+
+
+def test_theory_rejects_size_mismatch(path3_band, white_noise3):
+    with pytest.raises(ValueError, match="must match the graph size"):
+        lms_msd_theory(SamplingProbabilities.full(4), 0.1, white_noise3, path3_band)
 
 
 def test_rls_theory_report(path3_band, white_noise3):

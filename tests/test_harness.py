@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import yaml
 import graphadapt
 import reference
 from graphadapt import cli, harness, sampling
+from graphadapt.filters import lms_msd_theory, lms_msd_upper_bound, rls_msd_theory
 from graphadapt.graphs import connected_components, random_geometric_graph
 from graphadapt.harness import (
     DRAW_BLOCK,
@@ -34,8 +36,9 @@ from graphadapt.harness import (
     write_compare_csv,
     write_curve_csv,
     write_metadata,
+    write_per_node_csv,
 )
-from graphadapt.sampling import draw_blocks
+from graphadapt.sampling import SamplingProbabilities, draw_blocks, weighted_gram
 
 
 def tiny_config():
@@ -265,8 +268,6 @@ class TestResolveSampling:
         setup = build_setup(cfg)
         probs, trace = resolve_sampling(setup)
         assert trace is not None and trace.converged
-        from graphadapt import weighted_gram
-
         lam = float(np.linalg.eigvalsh(weighted_gram(setup.bandlimit, probs.probs))[0])
         assert lam >= 0.1 - 1e-9
 
@@ -711,23 +712,47 @@ def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
     assert digests == GOLDEN_DESIGN_OUTPUTS["design_min_rate.yaml"]
 
 
-def test_every_public_name_resolves():
-    missing = [name for name in graphadapt.__all__ if not hasattr(graphadapt, name)]
-    assert missing == []
-    assert len(set(graphadapt.__all__)) == len(graphadapt.__all__)
+# the names the package once re-exported, by the module that defines them
+MODULE_NAMES = {
+    "graphs": ["Bandlimit", "Graph", "GraphFormatError", "build_laplacian",
+               "connected_components", "eigendecompose", "load_edge_list",
+               "random_geometric_graph", "save_edge_list"],
+    "sampling": ["NoiseModel", "ReconstructabilityError", "SamplingProbabilities", "draw_blocks",
+                 "leverage_score_probabilities", "leverage_scores", "max_det_greedy",
+                 "reconstructability_lambda", "uniform_random_set", "weighted_gram"],
+    "filters": ["lms_msd_theory", "lms_msd_upper_bound", "lms_rate_theory", "lms_step_bound",
+                "lms_theory_report", "lms_update", "rls_msd_theory", "rls_outer_table",
+                "rls_theory_report", "rls_update"],
+    "design": ["DesignSpec", "InfeasibleDesignError", "dinkelbach_min_msd", "sca_min_msd",
+               "sca_min_rate", "solve_min_rate_convex", "solve_rls_design"],
+    "distributed": ["CommGraph", "DrlsConfig", "drls_local_update", "drls_multiplier_update",
+                    "drls_network_init", "drls_round", "drls_simulate"],
+    "harness": ["build_setup", "compare_sampling"],
+}
 
 
-def _loaded_by_import(package):
-    """The modules of ``package`` that ``import graphadapt, graphadapt.cli``
-    loads, in a fresh interpreter: this test process may already hold them."""
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in MODULE_NAMES.items() for name in names])
+def test_public_name_resolves_in_its_module(module, name):
+    assert getattr(importlib.import_module(f"graphadapt.{module}"), name).__module__ == \
+        f"graphadapt.{module}"
+
+
+def _loaded_by_import(package, modules="graphadapt, graphadapt.cli"):
+    """The modules of ``package`` that ``import <modules>`` loads, in a fresh
+    interpreter: this test process may already hold them."""
     src = os.path.dirname(os.path.dirname(graphadapt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, graphadapt, graphadapt.cli; "
+    probe = (f"import sys, {modules}; "
              f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_by_import("graphadapt", "graphadapt") == "['graphadapt']"
 
 
 def test_cli_import_loads_no_scipy():
@@ -837,6 +862,10 @@ class TestLearningCurve:
     def test_msd_db_clips_zeros(self):
         curve = LearningCurve(msd_linear=np.array([1.0, 0.0]))
         assert np.isfinite(curve.msd_db).all()
+
+    def test_per_node_csv_needs_per_node_curves(self, tmp_path):
+        with pytest.raises(ValueError, match="no per-node trajectories"):
+            write_per_node_csv(LearningCurve(msd_linear=np.ones(3)), tmp_path / "nodes.csv")
 
     def test_steady_state_db_clips_zero(self):
         # a run with no signal and one instant has an all-zero curve
@@ -1184,6 +1213,10 @@ class TestCli:
         *(("sampling", command, {"sampling": {"kind": "explicit", "p": [1, 0, 0, 0, 0, 0, 0, 0]}})
           for command in ("run-lms", "theory")),
         ("sampling", "design", {"sampling": dict(DESIGN, msd_target_db=-80)}),
+        # theory used to solve the design first and name sampling, where
+        # run-lms names the step size
+        ("algorithm.mu", "theory",
+         {"sampling": dict(DESIGN, msd_target_db=-80), "algorithm": {"kind": "lms", "mu": -1}}),
         # graph and communication edge lists that are not UTF-8 text
         ("graph.path", "run-lms",
          {"graph": {"kind": "edge_list", "path": str(DATA_DIR / "graph_not_utf8.txt")}}),
@@ -1298,19 +1331,19 @@ class TestCli:
         assert (p >= 0).all() and (p <= p_max).all()
         setup = build_setup(config)
         bl, noise, scfg = setup.bandlimit, setup.noise, config["sampling"]
-        probs = graphadapt.SamplingProbabilities(probs=p)
+        probs = SamplingProbabilities(probs=p)
         target = 10.0 ** (scfg.get("msd_target_db", 0.0) / 10.0)
         slack = 1.0 + 1e-9
         if scfg["problem"] == "rls":
-            assert graphadapt.rls_msd_theory(probs, scfg["beta"], noise, bl) <= target * slack
+            assert rls_msd_theory(probs, scfg["beta"], noise, bl) <= target * slack
             return
         mu = scfg["mu"]
         lam_t = (1.0 - scfg["rate_target"]) / (2.0 * mu)
-        assert np.linalg.eigvalsh(graphadapt.weighted_gram(bl, p))[0] >= lam_t / slack
+        assert np.linalg.eigvalsh(weighted_gram(bl, p))[0] >= lam_t / slack
         if scfg["problem"] == "min_rate_convex":
-            assert graphadapt.lms_msd_upper_bound(probs, mu, noise, bl) <= target * slack
+            assert lms_msd_upper_bound(probs, mu, noise, bl) <= target * slack
         if scfg["problem"] == "sca_min_rate":
-            assert graphadapt.lms_msd_theory(probs, mu, noise, bl) <= target * slack
+            assert lms_msd_theory(probs, mu, noise, bl) <= target * slack
         if "budget" in scfg:
             assert p.sum() <= scfg["budget"] * slack
 
