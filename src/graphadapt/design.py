@@ -31,6 +31,7 @@ Both factors are positive semidefinite, so their Schur product is too.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ TRUNCATE_TOL = 1e-9
 GAP = 1e-9              # duality-gap bound m/t at which a barrier run stops
 _T_GROWTH = 20.0        # factor on t between centerings
 _CENTER_STEPS = 1000    # Newton steps per centering at most
+_MEMO_POINTS = 4        # design points whose evaluations an _Instance keeps
 
 
 class InfeasibleDesignError(ValueError):
@@ -76,14 +78,14 @@ class DesignSpec:
     def __post_init__(self):
         if self.noise.n != self.bandlimit.n:
             raise ValueError("noise model must match the graph size")
-        if self.mu is not None and not self.mu > 0:
-            raise ValueError("step size mu must be positive")
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ValueError("step size mu must be positive and finite")
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError("forgetting factor beta must lie in (0, 1)")
         if self.rate_target is not None and not 0.0 < self.rate_target < 1.0:
             raise ValueError("rate target must lie in (0, 1)")
-        if self.msd_target is not None and not self.msd_target > 0:
-            raise ValueError("MSD target must be positive")
+        if self.msd_target is not None and not 0.0 < self.msd_target < math.inf:
+            raise ValueError("MSD target must be positive and finite")
         ub = self.bounds
         if ub is None:
             ub = np.ones(self.bandlimit.n)
@@ -135,6 +137,12 @@ class SolverTrace:
 # shared evaluation plumbing
 
 class _Instance:
+    """One design problem's data and the evaluations at its last few
+    points p: the eigendecomposition of H(p), lambda_min(H(p)) and the
+    values of the exact MSD and the RLS trace inverse.  A barrier run
+    decomposes each point once and the LMIs, the MSD, the line search, the
+    next Newton step and the trace record share the result."""
+
     def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
         self.b = b
         self.u = b.basis_slice
@@ -142,9 +150,31 @@ class _Instance:
         self.ub = ub
         self.sig2 = noise.variances
         self.g_lin = self.sig2 * leverage_scores(b)     # gradient of Tr G(p)
+        self.memo = OrderedDict()       # p's bytes -> {quantity: value}, newest last
+
+    def cached(self, p, quantity, compute):
+        """``quantity`` at p, from ``compute()`` unless one of the last
+        ``_MEMO_POINTS`` points evaluated it."""
+        key = p.tobytes()
+        point = self.memo[key] = self.memo.pop(key, {})
+        if len(self.memo) > _MEMO_POINTS:
+            self.memo.popitem(last=False)
+        if quantity not in point:
+            point[quantity] = compute()
+        return point[quantity]
+
+    def spectrum(self, p):
+        """The ascending eigenvalues and eigenvectors of H(p), read-only."""
+        def compute():
+            vals, vecs = np.linalg.eigh(weighted_gram(self.b, p))
+            vals.flags.writeable = vecs.flags.writeable = False
+            return vals, vecs
+        return self.cached(p, "eigh", compute)
 
     def lam_min(self, p):
-        return float(np.linalg.eigvalsh(weighted_gram(self.b, p))[0])
+        # eigvalsh, not spectrum(p)[0][0]: the two differ in the last bits
+        return self.cached(p, "lam_min",
+                           lambda: float(np.linalg.eigvalsh(weighted_gram(self.b, p))[0]))
 
     def tr_g(self, p):
         return float(self.g_lin @ p)
@@ -153,12 +183,21 @@ class _Instance:
 def _msd(inst, mu):
     """The exact MSD of :func:`filters._lms_msd`: inf where H(p) is
     singular, with ``derivs`` (value, gradient, Hessian, excess)."""
-    return lambda p, derivs=False: _lms_msd(inst.b, inst.sig2, p, mu, derivs)
+    def msd(p, derivs=False):
+        if derivs:
+            return _lms_msd(inst.b, inst.sig2, p, mu, True, inst.spectrum(p))
+        return inst.cached(p, ("msd", mu),
+                           lambda: _lms_msd(inst.b, inst.sig2, p, mu, spectrum=inst.spectrum(p)))
+    return msd
 
 
 def _trace_inverse(inst):
     """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}], inf where singular."""
-    return lambda p, derivs=False: _rls_trace_inverse(inst.b, inst.sig2, p, derivs)
+    def trace_inv(p, derivs=False):
+        if derivs:
+            return _rls_trace_inverse(inst.b, inst.sig2, p, True)
+        return inst.cached(p, "trace_inverse", lambda: _rls_trace_inverse(inst.b, inst.sig2, p))
+    return trace_inv
 
 
 def _truncate(p):
@@ -219,15 +258,18 @@ class _Barrier:
         the smooth constraints."""
         n = self.inst.n
         p = x[:n]
-        low, room = p.copy(), self.inst.ub - p
-        low[self.pinned] = room[self.pinned] = 1.0     # no box term
+        low, room = p, self.inst.ub - p
+        if self.pinned.size:
+            low = p.copy()
+            low[self.pinned] = room[self.pinned] = 1.0     # no box term
         if low.min() <= 0.0 or room.min() <= 0.0:
             return math.inf
         value = -float(np.log(low).sum() + np.log(room).sum())
         if derivs:
             grad, hess, excess = np.zeros(x.size), np.zeros((x.size, x.size)), 0.0
             grad[:n] = 1.0 / room - 1.0 / low
-            hess[range(n), range(n)] = 1.0 / low ** 2 + 1.0 / room ** 2
+            diag = hess.reshape(-1)[::x.size + 1]      # a view of the diagonal
+            diag[:n] = 1.0 / low ** 2 + 1.0 / room ** 2
         if self.budget is not None:
             slack = self.budget - float(p.sum())
             if slack <= 0.0:
@@ -237,8 +279,9 @@ class _Barrier:
                 grad[:n] += 1.0 / slack
                 hess[:n, :n] += 1.0 / slack ** 2
         if self.lmis:
-            lam, vecs = np.linalg.eigh(weighted_gram(self.inst.b, p))
-            q = self.u @ vecs
+            lam, vecs = self.inst.spectrum(p)
+            if derivs:
+                q = self.u @ vecs
             for c, const in self.lmis:
                 eig = lam - (float(c @ x) + const)
                 if eig[0] <= 0.0:
@@ -253,9 +296,8 @@ class _Barrier:
                     # cancels near the boundary.
                     w = 1.0 / eig
                     r = q * np.sqrt(w)
-                    b = r[:, :, None] * r[:, None, :]
-                    b[:, range(w.size), range(w.size)] -= c[:, None] * w
-                    b = b.reshape(len(c), -1)
+                    b = (r[:, :, None] * r[:, None, :]).reshape(len(c), -1)
+                    b[:, ::w.size + 1] -= c[:, None] * w    # the diagonal of each B_i
                     grad += c * w.sum() - (r * r).sum(axis=1)
                     hess += b @ b.T
         for fn, bound in self.constraints:
@@ -286,9 +328,10 @@ def _positive_definite(hess):
     return True
 
 
-def _newton_step(prog, x, t):
+def _newton_step(prog, derivs, t):
     """(barrier value, Newton step, Newton decrement) of t f0 + barrier at
-    x; the step is None when the Newton system is singular.
+    the point x of ``derivs``, the pair (prog(x, True), prog.f0(x, True));
+    the step is None when the Newton system is singular.
 
     Where the objective or a constraint is not convex (a nonzero excess),
     the step takes the exact Hessian when the Newton matrix is positive
@@ -296,15 +339,16 @@ def _newton_step(prog, x, t):
     A pinned vertex gets a zero gradient entry and the identity's row and
     column in the Newton matrix, so its step entry is exactly 0.
     """
-    phi, grad, hess, excess = prog(x, True)
-    _, obj_grad, obj_hess, obj_excess = prog.f0(x, True)
+    (phi, grad, hess, excess), (_, obj_grad, obj_hess, obj_excess) = derivs
     grad, hess = grad + t * obj_grad, hess + t * obj_hess
     excess = excess + t * obj_excess
     pin = prog.pinned
-    grad[pin] = hess[pin] = hess[:, pin] = 0.0
-    hess[pin, pin] = 1.0
+    if pin.size:
+        grad[pin] = hess[pin] = hess[:, pin] = 0.0
+        hess[pin, pin] = 1.0
     if not np.isscalar(excess) and not _positive_definite(hess):
-        excess[pin] = excess[:, pin] = 0.0
+        if pin.size:
+            excess[pin] = excess[:, pin] = 0.0
         hess = hess + excess
     # Jacobi scaling: near the boundary the box terms span ~20 decades.  A
     # nearly active LMI adds a rank-one term that can swamp the rest in
@@ -323,17 +367,20 @@ def _barrier(prog, x, record=None, stop=None):
     ``record(x)`` sees every Newton iterate; ``stop(x)`` ends the run early
     when true.  A centering ends when the Newton decrement is small, or
     when the line search finds no decrease or the Newton system is
-    singular, both of which mean centred to working precision.  Returns
-    (x, converged): converged is false when a centering ran out of Newton
-    steps.
+    singular, both of which mean centred to working precision.  The
+    derivatives at x are kept until x moves, so a new centering at the same
+    x evaluates nothing again.  Returns (x, converged): converged is false
+    when a centering ran out of Newton steps.
     """
     if not (math.isfinite(prog(x)) and math.isfinite(prog.f0(x))):
         raise InfeasibleDesignError("the start point is not strictly feasible")
     t = prog.degree / max(abs(prog.f0(x)), GAP)
-    converged = True
+    converged, derivs = True, None
     while True:
         for _ in range(_CENTER_STEPS):
-            phi, step, decrement = _newton_step(prog, x, t)
+            if derivs is None:
+                derivs = prog(x, True), prog.f0(x, True)
+            phi, step, decrement = _newton_step(prog, derivs, t)
             # the decrement d bounds the centering error in f0 by about
             # sqrt(m d) / t: stop once that or d itself is small
             if step is None or not (decrement > 1e-6 and
@@ -348,7 +395,7 @@ def _barrier(prog, x, record=None, stop=None):
                 alpha *= 0.5
             else:
                 break
-            x = trial
+            x, derivs = trial, None
             if record is not None:
                 record(x)
             if stop is not None and stop(x):

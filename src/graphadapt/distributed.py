@@ -97,14 +97,16 @@ class DrlsConfig:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("consensus penalty rho must be positive")
-        if not self.inner_iters >= 1:
-            raise ValueError("need at least one inner iteration per instant")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("consensus penalty rho must be positive and finite")
+        iters = self.inner_iters
+        if (not isinstance(iters, (int, np.integer)) or isinstance(iters, bool)
+                or not iters >= 1):
+            raise ValueError("need a whole number >= 1 of inner iterations per instant")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("forgetting factor must lie in (0, 1]")
-        if not self.delta > 0:
-            raise ValueError("initialization weight delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("initialization weight delta must be positive and finite")
 
 
 @dataclass

@@ -82,10 +82,11 @@ def _singular(vals: np.ndarray) -> bool:
     return vals[0] <= 1e-12 * max(vals[-1], 1.0)
 
 
-def _lms_msd(b, sig2, p, mu, derivs=False):
+def _lms_msd(b, sig2, p, mu, derivs=False, spectrum=None):
     """The LMS MSD (mu/2) Tr[H(p)^-1 G(p)], H(p) = U^T diag(p) U and
     G(p) = U^T diag(p sigma^2) U over the basis U of bandlimit ``b``; inf
-    where H(p) is singular.
+    where H(p) is singular.  ``spectrum`` is ``np.linalg.eigh`` of H(p)
+    when the caller has it already.
 
     With ``derivs`` it returns (value, gradient, Hessian, excess), all from
     one eigendecomposition of H(p).  With K = U H^-1 U^T and
@@ -94,7 +95,7 @@ def _lms_msd(b, sig2, p, mu, derivs=False):
     The Hessian is indefinite in general; the excess E lifts it to the
     curvature mu K o L, the Schur product of two PSD matrices and so PSD.
     """
-    vals, vecs = np.linalg.eigh(weighted_gram(b, p))
+    vals, vecs = np.linalg.eigh(weighted_gram(b, p)) if spectrum is None else spectrum
     if _singular(vals):
         return math.inf
     core = vecs.T @ weighted_gram(b, p * sig2) @ vecs
@@ -128,6 +129,11 @@ def _rls_trace_inverse(b, sig2, p, derivs=False):
     return value, -k2.diagonal().copy(), 2.0 * k1 * k2, 0.0
 
 
+def _check_step(mu: float) -> None:
+    if not 0.0 < mu < math.inf:
+        raise ValueError("step size must be positive and finite")
+
+
 def _check_sizes(p: SamplingProbabilities, noise: NoiseModel, b: Bandlimit) -> None:
     if p.n != b.n or noise.n != b.n:
         raise ValueError("probabilities and noise model must match the graph size")
@@ -152,8 +158,7 @@ def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Ba
     """Small-step steady-state MSD prediction
     (mu/2) Tr[H^{-1} U_F^T diag(p) C_v U_F]; reduces to (mu/2) |F| sigma^2
     under white noise and full-rank expected sampling."""
-    if not mu > 0:
-        raise ValueError("step size must be positive")
+    _check_step(mu)
     _check_sizes(p, noise, b)
     msd = _lms_msd(b, noise.variances, p.probs, mu)
     if msd == math.inf:
@@ -166,8 +171,7 @@ def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Ba
 
 def lms_msd_upper_bound(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> float:
     """Convexity-friendly upper bound (mu/2) Tr(G) / lambda_min(H) >= MSD."""
-    if not mu > 0:
-        raise ValueError("step size must be positive")
+    _check_step(mu)
     _check_sizes(p, noise, b)
     eigs = np.linalg.eigvalsh(weighted_gram(b, p.probs))
     if _singular(eigs):
@@ -181,8 +185,7 @@ def lms_rate_theory(p: SamplingProbabilities, mu: float, b: Bandlimit) -> float:
     Accurate in the small-step regime mu << 2 lambda_min / lambda_max^2; for
     larger steps it understates the true factor.
     """
-    if not mu > 0:
-        raise ValueError("step size must be positive")
+    _check_step(mu)
     return 1.0 - 2.0 * mu * reconstructability_lambda(p, b)
 
 

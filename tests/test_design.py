@@ -10,6 +10,7 @@ the convex min-rate program against a cutting-plane lower bound.
 
 import hashlib
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,10 @@ class TestDesignSpecValidation:
             DesignSpec(rate_target=1.0, mu=MU, **base)
         with pytest.raises(ValueError):
             DesignSpec(msd_target=0.0, **base)
+        with pytest.raises(ValueError, match="step size mu must be positive and finite"):
+            DesignSpec(mu=math.inf, **base)
+        with pytest.raises(ValueError, match="MSD target must be positive and finite"):
+            DesignSpec(mu=MU, msd_target=math.inf, **base)
 
     def test_bounds_validation(self, path3_band, white_noise3):
         base = dict(bandlimit=path3_band, noise=white_noise3, mu=MU)
@@ -631,6 +636,48 @@ def test_design_matches_golden_digest(golden_designs, problem):
     digest = hashlib.sha256(probs.probs.tobytes()
                             + np.asarray(trace.objectives).tobytes()).hexdigest()
     assert digest == GOLDEN_DESIGNS[problem]
+
+
+@pytest.mark.parametrize("problem", sorted(GOLDEN_DESIGNS))
+def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
+    # within one barrier run, H(p) (or the RLS information matrix) is
+    # decomposed once per point and function, and the exact MSD evaluated
+    # once per point and mode; Dinkelbach restarts each round from the same
+    # interior point, so the count is kept per run
+    runs, finished, repeats = [], [], []
+
+    def count(key):
+        if runs:
+            runs[-1][key] += 1
+            if runs[-1][key] == 2:
+                repeats.append(key[0])
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            count((name, np.asarray(a).tobytes()))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    def counted_msd(b, sig2, p, mu, derivs=False, *args, **kwargs):
+        count(("msd", p.tobytes(), mu, derivs))
+        return lms_msd(b, sig2, p, mu, derivs, *args, **kwargs)
+
+    def counted_barrier(*args, **kwargs):
+        runs.append(Counter())
+        try:
+            return barrier(*args, **kwargs)
+        finally:
+            finished.append(runs.pop())
+
+    lms_msd, barrier = design._lms_msd, design._barrier
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(design.np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(design, "_lms_msd", counted_msd)
+    monkeypatch.setattr(design, "_barrier", counted_barrier)
+    solver, spec = golden_problems()[problem]
+    solver(spec)
+    assert sum(sum(run.values()) for run in finished) > 0
+    assert repeats == []
 
 
 # sum(p) of each solver on golden_instance() with vertex 3 capped at 0, as

@@ -106,7 +106,9 @@ class TestDrlsConfig:
         "kw",
         [dict(rho=0.0), dict(rho=-1.0), dict(inner_iters=0),
          dict(beta=0.0), dict(beta=1.1), dict(delta=0.0),
-         dict(rho=np.nan), dict(inner_iters=np.nan), dict(delta=np.nan)],
+         dict(rho=np.nan), dict(inner_iters=np.nan), dict(delta=np.nan),
+         dict(inner_iters=2.5), dict(inner_iters=True), dict(rho=np.inf),
+         dict(delta=np.inf)],
     )
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):

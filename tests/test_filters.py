@@ -303,7 +303,7 @@ def test_rls_msd_validation(path3_band, white_noise3):
         rls_msd_theory(p, 1.2, white_noise3, path3_band)
 
 
-@pytest.mark.parametrize("mu", [0.0, math.nan])
+@pytest.mark.parametrize("mu", [0.0, math.nan, math.inf])
 @pytest.mark.parametrize("theory", [
     lambda p, mu, noise, b: lms_msd_theory(p, mu, noise, b),
     lambda p, mu, noise, b: lms_msd_upper_bound(p, mu, noise, b),

@@ -693,12 +693,44 @@ GOLDEN_DESIGN_OUTPUTS = {
 }
 
 
+# The same on the n = 40 design instances the benchmark times, read where
+# they are.
+BENCH_CONFIG_DIR = CONFIG_DIR.parent / "benchmarks" / "configs"
+GOLDEN_BENCH_DESIGN_OUTPUTS = {
+    "design_dinkelbach.yaml":
+        ("15a1df3a3aa918a1f2d8e7baa517cb32ae1ce89a028172fe1ce8e57d78992d26",
+         "39207ab6062b8d486b5de0187e4eb62ca6d094735be63a758526f4b212cbe810"),
+    "design_min_rate_convex.yaml":
+        ("559774b72e343ffa30d623c5fbaa4c264f78be108d9948656f0d6969d2a456e0",
+         "24f52e1f3675ceaf9ab5e441e809b9f5f8a58409750ac662deac37648958e2f2"),
+    "design_rls.yaml":
+        ("dfce1a89a5364729c0dc8164f7e90a0168b05abd3378e5556d6f451591d53d4a",
+         "8dc28377097f49f3192bdbcd9dfba2814bde9bf24ea8fcc0a5d9097d056b7ff4"),
+    "design_sca_min_msd.yaml":
+        ("1e9e57a99a1f20033c41cb7d398ae70c99732bc1c43f884fc81a77d94385e217",
+         "59401cf4736f440ca849a5d27e6560a4d947eec737d5e629d6c4b595b6141ca6"),
+    "design_sca_min_rate.yaml":
+        ("07a1fcbdd8cacbe4d91123795745274efeae821ca319cafcf020214ff7f9813c",
+         "faa71babae6283e55dc2376595678760906e9416168c5f4e1ab05489b52aefab"),
+}
+
+
+def design_digests(tmp_path, config):
+    """SHA-256 of design_p.csv and design_trace.csv from `design` on ``config``."""
+    assert cli.main(["design", "--config", str(config), "--out", str(tmp_path)]) == 0
+    return tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in ("design_p.csv", "design_trace.csv"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DESIGN_OUTPUTS))
 def test_design_csvs_match_golden_digest(tmp_path, capsys, name):
-    assert cli.main(["design", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
-    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                    for f in ("design_p.csv", "design_trace.csv"))
-    assert digests == GOLDEN_DESIGN_OUTPUTS[name]
+    assert design_digests(tmp_path, CONFIG_DIR / name) == GOLDEN_DESIGN_OUTPUTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BENCH_DESIGN_OUTPUTS))
+def test_benchmark_design_csvs_match_golden_digest(tmp_path, capsys, name):
+    digests = design_digests(tmp_path, BENCH_CONFIG_DIR / name)
+    assert digests == GOLDEN_BENCH_DESIGN_OUTPUTS[name]
 
 
 def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
@@ -706,9 +738,7 @@ def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
     # accepts, cannot fail it: it used to be rejected as a design field
     config = dict(load_config(CONFIG_DIR / "design_min_rate.yaml"),
                   algorithm={"kind": "rls", "beta": 1.0})
-    assert cli.main(["design", "--config", dump(tmp_path, config), "--out", str(tmp_path)]) == 0
-    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                    for f in ("design_p.csv", "design_trace.csv"))
+    digests = design_digests(tmp_path, dump(tmp_path, config))
     assert digests == GOLDEN_DESIGN_OUTPUTS["design_min_rate.yaml"]
 
 

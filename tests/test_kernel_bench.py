@@ -21,8 +21,10 @@ of the benchmark's design instances (n=40, |F|=6).  On the min-rate program
 that is the barrier's gradient and Hessian (one eigendecomposition, two
 LMIs, the box) and the Jacobi-scaled dense solve.  On the exact-MSD program
 of ``sca_min_msd`` it is the rate LMI, the box and the budget, the MSD's
-value, gradient, Hessian and excess from a second eigendecomposition, the
-Cholesky test of the Newton matrix and the solve.
+value, gradient, Hessian and excess from the same eigendecomposition, the
+Cholesky test of the Newton matrix and the solve.  Each round builds its
+instance and barrier afresh, untimed, so the step starts with nothing
+evaluated at its point.
 
 Run only these with ``pytest --benchmark-only``.  The round counts are fixed
 and small so the suite pays well under a second for them.
@@ -118,35 +120,45 @@ def test_drls_round(benchmark):
 
 
 @pytest.fixture(scope="module")
-def design_instance():
+def design_data():
     rng = np.random.default_rng(1)
     u = np.linalg.qr(rng.normal(size=(DESIGN_N, DESIGN_F)))[0]
     band = Bandlimit(freq_set=tuple(range(DESIGN_F)), basis_slice=u)
     noise = NoiseModel(rng.uniform(0.005, 0.03, DESIGN_N))
     ub = rng.uniform(0.3, 1.0, DESIGN_N)
-    return _Instance(band, noise, ub)
+    return band, noise, ub
 
 
-def test_barrier_newton_step(benchmark, design_instance):
-    inst = design_instance
-    rate = (np.zeros(DESIGN_N), 0.1, 0.0)
-    bound = (0.5 * 0.1 / 10 ** -2.0 * inst.g_lin, 0.0, 0.0)     # -20 dB
-    prog = _Barrier(inst, [rate, bound], objective=np.ones(DESIGN_N))
-    x = 0.5 * inst.ub
-    assert np.isfinite(prog(x))
-    _, step, decrement = benchmark.pedantic(_newton_step, args=(prog, x, 10.0),
-                                            rounds=DESIGN_ROUNDS, iterations=1,
-                                            warmup_rounds=1)
+def cold_newton_step(benchmark, design_data, program, t):
+    """Time one Newton step at x = p_max / 2 of ``program(inst)``, with a
+    fresh instance and barrier per round."""
+    inst = _Instance(*design_data)
+    assert np.isfinite(program(inst)(0.5 * inst.ub))
+
+    def setup():
+        inst = _Instance(*design_data)
+        return (program(inst), 0.5 * inst.ub), {}
+
+    def newton(prog, x):
+        return _newton_step(prog, (prog(x, True), prog.f0(x, True)), t)
+
+    _, step, decrement = benchmark.pedantic(newton, setup=setup, rounds=DESIGN_ROUNDS,
+                                            iterations=1, warmup_rounds=1)
     assert step.shape == (DESIGN_N,) and decrement > 0
 
 
-def test_sca_min_msd_newton_step(benchmark, design_instance):
-    inst = design_instance
-    rate = (np.zeros(DESIGN_N), 0.1, 0.0)
-    prog = _Barrier(inst, [rate], objective=_msd(inst, 0.1), budget=0.6 * inst.ub.sum())
-    x = 0.5 * inst.ub
-    assert np.isfinite(prog(x))
-    _, step, decrement = benchmark.pedantic(_newton_step, args=(prog, x, 1e5),
-                                            rounds=DESIGN_ROUNDS, iterations=1,
-                                            warmup_rounds=1)
-    assert step.shape == (DESIGN_N,) and decrement > 0
+def test_barrier_newton_step(benchmark, design_data):
+    def program(inst):
+        rate = (np.zeros(DESIGN_N), 0.1, 0.0)
+        bound = (0.5 * 0.1 / 10 ** -2.0 * inst.g_lin, 0.0, 0.0)     # -20 dB
+        return _Barrier(inst, [rate, bound], objective=np.ones(DESIGN_N))
+
+    cold_newton_step(benchmark, design_data, program, 10.0)
+
+
+def test_sca_min_msd_newton_step(benchmark, design_data):
+    def program(inst):
+        rate = (np.zeros(DESIGN_N), 0.1, 0.0)
+        return _Barrier(inst, [rate], objective=_msd(inst, 0.1), budget=0.6 * inst.ub.sum())
+
+    cold_newton_step(benchmark, design_data, program, 1e5)
