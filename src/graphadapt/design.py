@@ -137,11 +137,10 @@ class SolverTrace:
 # shared evaluation plumbing
 
 class _Instance:
-    """One design problem's data and the evaluations at its last few
-    points p: the eigendecomposition of H(p), lambda_min(H(p)) and the
-    values of the exact MSD and the RLS trace inverse.  A barrier run
-    decomposes each point once and the LMIs, the MSD, the line search, the
-    next Newton step and the trace record share the result."""
+    """One design problem's data and, at its last few points p, the ``eigh``
+    of H(p) and of M(p) = U_F^T diag(p / sigma^2) U_F and the values of the
+    exact MSD and the RLS trace inverse: a barrier run decomposes each
+    matrix once per point, and every later use reads that result."""
 
     def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
         self.b = b
@@ -163,18 +162,16 @@ class _Instance:
             point[quantity] = compute()
         return point[quantity]
 
-    def spectrum(self, p):
-        """The ascending eigenvalues and eigenvectors of H(p), read-only."""
+    def spectrum(self, p, rls=False):
+        """The read-only ascending eigenpairs of H(p), or with ``rls`` of M(p)."""
         def compute():
-            vals, vecs = np.linalg.eigh(weighted_gram(self.b, p))
+            vals, vecs = np.linalg.eigh(weighted_gram(self.b, p / self.sig2 if rls else p))
             vals.flags.writeable = vecs.flags.writeable = False
             return vals, vecs
-        return self.cached(p, "eigh", compute)
+        return self.cached(p, ("eigh", rls), compute)
 
     def lam_min(self, p):
-        # eigvalsh, not spectrum(p)[0][0]: the two differ in the last bits
-        return self.cached(p, "lam_min",
-                           lambda: float(np.linalg.eigvalsh(weighted_gram(self.b, p))[0]))
+        return float(self.spectrum(p)[0][0])
 
     def tr_g(self, p):
         return float(self.g_lin @ p)
@@ -195,9 +192,20 @@ def _trace_inverse(inst):
     """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}], inf where singular."""
     def trace_inv(p, derivs=False):
         if derivs:
-            return _rls_trace_inverse(inst.b, inst.sig2, p, True)
-        return inst.cached(p, "trace_inverse", lambda: _rls_trace_inverse(inst.b, inst.sig2, p))
+            return _rls_trace_inverse(inst.b, inst.sig2, p, True, inst.spectrum(p, rls=True))
+        return inst.cached(p, "trace_inverse", lambda: _rls_trace_inverse(
+            inst.b, inst.sig2, p, spectrum=inst.spectrum(p, rls=True)))
     return trace_inv
+
+
+def _instance_of(spec, problem):
+    """The _Instance of ``spec``, or a ValueError naming the fields
+    ``PROBLEMS[problem]`` needs that ``spec`` leaves out."""
+    solve, needs, _ = PROBLEMS[problem]
+    missing = [name for name in needs if getattr(spec, name) is None]
+    if missing:
+        raise ValueError(f"{solve.__name__} needs {', '.join(missing)}")
+    return _Instance(spec.bandlimit, spec.noise, spec.bounds)
 
 
 def _truncate(p):
@@ -444,12 +452,10 @@ def _run(prog, start, entry):
 # ---------------------------------------------------------------------------
 # rate-constrained minimal sampling
 
-def _min_rate_setup(spec, name):
+def _min_rate_setup(spec, problem):
     """The instance, the rate LMI and a point strictly inside the rate and
     MSD-bound LMIs, or the infeasibility error with the ceiling's lambda_min."""
-    if spec.mu is None or spec.rate_target is None or spec.msd_target is None:
-        raise ValueError(f"{name} needs mu, rate_target and msd_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
+    inst = _instance_of(spec, problem)
     lam_t = spec.lambda_target()
     lam_ceiling = inst.lam_min(inst.ub)
     if lam_ceiling <= lam_t:
@@ -480,7 +486,7 @@ def solve_min_rate_convex(spec: DesignSpec):
     :class:`InfeasibleDesignError` when even the box ceiling cannot meet the
     constraints; the error carries the maximal achievable lambda_min.
     """
-    inst, lam_t, rate, bound, center = _min_rate_setup(spec, "solve_min_rate_convex")
+    inst, lam_t, rate, bound, center = _min_rate_setup(spec, "min_rate_convex")
     mu, gamma = spec.mu, spec.msd_target
     msd = _msd(inst, mu)
 
@@ -516,13 +522,11 @@ def sca_min_rate(spec: DesignSpec):
 # ---------------------------------------------------------------------------
 # MSD-minimal sampling under rate and budget constraints
 
-def _min_msd_setup(spec, name):
+def _min_msd_setup(spec, problem):
     """The instance, the rate LMI and a point strictly inside the rate LMI,
     the box and the budget, or the infeasibility error with the largest
     lambda_min the budget allows."""
-    if spec.mu is None or spec.rate_target is None:
-        raise ValueError(f"{name} needs mu and rate_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
+    inst = _instance_of(spec, problem)
     lam_t = spec.lambda_target()
     rate = (np.zeros(inst.n), lam_t, 0.0)
     center, margin = _interior(inst, [rate], spec.budget)
@@ -546,7 +550,7 @@ def dinkelbach_min_msd(spec: DesignSpec):
     value is within GAP of 0.
     The recorded objective is the bound value (mu/2) * ratio.
     """
-    inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach_min_msd")
+    inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach")
     mu = spec.mu
     msd = _msd(inst, mu)
     epigraph = (np.zeros(inst.n), 0.0, 1.0)
@@ -603,9 +607,7 @@ def solve_rls_design(spec: DesignSpec):
     Raises :class:`InfeasibleDesignError` when the target is unreachable
     even at the box ceiling; the error carries the minimum achievable MSD.
     """
-    if spec.beta is None or spec.msd_target is None:
-        raise ValueError("solve_rls_design needs beta and msd_target")
-    inst = _Instance(spec.bandlimit, spec.noise, spec.bounds)
+    inst = _instance_of(spec, "rls")
     scale = (1.0 - spec.beta) / (1.0 + spec.beta)
     t_target = spec.msd_target / scale
     trace_inv = _trace_inverse(inst)
@@ -625,3 +627,13 @@ def solve_rls_design(spec: DesignSpec):
     # the trace inverse scales as 1/theta along theta * p_max, so this start
     # lies strictly inside
     return _run(prog, 0.5 * (1.0 + t_ceiling / t_target) * inst.ub, entry)
+
+
+# problem -> (solver, the DesignSpec fields it needs, those it reads if given)
+PROBLEMS = {
+    "min_rate_convex": (solve_min_rate_convex, ("mu", "rate_target", "msd_target"), ()),
+    "sca_min_rate": (sca_min_rate, ("mu", "rate_target", "msd_target"), ()),
+    "dinkelbach": (dinkelbach_min_msd, ("mu", "rate_target"), ("budget",)),
+    "sca_min_msd": (sca_min_msd, ("mu", "rate_target"), ("budget",)),
+    "rls": (solve_rls_design, ("beta", "msd_target"), ()),
+}

@@ -111,13 +111,12 @@ def _lms_msd(b, sig2, p, mu, derivs=False, spectrum=None):
     return value, grad, mu * k * l - excess, excess
 
 
-def _rls_trace_inverse(b, sig2, p, derivs=False):
+def _rls_trace_inverse(b, sig2, p, derivs=False, spectrum=None):
     """Tr[M(p)^-1], M(p) = U^T diag(p / sigma^2) U over the basis U of
     bandlimit ``b``, inf where M(p) is singular; with ``derivs`` (value,
-    gradient, Hessian, 0.0), the function being convex.  The value alone
-    takes no eigenvectors."""
-    m = weighted_gram(b, p / sig2)
-    vals, vecs = np.linalg.eigh(m) if derivs else (np.linalg.eigvalsh(m), None)
+    gradient, Hessian, 0.0), the function being convex.  ``spectrum`` is
+    ``np.linalg.eigh`` of M(p) when the caller has it already."""
+    vals, vecs = np.linalg.eigh(weighted_gram(b, p / sig2)) if spectrum is None else spectrum
     if _singular(vals):
         return math.inf
     value = float((1.0 / vals).sum())
@@ -199,8 +198,8 @@ def lms_theory_report(p: SamplingProbabilities, mu: float, noise: NoiseModel, b:
 def rls_msd_theory(p: SamplingProbabilities, beta: float, noise: NoiseModel, b: Bandlimit) -> float:
     """Steady-state MSD prediction
     ((1-beta)/(1+beta)) Tr[(U_F^T diag(p) C_v^{-1} U_F)^{-1}]."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("forgetting factor must lie in (0, 1]")
+    if not 0.0 < beta < 1.0:
+        raise ValueError("forgetting factor must lie in (0, 1)")
     _check_sizes(p, noise, b)
     trace = _rls_trace_inverse(b, noise.variances, p.probs)
     if trace == math.inf:

@@ -177,18 +177,6 @@ def config_field(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
-# each design problem: its solver, the DesignSpec fields it needs and those
-# it reads when given
-_DESIGN_PROBLEMS = {
-    "min_rate_convex": (design_mod.solve_min_rate_convex, ("mu", "rate_target", "msd_target"),
-                        ()),
-    "sca_min_rate": (design_mod.sca_min_rate, ("mu", "rate_target", "msd_target"), ()),
-    "dinkelbach": (design_mod.dinkelbach_min_msd, ("mu", "rate_target"), ("budget",)),
-    "sca_min_msd": (design_mod.sca_min_msd, ("mu", "rate_target"), ("budget",)),
-    "rls": (design_mod.solve_rls_design, ("beta", "msd_target"), ()),
-}
-
-
 def _spec_keys(fields) -> set:
     """The config keys of the DesignSpec ``fields``: the MSD target also as
     ``msd_target_db``, and the cap ``p_max``, which every design reads."""
@@ -387,12 +375,12 @@ def resolve_sampling(setup: Setup):
             return SamplingProbabilities(probs=np.asarray(p, dtype=float)), None
     if kind == "design":
         problem = _need(scfg, "sampling", "problem", str)
-        if problem not in _DESIGN_PROBLEMS:
+        if problem not in design_mod.PROBLEMS:
             raise ConfigError(
                 f"sampling.problem: unknown problem {problem!r}; "
-                f"choose from {sorted(_DESIGN_PROBLEMS)}"
+                f"choose from {sorted(design_mod.PROBLEMS)}"
             )
-        solve, needs, optional = _DESIGN_PROBLEMS[problem]
+        solve, needs, optional = design_mod.PROBLEMS[problem]
         spec = _design_spec(setup, scfg, "sampling", needs, optional)
         _reads(scfg, "sampling", {"problem", *_spec_keys(needs + optional)},
                f"problem {problem!r}")
@@ -551,7 +539,7 @@ class Estimator(NamedTuple):
 
 
 def _beta(acfg: dict) -> float:
-    # beta = 1 forgets nothing, and the RLS closed form is then 0
+    # beta = 1 forgets nothing, and the RLS closed form holds on (0, 1) only
     return _real(acfg, "algorithm", "beta", high=1.0, open_high=True)
 
 
@@ -575,7 +563,7 @@ _KIND_KEYS = {
     "noise": {"uniform": {"sigma_sq"}, "values": {"values"}, "loguniform": {"low", "high"}},
     "sampling": {"full": set(), "explicit": {"p"}, "strategy": {"strategy", "m"},
                  "design": {"problem"}.union(*(_spec_keys(entry[1] + entry[2])
-                                              for entry in _DESIGN_PROBLEMS.values()))},
+                                              for entry in design_mod.PROBLEMS.values()))},
     "algorithm": {kind: estimator.keys for kind, estimator in ESTIMATORS.items()},
 }
 

@@ -8,6 +8,7 @@ the LMI log-det terms) are checked against central finite differences, and
 the convex min-rate program against a cutting-plane lower bound.
 """
 
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -641,25 +642,25 @@ def test_design_matches_golden_digest(golden_designs, problem):
 @pytest.mark.parametrize("problem", sorted(GOLDEN_DESIGNS))
 def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
     # within one barrier run, H(p) (or the RLS information matrix) is
-    # decomposed once per point and function, and the exact MSD evaluated
-    # once per point and mode; Dinkelbach restarts each round from the same
-    # interior point, so the count is kept per run
+    # decomposed once per point, whichever eigen routine asks, and the exact
+    # MSD evaluated once per point and mode; Dinkelbach restarts each round
+    # from the same interior point, so the count is kept per run
     runs, finished, repeats = [], [], []
 
-    def count(key):
+    def count(key, name):
         if runs:
             runs[-1][key] += 1
             if runs[-1][key] == 2:
-                repeats.append(key[0])
+                repeats.append(name)
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
-            count((name, np.asarray(a).tobytes()))
+            count(np.asarray(a).tobytes(), name)
             return fn(a, *args, **kwargs)
         return wrapper
 
     def counted_msd(b, sig2, p, mu, derivs=False, *args, **kwargs):
-        count(("msd", p.tobytes(), mu, derivs))
+        count(("msd", p.tobytes(), mu, derivs), "msd")
         return lms_msd(b, sig2, p, mu, derivs, *args, **kwargs)
 
     def counted_barrier(*args, **kwargs):
@@ -678,6 +679,14 @@ def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
     solver(spec)
     assert sum(sum(run.values()) for run in finished) > 0
     assert repeats == []
+
+
+@pytest.mark.parametrize("problem", sorted(design.PROBLEMS))
+def test_solver_names_each_missing_field(problem):
+    solver, spec = golden_problems()[problem]
+    for name in design.PROBLEMS[problem][1]:
+        with pytest.raises(ValueError, match=rf"^{solver.__name__} needs {name}$"):
+            solver(dataclasses.replace(spec, **{name: None}))
 
 
 # sum(p) of each solver on golden_instance() with vertex 3 capped at 0, as

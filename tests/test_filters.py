@@ -300,6 +300,8 @@ def test_rls_msd_validation(path3_band, white_noise3):
     with pytest.raises(ValueError):
         rls_msd_theory(p, 0.0, white_noise3, path3_band)
     with pytest.raises(ValueError):
+        rls_msd_theory(p, 1.0, white_noise3, path3_band)
+    with pytest.raises(ValueError):
         rls_msd_theory(p, 1.2, white_noise3, path3_band)
 
 

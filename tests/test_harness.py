@@ -17,7 +17,7 @@ import yaml
 
 import graphadapt
 import reference
-from graphadapt import cli, harness, sampling
+from graphadapt import cli, design, harness, sampling
 from graphadapt.filters import lms_msd_theory, lms_msd_upper_bound, rls_msd_theory
 from graphadapt.graphs import connected_components, random_geometric_graph
 from graphadapt.harness import (
@@ -813,9 +813,9 @@ def test_benchmark_lookup_names_resolve():
 
 @pytest.mark.parametrize("workload", ["mc-scaled", "paper"])
 def test_benchmark_traced_run_passes_its_checks(tmp_path, workload):
-    # the benchmark's traced path at its smoke size: every wrapped lookup is
-    # on a working call path, every job passes its output checks, and the
-    # DRLS runner reaches drls_simulate where the message probe replaced it
+    # the benchmark's traced path at its smoke size: the instrumented run
+    # exits cleanly, every job passes its output checks, and the DRLS runner
+    # reaches drls_simulate where the message probe replaced it
     root = Path(__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "worker.py"), "run", "--workload", workload,
@@ -1399,8 +1399,8 @@ class TestCli:
         def solve(spec):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        entry = harness._DESIGN_PROBLEMS["min_rate_convex"]
-        monkeypatch.setitem(harness._DESIGN_PROBLEMS, "min_rate_convex", (solve, *entry[1:]))
+        entry = design.PROBLEMS["min_rate_convex"]
+        monkeypatch.setitem(design.PROBLEMS, "min_rate_convex", (solve, *entry[1:]))
         cfg = dict(tiny_config(), sampling=DESIGN)
         with pytest.raises(np.linalg.LinAlgError):
             cli.main(["design", "--config", dump(tmp_path, cfg), "--out", str(tmp_path / "out")])
