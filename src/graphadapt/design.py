@@ -5,7 +5,8 @@ Five programs over the box of per-vertex sampling probabilities:
 * rate-constrained minimal sampling via a convex upper bound on the MSD
   (``solve_min_rate_convex``) and on the exact MSD (``sca_min_rate``);
 * MSD-minimal sampling under a rate constraint and a budget, solved either
-  through the fractional bound program (``dinkelbach_min_msd``) or on the
+  on the MSD bound Tr G(p) / lambda_min(H(p)), a ratio unchanged by scaling
+  p and so minimized on the rate floor (``dinkelbach_min_msd``), or on the
   exact MSD (``sca_min_msd``);
 * the recursive-least-squares analogue (``solve_rls_design``), which is
   convex outright.
@@ -13,17 +14,18 @@ Five programs over the box of per-vertex sampling probabilities:
 All of them run one damped-Newton log-barrier method (Boyd & Vandenberghe,
 *Convex Optimization*, ch. 11; Joshi & Boyd, "Sensor selection via convex
 optimization", IEEE TSP 2009).  Each constraint is either a linear matrix
-inequality H(p) - l(p, s) I >= 0 with H(p) = U_F^T diag(p) U_F and l affine,
-whose -log det barrier has a closed-form gradient and Hessian in the
-eigenbasis of H(p), or a smooth function of p (the exact MSD, the RLS trace
-inverse).  The box and the budget are barrier terms too, and a vertex whose
-bound is 0 stays at 0.  A run centres by Newton steps, each accepted by a
-backtracking line search on the exact barrier value, and multiplies t by 20
-until the duality-gap bound m/t reaches ``GAP``, m being the degree of the
-barrier.  On the convex programs that bounds the distance to the optimum.
-The exact MSD is not convex.  Its Newton steps take the exact Hessian
-wherever the Newton matrix is positive definite, and otherwise fall back on
-the curvature mu K o L, the Schur product of K = U_F H(p)^-1 U_F^T and
+inequality H(p) - l(p) I >= 0 with H(p) = U_F^T diag(p) U_F and l affine
+(phase I adds its margin s to l), whose -log det barrier has a closed-form
+gradient and Hessian in the eigenbasis of H(p), or a smooth function of p
+(the exact MSD, the RLS trace inverse).  The box and the budget are barrier
+terms too, and a vertex whose bound is 0 stays at 0.  A run centres by
+Newton steps, each accepted by a backtracking line search on the exact
+barrier value, and multiplies t by 20 until the duality-gap bound m/t
+reaches ``GAP``, m being the degree of the barrier.  On the convex
+programs that bounds the distance to the optimum.  The exact MSD is not
+convex.  Its Newton steps take the exact Hessian wherever the Newton matrix
+is positive definite, and otherwise fall back on the curvature mu K o L,
+the Schur product of K = U_F H(p)^-1 U_F^T and
 L = U_F H(p)^-1 G(p) H(p)^-1 U_F^T with G(p) = U_F^T diag(p sigma^2) U_F.
 Both factors are positive semidefinite, so their Schur product is too.
 """
@@ -115,9 +117,8 @@ class SolverTrace:
     Entry k of ``objectives``, ``residuals`` (max constraint violation,
     0 = feasible) and ``msd_values`` belongs to the k-th recorded
     probability vector; ``iterations`` is one less than the number of
-    records.  The barrier solvers record their start, every Newton step and
-    the final design; Dinkelbach's method records its start, every round
-    and the final design.
+    records.  Every solver records its start, every Newton step and the
+    final design.
     """
 
     objectives: list = field(default_factory=list)
@@ -220,18 +221,19 @@ def _truncate(p):
 class _Barrier:
     """The log barrier of one program over x = (p, s).
 
-    ``lmis`` holds triples (c, const, e), each the LMI
-    H(p) - (c @ p + const + e s) I >= 0.  ``objective`` is a vector over
-    (p, s) (a linear objective) or a smooth function of p; ``constraints``
-    holds pairs (fn, bound), each a smooth function of p held strictly below
-    its bound by the barrier term -log(bound - fn(p)).  A smooth function
+    ``lmis`` holds pairs (c, const), each the LMI
+    H(p) - (c @ p + const) I >= 0.  ``objective`` is a vector over (p, s)
+    (a linear objective) or a smooth function of p; ``constraints`` holds
+    pairs (fn, bound), each a smooth function of p held strictly below its
+    bound by the barrier term -log(bound - fn(p)).  A smooth function
     ``fn(p, derivs)`` returns its value, inf outside its domain, or with
     ``derivs`` the quadruple (value, gradient, Hessian, excess) over all n
     vertices: the excess is 0.0 for a convex function, else the matrix that
     lifts an indefinite Hessian to a PSD curvature.
-    The scalar s exists only with ``epigraph``, which no program pairs with
-    a smooth function.  A vertex with bound 0 has no box term and is pinned
-    at p_i = 0 by :func:`_newton_step`.
+    The scalar s exists only with ``epigraph``, phase I's margin, which
+    every LMI then subtracts as H(p) - (c @ p + const + s) I >= 0 and no
+    program pairs with a smooth function.  A vertex with bound 0 has no box
+    term and is pinned at p_i = 0 by :func:`_newton_step`.
     """
 
     def __init__(self, inst, lmis=(), objective=None, constraints=(), budget=None,
@@ -241,7 +243,7 @@ class _Barrier:
         self.pinned = np.flatnonzero(inst.ub == 0.0)
         extra = int(epigraph)
         self.u = np.vstack([inst.u, np.zeros((extra, inst.f))])
-        self.lmis = [(np.append(c, [e] * extra), const) for c, const, e in lmis]
+        self.lmis = [(np.append(c, [1.0] * extra), const) for c, const in lmis]
         self.degree = (inst.f * len(self.lmis) + 2 * (inst.n - self.pinned.size)
                        + (budget is not None) + len(constraints))
 
@@ -424,12 +426,11 @@ def _interior(inst, lmis, budget):
     theta = 0.5 if budget is None or budget >= ub.sum() else 0.5 * budget / ub.sum()
     p = theta * ub
     lam = inst.lam_min(p)
-    margin = min(lam - float(c @ p) - const for c, const, _ in lmis)
+    margin = min(lam - float(c @ p) - const for c, const in lmis)
     if margin > 0.0 or theta == 0.0 or not ub.any():
         return p, margin
-    phase = _Barrier(inst, [(c, const, 1.0) for c, const, _ in lmis],
-                     objective=np.append(np.zeros(inst.n), -1.0), budget=budget,
-                     epigraph=True)
+    phase = _Barrier(inst, lmis, objective=np.append(np.zeros(inst.n), -1.0),
+                     budget=budget, epigraph=True)
     x, _ = _barrier(phase, np.append(p, margin - 1.0), stop=lambda x: x[-1] > 0.0)
     return x[:inst.n], float(x[-1])
 
@@ -464,9 +465,9 @@ def _min_rate_setup(spec, problem):
             f"{lam_ceiling:.6g} < required {lam_t:.6g}",
             max_achievable_lambda=lam_ceiling,
         )
-    rate = (np.zeros(inst.n), lam_t, 0.0)
+    rate = (np.zeros(inst.n), lam_t)
     # (mu/2) Tr G(p) <= gamma lambda_min(H(p)), divided by gamma
-    bound = (0.5 * spec.mu / spec.msd_target * inst.g_lin, 0.0, 0.0)
+    bound = (0.5 * spec.mu / spec.msd_target * inst.g_lin, 0.0)
     center, margin = _interior(inst, [rate, bound], None)
     if margin <= 0.0:
         raise InfeasibleDesignError(
@@ -528,7 +529,7 @@ def _min_msd_setup(spec, problem):
     lambda_min the budget allows."""
     inst = _instance_of(spec, problem)
     lam_t = spec.lambda_target()
-    rate = (np.zeros(inst.n), lam_t, 0.0)
+    rate = (np.zeros(inst.n), lam_t)
     center, margin = _interior(inst, [rate], spec.budget)
     if margin <= 0.0:
         best = lam_t + margin
@@ -541,46 +542,24 @@ def _min_msd_setup(spec, problem):
 
 
 def dinkelbach_min_msd(spec: DesignSpec):
-    """Minimize the MSD upper bound Tr(G(p)) / lambda_min(H(p)) over the
-    rate-and-budget feasible set by Dinkelbach's parametric method.
+    """Minimize the MSD upper bound (mu/2) Tr(G(p)) / lambda_min(H(p)) over
+    the rate-and-budget feasible set.
 
-    Each round minimizes Tr(G(p)) - w s over H(p) >= s I, one barrier run
-    from the interior start, and updates w to the new ratio.  A round is
-    kept only if it lowers the ratio, and the method stops once the round's
-    value is within GAP of 0.
-    The recorded objective is the bound value (mu/2) * ratio.
+    The ratio is unchanged when p is scaled, and scaling a feasible p by
+    lambda_t / lambda_min(H(p)) <= 1 keeps it inside the box and the budget
+    and puts it on the rate floor.  So the minimum is that of
+    Tr(G(p)) / lambda_t over H(p) >= lambda_t I (Charnes & Cooper 1962):
+    one barrier run with the linear objective Tr(G(p)).
+    The recorded objective is the bound value.
     """
     inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach")
-    mu = spec.mu
-    msd = _msd(inst, mu)
-    epigraph = (np.zeros(inst.n), 0.0, 1.0)
-    trace = SolverTrace()
+    msd = _msd(inst, spec.mu)
 
-    def record(q):
-        lam = inst.lam_min(q)
-        trace.record(0.5 * mu * inst.tr_g(q) / lam, max(lam_t - lam, 0.0), msd(q))
+    def entry(p):
+        lam = inst.lam_min(p)
+        return 0.5 * spec.mu * inst.tr_g(p) / lam, max(lam_t - lam, 0.0), msd(p)
 
-    p = center
-    record(p)
-    omega = inst.tr_g(p) / inst.lam_min(p)
-    converged = True
-    while True:
-        prog = _Barrier(inst, [rate, epigraph], objective=np.append(inst.g_lin, -omega),
-                        budget=spec.budget, epigraph=True)
-        x, converged = _barrier(prog, np.append(center, lam_t))
-        q = x[:inst.n]
-        lam = inst.lam_min(q)
-        h = inst.tr_g(q) - omega * lam
-        if not h < 0.0:
-            break
-        p, omega = q, inst.tr_g(q) / lam
-        record(p)
-        if h > -GAP:
-            break
-    final = _truncate(p)
-    record(final)
-    trace.converged = converged
-    return SamplingProbabilities(probs=final, bounds=inst.ub), trace
+    return _run(_Barrier(inst, [rate], objective=inst.g_lin, budget=spec.budget), center, entry)
 
 
 def sca_min_msd(spec: DesignSpec):

@@ -297,6 +297,13 @@ def build_setup(config: dict) -> Setup:
     scfg = _section(config, "signal", optional=True)
     scale = float(_typed("signal.scale", scfg.get("scale", 1.0), (int, float)))
     coeffs = scale * np.random.default_rng([seed, 101]).normal(size=bl.size)
+    # the learning curve starts at |s|^2; past overflow every run would read
+    # as diverged
+    with np.errstate(over="ignore"):
+        energy = float(np.square(coeffs).sum())
+    if not math.isfinite(energy):
+        raise ConfigError(f"signal.scale: the initial deviation |s|^2 overflows; "
+                          f"scale = {scale:g}")
     return Setup(
         config=config,
         graph=graph,

@@ -298,7 +298,7 @@ def _ac7_gradients():
     step = 1e-6
     for _ in range(100):
         p = rng.uniform(0.05, 1.0, 10)
-        prog = design._Barrier(inst, [(np.zeros(10), 0.5 * inst.lam_min(p), 0.0)])
+        prog = design._Barrier(inst, [(np.zeros(10), 0.5 * inst.lam_min(p))])
 
         def lmi(x):
             return prog(x) - box(x)
@@ -320,15 +320,20 @@ def _ac7_gradients():
     return True
 
 
-def _ac7_parametric_monotone():
+def _ac7_scale_free_bound():
+    # the MSD bound is unchanged when p is scaled, which is what lets one
+    # program over the rate floor minimize it; the design sits on that floor
     g = random_geometric_graph(12, 0.6, seed=13)
     bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 4)
     noise = NoiseModel(
         variances=np.random.default_rng(130).uniform(0.005, 0.03, 12))
     spec = DesignSpec(bandlimit=bl, noise=noise, mu=0.1, rate_target=0.95)
-    _, trace = dinkelbach_min_msd(spec)
-    objs = np.asarray(trace.objectives)
-    return bool((np.diff(objs) <= 1e-10).all())
+    p = dinkelbach_min_msd(spec)[0].probs
+    bound = msd_bound(p, 0.1, noise, bl)
+    scaled = [msd_bound(theta * p, 0.1, noise, bl) for theta in (0.5, 0.9)]
+    lam = float(np.linalg.eigvalsh(weighted_gram(bl, p))[0])
+    return (all(abs(b / bound - 1.0) <= 1e-12 for b in scaled)
+            and abs(lam / spec.lambda_target() - 1.0) <= 1e-8)
 
 
 def _ac7_batch_recursive():
@@ -381,7 +386,7 @@ def test_ac7_property_suites():
         "projector": _ac7_projector(),
         "reconstructability": _ac7_reconstructability(),
         "gradients": _ac7_gradients(),
-        "parametric-monotone": _ac7_parametric_monotone(),
+        "scale-free-bound": _ac7_scale_free_bound(),
         "batch-recursive": _ac7_batch_recursive(),
         "information-split": _ac7_information_split(),
     }

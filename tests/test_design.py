@@ -10,6 +10,8 @@ the convex min-rate program against a cutting-plane lower bound.
 
 import dataclasses
 import hashlib
+import itertools
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -28,12 +30,25 @@ from graphadapt.design import (
     solve_min_rate_convex,
     solve_rls_design,
 )
-from graphadapt.filters import _lms_msd, _rls_trace_inverse, lms_msd_theory, rls_msd_theory
-from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
+from graphadapt.filters import (
+    _lms_msd,
+    _rls_trace_inverse,
+    lms_msd_theory,
+    lms_msd_upper_bound,
+    rls_msd_theory,
+)
+from graphadapt.graphs import (
+    Bandlimit,
+    build_laplacian,
+    connected_components,
+    eigendecompose,
+    random_geometric_graph,
+)
 from graphadapt.harness import build_setup, load_config, resolve_sampling
 from graphadapt.sampling import NoiseModel, SamplingProbabilities, weighted_gram
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_CONFIG_DIR = CONFIG_DIR.parent / "benchmarks" / "configs"
 MU = 0.1
 # lambda floor implied by rate target 0.98 at mu = 0.1
 LAM_T = 0.1
@@ -174,13 +189,13 @@ def lmi_terms(prog, box):
 
 @pytest.mark.parametrize("epigraph", [False, True])
 def test_lmi_barrier_derivatives_match_finite_differences(epigraph):
-    # -log det(H(p) - (c @ p + const + e s) I), with a rank-one term in c and,
-    # for the epigraph program, a margin variable s
+    # -log det(H(p) - (c @ p + const) I), with a rank-one term in c and, for
+    # the epigraph program, a margin variable s in every LMI
     spec = golden_instance()[0]
     inst = design._Instance(spec.bandlimit, spec.noise, spec.bounds)
     lam_t = spec.lambda_target()
     c = 0.5 * spec.mu / spec.msd_target * inst.g_lin
-    lmis = [(np.zeros(inst.n), lam_t, float(epigraph)), (c, 0.0, 0.0)]
+    lmis = [(np.zeros(inst.n), lam_t), (c, 0.0)]
     prog = design._Barrier(inst, lmis, epigraph=epigraph)
     box = design._Barrier(inst, epigraph=epigraph)
     fn = lmi_terms(prog, box)
@@ -206,7 +221,7 @@ def test_lmi_barrier_first_order_inequality():
         p = rng.uniform(0.2, 1.0, size=b.n)
         q = rng.uniform(0.2, 1.0, size=b.n)
         floor = 0.5 * min(inst.lam_min(p), inst.lam_min(q))
-        fn = lmi_terms(design._Barrier(inst, [(np.zeros(b.n), floor, 0.0)]), box)
+        fn = lmi_terms(design._Barrier(inst, [(np.zeros(b.n), floor)]), box)
         value, grad, _ = fn(p, True)
         assert fn(q) >= value + float(grad @ (q - p)) - 1e-10
 
@@ -331,10 +346,19 @@ class TestDinkelbach:
         assert trace.objectives[-1] >= grid_min - 5e-3
         assert trace.converged
 
-    def test_objective_nonincreasing(self, path3_band, hetero_noise3):
-        _, trace = dinkelbach_min_msd(self.spec(path3_band, hetero_noise3))
-        objs = trace.objectives
-        assert all(objs[k + 1] <= objs[k] + 1e-10 for k in range(len(objs) - 1))
+    def test_bound_is_scale_free_and_met_on_the_rate_floor(self, path3_band, hetero_noise3):
+        # the bound does not change when p is scaled, so scaling any feasible
+        # point down onto the rate floor loses nothing, and the design is there
+        probs, _ = dinkelbach_min_msd(self.spec(path3_band, hetero_noise3))
+
+        def bound(theta):
+            return lms_msd_upper_bound(SamplingProbabilities(theta * probs.probs), MU,
+                                       hetero_noise3, path3_band)
+
+        for theta in (0.5, 0.9):
+            assert bound(theta) == pytest.approx(bound(1.0), rel=1e-12, abs=0.0)
+        lam = float(np.linalg.eigvalsh(weighted_gram(path3_band, probs.probs))[0])
+        assert abs(lam / LAM_T - 1.0) <= 1e-8
 
     def test_budget_respected(self, path3_band, hetero_noise3):
         budget = 1.2
@@ -589,7 +613,7 @@ GOLDEN_DESIGNS = {
     "sca_min_rate":
         "91999ed7f71e9db7543625e56824012aa4a8564681bee163b85d4d13b26de268",
     "dinkelbach":
-        "5b79291a96c5856c31d0c00f800d11dd13686f8a1e0872d9a94bc161052343d7",
+        "e797b40247a10c68e9e7cdfcbb79e9bacb3293c8d659961dbdde1ce954149348",
     "sca_min_msd":
         "fb7a59582c58244d4d690ad3da791218fd3a9318a4ecf446e1aa402cbd373490",
     "rls":
@@ -643,8 +667,8 @@ def test_design_matches_golden_digest(golden_designs, problem):
 def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
     # within one barrier run, H(p) (or the RLS information matrix) is
     # decomposed once per point, whichever eigen routine asks, and the exact
-    # MSD evaluated once per point and mode; Dinkelbach restarts each round
-    # from the same interior point, so the count is kept per run
+    # MSD evaluated once per point and mode; phase I and the solve are two
+    # runs that meet at one point, so the count is kept per run
     runs, finished, repeats = [], [], []
 
     def count(key, name):
@@ -681,6 +705,61 @@ def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
     assert repeats == []
 
 
+# Designs p and final bounds of dinkelbach_min_msd when it ran Dinkelbach's
+# parametric method: rounds of min Tr G(p) - w s over H(p) >= s I, w set to
+# the last round's ratio, until a round no longer lowered it.
+PARAMETRIC_DESIGNS = json.loads(
+    (Path(__file__).parent / "data" / "dinkelbach_parametric_designs.json").read_text())
+
+
+def rgg40_instance():
+    """n = 40 random geometric graph of radius 0.35 (the first connected
+    draw from seed 1), its 6 lowest frequencies, noise log-uniform on
+    [0.005, 0.03] from default_rng(1), mu = 0.1, rate target 0.99, p_max 0.9
+    and budget n/3: an instance where the parametric method stopped off the
+    rate floor."""
+    n = 40
+    graph = next(g for g in (random_geometric_graph(n, 0.35, seed) for seed in itertools.count(1))
+                 if connected_components(g) == 1)
+    b = Bandlimit.lowest(eigendecompose(build_laplacian(graph)), 6)
+    rng = np.random.default_rng(1)
+    noise = NoiseModel(np.exp(rng.uniform(np.log(0.005), np.log(0.03), n)))
+    return DesignSpec(bandlimit=b, noise=noise, mu=MU, rate_target=0.99, bounds=0.9,
+                      budget=n / 3)
+
+
+@pytest.mark.parametrize("case", ["golden_budget", "design_dinkelbach.yaml"])
+def test_dinkelbach_matches_the_parametric_method_on_the_floor(golden_designs, case):
+    # where the parametric method ended on the rate floor, the one program
+    # returns its design and bound
+    if case == "golden_budget":
+        probs, trace = golden_designs["dinkelbach"]
+    else:
+        probs, trace = resolve_sampling(build_setup(load_config(BENCH_CONFIG_DIR / case)))
+    before = PARAMETRIC_DESIGNS[case]
+    assert np.abs(probs.probs - before["p"]).max() <= 1e-6
+    assert trace.objectives[-1] == pytest.approx(before["bound"], rel=1e-8, abs=0.0)
+
+
+def test_dinkelbach_scales_an_off_floor_design_onto_the_rate_floor():
+    # the parametric method stopped at lambda_min = 1.31 lambda_t; the one
+    # program returns that design scaled onto the floor, with the same bound
+    # and exact MSD at a lower rate
+    spec = rgg40_instance()
+    probs, trace = dinkelbach_min_msd(spec)
+    before = PARAMETRIC_DESIGNS["rgg40"]
+    p_before = np.asarray(before["p"])
+    lam_before = float(np.linalg.eigvalsh(weighted_gram(spec.bandlimit, p_before))[0])
+    theta = spec.lambda_target() / lam_before
+    assert theta < 0.8
+    assert np.abs(probs.probs - theta * p_before).max() <= 1e-6
+    assert probs.probs.sum() <= 2.0063      # 2.6239 for the parametric design
+    assert trace.objectives[-1] == pytest.approx(before["bound"], rel=1e-8, abs=0.0)
+    exact = lms_msd_theory(probs, MU, spec.noise, spec.bandlimit)
+    assert exact == pytest.approx(before["msd"], rel=1e-7, abs=0.0)
+    assert trace.converged
+
+
 @pytest.mark.parametrize("problem", sorted(design.PROBLEMS))
 def test_solver_names_each_missing_field(problem):
     solver, spec = golden_problems()[problem]
@@ -691,11 +770,12 @@ def test_solver_names_each_missing_field(problem):
 
 # sum(p) of each solver on golden_instance() with vertex 3 capped at 0, as
 # computed when a capped vertex was left out of the barrier's variables; the
-# barrier now keeps it and pins its Newton row
+# barrier now keeps it and pins its Newton row; the dinkelbach row is that
+# of its one program over the rate floor
 ZERO_CAP_TOTALS = {
     "min_rate_convex": 3.049968889943,
     "sca_min_rate": 3.049968889945,
-    "dinkelbach": 3.554839460978,
+    "dinkelbach": 3.554839465459,
     "sca_min_msd": 3.599998213252,
     "rls": 0.304173582965,
 }

@@ -698,8 +698,8 @@ GOLDEN_DESIGN_OUTPUTS = {
 BENCH_CONFIG_DIR = CONFIG_DIR.parent / "benchmarks" / "configs"
 GOLDEN_BENCH_DESIGN_OUTPUTS = {
     "design_dinkelbach.yaml":
-        ("15a1df3a3aa918a1f2d8e7baa517cb32ae1ce89a028172fe1ce8e57d78992d26",
-         "39207ab6062b8d486b5de0187e4eb62ca6d094735be63a758526f4b212cbe810"),
+        ("aa9f6ec9b407924dd55c5edbd592c209db30c5062b327e00404252369f5127b8",
+         "738489d2f01e0dee42d76ac8a3ac21864d278f4c596917b4ed0091d3b211e2dc"),
     "design_min_rate_convex.yaml":
         ("559774b72e343ffa30d623c5fbaa4c264f78be108d9948656f0d6969d2a456e0",
          "24f52e1f3675ceaf9ab5e441e809b9f5f8a58409750ac662deac37648958e2f2"),
@@ -1320,6 +1320,12 @@ class TestCli:
            {"graph": {"kind": "edge_list", "path": str(DATA_DIR / name)}})
           for name in ("graph_nan_weight.txt", "graph_inf_weight.txt")
           for command in ("run-lms", "gen-graph")),
+        # a scale whose initial deviation |s|^2 overflows used to be blamed on
+        # the step size, the algorithm or the penalty
+        *(("signal.scale", command, {"signal": {"scale": 1e160}, "algorithm": algorithm})
+          for command, algorithm in (("run-lms", {"kind": "lms", "mu": 0.1}),
+                                     ("run-rls", {"kind": "rls", "beta": 0.9}),
+                                     ("run-drls", {"kind": "drls", "beta": 0.95}))),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):

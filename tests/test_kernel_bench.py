@@ -149,8 +149,8 @@ def cold_newton_step(benchmark, design_data, program, t):
 
 def test_barrier_newton_step(benchmark, design_data):
     def program(inst):
-        rate = (np.zeros(DESIGN_N), 0.1, 0.0)
-        bound = (0.5 * 0.1 / 10 ** -2.0 * inst.g_lin, 0.0, 0.0)     # -20 dB
+        rate = (np.zeros(DESIGN_N), 0.1)
+        bound = (0.5 * 0.1 / 10 ** -2.0 * inst.g_lin, 0.0)     # -20 dB
         return _Barrier(inst, [rate, bound], objective=np.ones(DESIGN_N))
 
     cold_newton_step(benchmark, design_data, program, 10.0)
@@ -158,7 +158,7 @@ def test_barrier_newton_step(benchmark, design_data):
 
 def test_sca_min_msd_newton_step(benchmark, design_data):
     def program(inst):
-        rate = (np.zeros(DESIGN_N), 0.1, 0.0)
+        rate = (np.zeros(DESIGN_N), 0.1)
         return _Barrier(inst, [rate], objective=_msd(inst, 0.1), budget=0.6 * inst.ub.sum())
 
     cold_newton_step(benchmark, design_data, program, 1e5)
