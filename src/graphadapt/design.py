@@ -23,11 +23,10 @@ Newton steps, each accepted by a backtracking line search on the exact
 barrier value, and multiplies t by 20 until the duality-gap bound m/t
 reaches ``GAP``, m being the degree of the barrier.  On the convex
 programs that bounds the distance to the optimum.  The exact MSD is not
-convex.  Its Newton steps take the exact Hessian wherever the Newton matrix
-is positive definite, and otherwise fall back on the curvature mu K o L,
-the Schur product of K = U_F H(p)^-1 U_F^T and
-L = U_F H(p)^-1 G(p) H(p)^-1 U_F^T with G(p) = U_F^T diag(p sigma^2) U_F.
-Both factors are positive semidefinite, so their Schur product is too.
+convex.  Its Newton steps solve with the exact Hessian wherever the Newton
+matrix is positive definite, and otherwise take the modified Newton step
+(Nocedal & Wright, *Numerical Optimization*, sec. 3.4), which replaces each
+eigenvalue by its floored magnitude so that the step still descends.
 """
 
 from __future__ import annotations
@@ -180,12 +179,13 @@ class _Instance:
 
 def _msd(inst, mu):
     """The exact MSD of :func:`filters._lms_msd`: inf where H(p) is
-    singular, with ``derivs`` (value, gradient, Hessian, excess)."""
+    singular, with ``derivs`` (value, gradient, Hessian); not convex."""
     def msd(p, derivs=False):
         if derivs:
             return _lms_msd(inst.b, inst.sig2, p, mu, True, inst.spectrum(p))
         return inst.cached(p, ("msd", mu),
                            lambda: _lms_msd(inst.b, inst.sig2, p, mu, spectrum=inst.spectrum(p)))
+    msd.convex = False
     return msd
 
 
@@ -227,9 +227,9 @@ class _Barrier:
     pairs (fn, bound), each a smooth function of p held strictly below its
     bound by the barrier term -log(bound - fn(p)).  A smooth function
     ``fn(p, derivs)`` returns its value, inf outside its domain, or with
-    ``derivs`` the quadruple (value, gradient, Hessian, excess) over all n
-    vertices: the excess is 0.0 for a convex function, else the matrix that
-    lifts an indefinite Hessian to a PSD curvature.
+    ``derivs`` the triple (value, gradient, Hessian) over all n vertices; one
+    that is not convex says so with ``fn.convex = False``, and ``convex``
+    tells whether the whole program is.
     The scalar s exists only with ``epigraph``, phase I's margin, which
     every LMI then subtracts as H(p) - (c @ p + const + s) I >= 0 and no
     program pairs with a smooth function.  A vertex with bound 0 has no box
@@ -241,6 +241,8 @@ class _Barrier:
         self.inst, self.objective = inst, objective
         self.constraints, self.budget = constraints, budget
         self.pinned = np.flatnonzero(inst.ub == 0.0)
+        self.convex = all(getattr(fn, "convex", True)
+                          for fn in (objective, *(fn for fn, _ in constraints)))
         extra = int(epigraph)
         self.u = np.vstack([inst.u, np.zeros((extra, inst.f))])
         self.lmis = [(np.append(c, [1.0] * extra), const) for c, const in lmis]
@@ -249,11 +251,11 @@ class _Barrier:
 
     def f0(self, x, derivs=False):
         """The objective at x, inf outside its domain; with ``derivs`` the
-        quadruple (value, gradient, Hessian, excess) over x."""
+        triple (value, gradient, Hessian) over x."""
         if callable(self.objective):
             return self.objective(x, derivs)
         value = float(self.objective @ x)
-        return (value, self.objective, 0.0, 0.0) if derivs else value
+        return (value, self.objective, 0.0) if derivs else value
 
     def f0_change(self, x, y):
         # a linear objective's change is taken from y - x, which is exact for
@@ -264,8 +266,7 @@ class _Barrier:
 
     def __call__(self, x, derivs=False):
         """The barrier at x, inf outside the domain; with ``derivs`` the
-        quadruple (value, gradient, Hessian, excess), the excess summed from
-        the smooth constraints."""
+        triple (value, gradient, Hessian)."""
         n = self.inst.n
         p = x[:n]
         low, room = p, self.inst.ub - p
@@ -276,7 +277,7 @@ class _Barrier:
             return math.inf
         value = -float(np.log(low).sum() + np.log(room).sum())
         if derivs:
-            grad, hess, excess = np.zeros(x.size), np.zeros((x.size, x.size)), 0.0
+            grad, hess = np.zeros(x.size), np.zeros((x.size, x.size))
             grad[:n] = 1.0 / room - 1.0 / low
             diag = hess.reshape(-1)[::x.size + 1]      # a view of the diagonal
             diag[:n] = 1.0 / low ** 2 + 1.0 / room ** 2
@@ -317,22 +318,17 @@ class _Barrier:
                 return math.inf
             value -= math.log(slack)
             if derivs:
-                _, gx, hx, ex = out
+                _, gx, hx = out
                 grad += gx / slack
                 hess += np.outer(gx, gx) / slack ** 2 + hx / slack
-                excess = excess + ex / slack
-        return (value, grad, hess, excess) if derivs else value
+        return (value, grad, hess) if derivs else value
 
 
-def _positive_definite(hess):
-    """Whether ``hess`` is positive definite, by one Cholesky factorization
-    of its Jacobi scaling; a diagonal entry <= 0 already says no."""
-    diag = hess.diagonal()
-    if not diag.min() > 0.0:
-        return False
-    scale = 1.0 / np.sqrt(diag)
+def _positive_definite(scaled):
+    """Whether ``scaled``, a matrix Jacobi-scaled by the magnitudes of its
+    diagonal, is positive definite, by one Cholesky factorization."""
     try:
-        np.linalg.cholesky(hess * scale * scale[:, None])
+        np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -343,29 +339,32 @@ def _newton_step(prog, derivs, t):
     the point x of ``derivs``, the pair (prog(x, True), prog.f0(x, True));
     the step is None when the Newton system is singular.
 
-    Where the objective or a constraint is not convex (a nonzero excess),
-    the step takes the exact Hessian when the Newton matrix is positive
-    definite and the PSD curvature, Hessian plus excess, otherwise.
+    Where the program is not convex and the Newton matrix not positive
+    definite, the step is the modified Newton step: each eigenvalue lambda of
+    the Jacobi-scaled matrix becomes max(|lambda|, 1e-8 max |lambda|), so the
+    step is a descent direction (Nocedal & Wright, sec. 3.4).
     A pinned vertex gets a zero gradient entry and the identity's row and
     column in the Newton matrix, so its step entry is exactly 0.
     """
-    (phi, grad, hess, excess), (_, obj_grad, obj_hess, obj_excess) = derivs
+    (phi, grad, hess), (_, obj_grad, obj_hess) = derivs
     grad, hess = grad + t * obj_grad, hess + t * obj_hess
-    excess = excess + t * obj_excess
     pin = prog.pinned
     if pin.size:
         grad[pin] = hess[pin] = hess[:, pin] = 0.0
         hess[pin, pin] = 1.0
-    if not np.isscalar(excess) and not _positive_definite(hess):
-        if pin.size:
-            excess[pin] = excess[:, pin] = 0.0
-        hess = hess + excess
     # Jacobi scaling: near the boundary the box terms span ~20 decades.  A
     # nearly active LMI adds a rank-one term that can swamp the rest in
     # floating point and leave the system singular.
-    scale = 1.0 / np.sqrt(hess.diagonal())
+    scale = 1.0 / np.sqrt(np.abs(hess.diagonal()))
+    scaled, rhs = hess * scale * scale[:, None], grad * scale
     try:
-        step = -scale * np.linalg.solve(hess * scale * scale[:, None], grad * scale)
+        if prog.convex or _positive_definite(scaled):
+            step = -scale * np.linalg.solve(scaled, rhs)
+        else:
+            lam, vecs = np.linalg.eigh(scaled)
+            lam = np.maximum(np.abs(lam), 1e-8 * np.abs(lam).max())
+            step = -scale * (vecs @ ((rhs @ vecs) / lam))
+            step[pin] = 0.0     # eigh leaves rounding in the decoupled rows
     except np.linalg.LinAlgError:
         return phi, None, 0.0
     return phi, step, -float(grad @ step)
@@ -503,8 +502,8 @@ def sca_min_rate(spec: DesignSpec):
     """Minimize sum(p) subject to the convergence-rate floor and the exact
     MSD constraint MSD(p) <= gamma.
 
-    One barrier run on the exact MSD, whose Newton steps fall back on the
-    PSD curvature mu K o L where the exact Hessian leaves the Newton matrix
+    One barrier run on the exact MSD, whose Newton steps are modified
+    Newton steps where the exact Hessian leaves the Newton matrix
     indefinite.  It starts inside the convex bound's feasible set, which
     lies inside the exact one.
     """
@@ -564,8 +563,8 @@ def dinkelbach_min_msd(spec: DesignSpec):
 
 def sca_min_msd(spec: DesignSpec):
     """Minimize the exact MSD over the rate-and-budget feasible set: one
-    barrier run whose Newton steps fall back on the PSD curvature mu K o L
-    where the exact Hessian leaves the Newton matrix indefinite."""
+    barrier run whose Newton steps are modified Newton steps where the exact
+    Hessian leaves the Newton matrix indefinite."""
     inst, lam_t, rate, center = _min_msd_setup(spec, "sca_min_msd")
     msd = _msd(inst, spec.mu)
 

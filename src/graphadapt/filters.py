@@ -88,12 +88,11 @@ def _lms_msd(b, sig2, p, mu, derivs=False, spectrum=None):
     where H(p) is singular.  ``spectrum`` is ``np.linalg.eigh`` of H(p)
     when the caller has it already.
 
-    With ``derivs`` it returns (value, gradient, Hessian, excess), all from
-    one eigendecomposition of H(p).  With K = U H^-1 U^T and
+    With ``derivs`` it returns (value, gradient, Hessian), all from one
+    eigendecomposition of H(p).  With K = U H^-1 U^T and
     L = U H^-1 G H^-1 U^T the gradient is (mu/2)(sigma^2 o diag K - diag L)
-    and the Hessian mu K o L - E, E_ij = (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2.
-    The Hessian is indefinite in general; the excess E lifts it to the
-    curvature mu K o L, the Schur product of two PSD matrices and so PSD.
+    and the Hessian mu K o L - (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2, which is
+    indefinite in general.
     """
     vals, vecs = np.linalg.eigh(weighted_gram(b, p)) if spectrum is None else spectrum
     if _singular(vals):
@@ -107,14 +106,13 @@ def _lms_msd(b, sig2, p, mu, derivs=False, spectrum=None):
     k = r @ q.T
     l = r @ core @ r.T
     grad = 0.5 * mu * (sig2 * k.diagonal() - l.diagonal())
-    excess = 0.5 * mu * (sig2[:, None] + sig2) * k * k
-    return value, grad, mu * k * l - excess, excess
+    return value, grad, mu * k * l - 0.5 * mu * (sig2[:, None] + sig2) * k * k
 
 
 def _rls_trace_inverse(b, sig2, p, derivs=False, spectrum=None):
     """Tr[M(p)^-1], M(p) = U^T diag(p / sigma^2) U over the basis U of
     bandlimit ``b``, inf where M(p) is singular; with ``derivs`` (value,
-    gradient, Hessian, 0.0), the function being convex.  ``spectrum`` is
+    gradient, Hessian), the function being convex.  ``spectrum`` is
     ``np.linalg.eigh`` of M(p) when the caller has it already."""
     vals, vecs = np.linalg.eigh(weighted_gram(b, p / sig2)) if spectrum is None else spectrum
     if _singular(vals):
@@ -125,7 +123,7 @@ def _rls_trace_inverse(b, sig2, p, derivs=False, spectrum=None):
     q = (b.basis_slice @ vecs) / np.sqrt(sig2)[:, None]
     k1 = (q / vals) @ q.T                   # u_i^T M^{-1} u_j / (sigma_i sigma_j)
     k2 = (q / vals ** 2) @ q.T
-    return value, -k2.diagonal().copy(), 2.0 * k1 * k2, 0.0
+    return value, -k2.diagonal().copy(), 2.0 * k1 * k2
 
 
 def _check_step(mu: float) -> None:

@@ -246,7 +246,8 @@ def build_graph(config: dict) -> Graph:
     radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
     seed = _count(gcfg, "graph", "seed", _count(config, "", "seed", 0, low=0), low=0)
     for offset in range(200):
-        g = random_geometric_graph(n, radius, seed + offset)
+        with config_field("graph.n"):      # numpy rejects an n past its shape limit
+            g = random_geometric_graph(n, radius, seed + offset)
         if connected_components(g) == 1:
             return g
     raise ConfigError(
@@ -326,6 +327,8 @@ def _design_field(cfg: dict, section: str, key: str) -> tuple:
             raise ConfigError(f"{_name(section, key)}: give msd_target or msd_target_db, "
                               "not both")
         db = _need(cfg, section, "msd_target_db", (int, float))
+        if db > 3000.0:     # 10^(db/10) overflows a float past 3083 dB
+            raise ConfigError(f"{section}.msd_target_db: must be at most 3000, got {db:g}")
         return _name(section, "msd_target_db"), 10.0 ** (db / 10.0)
     name = _name(section, key)
     if key not in cfg:

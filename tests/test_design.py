@@ -115,50 +115,31 @@ def test_msd_gradient_matches_finite_differences():
 
 
 def msd_hessian_parts(spec, p):
-    """The exact MSD Hessian and excess of the engine at p, and K = U H^-1 U^T,
+    """The exact MSD Hessian of the engine at p, and K = U H^-1 U^T,
     L = U H^-1 G H^-1 U^T formed with an explicit inverse."""
     u = spec.bandlimit.basis_slice
-    _, _, hess, excess = _lms_msd(spec.bandlimit, spec.noise.variances, p, MU, derivs=True)
+    _, _, hess = _lms_msd(spec.bandlimit, spec.noise.variances, p, MU, derivs=True)
     h_inv = np.linalg.inv(weighted_gram(spec.bandlimit, p))
     g = weighted_gram(spec.bandlimit, p * spec.noise.variances)
-    return hess, excess, u @ h_inv @ u.T, u @ h_inv @ g @ h_inv @ u.T
+    return hess, u @ h_inv @ u.T, u @ h_inv @ g @ h_inv @ u.T
 
 
 def test_msd_hessian_matches_finite_differences():
     spec = golden_instance()[1]
     b, noise = spec.bandlimit, spec.noise
-    p = 0.5 * spec.bounds
-    hess, _, _, _ = msd_hessian_parts(spec, p)
-    fd = central_differences(lambda q: msd_gradient(q, noise, b), p)
-    np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
-    # the MSD is not convex: its Hessian here has a negative eigenvalue
-    assert np.linalg.eigvalsh(hess)[0] < 0.0
-
-
-def test_psd_curvature_less_exact_hessian_is_the_excess():
-    spec = golden_instance()[1]
-    b, sig2 = spec.bandlimit, spec.noise.variances
-    u = b.basis_slice
+    sig2 = noise.variances
     rng = np.random.default_rng(71)
-    for _ in range(5):
-        p = rng.uniform(0.2, 1.0, size=b.n) * spec.bounds
-        hess, excess, k, l = msd_hessian_parts(spec, p)
-        psd = MU * k * l
-        np.testing.assert_allclose(excess, 0.5 * MU * (sig2[:, None] + sig2) * k * k,
+    points = [0.5 * spec.bounds] + [rng.uniform(0.2, 1.0, size=b.n) * spec.bounds
+                                    for _ in range(5)]
+    for p in points:
+        hess, k, l = msd_hessian_parts(spec, p)
+        fd = central_differences(lambda q: msd_gradient(q, noise, b), p)
+        np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
+        # the closed form mu K o L - (mu/2)(sigma_i^2 + sigma_j^2) K_ij^2
+        np.testing.assert_allclose(hess, MU * k * l - 0.5 * MU * (sig2[:, None] + sig2) * k * k,
                                    rtol=1e-9, atol=1e-14)
-        np.testing.assert_allclose(psd - hess, excess, rtol=1e-9, atol=1e-14)
-        # the PSD curvature is the Hessian at q = p of the convex part
-        # (mu/2) Tr[H(q)^-1 G(p)] of the MSD, whose gradient is
-        # -(mu/2) diag(U H(q)^-1 G(p) H(q)^-1 U^T)
-        g_p = weighted_gram(b, p * sig2)
-
-        def convex_part_gradient(q):
-            r = u @ np.linalg.inv(weighted_gram(b, q))
-            return -0.5 * MU * np.einsum("ij,jk,ik->i", r, g_p, r)
-
-        np.testing.assert_allclose(central_differences(convex_part_gradient, p), psd,
-                                   rtol=1e-5, atol=1e-8 * np.abs(psd).max())
-        assert np.linalg.eigvalsh(psd)[0] >= -1e-12 * np.abs(psd).max()
+    # the MSD is not convex: its Hessian at p_max / 2 has a negative eigenvalue
+    assert np.linalg.eigvalsh(msd_hessian_parts(spec, points[0])[0])[0] < 0.0
 
 
 def test_rls_trace_inverse_derivatives_match_finite_differences():
@@ -167,9 +148,8 @@ def test_rls_trace_inverse_derivatives_match_finite_differences():
     rng = np.random.default_rng(83)
     for _ in range(5):
         p = rng.uniform(0.2, 1.0, size=b.n) * spec.bounds
-        value, grad, hess, excess = _rls_trace_inverse(b, sig2, p, derivs=True)
+        value, grad, hess = _rls_trace_inverse(b, sig2, p, derivs=True)
         assert value == pytest.approx(_rls_trace_inverse(b, sig2, p), rel=1e-12)
-        assert excess == 0.0
         fd_grad = central_differences(lambda q: _rls_trace_inverse(b, sig2, q), p)
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-8 * np.abs(grad).max())
         fd_hess = central_differences(lambda q: _rls_trace_inverse(b, sig2, q, True)[1], p)
@@ -845,3 +825,116 @@ def test_sca_min_msd_newton_steps(edits, ceiling):
     _, trace = design_config("design_min_msd.yaml", **edits)
     assert trace.converged
     assert trace.iterations <= ceiling
+
+
+# ------------------------------------------------- modified Newton steps
+
+def rgg40_program(zero_caps=()):
+    """The barrier of sca_min_msd on rgg40_instance(), the vertices in
+    ``zero_caps`` capped at 0, and its interior start."""
+    spec = rgg40_instance()
+    bounds = spec.bounds.copy()
+    bounds[list(zero_caps)] = 0.0
+    inst = design._Instance(spec.bandlimit, spec.noise, bounds)
+    rate = (np.zeros(inst.n), spec.lambda_target())
+    prog = design._Barrier(inst, [rate], objective=design._msd(inst, MU), budget=spec.budget)
+    return prog, design._interior(inst, [rate], spec.budget)[0]
+
+
+@pytest.mark.parametrize("t, definite", [(1e3, True), (1e5, False)])
+def test_newton_step_descends_and_solves_where_definite(t, definite):
+    # at the interior start the Newton matrix of t MSD + barrier is positive
+    # definite at t = 1e3 and indefinite at t = 1e5
+    prog, x = rgg40_program()
+    derivs = prog(x, True), prog.f0(x, True)
+    grad = derivs[0][1] + t * derivs[1][1]
+    hess = derivs[0][2] + t * derivs[1][2]
+    assert (np.linalg.eigvalsh(hess)[0] > 0.0) == definite
+    _, step, decrement = design._newton_step(prog, derivs, t)
+    assert decrement > 0.0
+    assert decrement == pytest.approx(-float(grad @ step), rel=1e-12)
+    if definite:
+        np.testing.assert_allclose(step, np.linalg.solve(hess, -grad), rtol=1e-9,
+                                   atol=1e-12 * np.abs(step).max())
+
+
+def test_modified_newton_step_keeps_a_pinned_vertex_at_zero():
+    prog, x = rgg40_program(zero_caps=(3, 17, 30))
+    derivs = prog(x, True), prog.f0(x, True)
+    assert np.linalg.eigvalsh(derivs[0][2] + 1e5 * derivs[1][2])[0] < 0.0
+    _, step, decrement = design._newton_step(prog, derivs, 1e5)
+    assert decrement > 0.0
+    assert (step[[3, 17, 30]] == 0.0).all()
+
+
+def test_sca_min_msd_converges_on_rgg40():
+    # with the PSD curvature fallback this ran 2,167 steps to -26.8924 dB
+    # and did not converge
+    _, trace = sca_min_msd(rgg40_instance())
+    assert trace.converged
+    assert trace.iterations <= 200
+    assert 10.0 * math.log10(trace.objectives[-1]) <= -26.892351365857813 + 1e-6
+
+
+def sweep_instance(k):
+    """Instance k of a seeded sweep of sca_min_msd problems at n = 12-40."""
+    rng = np.random.default_rng([7, k])
+    n = int(rng.integers(12, 41))
+    f = int(rng.integers(3, 7))
+    radius = rng.uniform(0.35, 0.6)
+    first = int(rng.integers(1000))
+    graph = next(g for g in (random_geometric_graph(n, radius, seed)
+                             for seed in itertools.count(first))
+                 if connected_components(g) == 1)
+    b = Bandlimit.lowest(eigendecompose(build_laplacian(graph)), f)
+    noise = NoiseModel(np.exp(rng.uniform(np.log(0.005), np.log(0.03), n)))
+    p_max = rng.uniform(0.3, 1.0, n)
+    budget = rng.uniform(0.3, 0.6) * p_max.sum()
+    return DesignSpec(bandlimit=b, noise=noise, mu=MU, rate_target=rng.uniform(0.98, 0.995),
+                      bounds=p_max, budget=budget)
+
+
+# Final MSD (dB) of sca_min_msd on sweep_instance(k) when an indefinite
+# Newton matrix fell back on the PSD curvature mu K o L; that engine ran
+# out of Newton steps on k = 1, 3, 11, 17 and 18, which have no entry
+SWEEP_FALLBACK_DB = {
+    0: -27.464969410343663,
+    2: -29.388870920279295,
+    4: -28.80135471844553,
+    5: -28.483258520383426,
+    6: -29.061348574101274,
+    7: -29.811778043225246,
+    8: -27.17130813607784,
+    9: -24.798050168478248,
+    10: -25.862770110105075,
+    12: -30.35396573784975,
+    13: -27.696880020779528,
+    14: -27.015708443272082,
+    15: -28.359194041441462,
+    16: -27.441341137840055,
+    19: -25.036081625884204,
+}
+
+
+@pytest.mark.parametrize("k", range(20))
+def test_sca_min_msd_converges_on_the_seeded_sweep(k):
+    _, trace = sca_min_msd(sweep_instance(k))
+    assert trace.converged
+    if k in SWEEP_FALLBACK_DB:
+        db = 10.0 * math.log10(trace.objectives[-1])
+        assert db == pytest.approx(SWEEP_FALLBACK_DB[k], rel=0.0, abs=1e-6)
+
+
+# Designs p and final objectives of the exact-MSD solvers on three configs
+# when an indefinite Newton matrix fell back on the PSD curvature mu K o L
+FALLBACK_DESIGNS = json.loads(
+    (Path(__file__).parent / "data" / "exact_msd_fallback_designs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_DESIGNS))
+def test_modified_newton_keeps_the_fallback_designs(name):
+    path = CONFIG_DIR / name if (CONFIG_DIR / name).exists() else BENCH_CONFIG_DIR / name
+    probs, trace = resolve_sampling(build_setup(load_config(path)))
+    before = FALLBACK_DESIGNS[name]
+    assert np.abs(probs.probs - before["p"]).max() <= 1e-6
+    assert trace.objectives[-1] == pytest.approx(before["objective"], rel=1e-8, abs=0.0)

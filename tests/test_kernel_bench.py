@@ -21,10 +21,12 @@ of the benchmark's design instances (n=40, |F|=6).  On the min-rate program
 that is the barrier's gradient and Hessian (one eigendecomposition, two
 LMIs, the box) and the Jacobi-scaled dense solve.  On the exact-MSD program
 of ``sca_min_msd`` it is the rate LMI, the box and the budget, the MSD's
-value, gradient, Hessian and excess from the same eigendecomposition, the
-Cholesky test of the Newton matrix and the solve.  Each round builds its
-instance and barrier afresh, untimed, so the step starts with nothing
-evaluated at its point.
+value, gradient and Hessian from the same eigendecomposition and the
+Cholesky test of the Newton matrix; then the solve where that matrix is
+positive definite (at t = 1e4), or the modified Newton step, one n x n
+``eigh``, where it is not (at t = 1e5).  Each round builds its instance and
+barrier afresh, untimed, so the step starts with nothing evaluated at its
+point.
 
 Run only these with ``pytest --benchmark-only``.  The round counts are fixed
 and small so the suite pays well under a second for them.
@@ -47,6 +49,7 @@ DRLS_N, DRLS_F, DRLS_TRIALS = 20, 5, 50
 DRLS_ROUNDS = 200
 DESIGN_N, DESIGN_F = 40, 6
 DESIGN_ROUNDS = 200
+MODIFIED_ROUNDS = 50
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +132,16 @@ def design_data():
     return band, noise, ub
 
 
-def cold_newton_step(benchmark, design_data, program, t):
+def cold_newton_step(benchmark, design_data, program, t, definite=True,
+                     rounds=DESIGN_ROUNDS):
     """Time one Newton step at x = p_max / 2 of ``program(inst)``, with a
-    fresh instance and barrier per round."""
+    fresh instance and barrier per round; ``definite`` tells whether the
+    Newton matrix there is positive definite."""
     inst = _Instance(*design_data)
-    assert np.isfinite(program(inst)(0.5 * inst.ub))
+    prog, x = program(inst), 0.5 * inst.ub
+    assert np.isfinite(prog(x))
+    newton_matrix = prog(x, True)[2] + t * prog.f0(x, True)[2]
+    assert (np.linalg.eigvalsh(newton_matrix)[0] > 0.0) == definite
 
     def setup():
         inst = _Instance(*design_data)
@@ -142,7 +150,7 @@ def cold_newton_step(benchmark, design_data, program, t):
     def newton(prog, x):
         return _newton_step(prog, (prog(x, True), prog.f0(x, True)), t)
 
-    _, step, decrement = benchmark.pedantic(newton, setup=setup, rounds=DESIGN_ROUNDS,
+    _, step, decrement = benchmark.pedantic(newton, setup=setup, rounds=rounds,
                                             iterations=1, warmup_rounds=1)
     assert step.shape == (DESIGN_N,) and decrement > 0
 
@@ -156,9 +164,15 @@ def test_barrier_newton_step(benchmark, design_data):
     cold_newton_step(benchmark, design_data, program, 10.0)
 
 
-def test_sca_min_msd_newton_step(benchmark, design_data):
-    def program(inst):
-        rate = (np.zeros(DESIGN_N), 0.1)
-        return _Barrier(inst, [rate], objective=_msd(inst, 0.1), budget=0.6 * inst.ub.sum())
+def sca_min_msd_program(inst):
+    rate = (np.zeros(DESIGN_N), 0.1)
+    return _Barrier(inst, [rate], objective=_msd(inst, 0.1), budget=0.6 * inst.ub.sum())
 
-    cold_newton_step(benchmark, design_data, program, 1e5)
+
+def test_sca_min_msd_newton_step(benchmark, design_data):
+    cold_newton_step(benchmark, design_data, sca_min_msd_program, 1e4)
+
+
+def test_sca_min_msd_modified_newton_step(benchmark, design_data):
+    cold_newton_step(benchmark, design_data, sca_min_msd_program, 1e5, definite=False,
+                     rounds=MODIFIED_ROUNDS)
