@@ -264,6 +264,7 @@ class _Barrier:
             return self.f0(y) - self.f0(x)
         return float(self.objective @ (y - x))
 
+    @np.errstate(over="ignore", divide="ignore")     # _newton_step rejects inf derivatives
     def __call__(self, x, derivs=False):
         """The barrier at x, inf outside the domain; with ``derivs`` the
         triple (value, gradient, Hessian)."""
@@ -337,7 +338,7 @@ def _positive_definite(scaled):
 def _newton_step(prog, derivs, t):
     """(barrier value, Newton step, Newton decrement) of t f0 + barrier at
     the point x of ``derivs``, the pair (prog(x, True), prog.f0(x, True));
-    the step is None when the Newton system is singular.
+    the step is None when the Newton system is singular or a derivative overflowed.
 
     Where the program is not convex and the Newton matrix not positive
     definite, the step is the modified Newton step: each eigenvalue lambda of
@@ -348,6 +349,8 @@ def _newton_step(prog, derivs, t):
     """
     (phi, grad, hess), (_, obj_grad, obj_hess) = derivs
     grad, hess = grad + t * obj_grad, hess + t * obj_hess
+    if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+        return phi, None, 0.0
     pin = prog.pinned
     if pin.size:
         grad[pin] = hess[pin] = hess[:, pin] = 0.0
@@ -426,7 +429,7 @@ def _interior(inst, lmis, budget):
     p = theta * ub
     lam = inst.lam_min(p)
     margin = min(lam - float(c @ p) - const for c, const in lmis)
-    if margin > 0.0 or theta == 0.0 or not ub.any():
+    if margin > 0.0:
         return p, margin
     phase = _Barrier(inst, lmis, objective=np.append(np.zeros(inst.n), -1.0),
                      budget=budget, epigraph=True)
@@ -525,19 +528,23 @@ def sca_min_rate(spec: DesignSpec):
 def _min_msd_setup(spec, problem):
     """The instance, the rate LMI and a point strictly inside the rate LMI,
     the box and the budget, or the infeasibility error with the largest
-    lambda_min the budget allows."""
+    lambda_min the budget allows, or a bound on it."""
     inst = _instance_of(spec, problem)
     lam_t = spec.lambda_target()
     rate = (np.zeros(inst.n), lam_t)
-    center, margin = _interior(inst, [rate], spec.budget)
-    if margin <= 0.0:
-        best = lam_t + margin
-        raise InfeasibleDesignError(
-            f"rate target unreachable under the budget: best achievable "
-            f"lambda_min is {best:.6g} < required {lam_t:.6g}",
-            max_achievable_lambda=best,
-        )
-    return inst, lam_t, rate, center
+    # lambda_min(H(p)) <= e_k^T H(p) e_k <= sum(p) max_i U_ik^2 for each k: a cap below
+    # the floor fails here, before phase I meets a tiny budget's underflowing squares
+    total = inst.ub.sum() if spec.budget is None else min(spec.budget, inst.ub.sum())
+    cap = total * np.square(inst.u).max(0).min()
+    best, qualifier = cap, "at most "
+    if cap > lam_t:
+        center, margin = _interior(inst, [rate], spec.budget)
+        if margin > 0.0:
+            return inst, lam_t, rate, center
+        best, qualifier = lam_t + margin, ""
+    raise InfeasibleDesignError(f"rate target unreachable under the budget: best achievable "
+                                f"lambda_min is {qualifier}{best:.6g} < required {lam_t:.6g}",
+                                max_achievable_lambda=best)
 
 
 def dinkelbach_min_msd(spec: DesignSpec):

@@ -5,24 +5,24 @@ agreement on the global estimate is enforced by K rounds of a synchronous
 ADMM consensus loop per sampling instant, exchanging estimates with
 communication-graph neighbors.  The sum of the local information matrices
 reproduces the centralized RLS information matrix exactly, which is the
-invariant that makes K large recover the centralized estimator.
+invariant that makes K large recover the centralized estimator.  A node
+senses only its own vertex, so its matrix keeps the closed form
+Psi_i = a I + omega_i u_i u_i^T: one scalar a = beta^t delta / N for every
+node and trial, and the weight omega_i <- beta omega_i + d_i / sigma_i^2
+(D-RLS as in Mateos, Schizas & Giannakis, IEEE TSP 2009).  The local update
+is then one Sherman-Morrison evaluation per node, with no factorization.
 
-The network state is held as arrays with one row per node, and each inner
-iteration is one batched solve over all nodes.  Every state array may carry
-leading trial axes, so independent Monte Carlo trials advance together
-through the same code: ``drls_simulate`` runs them in ``filters.track`` and
-keeps only their trial-summed curve.  The per-link multipliers
-lambda_ij stay antisymmetric, and the local update reads them only through
-alpha_i = sum_j (lambda_ij - lambda_ji), so only these aggregated duals are
-kept; they advance as alpha <- alpha + rho L s with L the communication
-Laplacian (Shi, Ling, Yuan, Wu & Yin, IEEE TSP 2014; D-RLS as in Mateos,
-Schizas & Giannakis, IEEE TSP 2009).  Messages are still counted per link:
-each inner iteration sends one payload per directed edge, 2 |E| in total.
-
-The simulator reuses the shared math: a ``CommGraph`` is a 0/1 adjacency
-matrix checked by :class:`graphs.Graph`, its L is ``graphs.build_laplacian``,
-and the per-node sensing reads the u_i u_i^T table of
-``filters.rls_outer_table`` instead of forming it at every instant.
+The network state is held as arrays with one row per node, and every state
+array may carry leading trial axes, so independent Monte Carlo trials
+advance together through the same code: ``drls_simulate`` runs them in
+``filters.track`` and keeps only their trial-summed curve.  The per-link
+multipliers lambda_ij stay antisymmetric, and the local update reads them
+only through alpha_i = sum_j (lambda_ij - lambda_ji), so only these
+aggregated duals are kept; they advance as alpha <- alpha + rho L s with L
+the communication Laplacian (Shi, Ling, Yuan, Wu & Yin, IEEE TSP 2014).
+Messages are still counted per link: each inner iteration sends one payload
+per directed edge, 2 |E| in total.  A ``CommGraph`` is a 0/1 adjacency
+matrix checked by :class:`graphs.Graph`, its L ``graphs.build_laplacian``.
 
 The consensus penalty rho is only conditionally stable: the local update
 anchors on raw neighbor estimates, so the inner loop converges for rho
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import rls_outer_table, track
+from .filters import track
 from .graphs import Bandlimit, Graph, build_laplacian, connected_components
 from .sampling import NoiseModel
 
@@ -111,18 +111,18 @@ class DrlsConfig:
 
 @dataclass
 class DrlsNetwork:
-    """Every node's state as one row of an array: information pairs
-    ``psi`` (..., n, f, f) and ``psiv`` (..., n, f), consensus ``estimates``
-    (..., n, f), aggregated duals ``alpha`` (..., n, f), plus a message
-    counter summed over all trials.  The leading axes ``...`` index
-    independent trials and are empty for a single network.  ``outer``
-    (n, f, f) is the ``rls_outer_table`` of the basis rows, u_i u_i^T."""
+    """Every node's state as one row of an array: the information matrices
+    Psi_i = ``scale`` I + omega_i u_i u_i^T as the scalar ``scale`` and the
+    ``weights`` omega (..., n), with u_i row i of the basis; information
+    vectors ``psiv``, consensus ``estimates`` and aggregated duals ``alpha``,
+    each (..., n, f); a message counter summed over all trials.  The leading
+    axes ``...`` index independent trials and are empty for a single network."""
 
     comm: CommGraph
     basis: Bandlimit
     noise: NoiseModel
-    outer: np.ndarray
-    psi: np.ndarray
+    scale: float
+    weights: np.ndarray
     psiv: np.ndarray
     estimates: np.ndarray
     alpha: np.ndarray
@@ -137,31 +137,30 @@ def drls_network_init(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
     if comm.n != b.n or noise.n != b.n:
         raise ValueError("communication graph, basis and noise sizes must agree")
     n, f = comm.n, b.size
-    return DrlsNetwork(comm=comm, basis=b, noise=noise,
-                       outer=rls_outer_table(b.basis_slice).reshape(n, f, f),
-                       psi=np.tile(config.delta / n * np.eye(f), (*batch, n, 1, 1)),
-                       psiv=np.zeros((*batch, n, f)), estimates=np.zeros((*batch, n, f)),
-                       alpha=np.zeros((*batch, n, f)))
+    return DrlsNetwork(comm=comm, basis=b, noise=noise, scale=config.delta / n,
+                       weights=np.zeros((*batch, n)), psiv=np.zeros((*batch, n, f)),
+                       estimates=np.zeros((*batch, n, f)), alpha=np.zeros((*batch, n, f)))
 
 
-def _penalized(psi: np.ndarray, comm: CommGraph, rho: float) -> np.ndarray:
-    """The local update's matrices Psi_i + rho d_i I."""
-    f = psi.shape[-1]
-    return psi + (rho * np.diagonal(comm.laplacian))[:, None, None] * np.eye(f)
+def _local_gains(scale: float, weights: np.ndarray, u: np.ndarray, comm: CommGraph,
+                 rho: float) -> tuple:
+    """Psi_i + rho d_i I = c_i I + omega_i u_i u_i^T as c_i = scale + rho d_i (n,) and
+    the Sherman-Morrison gains g_i = omega_i / (c_i + omega_i ||u_i||^2) (..., n)."""
+    c = scale + rho * np.diagonal(comm.laplacian)
+    return c, weights / (c + weights * np.square(u).sum(axis=1))
 
 
 def drls_local_update(psiv: np.ndarray, alpha: np.ndarray, estimates: np.ndarray,
-                      comm: CommGraph, rho: float, penalized: np.ndarray) -> np.ndarray:
-    """Closed-form minimizers of every node's local augmented Lagrangian,
-    one batched solve:
-    s_i = (Psi_i + rho d_i I)^{-1} [psi_i + rho sum_{j in N_i} s_j - alpha_i / 2].
-
-    ``penalized`` holds the matrices Psi_i + rho d_i I, built once per
-    instant by ``_penalized`` (they do not change between its inner
-    iterations).  Every array may carry leading trial axes.
+                      comm: CommGraph, rho: float, u: np.ndarray, c: np.ndarray,
+                      g: np.ndarray) -> np.ndarray:
+    """Closed-form minimizers of every node's local augmented Lagrangian:
+    s_i = (Psi_i + rho d_i I)^{-1} r_i = (r_i - g_i (u_i^T r_i) u_i) / c_i with
+    r_i = psi_i + rho sum_{j in N_i} s_j - alpha_i / 2, u the (n, f) basis and
+    (c, g) from ``_local_gains``, once per instant.  Every array may carry
+    leading trial axes.
     """
-    rhs = psiv + rho * (comm.adjacency @ estimates) - 0.5 * alpha
-    return np.linalg.solve(penalized, rhs[..., None])[..., 0]
+    r = psiv + rho * (comm.adjacency @ estimates) - 0.5 * alpha
+    return (r - (g * (u * r).sum(axis=-1))[..., None] * u) / c[:, None]
 
 
 def drls_multiplier_update(alpha: np.ndarray, estimates: np.ndarray, comm: CommGraph,
@@ -178,8 +177,8 @@ def drls_multiplier_update(alpha: np.ndarray, estimates: np.ndarray, comm: CommG
 
 def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray,
                config: DrlsConfig) -> DrlsNetwork:
-    """One sampling instant: every node senses its own observation,
-    Psi_i <- beta Psi_i + d_i u_i u_i^T / sigma_i^2 (likewise psi_i), then
+    """One sampling instant: every node senses its own observation, scale <-
+    beta scale and omega_i <- beta omega_i + d_i / sigma_i^2 (likewise psi_i), then
     ``config.inner_iters`` synchronous consensus iterations follow.  Each
     solves on the previous iteration's estimates, advances the duals on the
     fresh ones, and adds 2 |E| messages per trial, one per directed edge.
@@ -194,13 +193,14 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
         raise ValueError(f"draws and observations must both have shape {shape}")
     u = network.basis.basis_slice
     w = draws / network.noise.variances
-    network.psi = config.beta * network.psi + w[..., None, None] * network.outer
+    network.scale *= config.beta
+    network.weights = config.beta * network.weights + w
     network.psiv = config.beta * network.psiv + (w * observations)[..., None] * u
-    penalized = _penalized(network.psi, network.comm, config.rho)
+    c, g = _local_gains(network.scale, network.weights, u, network.comm, config.rho)
     messages = 2 * network.comm.num_edges * math.prod(shape[:-1])
     for _ in range(config.inner_iters):
         network.estimates = drls_local_update(network.psiv, network.alpha, network.estimates,
-                                              network.comm, config.rho, penalized)
+                                              network.comm, config.rho, u, c, g)
         network.alpha = drls_multiplier_update(network.alpha, network.estimates,
                                                network.comm, config.rho)
         network.message_count += messages

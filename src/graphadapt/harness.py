@@ -305,17 +305,8 @@ def build_setup(config: dict) -> Setup:
     if not math.isfinite(energy):
         raise ConfigError(f"signal.scale: the initial deviation |s|^2 overflows; "
                           f"scale = {scale:g}")
-    return Setup(
-        config=config,
-        graph=graph,
-        bandlimit=bl,
-        noise=noise,
-        signal_coeffs=coeffs,
-        x_true=bl.basis_slice @ coeffs,
-        seed=seed,
-        trials=trials,
-        horizon=horizon,
-    )
+    return Setup(config=config, graph=graph, bandlimit=bl, noise=noise, signal_coeffs=coeffs,
+                 x_true=bl.basis_slice @ coeffs, seed=seed, trials=trials, horizon=horizon)
 
 
 def _design_field(cfg: dict, section: str, key: str) -> tuple:
@@ -447,15 +438,14 @@ class LearningCurve:
 # The kernels do not warn about overflow: run_experiment reports a non-finite
 # learning curve as an error naming the step size or penalty.
 @np.errstate(over="ignore", invalid="ignore")
-def _monte_carlo(setup: Setup, probs: SamplingProbabilities, pass_size: int,
-                 simulate) -> np.ndarray:
+def _monte_carlo(setup: Setup, probs: SamplingProbabilities, simulate) -> np.ndarray:
     """The one loop over passes: ``simulate(blocks)`` runs a pass of at most
-    ``pass_size`` trials over its ``(masks, y = x_true + noise)`` draw blocks
+    ``TRIAL_CHUNK`` trials over its ``(masks, y = x_true + noise)`` draw blocks
     and returns (trial-summed curve, final state).  The curves' sum over the
     passes is divided by the number of trials."""
     total = 0.0
-    for start in range(0, setup.trials, pass_size):
-        blocks = draw_blocks(setup.seed, range(start, min(start + pass_size, setup.trials)),
+    for start in range(0, setup.trials, TRIAL_CHUNK):
+        blocks = draw_blocks(setup.seed, range(start, min(start + TRIAL_CHUNK, setup.trials)),
                              setup.horizon, probs.probs, setup.noise.std, DRAW_BLOCK // 2)
         # closing joins the next block's fill should the kernel raise
         with contextlib.closing(blocks):
@@ -470,7 +460,7 @@ def _run_filter_mc(setup: Setup, probs: SamplingProbabilities, init, step,
     def deviation(state):
         return np.square(estimate(state) - setup.signal_coeffs).sum()
 
-    return _monte_carlo(setup, probs, TRIAL_CHUNK,
+    return _monte_carlo(setup, probs,
                         lambda blocks: track(blocks, init, step, deviation)), None, {}
 
 
@@ -519,11 +509,8 @@ def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, acfg: dic
                      inner_iters=_count(acfg, "algorithm", "inner_iters", DrlsConfig.inner_iters),
                      beta=beta, delta=_real(acfg, "algorithm", "delta", DrlsConfig.delta))
     comm = _comm_from_config(setup, acfg)
-    n, f = setup.graph.n, setup.bandlimit.size
-    # a pass's (trials, n, f, f) information matrices hold at most DRAW_BLOCK
-    # entries (but at least one trial); drls_simulate is looked up per call
-    size = min(TRIAL_CHUNK, max(1, DRAW_BLOCK // (n * f * f)))
-    per_node = _monte_carlo(setup, probs, size, lambda blocks: drls_simulate(
+    # drls_simulate is looked up per call
+    per_node = _monte_carlo(setup, probs, lambda blocks: drls_simulate(
         comm, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true))
     return per_node.mean(axis=1), per_node, {"inner_iters": cfg.inner_iters}
 

@@ -3,8 +3,9 @@
 The sequential single-trial LMS and RLS recursions in the vertex domain
 check the batched kernels of ``graphadapt.filters``, one trial and one
 instant at a time; the localization norm checks the reconstructability
-eigenvalue of ``graphadapt.sampling``.  ``u`` is the (n, |F|) bandlimited
-basis, ``mask`` the 0/1 sampling mask.
+eigenvalue of ``graphadapt.sampling``, and the explicit node information
+matrices check the closed form that ``graphadapt.distributed`` keeps.
+``u`` is the (n, |F|) bandlimited basis, ``mask`` the 0/1 sampling mask.
 """
 
 import numpy as np
@@ -36,3 +37,9 @@ def localization_norm(sampled, u):
     off = np.ones(u.shape[0], dtype=bool)
     off[list(sampled)] = False
     return float(np.linalg.norm(u[off], 2))
+
+
+def drls_information(scale, weights, u):
+    """The node information matrices scale I + omega_i u_i u_i^T, (..., n, |F|, |F|),
+    from the weights omega (..., n)."""
+    return scale * np.eye(u.shape[1]) + weights[..., None, None] * np.einsum("ij,ik->ijk", u, u)

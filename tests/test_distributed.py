@@ -1,20 +1,25 @@
 """In-network RLS: local updates, consensus loop, and centralized limits.
 
 The structural invariants checked here are (a) the node information
-matrices always sum to the centralized one, (b) the local update is the
-exact stationary point of its augmented Lagrangian, verified by evaluating
-the gradient at the returned minimizer, and (c) the aggregated duals
-reproduce the per-link multiplier recursion, checked against a reference
-that keeps one multiplier per directed link.
+matrices, rebuilt from the closed form a I + omega_i u_i u_i^T, always sum
+to the centralized one, (b) the local update is the exact stationary point
+of its augmented Lagrangian, verified by evaluating the gradient at the
+returned minimizer, and agrees with explicit solves of the local systems,
+and (c) the aggregated duals reproduce the per-link multiplier recursion,
+checked against a reference that keeps one multiplier per directed link.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
 from graphadapt.distributed import (
     CommGraph,
     DrlsConfig,
-    _penalized,
+    _local_gains,
     drls_local_update,
     drls_multiplier_update,
     drls_network_init,
@@ -29,6 +34,7 @@ from graphadapt.graphs import (
     eigendecompose,
     random_geometric_graph,
 )
+from graphadapt.harness import run_experiment
 from graphadapt.sampling import NoiseModel
 
 PATH2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -44,9 +50,16 @@ def neighbors(comm):
     return [np.nonzero(row)[0] for row in comm.adjacency]
 
 
-def random_spd(f, rng, scale=1.0):
-    a = rng.standard_normal((f, f))
-    return scale * (a @ a.T + f * np.eye(f))
+def random_information(rng, shape, omega=10.0):
+    """A random closed-form state: the scale a > 0 and weights 0 <= omega_i <=
+    ``omega``, about a third of them exactly zero (nodes that never sensed)."""
+    weights = omega * rng.uniform(0.5, 1.0, shape) * (rng.random(shape) < 0.7)
+    return float(rng.uniform(0.1, 2.0)), weights
+
+
+def local_update(psiv, alpha, estimates, comm, rho, u, scale, weights):
+    return drls_local_update(psiv, alpha, estimates, comm, rho, u,
+                             *_local_gains(scale, weights, u, comm, rho))
 
 
 # ------------------------------------------------------------- comm graphs
@@ -122,7 +135,8 @@ def test_network_init_sums_to_centralized_regularizer():
     b, noise = make_setup()
     comm = CommGraph.complete(b.n)
     net = drls_network_init(comm, b, noise, DrlsConfig(delta=1e-3))
-    np.testing.assert_allclose(net.psi.sum(axis=0), 1e-3 * np.eye(b.size), atol=1e-15)
+    psi = reference.drls_information(net.scale, net.weights, b.basis_slice)
+    np.testing.assert_allclose(psi.sum(axis=0), 1e-3 * np.eye(b.size), atol=1e-15)
     assert net.message_count == 0
 
 
@@ -148,7 +162,8 @@ def test_information_sums_to_centralized():
         obs = draws * rng.standard_normal(b.n)
         net = drls_round(net, draws, obs, cfg)
         psi, psiv = rls_update(psi, psiv, draws / noise.variances, obs, u, outer, 0.9)
-    np.testing.assert_allclose(net.psi.sum(axis=0), psi, atol=1e-10)
+    total = reference.drls_information(net.scale, net.weights, u).sum(axis=0)
+    np.testing.assert_allclose(total, psi, atol=1e-10)
     np.testing.assert_allclose(net.psiv.sum(axis=0), psiv, atol=1e-10)
 
 
@@ -157,20 +172,22 @@ def test_sense_formula():
     rng = np.random.default_rng(7)
     n, f = b.n, b.size
     net = drls_network_init(CommGraph.complete(n), b, noise, DrlsConfig())
-    net.psi = np.stack([random_spd(f, rng) for _ in range(n)])
+    net.scale, net.weights = random_information(rng, n)
     net.psiv = rng.standard_normal((n, f))
-    psi0, psiv0 = net.psi.copy(), net.psiv.copy()
+    scale0, weights0, psiv0 = net.scale, net.weights.copy(), net.psiv.copy()
     draws = np.zeros(n, dtype=np.int8)
     draws[2] = 1
     obs = 1.5 * draws
     drls_round(net, draws, obs, DrlsConfig(beta=0.9))
     row = b.basis_slice[2]
-    np.testing.assert_allclose(
-        net.psi[2], 0.9 * psi0[2] + 100.0 * np.outer(row, row), atol=1e-12)
+    # Psi_i <- 0.9 Psi_i + 100 u_i u_i^T on the sensing node: a and omega_i decay,
+    # and omega_i gains 1 / sigma_i^2
+    assert net.scale == 0.9 * scale0
+    np.testing.assert_allclose(net.weights[2], 0.9 * weights0[2] + 100.0, atol=1e-12)
     np.testing.assert_allclose(net.psiv[2], 0.9 * psiv0[2] + 100.0 * 1.5 * row, atol=1e-12)
     # skipped instants only decay
     skipped = draws == 0
-    np.testing.assert_allclose(net.psi[skipped], 0.9 * psi0[skipped], atol=1e-15)
+    np.testing.assert_allclose(net.weights[skipped], 0.9 * weights0[skipped], atol=1e-15)
     np.testing.assert_allclose(net.psiv[skipped], 0.9 * psiv0[skipped], atol=1e-15)
 
 
@@ -183,11 +200,13 @@ def test_local_update_is_stationary_point():
     comm = CommGraph.from_graph(g)
     n, f, rho = comm.n, 4, 7.5
     for _ in range(10):
-        psi = np.stack([random_spd(f, rng) for _ in range(n)])
+        u = rng.standard_normal((n, f))
+        scale, weights = random_information(rng, n)
+        psi = reference.drls_information(scale, weights, u)
         psiv = rng.standard_normal((n, f))
         alpha = rng.standard_normal((n, f))
         old = rng.standard_normal((n, f))
-        s = drls_local_update(psiv, alpha, old, comm, rho, _penalized(psi, comm, rho))
+        s = local_update(psiv, alpha, old, comm, rho, u, scale, weights)
         for i, nbrs in enumerate(neighbors(comm)):
             grad = psi[i] @ s[i] - psiv[i] + 0.5 * alpha[i]
             for j in nbrs:
@@ -201,11 +220,81 @@ def test_local_update_fixed_point():
     comm = CommGraph.ring(4)
     n, f = comm.n, 3
     s_star = rng.standard_normal(f)
-    psi = np.stack([random_spd(f, rng) for _ in range(n)])
+    u = rng.standard_normal((n, f))
+    scale, weights = random_information(rng, n)
+    psi = reference.drls_information(scale, weights, u)
     estimates = np.tile(s_star, (n, 1))
-    s = drls_local_update(psi @ s_star, np.zeros((n, f)), estimates, comm, 12.0,
-                          _penalized(psi, comm, 12.0))
+    s = local_update(psi @ s_star, np.zeros((n, f)), estimates, comm, 12.0, u, scale, weights)
     np.testing.assert_allclose(s, estimates, atol=1e-12)
+
+
+CLOSED_FORM_COMMS = {
+    "path": lambda: CommGraph(np.eye(5, k=1) + np.eye(5, k=-1)),
+    "ring": lambda: CommGraph.ring(6),
+    "random_geometric": lambda: CommGraph.from_graph(random_geometric_graph(8, 0.5, seed=2)),
+}
+
+
+def closed_form_case(topology, omega, seed=53):
+    """A local update on structured matrices a I + omega_i u_i u_i^T, weights of
+    size ``omega`` (some zero), three trials on a leading axis, and the rows u_i
+    of an orthonormal (n, 5) basis."""
+    comm = CLOSED_FORM_COMMS[topology]()
+    rng = np.random.default_rng(seed)
+    trials, n, f = 3, comm.n, 5
+    u = np.linalg.qr(rng.standard_normal((n, f)))[0]
+    scale, weights = random_information(rng, (trials, n), omega)
+    psiv, alpha, old = rng.standard_normal((3, trials, n, f))
+    return comm, u, scale, weights, psiv, alpha, old
+
+
+def assert_nodewise_close(actual, expected, rtol):
+    """Every node's error within ``rtol`` of its largest entry."""
+    err = np.abs(actual - expected).max(axis=-1)
+    assert (err <= rtol * np.abs(expected).max(axis=-1)).all(), err.max()
+
+
+def local_right_side(comm, rho, psiv, alpha, old):
+    """r_i = psi_i + rho sum_{j in N_i} s_j - alpha_i / 2, neighbor by neighbor."""
+    pulled = np.stack([old[..., nbrs, :].sum(axis=-2) for nbrs in neighbors(comm)], axis=-2)
+    return psiv + rho * pulled - 0.5 * alpha
+
+
+@pytest.mark.parametrize("omega", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("topology", sorted(CLOSED_FORM_COMMS))
+def test_local_update_matches_explicit_solves(topology, omega):
+    comm, u, scale, weights, psiv, alpha, old = closed_form_case(topology, omega)
+    rho, f = 2.0, u.shape[1]
+    assert (weights == 0).any() and (weights > 0).any()
+    s = local_update(psiv, alpha, old, comm, rho, u, scale, weights)
+    matrices = (reference.drls_information(scale, weights, u)
+                + rho * np.diagonal(comm.laplacian)[:, None, None] * np.eye(f))
+    rhs = local_right_side(comm, rho, psiv, alpha, old)
+    assert_nodewise_close(s, np.linalg.solve(matrices, rhs[..., None])[..., 0], 1e-12)
+
+
+def spectral_solve(c, omega, u, r):
+    """(c I + omega u u^T)^{-1} r per node from the eigenpairs of the matrix:
+    c on the complement of u, c + omega ||u||^2 along u."""
+    norm2 = (u * u).sum(axis=-1)
+    along = (u * r).sum(axis=-1) / norm2
+    return ((r - along[..., None] * u) / c[..., None]
+            + (along / (c + omega * norm2))[..., None] * u)
+
+
+@pytest.mark.parametrize("omega", [1e8, 1e12])
+@pytest.mark.parametrize("topology", sorted(CLOSED_FORM_COMMS))
+def test_local_update_is_accurate_at_large_weights(topology, omega):
+    """Where omega_i ||u_i||^2 dwarfs c_i an LU solve of the explicit matrix
+    loses about cond * eps; the closed form stays within 1e-14 of an extended-
+    precision evaluation, relative to each node's largest entry."""
+    comm, u, scale, weights, psiv, alpha, old = closed_form_case(topology, omega)
+    rho = 2.0
+    s = local_update(psiv, alpha, old, comm, rho, u, scale, weights)
+    wide = [np.asarray(v, dtype=np.longdouble) for v in (u, weights, psiv, alpha, old)]
+    c = np.longdouble(scale) + rho * np.diagonal(comm.laplacian).astype(np.longdouble)
+    exact = spectral_solve(c, wide[1], wide[0], local_right_side(comm, rho, *wide[2:]))
+    assert_nodewise_close(s, exact, 1e-14)
 
 
 def test_multiplier_update_direction():
@@ -444,3 +533,18 @@ def test_simulate_validates_shapes():
               (np.ones((1, 4, 5)), np.zeros((1, 3, 5)))]
     with pytest.raises(ValueError, match="same shape"):
         drls_simulate(comm, b, noise, DrlsConfig(), blocks, np.zeros(5))
+
+
+# msd_linear of DRLS runs written while every node's information matrix was
+# a dense (trials, n, f, f) array, solved by LU at each inner iteration: the
+# GOLDEN_CURVES["drls"] config (2 trials x 30 steps) and configs/drls.yaml at
+# 4 trials.  The closed form must follow them to a relative 1e-10 per instant.
+DENSE_SOLVE_CURVES = json.loads(
+    (Path(__file__).parent / "data" / "drls_parent_curves.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SOLVE_CURVES))
+def test_run_matches_the_dense_solve_curves(name):
+    stored = DENSE_SOLVE_CURVES[name]
+    curve = run_experiment(stored["config"]).msd_linear
+    np.testing.assert_allclose(curve, stored["msd_linear"], rtol=1e-10, atol=0.0)

@@ -63,6 +63,8 @@ COMPARE = {"rate_targets": [0.98], "mu": 0.1, "msd_target_db": -20, "random_seed
 # a valid design sampling section for tiny_config()
 DESIGN = {"kind": "design", "problem": "min_rate_convex", "mu": 0.1, "rate_target": 0.98,
           "msd_target_db": -20}
+MIN_MSD_DESIGN = {"kind": "design", "problem": "sca_min_msd", "mu": 0.1, "rate_target": 0.98,
+                  "budget": 2.0}
 
 
 def dump(tmp_path, cfg, name="config.yaml"):
@@ -595,8 +597,7 @@ GOLDEN_CURVES = {
     # the single pass of 70 trials in ten 6-step blocks, two buffers of them
     ("lms", 2 * 64 * 10 * 7),
     ("rls", 2 * 64 * 10 * 7),
-    # DRLS passes bound their (trials, n, f, f) state: one-trial passes in
-    # 7-step blocks, then both trials in one pass of 5-step blocks
+    # DRLS runs both trials in one pass, in 3-step and then in 5-step blocks
     ("drls", 2 * 10 * 7),
     ("drls", 2 * 10 * 10),
 ])
@@ -633,7 +634,7 @@ def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind
 GOLDEN_META = {
     "lms": "b185b2ce882b6047d756b324f8848e5a49c188d8439651c7059916fd9737335d",
     "rls": "da32e5b7ad4d571f7578bd978b00aac4b17ce2cfee27a5fee1667f8e79d83c91",
-    "drls": "a9021828608d6dd6cc5fdc20230b916d11dc2a7ff36f4de16f85cf65249bf899",
+    "drls": "cde49c1b5455cbf7080fc6ecbc1e954e7cfcebbd9836908ef2b3ddb0124f3613",
 }
 
 
@@ -1336,6 +1337,14 @@ class TestCli:
          {"compare": dict(COMPARE, msd_target_db=1e20)}),
         ("graph.n", "run-lms", {"graph": {"kind": "random_geometric", "n": 10 ** 20,
                                           "radius": 0.8}}),
+        # a budget so small that phase I's barrier squares underflow used to
+        # end in a ZeroDivisionError traceback or a divide-by-zero warning
+        *(("sampling", "design", {"sampling": dict(MIN_MSD_DESIGN, budget=budget)})
+          for budget in (1e-300, 1e-200, 1e-160)),
+        # noise variances near the float limit overflowed the barrier's
+        # Hessian, with two warnings before the error
+        ("sampling", "design", {"noise": {"kind": "loguniform", "low": 0.005, "high": 1e300},
+                                "sampling": DESIGN}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):

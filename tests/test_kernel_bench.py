@@ -14,7 +14,11 @@ not.
 
 Distributed: one call is one sensing instant of the consensus network,
 all trials of a pass together, at the size of ``configs/drls.yaml`` (n=20,
-|F|=5, three inner iterations, 50 trials).
+|F|=5, three inner iterations, 50 trials).  Each inner iteration is the
+closed-form Sherman-Morrison local update, with no factorization: medians
+of 0.32-0.53 ms per call over three runs on a 2-core Xeon VM (Python 3.11,
+numpy 2.4), against 1.4-2.2 ms when each iteration was one batched LU solve
+of the (50, 20, 5, 5) information matrices.
 
 Design: one call is one Newton step of the log-barrier engine at the size
 of the benchmark's design instances (n=40, |F|=6).  On the min-rate program
