@@ -96,7 +96,7 @@ def _run(args) -> int:
 
     if args.command == "theory":
         # the algorithm is read first, as run-* reads it, so both name the same field
-        kind, param = theory_parameter(config)
+        kind, param, _ = theory_parameter(config)
         setup = build_setup(config)
         probs, _ = resolve_sampling(setup)
         rows = ESTIMATORS[kind].theory(param, setup, probs)

@@ -113,24 +113,26 @@ class DesignSpec:
 class SolverTrace:
     """Recorded iterates of one solver run.
 
-    Entry k of ``objectives``, ``residuals`` (max constraint violation,
-    0 = feasible) and ``msd_values`` belongs to the k-th recorded
-    probability vector; ``iterations`` is one less than the number of
-    records.  Every solver records its start, every Newton step and the
-    final design.
+    Entry k of ``objectives``, ``residuals`` and ``msd_values`` belongs to
+    the k-th recorded probability vector.  The residual is the solved
+    program's own largest constraint violation, :meth:`_Barrier.violation`
+    (0 = feasible; an LMI's in eigenvalue units).  Every solver records its
+    start, every Newton step and the final design.
     """
 
     objectives: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     msd_values: list = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objectives) - 1
 
     def record(self, objective, residual, msd):
         self.objectives.append(float(objective))
         self.residuals.append(float(residual))
         self.msd_values.append(float(msd))
-        self.iterations = len(self.objectives) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +174,6 @@ class _Instance:
 
     def lam_min(self, p):
         return float(self.spectrum(p)[0][0])
-
-    def tr_g(self, p):
-        return float(self.g_lin @ p)
 
 
 def _msd(inst, mu):
@@ -324,6 +323,19 @@ class _Barrier:
                 hess += np.outer(gx, gx) / slack ** 2 + hx / slack
         return (value, grad, hess) if derivs else value
 
+    def violation(self, p):
+        """The largest constraint violation at p, 0 where p is feasible: an
+        LMI's c @ p + const - lambda_min(H(p)), a smooth constraint's
+        fn(p) - bound and sum(p) - budget.  The box has no term: truncation
+        only lowers p."""
+        terms = [0.0, *(fn(p) - bound for fn, bound in self.constraints)]
+        if self.lmis:
+            lam = self.inst.lam_min(p)
+            terms += [float(c @ p) + const - lam for c, const in self.lmis]
+        if self.budget is not None:
+            terms.append(float(p.sum()) - self.budget)
+        return max(terms)
+
 
 def _positive_definite(scaled):
     """Whether ``scaled``, a matrix Jacobi-scaled by the magnitudes of its
@@ -348,7 +360,8 @@ def _newton_step(prog, derivs, t):
     column in the Newton matrix, so its step entry is exactly 0.
     """
     (phi, grad, hess), (_, obj_grad, obj_hess) = derivs
-    grad, hess = grad + t * obj_grad, hess + t * obj_hess
+    with np.errstate(over="ignore"):     # a non-finite result is rejected just below
+        grad, hess = grad + t * obj_grad, hess + t * obj_hess
     if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
         return phi, None, 0.0
     pin = prog.pinned
@@ -384,8 +397,10 @@ def _barrier(prog, x, record=None, stop=None):
     x evaluates nothing again.  Returns (x, converged): converged is false
     when a centering ran out of Newton steps.
     """
-    if not (math.isfinite(prog(x)) and math.isfinite(prog.f0(x))):
+    if not math.isfinite(prog(x)):
         raise InfeasibleDesignError("the start point is not strictly feasible")
+    if not math.isfinite(prog.f0(x)):
+        raise InfeasibleDesignError("the objective is not finite at the start point")
     t = prog.degree / max(abs(prog.f0(x)), GAP)
     converged, derivs = True, None
     while True:
@@ -437,13 +452,13 @@ def _interior(inst, lmis, budget):
     return x[:inst.n], float(x[-1])
 
 
-def _run(prog, start, entry):
+def _run(prog, start, objective, msd):
     """One barrier run from ``start``, recording the start, every Newton
-    step and the final design with (objective, residual, msd) = entry(p)."""
+    step and the final design p with (objective(p), prog.violation(p), msd(p))."""
     trace = SolverTrace()
 
     def record(p):
-        trace.record(*entry(p))
+        trace.record(objective(p), prog.violation(p), msd(p))
 
     record(start)
     x, trace.converged = _barrier(prog, start, record)
@@ -478,7 +493,7 @@ def _min_rate_setup(spec, problem):
             f"{lam_ceiling:.6g}",
             max_achievable_lambda=lam_ceiling,
         )
-    return inst, lam_t, rate, bound, center
+    return inst, rate, bound, center
 
 
 def solve_min_rate_convex(spec: DesignSpec):
@@ -489,16 +504,9 @@ def solve_min_rate_convex(spec: DesignSpec):
     :class:`InfeasibleDesignError` when even the box ceiling cannot meet the
     constraints; the error carries the maximal achievable lambda_min.
     """
-    inst, lam_t, rate, bound, center = _min_rate_setup(spec, "min_rate_convex")
-    mu, gamma = spec.mu, spec.msd_target
-    msd = _msd(inst, mu)
-
-    def entry(p):
-        lam = inst.lam_min(p)
-        residual = max(lam_t - lam, 0.5 * mu * inst.tr_g(p) - gamma * lam, 0.0)
-        return p.sum(), residual, msd(p)
-
-    return _run(_Barrier(inst, [rate, bound], objective=np.ones(inst.n)), center, entry)
+    inst, rate, bound, center = _min_rate_setup(spec, "min_rate_convex")
+    prog = _Barrier(inst, [rate, bound], objective=np.ones(inst.n))
+    return _run(prog, center, np.sum, _msd(inst, spec.mu))
 
 
 def sca_min_rate(spec: DesignSpec):
@@ -510,16 +518,11 @@ def sca_min_rate(spec: DesignSpec):
     indefinite.  It starts inside the convex bound's feasible set, which
     lies inside the exact one.
     """
-    inst, lam_t, rate, _, center = _min_rate_setup(spec, "sca_min_rate")
-    mu, gamma = spec.mu, spec.msd_target
-    msd = _msd(inst, mu)
-
-    def entry(p):
-        value = msd(p)
-        return p.sum(), max(lam_t - inst.lam_min(p), value - gamma, 0.0), value
-
-    prog = _Barrier(inst, [rate], objective=np.ones(inst.n), constraints=[(msd, gamma)])
-    return _run(prog, center, entry)
+    inst, rate, _, center = _min_rate_setup(spec, "sca_min_rate")
+    msd = _msd(inst, spec.mu)
+    prog = _Barrier(inst, [rate], objective=np.ones(inst.n),
+                    constraints=[(msd, spec.msd_target)])
+    return _run(prog, center, np.sum, msd)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +543,7 @@ def _min_msd_setup(spec, problem):
     if cap > lam_t:
         center, margin = _interior(inst, [rate], spec.budget)
         if margin > 0.0:
-            return inst, lam_t, rate, center
+            return inst, rate, center
         best, qualifier = lam_t + margin, ""
     raise InfeasibleDesignError(f"rate target unreachable under the budget: best achievable "
                                 f"lambda_min is {qualifier}{best:.6g} < required {lam_t:.6g}",
@@ -558,28 +561,20 @@ def dinkelbach_min_msd(spec: DesignSpec):
     one barrier run with the linear objective Tr(G(p)).
     The recorded objective is the bound value.
     """
-    inst, lam_t, rate, center = _min_msd_setup(spec, "dinkelbach")
-    msd = _msd(inst, spec.mu)
-
-    def entry(p):
-        lam = inst.lam_min(p)
-        return 0.5 * spec.mu * inst.tr_g(p) / lam, max(lam_t - lam, 0.0), msd(p)
-
-    return _run(_Barrier(inst, [rate], objective=inst.g_lin, budget=spec.budget), center, entry)
+    inst, rate, center = _min_msd_setup(spec, "dinkelbach")
+    prog = _Barrier(inst, [rate], objective=inst.g_lin, budget=spec.budget)
+    return _run(prog, center,
+                lambda p: 0.5 * spec.mu * float(inst.g_lin @ p) / inst.lam_min(p),
+                _msd(inst, spec.mu))
 
 
 def sca_min_msd(spec: DesignSpec):
     """Minimize the exact MSD over the rate-and-budget feasible set: one
     barrier run whose Newton steps are modified Newton steps where the exact
     Hessian leaves the Newton matrix indefinite."""
-    inst, lam_t, rate, center = _min_msd_setup(spec, "sca_min_msd")
+    inst, rate, center = _min_msd_setup(spec, "sca_min_msd")
     msd = _msd(inst, spec.mu)
-
-    def entry(p):
-        value = msd(p)
-        return value, max(lam_t - inst.lam_min(p), 0.0), value
-
-    return _run(_Barrier(inst, [rate], objective=msd, budget=spec.budget), center, entry)
+    return _run(_Barrier(inst, [rate], objective=msd, budget=spec.budget), center, msd, msd)
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +599,11 @@ def solve_rls_design(spec: DesignSpec):
             min_achievable_msd=scale * t_ceiling,
         )
 
-    def entry(p):
-        t = trace_inv(p)
-        return p.sum(), max(t - t_target, 0.0), scale * t
-
     prog = _Barrier(inst, objective=np.ones(inst.n), constraints=[(trace_inv, t_target)])
     # the trace inverse scales as 1/theta along theta * p_max, so this start
     # lies strictly inside
-    return _run(prog, 0.5 * (1.0 + t_ceiling / t_target) * inst.ub, entry)
+    return _run(prog, 0.5 * (1.0 + t_ceiling / t_target) * inst.ub, np.sum,
+                lambda p: scale * trace_inv(p))
 
 
 # problem -> (solver, the DesignSpec fields it needs, those it reads if given)

@@ -464,7 +464,7 @@ def _run_filter_mc(setup: Setup, probs: SamplingProbabilities, init, step,
                         lambda blocks: track(blocks, init, step, deviation)), None, {}
 
 
-def _run_lms(setup: Setup, probs: SamplingProbabilities, mu: float, acfg: dict) -> tuple:
+def _run_lms(setup: Setup, probs: SamplingProbabilities, mu: float, _) -> tuple:
     u = setup.bandlimit.basis_slice
     return _run_filter_mc(setup, probs,
                           init=lambda trials: np.zeros((trials, u.shape[1])),
@@ -472,9 +472,8 @@ def _run_lms(setup: Setup, probs: SamplingProbabilities, mu: float, acfg: dict) 
                           estimate=lambda s_hat: s_hat)
 
 
-def _run_rls(setup: Setup, probs: SamplingProbabilities, beta: float, acfg: dict) -> tuple:
+def _run_rls(setup: Setup, probs: SamplingProbabilities, beta: float, delta: float) -> tuple:
     # the state is the information pair (Psi, psi), the estimate Psi^-1 psi
-    delta = _real(acfg, "algorithm", "delta", 1e-3)
     u = setup.bandlimit.basis_slice
     f = u.shape[1]
     inv_var = 1.0 / setup.noise.variances
@@ -486,40 +485,42 @@ def _run_rls(setup: Setup, probs: SamplingProbabilities, beta: float, acfg: dict
         estimate=lambda state: np.linalg.solve(state[0], state[1][:, :, None])[:, :, 0])
 
 
-def _comm_from_config(setup: Setup, acfg: dict) -> CommGraph:
-    comm = acfg.get("comm", "processing")
-    with config_field("algorithm.comm"):
-        if comm == "processing":
-            return CommGraph.from_graph(setup.graph)
-        if comm == "complete":
-            return CommGraph.complete(setup.graph.n)
-        if comm == "ring":
-            return CommGraph.ring(setup.graph.n)
-        if not isinstance(comm, str):
-            raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
-        graph = CommGraph.from_graph(load_edge_list(comm))
-    if graph.n != setup.graph.n:
-        raise ConfigError(f"algorithm.comm: {comm} has {graph.n} nodes, "
-                          f"the graph has {setup.graph.n}")
-    return graph
-
-
-def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, acfg: dict) -> tuple:
+def _drls_params(acfg: dict) -> tuple:
+    """beta, and the run's ADMM parameters, its communication topology's name
+    and, for an edge-list file, the CommGraph loaded from it (else None)."""
+    beta = _beta(acfg)
     cfg = DrlsConfig(rho=_real(acfg, "algorithm", "rho", DrlsConfig.rho),
                      inner_iters=_count(acfg, "algorithm", "inner_iters", DrlsConfig.inner_iters),
                      beta=beta, delta=_real(acfg, "algorithm", "delta", DrlsConfig.delta))
-    comm = _comm_from_config(setup, acfg)
+    comm, edges = acfg.get("comm", "processing"), None
+    if not isinstance(comm, str):
+        raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
+    if comm not in ("processing", "complete", "ring"):
+        with config_field("algorithm.comm"):
+            edges = CommGraph.from_graph(load_edge_list(comm))
+    return beta, (cfg, comm, edges)
+
+
+def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, params: tuple) -> tuple:
+    (cfg, comm, graph), n = params, setup.graph.n
+    if graph is None:
+        with config_field("algorithm.comm"):     # a ring needs three nodes
+            graph = (CommGraph.from_graph(setup.graph) if comm == "processing"
+                     else CommGraph.complete(n) if comm == "complete" else CommGraph.ring(n))
+    elif graph.n != n:
+        raise ConfigError(f"algorithm.comm: {comm} has {graph.n} nodes, the graph has {n}")
     # drls_simulate is looked up per call
     per_node = _monte_carlo(setup, probs, lambda blocks: drls_simulate(
-        comm, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true))
+        graph, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true))
     return per_node.mean(axis=1), per_node, {"inner_iters": cfg.inner_iters}
 
 
 class Estimator(NamedTuple):
     """One algorithm kind, all that defines it: its run command's help, the keys it reads
-    besides "kind" (each holds mu and beta, on which a design falls back), its closed form's
-    parameter reader, that closed form (theory.csv's rows, also meta.json's theory fields),
-    its Monte Carlo runner (curve, per-node curves or None, extra metadata) and a diverged
+    besides "kind" (each holds mu and beta, on which a design falls back), the reader of
+    those keys, which checks each and returns (the closed form's parameter, the run's
+    parameters), that closed form (theory.csv's rows, also meta.json's theory fields), its
+    Monte Carlo runner (curve, per-node curves or None, extra metadata) and a diverged
     curve's message, None where no step size or penalty can make the kind unstable."""
 
     help: str
@@ -543,15 +544,17 @@ def _beta(acfg: dict) -> float:
 # every algorithm kind; a new kind is one entry
 ESTIMATORS = {
     "lms": Estimator("Monte Carlo learning curve for the LMS estimator", {"mu", "beta"},
-                     lambda acfg: _real(acfg, "algorithm", "mu"), lms_theory_report, _run_lms,
-                     lambda acfg, mu: f"algorithm.mu: the learning curve diverged; mu = {mu:g}"),
+                     lambda acfg: (_real(acfg, "algorithm", "mu"), None), lms_theory_report,
+                     _run_lms,
+                     lambda mu, _: f"algorithm.mu: the learning curve diverged; mu = {mu:g}"),
     "rls": Estimator("Monte Carlo learning curve for the recursive estimator",
-                     {"mu", "beta", "delta"}, _beta, rls_theory_report, _run_rls),
+                     {"mu", "beta", "delta"},
+                     lambda acfg: (_beta(acfg), _real(acfg, "algorithm", "delta", 1e-3)),
+                     rls_theory_report, _run_rls),
     "drls": Estimator("Monte Carlo learning curves for the distributed estimator",
-                      {"mu", "beta", "delta", "rho", "inner_iters", "comm"}, _beta,
-                      rls_theory_report, _run_drls, lambda acfg, beta: (
-                          "algorithm.rho: the learning curve diverged; "
-                          f"rho = {_real(acfg, 'algorithm', 'rho', DrlsConfig.rho):g}")),
+                      {"mu", "beta", "delta", "rho", "inner_iters", "comm"}, _drls_params,
+                      rls_theory_report, _run_drls, lambda beta, params: (
+                          f"algorithm.rho: the learning curve diverged; rho = {params[0].rho:g}")),
 }
 
 # the keys each kind of a section reads besides "kind"
@@ -580,21 +583,22 @@ _THEORY_META = {"msd_linear": "theory_msd_linear", "msd_db": "theory_msd_db",
 
 
 def theory_parameter(config: dict) -> tuple:
-    """The configured algorithm kind and the parameter its closed form takes."""
+    """The configured algorithm kind, the parameter its closed form takes and
+    its run's parameters: every field of the kind, read and checked once."""
     acfg = _section(config, "algorithm")
     kind = _kind(acfg, "algorithm")
-    return kind, ESTIMATORS[kind].parameter(acfg)
+    return (kind, *ESTIMATORS[kind].parameter(acfg))
 
 
 def run_experiment(config: dict) -> LearningCurve:
     """Monte Carlo learning curve for the configured estimator, with its
     closed-form theory in the metadata."""
-    kind, param = theory_parameter(config)
+    kind, param, params = theory_parameter(config)
     setup = build_setup(config)
     probs, trace = resolve_sampling(setup)
     estimator = ESTIMATORS[kind]
     theory = estimator.theory(param, setup, probs)
-    curve, per_node, extra = estimator.run(setup, probs, param, config["algorithm"])
+    curve, per_node, extra = estimator.run(setup, probs, param, params)
     meta = {"config_hash": config_hash(config), "algorithm": kind, "seed": setup.seed,
             "trials": setup.trials, "horizon": setup.horizon,
             "sampling_rate": float(probs.probs.sum()), **extra,
@@ -607,7 +611,7 @@ def run_experiment(config: dict) -> LearningCurve:
     if not np.isfinite(curve).all() or (
             estimator.diverged
             and result.steady_state_linear() > max(curve[0], 1e3 * theory["msd_linear"])):
-        raise ConfigError(estimator.diverged(config["algorithm"], param) if estimator.diverged
+        raise ConfigError(estimator.diverged(param, params) if estimator.diverged
                           else "algorithm: the learning curve diverged")
     if trace is not None:
         meta["design_iterations"] = trace.iterations

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -408,6 +409,39 @@ def test_min_msd_unreachable_rate_reports_budget_ceiling(solver, budget):
     assert err.value.max_achievable_lambda == pytest.approx(budget / n, rel=1e-8)
 
 
+def design_min_msd_spec(**edits):
+    """The DesignSpec of configs/design_min_msd.yaml, its sampling section
+    updated with ``edits``."""
+    config = load_config(CONFIG_DIR / "design_min_msd.yaml")
+    scfg = dict(config["sampling"], **edits)
+    setup = build_setup(config)
+    return DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise, mu=scfg["mu"],
+                      rate_target=scfg["rate_target"], budget=scfg["budget"],
+                      bounds=scfg["p_max"])
+
+
+@pytest.mark.parametrize("solver", [dinkelbach_min_msd, sca_min_msd])
+def test_min_msd_unreachable_rate_reports_phase_one_best(solver):
+    """At rate target 0.9, lambda_t = 0.5 lies below the budget's cap 0.706
+    on lambda_min, so phase I runs, and the largest lambda_min it finds,
+    0.32303, is the reported best: a floor just below it solves."""
+    spec = design_min_msd_spec(rate_target=0.9)
+    message = "best achievable lambda_min is 0.323029 < required 0.5"
+    with pytest.raises(InfeasibleDesignError, match=f"{re.escape(message)}$") as err:
+        solver(spec)
+    best = err.value.max_achievable_lambda
+    assert best == pytest.approx(0.32303, abs=5e-6)
+
+    def floor(lam):
+        return dataclasses.replace(spec, rate_target=1.0 - 2.0 * spec.mu * lam)
+
+    probs, _ = solver(floor(0.99 * best))
+    assert float(np.linalg.eigvalsh(weighted_gram(spec.bandlimit, probs.probs))[0]) >= \
+        0.99 * best * (1 - 1e-9)
+    with pytest.raises(InfeasibleDesignError, match="unreachable under the budget"):
+        solver(floor(1.01 * best))
+
+
 # -------------------------------------------------------------- RLS design
 
 
@@ -498,6 +532,14 @@ class TestDesignSpecValidation:
         inst = design._Instance(path3_band, white_noise3, np.ones(3))
         with pytest.raises(InfeasibleDesignError, match="not strictly feasible"):
             design._barrier(design._Barrier(inst, objective=np.ones(3)), np.ones(3))
+
+    def test_barrier_names_an_objective_that_is_not_finite_at_the_start(self):
+        # phase I finds a point inside this tiny budget, where the barrier is
+        # finite (about 1.8e4) but the exact MSD at mu = 1e300 overflows
+        spec = design_min_msd_spec(mu=1e300, budget=1e-300)
+        with pytest.raises(InfeasibleDesignError,
+                           match="^the objective is not finite at the start point$"):
+            sca_min_msd(spec)
 
     def test_budget_validation(self, path3_band, white_noise3):
         base = dict(bandlimit=path3_band, noise=white_noise3, mu=MU)
@@ -641,6 +683,51 @@ def test_design_matches_golden_digest(golden_designs, problem):
     digest = hashlib.sha256(probs.probs.tobytes()
                             + np.asarray(trace.objectives).tobytes()).hexdigest()
     assert digest == GOLDEN_DESIGNS[problem]
+
+
+def violation(problem, spec, p):
+    """The largest constraint violation of ``problem`` at p, 0 where p is
+    feasible, from the spec alone: LMIs in eigenvalue units."""
+    b, sig2 = spec.bandlimit, spec.noise.variances
+    if problem == "rls":
+        trace = float(np.trace(np.linalg.inv(weighted_gram(b, p / sig2))))
+        return max(0.0, trace - spec.msd_target * (1 + spec.beta) / (1 - spec.beta))
+    lam = float(np.linalg.eigvalsh(weighted_gram(b, p))[0])
+    terms = [0.0, spec.lambda_target() - lam]
+    if problem == "min_rate_convex":
+        tr_g = float(np.trace(weighted_gram(b, p * sig2)))
+        terms.append(0.5 * spec.mu * tr_g / spec.msd_target - lam)
+    elif problem == "sca_min_rate":
+        terms.append(lms_msd_theory(SamplingProbabilities(probs=p), spec.mu, spec.noise, b)
+                     - spec.msd_target)
+    else:
+        terms.append(p.sum() - spec.budget)
+    return max(terms)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
+@pytest.mark.parametrize("problem, zero_caps, msd_target", [
+    *((problem, zero_caps, None) for problem in sorted(GOLDEN_DESIGNS)
+      for zero_caps in ((), (3,))),
+    # 2.6 % above the least MSD bound on the rate floor: the bound LMI binds too
+    ("min_rate_convex", (), 1.5e-3),
+])
+def test_trace_residual_is_the_programs_violation(monkeypatch, problem, zero_caps,
+                                                   msd_target, scale):
+    # the truncated final design is also scaled within the box, by 0.9 off the
+    # rate floor or the RLS target and by 1.1 past the budget or the MSD bound,
+    # so that the last record reads each kind of constraint broken
+    solver, spec = golden_problems(zero_caps)[problem]
+    if msd_target is not None:
+        spec = dataclasses.replace(spec, msd_target=msd_target)
+    truncate = design._truncate
+    monkeypatch.setattr(design, "_truncate",
+                        lambda x: np.minimum(scale * truncate(x), spec.bounds))
+    probs, trace = solver(spec)
+    # the barrier keeps every iterate strictly inside
+    assert all(r == 0.0 for r in trace.residuals[:-1])
+    assert trace.residuals[-1] == pytest.approx(violation(problem, spec, probs.probs),
+                                                rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("problem", sorted(GOLDEN_DESIGNS))
@@ -865,6 +952,15 @@ def test_modified_newton_step_keeps_a_pinned_vertex_at_zero():
     _, step, decrement = design._newton_step(prog, derivs, 1e5)
     assert decrement > 0.0
     assert (step[[3, 17, 30]] == 0.0).all()
+
+
+def test_newton_step_overflow_is_rejected_without_a_warning():
+    # at mu = 1e300, t times the exact MSD's Hessian overflows: the step is
+    # rejected as not finite, and no warning escapes (the suite makes one an error)
+    probs, trace = design_config("design_min_msd.yaml", mu=1e300)
+    assert trace.converged
+    assert trace.residuals[-1] == 0.0
+    assert probs.probs.sum() <= 5.0
 
 
 def test_sca_min_msd_converges_on_rgg40():

@@ -1345,6 +1345,13 @@ class TestCli:
         # Hessian, with two warnings before the error
         ("sampling", "design", {"noise": {"kind": "loguniform", "low": 0.005, "high": 1e300},
                                 "sampling": DESIGN}),
+        # theory read only the closed form's parameter, and accepted run
+        # fields that run-drls and run-rls reject
+        *((f"algorithm.{key}", "theory", {"algorithm": {"kind": "drls", "beta": 0.95, key: value}})
+          for key, value in (("rho", -1), ("inner_iters", 0), ("inner_iters", 2.5),
+                             ("delta", -5), ("comm", 3),
+                             ("comm", str(DATA_DIR / "no_such_graph.txt")))),
+        ("algorithm.delta", "theory", {"algorithm": {"kind": "rls", "beta": 0.9, "delta": -5}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
