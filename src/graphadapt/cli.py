@@ -113,25 +113,23 @@ def _run(args) -> int:
                   f"rate={r['sampling_rate']:.6g} +- {r['sampling_rate_std']:.3g}")
         return 0
 
-    if args.command.startswith("run-"):
-        expected = args.command[len("run-"):]
-        # named before any other algorithm field is read
-        kind = _kind(_section(config, "algorithm"), "algorithm")
-        if kind != expected:
-            raise ConfigError(f"algorithm.kind: {args.command} needs kind '{expected}', "
-                              f"got {kind!r}")
-        curve = run_experiment(config)
-        write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
-        write_metadata(curve, config, os.path.join(args.out, "meta.json"))
-        if curve.per_node is not None:
-            write_per_node_csv(curve, os.path.join(args.out, "curve_per_node.csv"))
-        meta = curve.metadata
-        print(f"{expected}: {meta['trials']} trials x {meta['horizon']} iterations")
-        print(f"steady-state deviation {meta['steady_state_db']:.3f} dB "
-              f"(theory {meta['theory_msd_db']:.3f} dB)")
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    # argparse allows only the listed commands: what is left is run-<kind>
+    expected = args.command[len("run-"):]
+    # named before any other algorithm field is read
+    kind = _kind(_section(config, "algorithm"), "algorithm")
+    if kind != expected:
+        raise ConfigError(f"algorithm.kind: {args.command} needs kind '{expected}', "
+                          f"got {kind!r}")
+    curve = run_experiment(config)
+    write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
+    write_metadata(curve, config, os.path.join(args.out, "meta.json"))
+    if curve.per_node is not None:
+        write_per_node_csv(curve, os.path.join(args.out, "curve_per_node.csv"))
+    meta = curve.metadata
+    print(f"{expected}: {meta['trials']} trials x {meta['horizon']} iterations")
+    print(f"steady-state deviation {meta['steady_state_db']:.3f} dB "
+          f"(theory {meta['theory_msd_db']:.3f} dB)")
+    return 0
 
 
 def main(argv=None) -> int:

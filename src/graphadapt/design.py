@@ -438,7 +438,8 @@ def _interior(inst, lmis, budget):
     """A point strictly inside the box, the budget and the LMIs, with its
     margin s = min_k lambda_min(S_k).  The start is the box scaled to half
     the budget; a phase I maximizes s over S_k >= s I when that start is
-    not inside, and stops once s > 0.  A margin <= 0 means no point is."""
+    not inside, and stops once s > 0.  A margin <= 0 means no point is.
+    A phase I that takes no step raises: its start margin is no best one."""
     ub = inst.ub
     theta = 0.5 if budget is None or budget >= ub.sum() else 0.5 * budget / ub.sum()
     p = theta * ub
@@ -448,7 +449,13 @@ def _interior(inst, lmis, budget):
         return p, margin
     phase = _Barrier(inst, lmis, objective=np.append(np.zeros(inst.n), -1.0),
                      budget=budget, epigraph=True)
-    x, _ = _barrier(phase, np.append(p, margin - 1.0), stop=lambda x: x[-1] > 0.0)
+    start = np.append(p, margin - 1.0)
+    x, _ = _barrier(phase, start, stop=lambda x: x[-1] > 0.0)
+    if np.array_equal(x, start):
+        finite = all(np.isfinite(d).all() for d in phase(start, True)[1:])
+        raise InfeasibleDesignError(
+            f"phase I took no step from the start point (margin {margin:.3e} there)"
+            + ("" if finite else ": its Newton system is not finite"))
     return x[:inst.n], float(x[-1])
 
 

@@ -208,23 +208,19 @@ def drls_round(network: DrlsNetwork, draws: np.ndarray, observations: np.ndarray
 
 
 def drls_simulate(comm: CommGraph, b: Bandlimit, noise: NoiseModel,
-                  config: DrlsConfig, blocks, x_true: np.ndarray):
+                  config: DrlsConfig, blocks, coeffs: np.ndarray):
     """Run independent trials of the network together through the one
     per-instant loop, ``filters.track``, over ``blocks`` of ``(draws,
     observations)``.  An unobserved vertex (draw 0) adds nothing, whatever
     its observation.
 
     Returns (curve, network).  curve[t, i] is the squared deviation of node
-    i's synthesized estimate from the true signal before instant t is
-    sensed, summed over the trials, matching the centralized learning-curve
-    convention.  The network carries the trial axis and counts every
-    trial's messages.
+    i's estimate from the true bandlimited coefficients ``coeffs`` before
+    instant t is sensed, summed over the trials: with an orthonormal basis,
+    the deviation of its graph signal, as in the centralized learning curve.
+    The network carries the trial axis and counts every trial's messages.
     """
-    def deviation(network):
-        err = network.estimates @ b.basis_slice.T - x_true
-        return np.einsum("...ij,...ij->...i", err, err).sum(axis=0)
-
     return track(blocks,
                  lambda trials: drls_network_init(comm, b, noise, config, batch=(trials,)),
                  lambda network, draws, obs: drls_round(network, draws, obs, config),
-                 deviation)
+                 lambda network: network.estimates, coeffs)

@@ -54,12 +54,14 @@ def rls_update(psi: np.ndarray, psiv: np.ndarray, w: np.ndarray, y: np.ndarray,
     return psi, beta * psiv + (w * y) @ u
 
 
-def track(blocks, init, step, deviation):
+def track(blocks, init, step, estimate, truth):
     """The one per-instant loop, over ``(masks, y)`` blocks of shape (trials,
     steps, n) that cover the horizon in order: the state starts as
-    ``init(trials)``; before each instant t, ``deviation(state)`` is recorded,
-    then ``state = step(state, masks[:, t], y[:, t])``.  Returns the rows,
-    as one array, and the final state."""
+    ``init(trials)``; before each instant t, the squared deviation of the
+    coefficients ``estimate(state)``, (trials, ..., f), from ``truth`` is
+    recorded, summed over the trials and the coefficients, then ``state =
+    step(state, masks[:, t], y[:, t])``.  Returns the rows, as one array, and
+    the final state."""
     state, rows = None, []
     for masks, y in blocks:
         if masks.shape != y.shape:
@@ -68,7 +70,7 @@ def track(blocks, init, step, deviation):
         if state is None:
             state = init(masks.shape[0])
         for t in range(masks.shape[1]):
-            rows.append(deviation(state))
+            rows.append(np.square(estimate(state) - truth).sum(axis=(0, -1)))
             state = step(state, masks[:, t], y[:, t])
     return np.array(rows), state
 
@@ -140,15 +142,26 @@ def _check_sizes(p: SamplingProbabilities, noise: NoiseModel, b: Bandlimit) -> N
 # closed-form theory
 
 def lms_step_bound(p: SamplingProbabilities, b: Bandlimit) -> float:
-    """The small-step figure 2 lambda_min / lambda_max^2 of H = U_F^T diag(p) U_F.
+    """The exact mean-square stability bound: the largest mu at which
+    F = E[B (x) B], B = I - mu U_F^T D U_F, has spectral radius 1.
 
-    Not the mean-square stability bound: it leaves out the sampling variance
-    term (on ``configs/design_min_rate.yaml`` it reads 8.61, yet mu = 3
-    diverges).  The exact bound is left to ROADMAP.md, item 1."""
-    eigs = np.linalg.eigvalsh(weighted_gram(b, p.probs))
-    if _singular(eigs):
+    In the eigenbasis (lambda, Q) of H = U_F^T diag(p) U_F, with q_i = Q^T u_i
+    and v_i,ab = q_ia q_ib (sqrt 2 if a != b) over the pairs a <= b, F on
+    symmetric matrices is I - mu S + mu^2 (diag(lambda_a lambda_b) +
+    sum_i p_i (1 - p_i) v_i v_i^T) with S = diag(lambda_a + lambda_b).  So
+    F < I exactly for mu below 1 / lambda_max of S^-1/2 (...) S^-1/2, and
+    there F > -I holds too.  2 / lambda_max(H) when every p_i is 0 or 1; 0
+    where H is singular."""
+    vals, vecs = np.linalg.eigh(weighted_gram(b, p.probs))
+    if _singular(vals):
         return 0.0
-    return 2.0 * float(eigs[0]) / float(eigs[-1]) ** 2
+    a, c = np.triu_indices(vals.shape[0])
+    total = vals[a] + vals[c]
+    q = b.basis_slice @ vecs
+    w = q[:, a] * q[:, c] * np.where(a == c, 1.0, math.sqrt(2.0)) / np.sqrt(total)
+    m = (w.T * (p.probs * (1.0 - p.probs))) @ w
+    m[np.diag_indices_from(m)] += vals[a] * vals[c] / total
+    return 1.0 / float(np.linalg.eigvalsh(m)[-1])
 
 
 def lms_msd_theory(p: SamplingProbabilities, mu: float, noise: NoiseModel, b: Bandlimit) -> float:

@@ -97,10 +97,25 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    _finite(raw, "")
     version = _typed("version", raw.get("version", 1), int)
     if version != 1:
         raise ConfigError(f"version: unsupported config version {version!r}")
     return _known(raw, "")
+
+
+def _finite(val, name: str) -> None:
+    """Reject YAML's .nan and .inf anywhere in a parsed document, naming the
+    path, also in a section the command does not read: meta.json repeats the
+    whole config, and JSON has no such number."""
+    if isinstance(val, dict):
+        for key, entry in val.items():
+            _finite(entry, _name(name, key))
+    elif isinstance(val, list):
+        for entry in val:
+            _finite(entry, name)
+    elif isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{name}: must be finite, got {val!r}")
 
 
 def _name(section: str, key: str) -> str:
@@ -457,11 +472,8 @@ def _run_filter_mc(setup: Setup, probs: SamplingProbabilities, init, step,
                    estimate) -> tuple:
     """A centralized filter's run, from ``track``'s ``init`` and ``step`` and its
     (trials, f) coefficients ``estimate(state)``: its curve, no per-node curves or metadata."""
-    def deviation(state):
-        return np.square(estimate(state) - setup.signal_coeffs).sum()
-
-    return _monte_carlo(setup, probs,
-                        lambda blocks: track(blocks, init, step, deviation)), None, {}
+    return _monte_carlo(setup, probs, lambda blocks: track(
+        blocks, init, step, estimate, setup.signal_coeffs)), None, {}
 
 
 def _run_lms(setup: Setup, probs: SamplingProbabilities, mu: float, _) -> tuple:
@@ -478,11 +490,21 @@ def _run_rls(setup: Setup, probs: SamplingProbabilities, beta: float, delta: flo
     f = u.shape[1]
     inv_var = 1.0 / setup.noise.variances
     outer = rls_outer_table(u)
+
+    def estimate(state):
+        try:
+            return np.linalg.solve(state[0], state[1][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # a small beta forgets delta I and the past within a few instants,
+            # and an instant that samples too few vertices then leaves Psi singular
+            raise ConfigError(f"algorithm.beta: the information matrix became singular; "
+                              f"beta = {beta:g}") from None
+
     return _run_filter_mc(
         setup, probs,
         init=lambda trials: (np.tile(delta * np.eye(f), (trials, 1, 1)), np.zeros((trials, f))),
         step=lambda state, masks, y: rls_update(*state, masks * inv_var, y, u, outer, beta),
-        estimate=lambda state: np.linalg.solve(state[0], state[1][:, :, None])[:, :, 0])
+        estimate=estimate)
 
 
 def _drls_params(acfg: dict) -> tuple:
@@ -511,7 +533,7 @@ def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, params: t
         raise ConfigError(f"algorithm.comm: {comm} has {graph.n} nodes, the graph has {n}")
     # drls_simulate is looked up per call
     per_node = _monte_carlo(setup, probs, lambda blocks: drls_simulate(
-        graph, setup.bandlimit, setup.noise, cfg, blocks, setup.x_true))
+        graph, setup.bandlimit, setup.noise, cfg, blocks, setup.signal_coeffs))
     return per_node.mean(axis=1), per_node, {"inner_iters": cfg.inner_iters}
 
 

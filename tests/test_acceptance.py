@@ -220,13 +220,14 @@ def test_ac6_distributed_tracks_centralized():
     bl = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 3)
     noise = NoiseModel.uniform(5, 0.01)
     rng = np.random.default_rng(42)
-    x_true = bl.basis_slice @ rng.normal(size=3)
+    coeffs = rng.normal(size=3)
+    x_true = bl.basis_slice @ coeffs
     horizon = 200
     draws = (rng.random((horizon, 5)) < 0.7).astype(np.int8)
     observations = draws * (x_true + rng.normal(0.0, noise.std, size=(horizon, 5)))
     dcfg = DrlsConfig(rho=300.0, inner_iters=50, beta=0.95, delta=1e-3)
     _, network = drls_simulate(CommGraph.complete(5), bl, noise, dcfg,
-                                  [(draws[None], observations[None])], x_true)
+                                  [(draws[None], observations[None])], coeffs)
     u = bl.basis_slice
     outer = rls_outer_table(u)
     psi, psiv = 1e-3 * np.eye(3), np.zeros(3)

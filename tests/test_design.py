@@ -442,6 +442,33 @@ def test_min_msd_unreachable_rate_reports_phase_one_best(solver):
         solver(floor(1.01 * best))
 
 
+def phase_one_overflow_spec(solver):
+    """configs/design_min_rate.yaml with noise.high 1e300, whose bound-LMI
+    coefficients near 1e298 overflow the first phase-I Hessian, or
+    configs/design_min_msd.yaml with p_max 1e-300 at vertex 0, whose box
+    slack squared does."""
+    if solver in (dinkelbach_min_msd, sca_min_msd):
+        p_max = load_config(CONFIG_DIR / "design_min_msd.yaml")["sampling"]["p_max"]
+        return design_min_msd_spec(p_max=[1e-300, *p_max[1:]])
+    config = load_config(CONFIG_DIR / "design_min_rate.yaml")
+    config["noise"]["high"] = 1e300
+    setup, scfg = build_setup(config), config["sampling"]
+    return DesignSpec(bandlimit=setup.bandlimit, noise=setup.noise, mu=scfg["mu"],
+                      rate_target=scfg["rate_target"],
+                      msd_target=10.0 ** (scfg["msd_target_db"] / 10.0))
+
+
+@pytest.mark.parametrize("solver, margin", [
+    (solve_min_rate_convex, "-6.187e+270"), (sca_min_rate, "-6.187e+270"),
+    (dinkelbach_min_msd, "-1.194e-02"), (sca_min_msd, "-1.194e-02")])
+def test_phase_one_without_a_step_says_so(solver, margin):
+    # the start point's margin is no best margin when phase I never moved
+    message = (f"phase I took no step from the start point (margin {margin} there): "
+               "its Newton system is not finite")
+    with pytest.raises(InfeasibleDesignError, match=f"^{re.escape(message)}$"):
+        solver(phase_one_overflow_spec(solver))
+
+
 # -------------------------------------------------------------- RLS design
 
 

@@ -465,7 +465,7 @@ def test_many_inner_iterations_recover_centralized():
     draws = np.ones((horizon, n), dtype=np.int8)
     obs = x_true + rng.normal(0.0, 0.1, size=(horizon, n))
 
-    _, net = drls_simulate(comm, b, noise, cfg, [(draws[None], obs[None])], x_true)
+    _, net = drls_simulate(comm, b, noise, cfg, [(draws[None], obs[None])], coeffs)
 
     u = b.basis_slice
     outer = rls_outer_table(u)
@@ -487,7 +487,7 @@ def test_simulate_curve_convention():
     horizon = 4
     draws = np.ones((1, horizon, 5), dtype=np.int8)
     obs = np.tile(x_true, (1, horizon, 1))
-    curves, _ = drls_simulate(comm, b, noise, cfg, [(draws, obs)], x_true)
+    curves, _ = drls_simulate(comm, b, noise, cfg, [(draws, obs)], coeffs)
     assert curves.shape == (horizon, 5)
     # estimates start at zero, so the first row is the signal energy
     np.testing.assert_allclose(curves[0], float(x_true @ x_true) * np.ones(5), atol=1e-12)
@@ -502,7 +502,8 @@ def test_batched_simulate_matches_per_trial_runs():
     comm = CommGraph.from_graph(random_geometric_graph(6, radius=0.9, seed=4))
     cfg = DrlsConfig(rho=20.0, inner_iters=2, beta=0.9)
     rng = np.random.default_rng(41)
-    x_true = b.basis_slice @ rng.standard_normal(3)
+    coeffs = rng.standard_normal(3)
+    x_true = b.basis_slice @ coeffs
     trials, horizon = 3, 12
     draws = (rng.random((trials, horizon, 6)) < 0.7).astype(np.int8)
     obs = x_true + 0.1 * rng.standard_normal((trials, horizon, 6))
@@ -510,16 +511,16 @@ def test_batched_simulate_matches_per_trial_runs():
     def blocks(c):  # 5, 5 and 2 steps
         return [(draws[c, t:t + 5], obs[c, t:t + 5]) for t in range(0, horizon, 5)]
 
-    curve, net = drls_simulate(comm, b, noise, cfg, blocks(slice(None)), x_true)
+    curve, net = drls_simulate(comm, b, noise, cfg, blocks(slice(None)), coeffs)
     assert curve.shape == (horizon, 6)
     assert net.estimates.shape == (trials, 6, 3)
     assert net.message_count == 2 * comm.num_edges * 2 * horizon * trials
     # an unobserved vertex adds nothing, whatever its observation
-    masked, _ = drls_simulate(comm, b, noise, cfg, [(draws, draws * obs)], x_true)
+    masked, _ = drls_simulate(comm, b, noise, cfg, [(draws, draws * obs)], coeffs)
     np.testing.assert_array_equal(masked, curve)
     total = np.zeros((horizon, 6))
     for c in range(trials):
-        alone, single = drls_simulate(comm, b, noise, cfg, blocks(slice(c, c + 1)), x_true)
+        alone, single = drls_simulate(comm, b, noise, cfg, blocks(slice(c, c + 1)), coeffs)
         total += alone
         np.testing.assert_array_equal(net.estimates[c], single.estimates[0])
         np.testing.assert_array_equal(net.alpha[c], single.alpha[0])
@@ -532,7 +533,7 @@ def test_simulate_validates_shapes():
     blocks = [(np.ones((1, 4, 5)), np.zeros((1, 4, 5))),
               (np.ones((1, 4, 5)), np.zeros((1, 3, 5)))]
     with pytest.raises(ValueError, match="same shape"):
-        drls_simulate(comm, b, noise, DrlsConfig(), blocks, np.zeros(5))
+        drls_simulate(comm, b, noise, DrlsConfig(), blocks, np.zeros(2))
 
 
 # msd_linear of DRLS runs written while every node's information matrix was

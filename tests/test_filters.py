@@ -99,8 +99,37 @@ def test_lms_noiseless_convergence(path3_band):
 
 
 def test_step_bound_frozen(path3_band, two_of_three):
-    # 2 * (1/6) / 1^2
-    assert lms_step_bound(two_of_three, path3_band) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    # every p_i is 0 or 1, so no sampling variance: 2 / lambda_max(H) = 2 / 1
+    assert lms_step_bound(two_of_three, path3_band) == pytest.approx(2.0, abs=1e-12)
+
+
+def kronecker_spectral_radius(b, p, mu):
+    """rho(F) of the explicit f^2 x f^2 second-moment matrix
+    F = (I - mu H) (x) (I - mu H) + mu^2 sum_i p_i (1 - p_i) (u_i u_i^T) (x) (u_i u_i^T)."""
+    u = b.basis_slice
+    step = np.eye(b.size) - mu * u.T @ (p[:, None] * u)
+    f = np.kron(step, step)
+    for pi, ui in zip(p, u):
+        f += mu ** 2 * pi * (1.0 - pi) * np.kron(np.outer(ui, ui), np.outer(ui, ui))
+    return float(np.abs(np.linalg.eigvalsh(f)).max())
+
+
+def test_step_bound_is_the_kronecker_stability_edge():
+    # bisection on rho(F(mu)) = 1 over the explicit Kronecker F, which
+    # is below 1 exactly on (0, bound)
+    g = random_geometric_graph(10, 0.7, seed=2)
+    b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 4)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        p = rng.uniform(0.05, 1.0, size=10)
+        low, high = 0.0, 2.0 / np.linalg.eigvalsh(weighted_gram(b, p))[-1]
+        for _ in range(100):
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if kronecker_spectral_radius(b, p, mid) < 1.0 else (low, mid)
+        bound = lms_step_bound(SamplingProbabilities(p), b)
+        assert bound == pytest.approx(low, rel=1e-12)
+        assert kronecker_spectral_radius(b, p, 0.99 * bound) < 1.0
+        assert kronecker_spectral_radius(b, p, 1.01 * bound) > 1.0
 
 
 def test_step_bound_full_sampling(path3_band):
@@ -200,7 +229,7 @@ def test_lms_theory_report(path3_band, two_of_three, white_noise3):
     assert list(report) == ["msd_linear", "msd_db", "convergence_rate", "step_bound"]
     assert report["msd_linear"] == pytest.approx(1e-3, rel=1e-12)
     assert report["convergence_rate"] == pytest.approx(29.0 / 30.0, abs=1e-12)
-    assert report["step_bound"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert report["step_bound"] == pytest.approx(2.0, abs=1e-12)
     assert report["msd_db"] == pytest.approx(-30.0, abs=1e-9)
 
 

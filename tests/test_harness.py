@@ -1,5 +1,6 @@
 """Experiment harness: config handling, Monte Carlo runs, file outputs, CLI."""
 
+import copy
 import csv
 import hashlib
 import importlib
@@ -69,7 +70,7 @@ MIN_MSD_DESIGN = {"kind": "design", "problem": "sca_min_msd", "mu": 0.1, "rate_t
 
 def dump(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(yaml.dump(cfg, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
     return str(path)
 
 
@@ -629,12 +630,15 @@ def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind
 # SHA-256 of meta.json for the GOLDEN_CURVES runs, in one pass: the
 # closed-form theory fields (theory_msd_*, and for LMS theory_rate and
 # step_bound), the steady state and DRLS's inner_iters, as written while each
-# algorithm kind was still dispatched by its own branches.  meta.json keeps
-# every bit of a float, and a sum over several passes can move the last one.
+# algorithm kind was still dispatched by its own branches; LMS re-pinned with
+# the exact mean-square step bound (2.1784 against the small-step 1.2012),
+# DRLS with its deviation measured in bandlimited coefficients (the steady
+# state moves in its last digit).  meta.json keeps every bit of a float, and
+# a sum over several passes can move the last one.
 GOLDEN_META = {
-    "lms": "b185b2ce882b6047d756b324f8848e5a49c188d8439651c7059916fd9737335d",
+    "lms": "b803cba258653e639098f36c1e96a87804bb22bbe0941c97899a1e161e7729e5",
     "rls": "da32e5b7ad4d571f7578bd978b00aac4b17ce2cfee27a5fee1667f8e79d83c91",
-    "drls": "cde49c1b5455cbf7080fc6ecbc1e954e7cfcebbd9836908ef2b3ddb0124f3613",
+    "drls": "4306f93434188d431b76c7f64a219bbee0b773b76d9f97cb586f0a417a6f0269",
 }
 
 
@@ -1352,6 +1356,14 @@ class TestCli:
                              ("delta", -5), ("comm", 3),
                              ("comm", str(DATA_DIR / "no_such_graph.txt")))),
         ("algorithm.delta", "theory", {"algorithm": {"kind": "rls", "beta": 0.9, "delta": -5}}),
+        # a NaN in a section the command does not read used to crash the
+        # meta.json write, after curve.csv had been written
+        ("compare.msd_target_db", "run-lms", {"compare": dict(COMPARE, msd_target_db=math.nan)}),
+        # a forgetting factor that forgets delta I within a few instants used to
+        # end in a LinAlgError traceback once an instant left Psi singular
+        *(("algorithm.beta", "run-rls", {"sampling": {"kind": "explicit", "p": [0.3] * 8},
+                                         "algorithm": {"kind": "rls", "beta": beta}})
+          for beta in (1e-5, 1e-300)),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -1364,7 +1376,7 @@ class TestCli:
             assert not (out / name).exists()
 
     @pytest.mark.parametrize("command, name, horizon, edits, message", [
-        # the small-step figure reads 8.61 here, yet mu = 3 diverges
+        # the step bound reads 2.73 here, so mu = 3 diverges
         ("run-lms", "design_min_rate.yaml", 1000, {"mu": 3},
          "algorithm.mu: the learning curve diverged; mu = 3"),
         # a ring diverges at every rho tried, however many inner iterations
@@ -1436,3 +1448,65 @@ class TestCli:
         cfg = dict(tiny_config(), sampling=DESIGN)
         with pytest.raises(np.linalg.LinAlgError):
             cli.main(["design", "--config", dump(tmp_path, cfg), "--out", str(tmp_path / "out")])
+
+
+# ---------------------------------------------------------------- config sweep
+
+# the sweep's mutation values; DELETE removes the leaf
+DELETE = object()
+SWEEP_VALUES = (None, "x", -1, 0, 0.5, 1, 2, 1e300, -1e300, 1e-300, 10 ** 20, math.nan,
+                math.inf, -math.inf, True, [], {}, DELETE)
+# counts never get a size that would run until killed
+SWEEP_COUNTS = {"trials", "horizon", "graph.n", "bandlimit.size", "sampling.m",
+                "compare.random_seeds", "algorithm.inner_iters"}
+SWEEP_CONFIGS = sorted([*CONFIG_DIR.glob("*.yaml"), *BENCH_CONFIG_DIR.glob("*.yaml")])
+# what an error may name besides the config file: a section or a known field
+SWEEP_FIELDS = {"noise.low/high", *(section for section in harness._KEYS if section),
+                *(harness._name(section, key) for section, keys in harness._KEYS.items()
+                  for key in keys)}
+
+
+def leaves(cfg, prefix=""):
+    """The dotted path of every leaf of a config section; a list is one leaf."""
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            yield from leaves(val, harness._name(prefix, key))
+        else:
+            yield harness._name(prefix, key)
+
+
+@pytest.mark.parametrize("path", SWEEP_CONFIGS, ids=lambda path: path.name)
+def test_config_sweep_exits_0_or_2_naming_a_field(tmp_path, capsys, path):
+    """Every leaf of a shipped config, at 2 trials and 20 steps, gets one
+    seeded mutation and goes through each command that applies: each run
+    exits 0, or 2 naming the config file, a section, noise.low/high or a
+    known field, with no exception and no warning."""
+    base = dict(load_config(path), trials=2, horizon=20)
+    if "compare" in base:
+        base["compare"]["random_seeds"] = 3
+    commands = ["theory", f"run-{base['algorithm']['kind']}"]
+    commands += ["design"] * (base["sampling"]["kind"] == "design")
+    commands += ["compare-sampling"] * ("compare" in base)
+    rng = np.random.default_rng(0)
+    for leaf in leaves(base):
+        values = [v for v in SWEEP_VALUES
+                  if leaf not in SWEEP_COUNTS or v not in (10 ** 20, 1e300)]
+        value = values[rng.integers(len(values))]
+        config = copy.deepcopy(base)
+        *sections, key = leaf.split(".")
+        parent = config
+        for section in sections:
+            parent = parent[section]
+        if value is DELETE:
+            del parent[key]
+        else:
+            parent[key] = value
+        config_path = dump(tmp_path, config)
+        names = {config_path, *SWEEP_FIELDS}
+        for command in commands:
+            # the suite turns every warning into an error
+            code = cli.main([command, "--config", config_path, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (leaf, value, command)
+            assert code == 0 or any(err.startswith(f"error: {name}:") for name in names), \
+                (leaf, value, command, err)
