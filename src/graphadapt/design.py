@@ -32,7 +32,6 @@ eigenvalue by its floored magnitude so that the step still descends.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ TRUNCATE_TOL = 1e-9
 GAP = 1e-9              # duality-gap bound m/t at which a barrier run stops
 _T_GROWTH = 20.0        # factor on t between centerings
 _CENTER_STEPS = 1000    # Newton steps per centering at most
-_MEMO_POINTS = 4        # design points whose evaluations an _Instance keeps
 
 
 class InfeasibleDesignError(ValueError):
@@ -139,9 +137,9 @@ class SolverTrace:
 # shared evaluation plumbing
 
 class _Instance:
-    """One design problem's data and, at its last few points p, the ``eigh``
-    of H(p) and of M(p) = U_F^T diag(p / sigma^2) U_F and the values of the
-    exact MSD and the RLS trace inverse: a barrier run decomposes each
+    """One design problem's data and, at the last point p it evaluated, the
+    ``eigh`` of H(p) and of M(p) = U_F^T diag(p / sigma^2) U_F and the values
+    of the exact MSD and the RLS trace inverse: a barrier run decomposes each
     matrix once per point, and every later use reads that result."""
 
     def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
@@ -151,18 +149,17 @@ class _Instance:
         self.ub = ub
         self.sig2 = noise.variances
         self.g_lin = self.sig2 * leverage_scores(b)     # gradient of Tr G(p)
-        self.memo = OrderedDict()       # p's bytes -> {quantity: value}, newest last
+        self.key, self.point = None, {}     # the last point's bytes, its {quantity: value}
 
     def cached(self, p, quantity, compute):
-        """``quantity`` at p, from ``compute()`` unless one of the last
-        ``_MEMO_POINTS`` points evaluated it."""
+        """``quantity`` at p, from ``compute()`` unless p is the last point
+        evaluated and ``quantity`` was computed there."""
         key = p.tobytes()
-        point = self.memo[key] = self.memo.pop(key, {})
-        if len(self.memo) > _MEMO_POINTS:
-            self.memo.popitem(last=False)
-        if quantity not in point:
-            point[quantity] = compute()
-        return point[quantity]
+        if key != self.key:
+            self.key, self.point = key, {}
+        if quantity not in self.point:
+            self.point[quantity] = compute()
+        return self.point[quantity]
 
     def spectrum(self, p, rls=False):
         """The read-only ascending eigenpairs of H(p), or with ``rls`` of M(p)."""
@@ -256,11 +253,11 @@ class _Barrier:
         value = float(self.objective @ x)
         return (value, self.objective, 0.0) if derivs else value
 
-    def f0_change(self, x, y):
+    def f0_change(self, x, y, fx):
         # a linear objective's change is taken from y - x, which is exact for
-        # nearby points, not from two large nearly equal values
+        # nearby points, not from two large nearly equal values; fx is f0(x)
         if callable(self.objective):
-            return self.f0(y) - self.f0(x)
+            return self.f0(y) - fx
         return float(self.objective @ (y - x))
 
     @np.errstate(over="ignore", divide="ignore")     # _newton_step rejects inf derivatives
@@ -393,9 +390,9 @@ def _barrier(prog, x, record=None, stop=None):
     when true.  A centering ends when the Newton decrement is small, or
     when the line search finds no decrease or the Newton system is
     singular, both of which mean centred to working precision.  The
-    derivatives at x are kept until x moves, so a new centering at the same
-    x evaluates nothing again.  Returns (x, converged): converged is false
-    when a centering ran out of Newton steps.
+    derivatives at x are kept until x moves: the line search reads f0(x) from
+    them, and a new centering at the same x evaluates nothing again.  Returns
+    (x, converged): converged is false when a centering ran out of Newton steps.
     """
     if not math.isfinite(prog(x)):
         raise InfeasibleDesignError("the start point is not strictly feasible")
@@ -416,7 +413,7 @@ def _barrier(prog, x, record=None, stop=None):
             alpha = 1.0
             while alpha >= 1e-12:
                 trial = x + alpha * step
-                change = t * prog.f0_change(x, trial) + (prog(trial) - phi)
+                change = t * prog.f0_change(x, trial, derivs[1][0]) + (prog(trial) - phi)
                 if change <= -0.25 * alpha * decrement:
                     break
                 alpha *= 0.5

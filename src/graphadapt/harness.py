@@ -47,7 +47,6 @@ from .graphs import (
     eigendecompose,
     load_edge_list,
     random_geometric_graph,
-    save_edge_list,
 )
 from .sampling import (
     NoiseModel,
@@ -543,7 +542,7 @@ class Estimator(NamedTuple):
     those keys, which checks each and returns (the closed form's parameter, the run's
     parameters), that closed form (theory.csv's rows, also meta.json's theory fields), its
     Monte Carlo runner (curve, per-node curves or None, extra metadata) and a diverged
-    curve's message, None where no step size or penalty can make the kind unstable."""
+    curve's message, None where run_experiment lets no parameter make the kind unstable."""
 
     help: str
     keys: set
@@ -567,8 +566,7 @@ def _beta(acfg: dict) -> float:
 ESTIMATORS = {
     "lms": Estimator("Monte Carlo learning curve for the LMS estimator", {"mu", "beta"},
                      lambda acfg: (_real(acfg, "algorithm", "mu"), None), lms_theory_report,
-                     _run_lms,
-                     lambda mu, _: f"algorithm.mu: the learning curve diverged; mu = {mu:g}"),
+                     _run_lms),
     "rls": Estimator("Monte Carlo learning curve for the recursive estimator",
                      {"mu", "beta", "delta"},
                      lambda acfg: (_beta(acfg), _real(acfg, "algorithm", "delta", 1e-3)),
@@ -620,6 +618,9 @@ def run_experiment(config: dict) -> LearningCurve:
     probs, trace = resolve_sampling(setup)
     estimator = ESTIMATORS[kind]
     theory = estimator.theory(param, setup, probs)
+    if param >= theory.get("step_bound", math.inf):
+        raise ConfigError(f"algorithm.mu: at or above the mean-square stability bound "
+                          f"{theory['step_bound']:g}; mu = {param:g}")
     curve, per_node, extra = estimator.run(setup, probs, param, params)
     meta = {"config_hash": config_hash(config), "algorithm": kind, "seed": setup.seed,
             "trials": setup.trials, "horizon": setup.horizon,
@@ -629,7 +630,7 @@ def run_experiment(config: dict) -> LearningCurve:
     # a stable run settles near its noise floor and below its initial error, so a
     # finite steady state above both that error and 1e3 times the closed-form floor
     # diverged too (neither bound alone holds at every signal-to-noise ratio); a kind
-    # with no message for that (RLS) has no step size or penalty to make it unstable
+    # with no message for that has no parameter left that can make it unstable
     if not np.isfinite(curve).all() or (
             estimator.diverged
             and result.steady_state_linear() > max(curve[0], 1e3 * theory["msd_linear"])):

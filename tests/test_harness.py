@@ -1,5 +1,6 @@
 """Experiment harness: config handling, Monte Carlo runs, file outputs, CLI."""
 
+import ast
 import copy
 import csv
 import hashlib
@@ -7,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +21,12 @@ import yaml
 import graphadapt
 import reference
 from graphadapt import cli, design, harness, sampling
-from graphadapt.filters import lms_msd_theory, lms_msd_upper_bound, rls_msd_theory
+from graphadapt.filters import (
+    lms_msd_theory,
+    lms_msd_upper_bound,
+    lms_step_bound,
+    rls_msd_theory,
+)
 from graphadapt.graphs import connected_components, random_geometric_graph
 from graphadapt.harness import (
     DRAW_BLOCK,
@@ -365,6 +372,17 @@ class TestRunExperiment:
         cfg = tiny_config()
         cfg["algorithm"] = {"kind": "kalman"}
         with pytest.raises(ConfigError, match="algorithm.kind"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("signal.scale", math.nan), ("algorithm.mu", math.inf), ("graph.radius", math.nan),
+        ("noise.sigma_sq", math.nan)])
+    def test_non_finite_value_names_its_field(self, field, value):
+        # a dict config skips load_config's check of the whole document, so the
+        # field's own reader rejects it; an infinite mu used to be blamed on sampling
+        cfg, (section, key) = tiny_config(), field.split(".")
+        cfg[section] = dict(cfg.get(section, {}), **{key: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: must be finite"):
             run_experiment(cfg)
 
     def test_design_metadata_recorded(self):
@@ -800,6 +818,26 @@ def test_import_loads_no_thread_pool():
     # concurrent.futures (and the logging it imports) loads only when a draw
     # stream starts its pool
     assert _loaded_by_import("concurrent") == "[]"
+
+
+def test_every_import_in_src_is_used():
+    # no linter is installed: each name a module of the package imports is used
+    # there, or its import line says why not with "# noqa: F401 (reason)"
+    unused = []
+    for path in sorted(Path(graphadapt.__file__).resolve().parent.glob("*.py")):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and not re.search(r"# noqa: F401 \(.+\)",
+                                                      lines[alias.lineno - 1]):
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
 
 
 def test_benchmark_lookup_names_resolve():
@@ -1376,9 +1414,9 @@ class TestCli:
             assert not (out / name).exists()
 
     @pytest.mark.parametrize("command, name, horizon, edits, message", [
-        # the step bound reads 2.73 here, so mu = 3 diverges
+        # the exact step bound reads 2.73 here, so mu = 3 is rejected before the run
         ("run-lms", "design_min_rate.yaml", 1000, {"mu": 3},
-         "algorithm.mu: the learning curve diverged; mu = 3"),
+         "algorithm.mu: at or above the mean-square stability bound 2.73297; mu = 3"),
         # a ring diverges at every rho tried, however many inner iterations
         ("run-drls", "drls.yaml", 40, {"comm": "ring", "rho": 0.1, "inner_iters": 30},
          "algorithm.rho: the learning curve diverged; rho = 0.1"),
@@ -1391,6 +1429,25 @@ class TestCli:
                          str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("factor, code", [(0.95, 0), (0.999, 0), (1.0, 2), (1.05, 2)])
+    def test_lms_step_is_checked_against_the_exact_bound(self, tmp_path, capsys, factor, code):
+        # below the exact mean-square bound a run stays finite however close it
+        # comes; at or above it nothing runs and nothing is written
+        config = dict(load_config(CONFIG_DIR / "design_min_rate.yaml"), trials=4, horizon=1000)
+        setup = build_setup(config)
+        config["algorithm"]["mu"] = factor * lms_step_bound(resolve_sampling(setup)[0],
+                                                            setup.bandlimit)
+        out = tmp_path / "out"
+        assert cli.main(["run-lms", "--config", dump(tmp_path, config), "--out",
+                         str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                "error: algorithm.mu: at or above the mean-square stability bound ")
+            assert list(out.iterdir()) == []
+        else:
+            curve = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(curve).all()
 
     @pytest.mark.parametrize("name", sorted(
         path.name for path in CONFIG_DIR.glob("*.yaml")
