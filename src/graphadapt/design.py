@@ -17,8 +17,10 @@ optimization", IEEE TSP 2009).  Each constraint is either a linear matrix
 inequality H(p) - l(p) I >= 0 with H(p) = U_F^T diag(p) U_F and l affine
 (phase I adds its margin s to l), whose -log det barrier has a closed-form
 gradient and Hessian in the eigenbasis of H(p), or a smooth function of p
-(the exact MSD, the RLS trace inverse).  The box and the budget are barrier
-terms too, and a vertex whose bound is 0 stays at 0.  A run centres by
+(the exact MSD, the RLS trace inverse), all read from one evaluator of p,
+``sampling._Instance``, which decomposes H(p) and
+M(p) = U_F^T diag(p / sigma^2) U_F once per point.  The box and the budget
+are barrier terms too, and a vertex whose bound is 0 stays at 0.  A run centres by
 Newton steps, each accepted by a backtracking line search on the exact
 barrier value, and multiplies t by 20 until the duality-gap bound m/t
 reaches ``GAP``, m being the degree of the barrier.  On the convex
@@ -31,14 +33,15 @@ eigenvalue by its floored magnitude so that the step still descends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import _lms_msd, _rls_trace_inverse
+from .filters import _lms_msd, _msd_bound, _rls_trace_inverse
 from .graphs import Bandlimit
-from .sampling import NoiseModel, SamplingProbabilities, leverage_scores, weighted_gram
+from .sampling import NoiseModel, SamplingProbabilities, _Instance
 
 TRUNCATE_TOL = 1e-9
 GAP = 1e-9              # duality-gap bound m/t at which a barrier run stops
@@ -136,63 +139,13 @@ class SolverTrace:
 # ---------------------------------------------------------------------------
 # shared evaluation plumbing
 
-class _Instance:
-    """One design problem's data and, at the last point p it evaluated, the
-    ``eigh`` of H(p) and of M(p) = U_F^T diag(p / sigma^2) U_F and the values
-    of the exact MSD and the RLS trace inverse: a barrier run decomposes each
-    matrix once per point, and every later use reads that result."""
-
-    def __init__(self, b: Bandlimit, noise: NoiseModel, ub: np.ndarray):
-        self.b = b
-        self.u = b.basis_slice
-        self.n, self.f = self.u.shape
-        self.ub = ub
-        self.sig2 = noise.variances
-        self.g_lin = self.sig2 * leverage_scores(b)     # gradient of Tr G(p)
-        self.key, self.point = None, {}     # the last point's bytes, its {quantity: value}
-
-    def cached(self, p, quantity, compute):
-        """``quantity`` at p, from ``compute()`` unless p is the last point
-        evaluated and ``quantity`` was computed there."""
-        key = p.tobytes()
-        if key != self.key:
-            self.key, self.point = key, {}
-        if quantity not in self.point:
-            self.point[quantity] = compute()
-        return self.point[quantity]
-
-    def spectrum(self, p, rls=False):
-        """The read-only ascending eigenpairs of H(p), or with ``rls`` of M(p)."""
-        def compute():
-            vals, vecs = np.linalg.eigh(weighted_gram(self.b, p / self.sig2 if rls else p))
-            vals.flags.writeable = vecs.flags.writeable = False
-            return vals, vecs
-        return self.cached(p, ("eigh", rls), compute)
-
-    def lam_min(self, p):
-        return float(self.spectrum(p)[0][0])
-
-
 def _msd(inst, mu):
-    """The exact MSD of :func:`filters._lms_msd`: inf where H(p) is
-    singular, with ``derivs`` (value, gradient, Hessian); not convex."""
+    """The exact MSD of :func:`filters._lms_msd`, each point's value kept; not convex."""
     def msd(p, derivs=False):
-        if derivs:
-            return _lms_msd(inst.b, inst.sig2, p, mu, True, inst.spectrum(p))
-        return inst.cached(p, ("msd", mu),
-                           lambda: _lms_msd(inst.b, inst.sig2, p, mu, spectrum=inst.spectrum(p)))
+        return (_lms_msd(inst, p, mu, True) if derivs
+                else inst.cached(p, ("msd", mu), lambda: _lms_msd(inst, p, mu)))
     msd.convex = False
     return msd
-
-
-def _trace_inverse(inst):
-    """Tr[(U_F^T diag(p / sigma^2) U_F)^{-1}], inf where singular."""
-    def trace_inv(p, derivs=False):
-        if derivs:
-            return _rls_trace_inverse(inst.b, inst.sig2, p, True, inst.spectrum(p, rls=True))
-        return inst.cached(p, "trace_inverse", lambda: _rls_trace_inverse(
-            inst.b, inst.sig2, p, spectrum=inst.spectrum(p, rls=True)))
-    return trace_inv
 
 
 def _instance_of(spec, problem):
@@ -567,9 +520,7 @@ def dinkelbach_min_msd(spec: DesignSpec):
     """
     inst, rate, center = _min_msd_setup(spec, "dinkelbach")
     prog = _Barrier(inst, [rate], objective=inst.g_lin, budget=spec.budget)
-    return _run(prog, center,
-                lambda p: 0.5 * spec.mu * float(inst.g_lin @ p) / inst.lam_min(p),
-                _msd(inst, spec.mu))
+    return _run(prog, center, lambda p: _msd_bound(inst, p, spec.mu), _msd(inst, spec.mu))
 
 
 def sca_min_msd(spec: DesignSpec):
@@ -594,7 +545,7 @@ def solve_rls_design(spec: DesignSpec):
     inst = _instance_of(spec, "rls")
     scale = (1.0 - spec.beta) / (1.0 + spec.beta)
     t_target = spec.msd_target / scale
-    trace_inv = _trace_inverse(inst)
+    trace_inv = functools.partial(_rls_trace_inverse, inst)
     t_ceiling = trace_inv(inst.ub)
     if not t_ceiling < t_target:
         raise InfeasibleDesignError(

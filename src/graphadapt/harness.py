@@ -68,6 +68,9 @@ TRIAL_CHUNK = 256
 # as many, the next filled on the other CPUs while the kernel runs on this one.
 DRAW_BLOCK = 1 << 20
 
+# the ceiling on compare.random_seeds and algorithm.inner_iters, whose run time grows with each
+_LOOP_CEILING = 10_000
+
 # libyaml's parser where PyYAML was built with it: the same documents, parsed
 # several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -146,14 +149,15 @@ def _need(cfg: dict, section: str, key: str, kind=None):
     return cfg[key] if kind is None else _typed(_name(section, key), cfg[key], kind)
 
 
-def _count(cfg: dict, section: str, key: str, default=None, low: int = 1) -> int:
-    """An integer field of at least ``low``; required unless ``default`` is given."""
+def _count(cfg: dict, section: str, key: str, default=None, low: int = 1, high=math.inf) -> int:
+    """An integer field in [low, high]; required unless ``default`` is given."""
     if default is None or key in cfg:
         val = _need(cfg, section, key, int)
     else:
         val = default
-    if val < low:
-        raise ConfigError(f"{_name(section, key)}: must be at least {low}, got {val}")
+    if not low <= val <= high:
+        bound = f"at least {low}" if val < low else f"at most {high}"
+        raise ConfigError(f"{_name(section, key)}: must be {bound}, got {val}")
     return val
 
 
@@ -511,7 +515,8 @@ def _drls_params(acfg: dict) -> tuple:
     and, for an edge-list file, the CommGraph loaded from it (else None)."""
     beta = _beta(acfg)
     cfg = DrlsConfig(rho=_real(acfg, "algorithm", "rho", DrlsConfig.rho),
-                     inner_iters=_count(acfg, "algorithm", "inner_iters", DrlsConfig.inner_iters),
+                     inner_iters=_count(acfg, "algorithm", "inner_iters", DrlsConfig.inner_iters,
+                                        high=_LOOP_CEILING),
                      beta=beta, delta=_real(acfg, "algorithm", "delta", DrlsConfig.delta))
     comm, edges = acfg.get("comm", "processing"), None
     if not isinstance(comm, str):
@@ -709,7 +714,7 @@ def compare_sampling(config: dict) -> list:
             raise ConfigError(f"compare.rate_targets: each must lie in (0, 1), got {alpha:g}")
     base = _design_spec(setup, ccfg, "compare", ("mu", "msd_target"))
     mu, gamma = base.mu, base.msd_target
-    seeds = _count(ccfg, "compare", "random_seeds", 200)
+    seeds = _count(ccfg, "compare", "random_seeds", 200, high=_LOOP_CEILING)
 
     bl, noise = setup.bandlimit, setup.noise
     n = setup.graph.n

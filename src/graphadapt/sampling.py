@@ -1,13 +1,13 @@
 """Probabilistic vertex sampling, noisy observation, and reconstructability.
 
-Each vertex i is observed independently across time with probability p_i;
-observations are corrupted by zero-mean Gaussian noise with per-vertex
-variance.  :func:`draw_blocks` is the one stream of these draws, for any
-number of trials at once; one thread pool per stream, one thread per other
-usable CPU, fills the next block while the consumer works on this one, and
-the values do not depend on how many.  Whether a probability vector can
-support reconstruction of a bandlimited signal is governed by the smallest
-eigenvalue of the weighted Gram matrix U_F^T diag(p) U_F.
+Each vertex i is observed independently across time with probability p_i,
+with zero-mean Gaussian noise of per-vertex variance; :func:`draw_blocks`
+is the one stream of these draws, for any number of trials at once.  A
+probability vector supports reconstruction of a bandlimited signal iff
+H(p) = U_F^T diag(p) U_F is nonsingular.  :class:`_Instance` is the one
+evaluator of a sampling point: it decomposes H(p) and
+M(p) = U_F^T diag(p / sigma^2) U_F once per point, for the closed forms in
+``filters``, the design solvers and :func:`reconstructability_lambda`.
 """
 
 from __future__ import annotations
@@ -104,6 +104,43 @@ def weighted_gram(b: Bandlimit, weights) -> np.ndarray:
     u = b.basis_slice
     gram = u.T @ (w[:, None] * u)
     return (gram + gram.T) / 2.0
+
+
+class _Instance:
+    """The one evaluator of sampling points p of a bandlimit, with the noise
+    model and the caps ``ub`` where a reader needs them: g_lin = sigma^2 o
+    ||u_i||^2 (the gradient of Tr G(p), G(p) = U_F^T diag(p sigma^2) U_F) and,
+    at the last point it saw, the read-only ``eigh`` of H(p) and of M(p) and
+    every value ``cached`` there, so each point is decomposed once."""
+
+    def __init__(self, b: Bandlimit, noise: NoiseModel = None, ub: np.ndarray = None):
+        self.b, self.ub, self.u = b, ub, b.basis_slice
+        self.n, self.f = self.u.shape
+        if noise is not None:
+            self.sig2 = noise.variances
+            self.g_lin = self.sig2 * leverage_scores(b)
+        self.key, self.point = None, {}     # the last point's bytes, its {quantity: value}
+
+    def cached(self, p, quantity, compute):
+        """``quantity`` at p, from ``compute()`` unless p is the last point
+        evaluated and ``quantity`` was computed there."""
+        key = p.tobytes()
+        if key != self.key:
+            self.key, self.point = key, {}
+        if quantity not in self.point:
+            self.point[quantity] = compute()
+        return self.point[quantity]
+
+    def spectrum(self, p, rls=False):
+        """The read-only ascending eigenpairs of H(p), or with ``rls`` of M(p)."""
+        def compute():
+            vals, vecs = np.linalg.eigh(weighted_gram(self.b, p / self.sig2 if rls else p))
+            vals.flags.writeable = vecs.flags.writeable = False
+            return vals, vecs
+        return self.cached(p, ("eigh", rls), compute)
+
+    def lam_min(self, p) -> float:
+        return float(self.spectrum(p)[0][0])
 
 
 # threads that fill draw blocks, the consumer's included: every usable CPU
@@ -227,7 +264,7 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
 def reconstructability_lambda(p: SamplingProbabilities, b: Bandlimit) -> float:
     """Smallest eigenvalue of U_F^T diag(p) U_F; positive iff the expected
     sampling pattern supports reconstruction of the bandlimit."""
-    return float(np.linalg.eigvalsh(weighted_gram(b, p.probs))[0])
+    return _Instance(b).lam_min(p.probs)
 
 
 def leverage_scores(b: Bandlimit) -> np.ndarray:

@@ -304,7 +304,7 @@ def _ac7_gradients():
         def lmi(x):
             return prog(x) - box(x)
 
-        got_msd = _lms_msd(bl, noise.variances, p, 0.1, derivs=True)[1]
+        got_msd = _lms_msd(inst, p, 0.1, derivs=True)[1]
         got_lam = prog(p, True)[1] - box(p, True)[1]
         fd_msd, fd_lam = np.empty(10), np.empty(10)
         for i in range(10):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graphadapt import design
+from graphadapt import design, sampling
 from graphadapt.design import (
     DesignSpec,
     InfeasibleDesignError,
@@ -46,7 +46,7 @@ from graphadapt.graphs import (
     random_geometric_graph,
 )
 from graphadapt.harness import build_setup, load_config, resolve_sampling
-from graphadapt.sampling import NoiseModel, SamplingProbabilities, weighted_gram
+from graphadapt.sampling import NoiseModel, SamplingProbabilities, _Instance, weighted_gram
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_CONFIG_DIR = CONFIG_DIR.parent / "benchmarks" / "configs"
@@ -83,7 +83,7 @@ def path3_grid(step=0.01):
 
 def msd_gradient(p, noise, b):
     """The gradient of the exact MSD that the design solvers run."""
-    return _lms_msd(b, noise.variances, p, MU, derivs=True)[1]
+    return _lms_msd(_Instance(b, noise), p, MU, derivs=True)[1]
 
 
 def central_differences(fn, p, h=1e-6):
@@ -119,7 +119,7 @@ def msd_hessian_parts(spec, p):
     """The exact MSD Hessian of the engine at p, and K = U H^-1 U^T,
     L = U H^-1 G H^-1 U^T formed with an explicit inverse."""
     u = spec.bandlimit.basis_slice
-    _, _, hess = _lms_msd(spec.bandlimit, spec.noise.variances, p, MU, derivs=True)
+    _, _, hess = _lms_msd(_Instance(spec.bandlimit, spec.noise), p, MU, derivs=True)
     h_inv = np.linalg.inv(weighted_gram(spec.bandlimit, p))
     g = weighted_gram(spec.bandlimit, p * spec.noise.variances)
     return hess, u @ h_inv @ u.T, u @ h_inv @ g @ h_inv @ u.T
@@ -145,15 +145,15 @@ def test_msd_hessian_matches_finite_differences():
 
 def test_rls_trace_inverse_derivatives_match_finite_differences():
     spec = golden_instance()[2]
-    b, sig2 = spec.bandlimit, spec.noise.variances
+    inst = _Instance(spec.bandlimit, spec.noise)
     rng = np.random.default_rng(83)
     for _ in range(5):
-        p = rng.uniform(0.2, 1.0, size=b.n) * spec.bounds
-        value, grad, hess = _rls_trace_inverse(b, sig2, p, derivs=True)
-        assert value == pytest.approx(_rls_trace_inverse(b, sig2, p), rel=1e-12)
-        fd_grad = central_differences(lambda q: _rls_trace_inverse(b, sig2, q), p)
+        p = rng.uniform(0.2, 1.0, size=inst.n) * spec.bounds
+        value, grad, hess = _rls_trace_inverse(inst, p, derivs=True)
+        assert value == pytest.approx(_rls_trace_inverse(inst, p), rel=1e-12)
+        fd_grad = central_differences(lambda q: _rls_trace_inverse(inst, q), p)
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-8 * np.abs(grad).max())
-        fd_hess = central_differences(lambda q: _rls_trace_inverse(b, sig2, q, True)[1], p)
+        fd_hess = central_differences(lambda q: _rls_trace_inverse(inst, q, True)[1], p)
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-5, atol=1e-8 * np.abs(hess).max())
 
 
@@ -759,10 +759,11 @@ def test_trace_residual_is_the_programs_violation(monkeypatch, problem, zero_cap
 
 @pytest.mark.parametrize("problem", sorted(GOLDEN_DESIGNS))
 def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
-    # within one barrier run, H(p) (or the RLS information matrix) is
-    # decomposed once per point, whichever eigen routine asks, and the exact
-    # MSD evaluated once per point and mode; phase I and the solve are two
-    # runs that meet at one point, so the count is kept per run
+    # within one barrier run, the evaluator (sampling._Instance) decomposes
+    # H(p) (or the RLS information matrix M(p)) once per point, whichever eigen
+    # routine asks, and the exact MSD is evaluated once per point and mode;
+    # phase I and the solve are two runs that meet at one point, so the count
+    # is kept per run
     runs, finished, repeats = [], [], []
 
     def count(key, name):
@@ -777,9 +778,9 @@ def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    def counted_msd(b, sig2, p, mu, derivs=False, *args, **kwargs):
+    def counted_msd(inst, p, mu, derivs=False):
         count(("msd", p.tobytes(), mu, derivs), "msd")
-        return lms_msd(b, sig2, p, mu, derivs, *args, **kwargs)
+        return lms_msd(inst, p, mu, derivs)
 
     def counted_barrier(*args, **kwargs):
         runs.append(Counter())
@@ -790,7 +791,7 @@ def test_no_point_is_evaluated_twice_in_one_barrier_run(monkeypatch, problem):
 
     lms_msd, barrier = design._lms_msd, design._barrier
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(design.np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(sampling.np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(design, "_lms_msd", counted_msd)
     monkeypatch.setattr(design, "_barrier", counted_barrier)
     solver, spec = golden_problems()[problem]
@@ -833,6 +834,16 @@ def test_dinkelbach_matches_the_parametric_method_on_the_floor(golden_designs, c
     before = PARAMETRIC_DESIGNS[case]
     assert np.abs(probs.probs - before["p"]).max() <= 1e-6
     assert trace.objectives[-1] == pytest.approx(before["bound"], rel=1e-8, abs=0.0)
+
+
+def test_msd_upper_bound_reads_the_recorded_dinkelbach_objective():
+    # lms_msd_upper_bound is the barrier's own formula, (mu/2)(g @ p) /
+    # lambda_min(H(p)) from one evaluator of p, so at the returned design it
+    # equals the run's last recorded objective to the bit
+    setup = build_setup(load_config(BENCH_CONFIG_DIR / "design_dinkelbach.yaml"))
+    probs, trace = resolve_sampling(setup)
+    mu = setup.config["sampling"]["mu"]
+    assert lms_msd_upper_bound(probs, mu, setup.noise, setup.bandlimit) == trace.objectives[-1]
 
 
 def test_dinkelbach_scales_an_off_floor_design_onto_the_rate_floor():

@@ -7,6 +7,7 @@ kept: the expected Gram at p = (1, 1, 0) is [[2/3, 1/sqrt(6)], [1/sqrt(6),
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -222,6 +223,33 @@ def test_upper_bound_infinite_when_rank_deficient(path3_band, white_noise3, thre
     with pytest.raises(ReconstructabilityError):
         lms_msd_theory(p, 0.1, noise, b)
     assert lms_msd_upper_bound(p, 0.1, noise, b) == math.inf
+
+
+def test_lms_theory_report_decomposes_h_once_and_matches_each_closed_form(monkeypatch):
+    # one evaluator per report: one eigh of H(p), read by the MSD, the rate
+    # and the step bound, whose own eigvalsh is of its f(f+1)/2 matrix
+    g = random_geometric_graph(12, 0.6, seed=4)
+    b = Bandlimit.lowest(eigendecompose(build_laplacian(g)), 4)
+    rng = np.random.default_rng(23)
+    p = SamplingProbabilities(rng.uniform(0.2, 0.9, size=12))
+    noise = NoiseModel(rng.uniform(0.005, 0.03, size=12))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    report = lms_theory_report(p, 0.1, noise, b)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+    monkeypatch.undo()
+    assert report == {"msd_linear": lms_msd_theory(p, 0.1, noise, b),
+                      "msd_db": 10.0 * math.log10(lms_msd_theory(p, 0.1, noise, b)),
+                      "convergence_rate": lms_rate_theory(p, 0.1, b),
+                      "step_bound": lms_step_bound(p, b)}
 
 
 def test_lms_theory_report(path3_band, two_of_three, white_noise3):

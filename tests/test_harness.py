@@ -3,6 +3,7 @@
 import ast
 import copy
 import csv
+import functools
 import hashlib
 import importlib
 import json
@@ -701,6 +702,23 @@ def test_theory_csv_matches_golden_digest(tmp_path, capsys, name):
     assert digest == GOLDEN_THEORY[name]
 
 
+def test_console_scripts_resolve_and_write_the_golden_theory(tmp_path, capsys):
+    # each [project.scripts] entry, "module:attr", resolved as an installer's
+    # wrapper resolves it, runs theory on lms_full.yaml to the golden bytes
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11 on
+    pyproject = tomllib.loads((CONFIG_DIR.parent / "pyproject.toml").read_text())
+    scripts = pyproject["project"]["scripts"]
+    assert "graphadapt" in scripts
+    for name, target in scripts.items():
+        module, _, attrs = target.partition(":")
+        main = functools.reduce(getattr, attrs.split("."), importlib.import_module(module))
+        out = tmp_path / name
+        assert main(["theory", "--config", str(CONFIG_DIR / "lms_full.yaml"),
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "theory.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_THEORY["lms_full.yaml"]
+
+
 # SHA-256 of design_p.csv and design_trace.csv as written by the `design`
 # command on the shipped design configs; for the exact-MSD designs,
 # test_modified_newton_keeps_the_fallback_designs in test_design.py bounds
@@ -791,6 +809,20 @@ MODULE_NAMES = {
 def test_public_name_resolves_in_its_module(module, name):
     assert getattr(importlib.import_module(f"graphadapt.{module}"), name).__module__ == \
         f"graphadapt.{module}"
+
+
+def test_readme_config_schema_names_every_key_kind_and_problem():
+    # README's config schema is the reference for what a config may hold:
+    # every key the parser accepts, every kind of a section and every design
+    # problem appears there in backticks
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    schema = readme.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    quoted = {word for span in re.findall(r"`([^`]+)`", schema)
+              for word in re.findall(r"\w+", span)}
+    names = {key for keys in harness._KEYS.values() for key in keys}
+    names |= {kind for kinds in harness._KIND_KEYS.values() for kind in kinds}
+    names |= set(design.PROBLEMS)
+    assert sorted(names - quoted) == []
 
 
 def _loaded_by_import(package, modules="graphadapt, graphadapt.cli"):
@@ -1402,6 +1434,11 @@ class TestCli:
         *(("algorithm.beta", "run-rls", {"sampling": {"kind": "explicit", "p": [0.3] * 8},
                                          "algorithm": {"kind": "rls", "beta": beta}})
           for beta in (1e-5, 1e-300)),
+        # counts past the ceiling of 10,000 used to run until killed
+        ("compare.random_seeds", "compare-sampling",
+         {"compare": dict(COMPARE, random_seeds=10 ** 20)}),
+        ("algorithm.inner_iters", "run-drls",
+         {"algorithm": {"kind": "drls", "beta": 0.95, "inner_iters": 10 ** 20}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -1513,9 +1550,8 @@ class TestCli:
 DELETE = object()
 SWEEP_VALUES = (None, "x", -1, 0, 0.5, 1, 2, 1e300, -1e300, 1e-300, 10 ** 20, math.nan,
                 math.inf, -math.inf, True, [], {}, DELETE)
-# counts never get a size that would run until killed
-SWEEP_COUNTS = {"trials", "horizon", "graph.n", "bandlimit.size", "sampling.m",
-                "compare.random_seeds", "algorithm.inner_iters"}
+# counts with no ceiling never get a size that would run until killed
+SWEEP_COUNTS = {"trials", "horizon", "graph.n", "bandlimit.size", "sampling.m"}
 SWEEP_CONFIGS = sorted([*CONFIG_DIR.glob("*.yaml"), *BENCH_CONFIG_DIR.glob("*.yaml")])
 # what an error may name besides the config file: a section or a known field
 SWEEP_FIELDS = {"noise.low/high", *(section for section in harness._KEYS if section),
