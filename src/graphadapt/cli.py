@@ -14,18 +14,15 @@ import sys
 
 import numpy as np
 
+from .config import ConfigError, _kind, load_config
 from .filters import lms_theory_report, rls_theory_report  # noqa: F401 (benchmarks/worker.py)
 from .graphs import save_edge_list
 from .harness import (
     ESTIMATORS,
-    ConfigError,
-    _kind,
-    _section,
     _write_csv,
     build_graph,
     build_setup,
     compare_sampling,
-    load_config,
     resolve_sampling,
     run_experiment,
     theory_parameter,
@@ -83,7 +80,7 @@ def _run(args) -> int:
     if args.command == "design":
         setup = build_setup(config)
         # checked before any other sampling, a max-det greedy say, is computed
-        if _kind(_section(setup.config, "sampling"), "sampling") != "design":
+        if _kind(setup.config, "sampling") != "design":
             raise ConfigError("sampling.kind: the design command needs kind 'design'")
         probs, trace = resolve_sampling(setup)
         write_design_csv(probs, setup.noise, os.path.join(args.out, "design_p.csv"))
@@ -116,7 +113,7 @@ def _run(args) -> int:
     # argparse allows only the listed commands: what is left is run-<kind>
     expected = args.command[len("run-"):]
     # named before any other algorithm field is read
-    kind = _kind(_section(config, "algorithm"), "algorithm")
+    kind = _kind(config, "algorithm")
     if kind != expected:
         raise ConfigError(f"algorithm.kind: {args.command} needs kind '{expected}', "
                           f"got {kind!r}")

@@ -270,7 +270,10 @@ class _Barrier:
             if derivs:
                 _, gx, hx = out
                 grad += gx / slack
-                hess += np.outer(gx, gx) / slack ** 2 + hx / slack
+                try:    # a slack past 1e154, from a bound near the float limit, overflows
+                    hess += np.outer(gx, gx) / slack ** 2 + hx / slack
+                except OverflowError:   # squared: the term it divides is then below it
+                    hess += hx / slack
         return (value, grad, hess) if derivs else value
 
     def violation(self, p):

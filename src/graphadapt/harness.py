@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import yaml
 
 from . import design as design_mod
+from .config import ConfigError, _field, _kind, _read, _reads, _section
+from .config import load_config  # noqa: F401 (harness.load_config stays importable)
 from .distributed import CommGraph, DrlsConfig, drls_simulate
 from .filters import (
     lms_msd_theory,  # noqa: F401 (benchmarks/worker.py wraps it here)
@@ -68,17 +69,6 @@ TRIAL_CHUNK = 256
 # as many, the next filled on the other CPUs while the kernel runs on this one.
 DRAW_BLOCK = 1 << 20
 
-# the ceiling on compare.random_seeds and algorithm.inner_iters, whose run time grows with each
-_LOOP_CEILING = 10_000
-
-# libyaml's parser where PyYAML was built with it: the same documents, parsed
-# several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
-
 
 def to_db(x) -> float:
     return 10.0 * math.log10(x)
@@ -87,93 +77,6 @@ def to_db(x) -> float:
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    _finite(raw, "")
-    version = _typed("version", raw.get("version", 1), int)
-    if version != 1:
-        raise ConfigError(f"version: unsupported config version {version!r}")
-    return _known(raw, "")
-
-
-def _finite(val, name: str) -> None:
-    """Reject YAML's .nan and .inf anywhere in a parsed document, naming the
-    path, also in a section the command does not read: meta.json repeats the
-    whole config, and JSON has no such number."""
-    if isinstance(val, dict):
-        for key, entry in val.items():
-            _finite(entry, _name(name, key))
-    elif isinstance(val, list):
-        for entry in val:
-            _finite(entry, name)
-    elif isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{name}: must be finite, got {val!r}")
-
-
-def _name(section: str, key: str) -> str:
-    return f"{section}.{key}" if section else key
-
-
-def _typed(name: str, val, kind):
-    # bool is a subclass of int, but true/false is never a count or a number
-    if not isinstance(val, kind) or isinstance(val, bool):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        raise ConfigError(f"{name}: expected {' or '.join(k.__name__ for k in kinds)}, "
-                          f"got {val!r}")
-    # YAML reads .nan and .inf as floats, which no field accepts
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{name}: must be finite, got {val!r}")
-    return val
-
-
-def _list_of(name: str, val, kind) -> list:
-    """``val``, checked to be a list whose every entry is of ``kind``."""
-    for entry in _typed(name, val, list):
-        _typed(name, entry, kind)
-    return val
-
-
-def _need(cfg: dict, section: str, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"{_name(section, key)}: required field is missing")
-    return cfg[key] if kind is None else _typed(_name(section, key), cfg[key], kind)
-
-
-def _count(cfg: dict, section: str, key: str, default=None, low: int = 1, high=math.inf) -> int:
-    """An integer field in [low, high]; required unless ``default`` is given."""
-    if default is None or key in cfg:
-        val = _need(cfg, section, key, int)
-    else:
-        val = default
-    if not low <= val <= high:
-        bound = f"at least {low}" if val < low else f"at most {high}"
-        raise ConfigError(f"{_name(section, key)}: must be {bound}, got {val}")
-    return val
-
-
-def _real(cfg: dict, section: str, key: str, default=None, high: float = math.inf,
-          open_high: bool = False) -> float:
-    """A number in (0, high], or in (0, high) with ``open_high``; required
-    unless ``default`` is given."""
-    if default is None or key in cfg:
-        val = float(_need(cfg, section, key, (int, float)))
-    else:
-        val = float(default)
-    if not 0.0 < val <= high or (open_high and val == high):
-        bound = ("be positive" if high == math.inf
-                 else f"lie in (0, {high:g}{')' if open_high else ']'}")
-        raise ConfigError(f"{_name(section, key)}: must {bound}, got {val:g}")
-    return val
 
 
 # what the library raises on a bad input value, besides a plain ValueError
@@ -195,47 +98,6 @@ def config_field(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
-def _spec_keys(fields) -> set:
-    """The config keys of the DesignSpec ``fields``: the MSD target also as
-    ``msd_target_db``, and the cap ``p_max``, which every design reads."""
-    keys = {"p_max", *fields}
-    return keys | {"msd_target_db"} if "msd_target" in keys else keys
-
-
-def _known(cfg: dict, section: str) -> dict:
-    """``cfg``, checked to hold only keys of ``_KEYS[section]``."""
-    for key in cfg:
-        if key not in _KEYS[section]:
-            raise ConfigError(f"{_name(section, key)}: unknown field")
-    return cfg
-
-
-def _reads(cfg: dict, section: str, keys, reader: str) -> None:
-    """Reject a key of ``cfg`` besides "kind" that is not in ``keys``, the
-    keys that ``reader`` reads."""
-    for key in cfg:
-        if key != "kind" and key not in keys:
-            raise ConfigError(f"{_name(section, key)}: not read by {reader}")
-
-
-def _section(config: dict, name: str, optional: bool = False) -> dict:
-    """The mapping ``config[name]``; an optional section may be left out."""
-    cfg = config.get(name)
-    if cfg is None and not optional:
-        raise ConfigError(f"{name}: section is missing")
-    return {} if cfg is None else _known(_typed(name, cfg, dict), name)
-
-
-def _kind(cfg: dict, section: str, default: str = None) -> str:
-    """The section's kind, one of ``_KIND_KEYS[section]``, checked to be given
-    only the keys it reads; required unless ``default`` is given."""
-    kind = _need(cfg, section, "kind", str) if default is None or "kind" in cfg else default
-    if kind not in _KIND_KEYS[section]:
-        raise ConfigError(f"{section}.kind: unknown kind {kind!r}")
-    _reads(cfg, section, _KIND_KEYS[section][kind], f"kind {kind!r}")
-    return kind
-
-
 # ---------------------------------------------------------------------------
 # experiment setup
 
@@ -255,14 +117,13 @@ class Setup:
 
 
 def build_graph(config: dict) -> Graph:
-    gcfg = _section(config, "graph")
-    if _kind(gcfg, "graph") == "edge_list":
-        path = _need(gcfg, "graph", "path", str)
+    if _kind(config, "graph") == "edge_list":
+        path = _read(config, "graph.path")
         with config_field("graph.path"):
             return load_edge_list(path)
-    n = _count(gcfg, "graph", "n", low=2)
-    radius = _real(gcfg, "graph", "radius", high=math.sqrt(2.0))
-    seed = _count(gcfg, "graph", "seed", _count(config, "", "seed", 0, low=0), low=0)
+    # the top-level seed is checked also where graph.seed overrides it
+    n, radius, _, seed = (_read(config, key)
+                          for key in ("graph.n", "graph.radius", "seed", "graph.seed"))
     for offset in range(200):
         with config_field("graph.n"):      # numpy rejects an n past its shape limit
             g = random_geometric_graph(n, radius, seed + offset)
@@ -275,46 +136,41 @@ def build_graph(config: dict) -> Graph:
 
 
 def build_setup(config: dict) -> Setup:
-    seed = _count(config, "", "seed", 0, low=0)
-    trials = _count(config, "", "trials", 200)
-    horizon = _count(config, "", "horizon", 1000)
+    seed, trials, horizon = (_read(config, key) for key in ("seed", "trials", "horizon"))
 
     graph = build_graph(config)
     basis = eigendecompose(build_laplacian(graph))
 
-    bcfg = _section(config, "bandlimit")
-    if "indices" in bcfg:
-        if "size" in bcfg:
+    if "indices" in _section(config, "bandlimit"):
+        if "size" in config["bandlimit"]:
             raise ConfigError("bandlimit.size: give size or indices, not both")
-        indices = _list_of("bandlimit.indices", bcfg["indices"], int)
+        indices = _read(config, "bandlimit.indices")
         with config_field("bandlimit.indices"):
             bl = Bandlimit.from_indices(basis, indices)
     else:
-        size = _count(bcfg, "bandlimit", "size")
-        if not 1 <= size <= graph.n:
+        size = _read(config, "bandlimit.size")
+        if size > graph.n:
             raise ConfigError(f"bandlimit.size: {size} out of range for n={graph.n}")
         bl = Bandlimit.lowest(basis, size)
 
-    ncfg = _section(config, "noise")
-    nkind = _kind(ncfg, "noise", "uniform")
+    nkind = _kind(config, "noise")
     if nkind == "uniform":
-        noise = NoiseModel.uniform(graph.n, _real(ncfg, "noise", "sigma_sq"))
+        noise = NoiseModel.uniform(graph.n, _read(config, "noise.sigma_sq"))
     elif nkind == "values":
-        vals = _list_of("noise.values", _need(ncfg, "noise", "values"), (int, float))
+        vals = _read(config, "noise.values")
         if len(vals) != graph.n:
             raise ConfigError(f"noise.values: expected {graph.n} entries, got {len(vals)}")
         with config_field("noise.values"):
             noise = NoiseModel(variances=np.asarray(vals, dtype=float))
     else:  # loguniform
-        low = float(_need(ncfg, "noise", "low", (int, float)))
-        high = float(_need(ncfg, "noise", "high", (int, float)))
-        if not 0 < low <= high:
-            raise ConfigError("noise.low/high: need 0 < low <= high")
+        low, high = _read(config, "noise.low"), _read(config, "noise.high")
+        if high < low:
+            raise ConfigError(f"noise.high: must be at least noise.low = {low:g}, got {high:g}")
         rng = np.random.default_rng([seed, 202])
         noise = NoiseModel(variances=np.exp(rng.uniform(np.log(low), np.log(high), graph.n)))
 
-    scfg = _section(config, "signal", optional=True)
-    scale = float(_typed("signal.scale", scfg.get("scale", 1.0), (int, float)))
+    _section(config, "signal", optional=True)
+    scale = _read(config, "signal.scale")
     coeffs = scale * np.random.default_rng([seed, 101]).normal(size=bl.size)
     # the learning curve starts at |s|^2; past overflow every run would read
     # as diverged
@@ -327,45 +183,30 @@ def build_setup(config: dict) -> Setup:
                  x_true=bl.basis_slice @ coeffs, seed=seed, trials=trials, horizon=horizon)
 
 
-def _design_field(cfg: dict, section: str, key: str) -> tuple:
-    """One DesignSpec field of a section: (config field, value or None if
-    unset).  The MSD target is given in dB as ``msd_target_db`` or linear as
-    ``msd_target``, the cap ``p_max`` as one number or a list of them."""
-    if key == "msd_target" and "msd_target_db" in cfg:
-        if key in cfg:
-            raise ConfigError(f"{_name(section, key)}: give msd_target or msd_target_db, "
-                              "not both")
-        db = _need(cfg, section, "msd_target_db", (int, float))
-        if db > 3000.0:     # 10^(db/10) overflows a float past 3083 dB
-            raise ConfigError(f"{section}.msd_target_db: must be at most 3000, got {db:g}")
-        return _name(section, "msd_target_db"), 10.0 ** (db / 10.0)
-    name = _name(section, key)
-    if key not in cfg:
-        return name, None
-    val = _need(cfg, section, key, (int, float, list) if key == "p_max" else (int, float))
-    return name, _list_of(name, val, (int, float)) if isinstance(val, list) else float(val)
-
-
-def _design_spec(setup: Setup, cfg: dict, section: str, needs, optional=()):
+def _design_spec(setup: Setup, section: str, needs, optional=()):
     """The DesignSpec of a config section (``sampling`` for a designed
     sampling, ``compare`` for compare-sampling), the only code that turns
     config into one.  It reads the per-vertex cap ``p_max``, each field in
     ``needs`` (required) and in ``optional``, and no other field; ``mu`` and
-    ``beta`` default to the algorithm section's values.  An algorithm
-    section may be left out; one that is given is checked against its kind.
-    A rejected value names its field."""
-    acfg = _section(setup.config, "algorithm", optional=True)
-    if setup.config.get("algorithm") is not None:
-        _kind(acfg, "algorithm")
+    ``beta`` default to the algorithm section's values, and the MSD target is
+    given linear as ``msd_target`` or in dB as ``msd_target_db``.  An
+    algorithm section may be left out; one that is given is checked against
+    its kind.  A rejected value names its field."""
+    config = setup.config
+    if config.get("algorithm") is not None:
+        _kind(config, "algorithm")
     kwargs = {}
     # bounds come before the budget, which the spec checks against them
     for key in ("p_max", "mu", "beta", "rate_target", "msd_target", "budget"):
         if key != "p_max" and key not in needs + optional:
             continue
-        # mu and beta (the only keys the algorithm section shares with a
-        # design) come from there when the section leaves them out
-        name, value = _design_field(*((acfg, "algorithm") if key in acfg and key not in cfg
-                                      else (cfg, section)), key)
+        if key == "msd_target" and "msd_target_db" in config[section]:
+            if key in config[section]:
+                raise ConfigError(f"{section}.{key}: give msd_target or msd_target_db, not both")
+            name = f"{section}.msd_target_db"
+            value = 10.0 ** (_read(config, name) / 10.0)
+        else:
+            name, value = _field(config, f"{section}.{key}")
         if value is None and key in needs:
             raise ConfigError(f"{name}: required field is missing")
         kwargs["bounds" if key == "p_max" else key] = value
@@ -381,44 +222,41 @@ def resolve_sampling(setup: Setup):
     Returns (probabilities, trace_or_None); designed sampling also yields
     the solver trace for reporting.
     """
-    scfg = _section(setup.config, "sampling")
-    kind = _kind(scfg, "sampling")
+    kind = _kind(setup.config, "sampling")
     n = setup.graph.n
     if kind == "full":
         return SamplingProbabilities.full(n), None
     if kind == "explicit":
-        p = _list_of("sampling.p", _need(scfg, "sampling", "p"), (int, float))
+        p = _read(setup.config, "sampling.p")
         if len(p) != n:
             raise ConfigError(f"sampling.p: expected {n} entries, got {len(p)}")
         with config_field("sampling.p"):
             return SamplingProbabilities(probs=np.asarray(p, dtype=float)), None
     if kind == "design":
-        problem = _need(scfg, "sampling", "problem", str)
+        problem = _read(setup.config, "sampling.problem")
         if problem not in design_mod.PROBLEMS:
             raise ConfigError(
                 f"sampling.problem: unknown problem {problem!r}; "
                 f"choose from {sorted(design_mod.PROBLEMS)}"
             )
         solve, needs, optional = design_mod.PROBLEMS[problem]
-        spec = _design_spec(setup, scfg, "sampling", needs, optional)
-        _reads(scfg, "sampling", {"problem", *_spec_keys(needs + optional)},
-               f"problem {problem!r}")
+        spec = _design_spec(setup, "sampling", needs, optional)
+        keys = {"problem", "p_max", *needs, *optional}
+        keys |= {"msd_target_db"} if "msd_target" in keys else set()    # the target in dB
+        _reads(setup.config["sampling"], "sampling", keys, f"problem {problem!r}")
         with config_field("sampling"):
             return solve(spec)
     # a strategy
-    name = _need(scfg, "sampling", "strategy", str)
-    m = _count(scfg, "sampling", "m")
+    name, m = _read(setup.config, "sampling.strategy"), _read(setup.config, "sampling.m")
     if m > n:
         raise ConfigError(f"sampling.m: {m} out of range for n={n}")
     if name == "leverage":
         return leverage_score_probabilities(setup.bandlimit, m), None
     if name == "max_det":
         chosen = max_det_greedy(setup.bandlimit, m)
-        return SamplingProbabilities.from_support(chosen, n), None
-    if name == "uniform":
+    else:
         chosen = uniform_random_set(n, m, np.random.default_rng([setup.seed, 303]))
-        return SamplingProbabilities.from_support(chosen, n), None
-    raise ConfigError(f"sampling.strategy: unknown strategy {name!r}")
+    return SamplingProbabilities.from_support(chosen, n), None
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +348,19 @@ def _run_rls(setup: Setup, probs: SamplingProbabilities, beta: float, delta: flo
         estimate=estimate)
 
 
-def _drls_params(acfg: dict) -> tuple:
+def _drls_params(config: dict) -> tuple:
     """beta, and the run's ADMM parameters, its communication topology's name
     and, for an edge-list file, the CommGraph loaded from it (else None)."""
-    beta = _beta(acfg)
-    cfg = DrlsConfig(rho=_real(acfg, "algorithm", "rho", DrlsConfig.rho),
-                     inner_iters=_count(acfg, "algorithm", "inner_iters", DrlsConfig.inner_iters,
-                                        high=_LOOP_CEILING),
-                     beta=beta, delta=_real(acfg, "algorithm", "delta", DrlsConfig.delta))
-    comm, edges = acfg.get("comm", "processing"), None
-    if not isinstance(comm, str):
-        raise ConfigError(f"algorithm.comm: unknown topology {comm!r}")
+    cfg = DrlsConfig(**{key: _read(config, f"algorithm.{key}")
+                        for key in ("beta", "rho", "inner_iters", "delta")})
+    # a topology's name or an edge-list path
+    if not isinstance(config["algorithm"].get("comm", ""), str):
+        raise ConfigError(f"algorithm.comm: unknown topology {config['algorithm']['comm']!r}")
+    comm, edges = _read(config, "algorithm.comm"), None
     if comm not in ("processing", "complete", "ring"):
         with config_field("algorithm.comm"):
             edges = CommGraph.from_graph(load_edge_list(comm))
-    return beta, (cfg, comm, edges)
+    return cfg.beta, (cfg, comm, edges)
 
 
 def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, params: tuple) -> tuple:
@@ -542,15 +378,13 @@ def _run_drls(setup: Setup, probs: SamplingProbabilities, beta: float, params: t
 
 
 class Estimator(NamedTuple):
-    """One algorithm kind, all that defines it: its run command's help, the keys it reads
-    besides "kind" (each holds mu and beta, on which a design falls back), the reader of
-    those keys, which checks each and returns (the closed form's parameter, the run's
-    parameters), that closed form (theory.csv's rows, also meta.json's theory fields), its
-    Monte Carlo runner (curve, per-node curves or None, extra metadata) and a diverged
-    curve's message, None where run_experiment lets no parameter make the kind unstable."""
+    """One algorithm kind, all that defines it besides its fields' rows in the config table:
+    its run command's help, the reader of its fields (returning the closed form's parameter
+    and the run's parameters), that closed form (theory.csv's rows and meta.json's theory
+    fields), its Monte Carlo runner (curve, per-node curves or None, extra metadata) and a
+    diverged curve's message, None where run_experiment lets no parameter diverge it."""
 
     help: str
-    keys: set
     parameter: Callable
     closed_form: Callable
     run: Callable
@@ -562,44 +396,19 @@ class Estimator(NamedTuple):
             return self.closed_form(probs, param, setup.noise, setup.bandlimit)
 
 
-def _beta(acfg: dict) -> float:
-    # beta = 1 forgets nothing, and the RLS closed form holds on (0, 1) only
-    return _real(acfg, "algorithm", "beta", high=1.0, open_high=True)
-
-
-# every algorithm kind; a new kind is one entry
+# every algorithm kind, each also a choice of the config table's algorithm.kind; a new
+# kind is one entry here and its fields' rows there
 ESTIMATORS = {
-    "lms": Estimator("Monte Carlo learning curve for the LMS estimator", {"mu", "beta"},
-                     lambda acfg: (_real(acfg, "algorithm", "mu"), None), lms_theory_report,
+    "lms": Estimator("Monte Carlo learning curve for the LMS estimator",
+                     lambda config: (_read(config, "algorithm.mu"), None), lms_theory_report,
                      _run_lms),
     "rls": Estimator("Monte Carlo learning curve for the recursive estimator",
-                     {"mu", "beta", "delta"},
-                     lambda acfg: (_beta(acfg), _real(acfg, "algorithm", "delta", 1e-3)),
+                     lambda config: (_read(config, "algorithm.beta"),
+                                     _read(config, "algorithm.delta")),
                      rls_theory_report, _run_rls),
     "drls": Estimator("Monte Carlo learning curves for the distributed estimator",
-                      {"mu", "beta", "delta", "rho", "inner_iters", "comm"}, _drls_params,
-                      rls_theory_report, _run_drls, lambda beta, params: (
+                      _drls_params, rls_theory_report, _run_drls, lambda beta, params: (
                           f"algorithm.rho: the learning curve diverged; rho = {params[0].rho:g}")),
-}
-
-# the keys each kind of a section reads besides "kind"
-_KIND_KEYS = {
-    "graph": {"random_geometric": {"n", "radius", "seed"}, "edge_list": {"path"}},
-    "noise": {"uniform": {"sigma_sq"}, "values": {"values"}, "loguniform": {"low", "high"}},
-    "sampling": {"full": set(), "explicit": {"p"}, "strategy": {"strategy", "m"},
-                 "design": {"problem"}.union(*(_spec_keys(entry[1] + entry[2])
-                                              for entry in design_mod.PROBLEMS.values()))},
-    "algorithm": {kind: estimator.keys for kind, estimator in ESTIMATORS.items()},
-}
-
-# every key the top level ("") and each section may hold; any other is rejected
-_KEYS = {
-    "": {"version", "seed", "trials", "horizon", "graph", "bandlimit", "noise", "signal",
-         "sampling", "algorithm", "compare"},
-    "bandlimit": {"size", "indices"},
-    "signal": {"scale"},
-    "compare": {"rate_targets", "mu", "msd_target", "msd_target_db", "random_seeds", "p_max"},
-    **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
 }
 
 # meta.json's name of each closed-form row
@@ -610,9 +419,8 @@ _THEORY_META = {"msd_linear": "theory_msd_linear", "msd_db": "theory_msd_db",
 def theory_parameter(config: dict) -> tuple:
     """The configured algorithm kind, the parameter its closed form takes and
     its run's parameters: every field of the kind, read and checked once."""
-    acfg = _section(config, "algorithm")
-    kind = _kind(acfg, "algorithm")
-    return (kind, *ESTIMATORS[kind].parameter(acfg))
+    kind = _kind(config, "algorithm")
+    return (kind, *ESTIMATORS[kind].parameter(config))
 
 
 def run_experiment(config: dict) -> LearningCurve:
@@ -705,16 +513,13 @@ def compare_sampling(config: dict) -> list:
     over ``compare.random_seeds`` permutations (mean and standard deviation).
     """
     setup = build_setup(config)
-    ccfg = _section(setup.config, "compare")
-    targets = _need(ccfg, "compare", "rate_targets", list)
+    _section(config, "compare")
+    targets = _read(config, "compare.rate_targets")
     if not targets:
         raise ConfigError("compare.rate_targets: give at least one target")
-    for alpha in targets:
-        if not 0.0 < _typed("compare.rate_targets", alpha, (int, float)) < 1.0:
-            raise ConfigError(f"compare.rate_targets: each must lie in (0, 1), got {alpha:g}")
-    base = _design_spec(setup, ccfg, "compare", ("mu", "msd_target"))
+    base = _design_spec(setup, "compare", ("mu", "msd_target"))
     mu, gamma = base.mu, base.msd_target
-    seeds = _count(ccfg, "compare", "random_seeds", 200, high=_LOOP_CEILING)
+    seeds = _read(config, "compare.random_seeds")
 
     bl, noise = setup.bandlimit, setup.noise
     n = setup.graph.n

@@ -22,6 +22,7 @@ import yaml
 import graphadapt
 import reference
 from graphadapt import cli, design, harness, sampling
+from graphadapt import config as config_table
 from graphadapt.filters import (
     lms_msd_theory,
     lms_msd_upper_bound,
@@ -785,6 +786,30 @@ def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
     assert digests == GOLDEN_DESIGN_OUTPUTS["design_min_rate.yaml"]
 
 
+@pytest.mark.parametrize("name", ["design_rls.yaml", "design_sca_min_rate.yaml"])
+def test_design_at_the_loosest_msd_target_exits_0(tmp_path, capsys, name):
+    # msd_target_db's range end, 3000 dB, is a linear target of 1e300: the
+    # barrier's slack squared used to overflow in the RLS and SCA designs, an
+    # OverflowError traceback
+    config = load_config(BENCH_CONFIG_DIR / name)
+    config["sampling"]["msd_target_db"] = 3000
+    assert cli.main(["design", "--config", dump(tmp_path, config), "--out",
+                     str(tmp_path / "out")]) == 0, capsys.readouterr().err
+
+
+def test_reading_a_config_fills_in_no_default():
+    # meta.json repeats the config as given, and config_hash hashes it
+    config = dict(tiny_config(), sampling=DESIGN, compare=COMPARE)
+    given = copy.deepcopy(config)
+    run_experiment(config)
+    compare_sampling(config)
+    assert config == given
+
+
+def test_every_algorithm_kind_is_a_choice_of_the_config_table():
+    assert config_table._FIELDS["algorithm.kind"].range == tuple(harness.ESTIMATORS)
+
+
 # the names the package once re-exported, by the module that defines them
 MODULE_NAMES = {
     "graphs": ["Bandlimit", "Graph", "GraphFormatError", "build_laplacian",
@@ -811,18 +836,40 @@ def test_public_name_resolves_in_its_module(module, name):
         f"graphadapt.{module}"
 
 
+def schema_row(row):
+    """README's table row of a config field: its path, type, range and
+    ceiling, default, the kinds that read it and its doc."""
+    span = (", ".join(f"`{choice}`" for choice in row.range) if row.type == "enum"
+            else f"`{row.range}`" if row.range else "")
+    if row.ceiling is not None:
+        span += f", at most {row.ceiling:,}"
+    default = ("required" if row.default is ...
+               else "" if row.default is None
+               else f"same as `{row.default.path}`" if isinstance(row.default, config_table._From)
+               else f"`{row.default}`" if isinstance(row.default, str) else repr(row.default))
+    kinds = ", ".join(f"`{kind}`" for kind in row.kinds)
+    return f"| `{row.path}` | {row.type} | {span} | {default} | {kinds} | {row.doc} |"
+
+
 def test_readme_config_schema_names_every_key_kind_and_problem():
     # README's config schema is the reference for what a config may hold:
     # every key the parser accepts, every kind of a section and every design
-    # problem appears there in backticks
+    # problem appears there in backticks; its field table is the config
+    # table's rows, type, range, ceiling and default included, and it names
+    # the counts that have no ceiling
     readme = (CONFIG_DIR.parent / "README.md").read_text()
     schema = readme.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
     quoted = {word for span in re.findall(r"`([^`]+)`", schema)
               for word in re.findall(r"\w+", span)}
-    names = {key for keys in harness._KEYS.values() for key in keys}
-    names |= {kind for kinds in harness._KIND_KEYS.values() for kind in kinds}
+    names = {key for keys in config_table._KEYS.values() for key in keys}
+    names |= {kind for kinds in config_table._KIND_KEYS.values() for kind in kinds}
     names |= set(design.PROBLEMS)
     assert sorted(names - quoted) == []
+    rows = [line for line in schema.splitlines() if line.startswith("| `")]
+    assert rows == [schema_row(row) for row in config_table._FIELDS.values()]
+    uncapped = next(line for line in schema.splitlines()
+                    if line.startswith("Counts with no ceiling:"))
+    assert set(re.findall(r"`([^`]+)`", uncapped)) == SWEEP_COUNTS
 
 
 def _loaded_by_import(package, modules="graphadapt, graphadapt.cli"):
@@ -1439,6 +1486,9 @@ class TestCli:
          {"compare": dict(COMPARE, random_seeds=10 ** 20)}),
         ("algorithm.inner_iters", "run-drls",
          {"algorithm": {"kind": "drls", "beta": 0.95, "inner_iters": 10 ** 20}}),
+        # a bad log-uniform range used to be named noise.low/high, no field
+        ("noise.low", "run-lms", {"noise": {"kind": "loguniform", "low": -0.1, "high": 0.03}}),
+        ("noise.high", "run-lms", {"noise": {"kind": "loguniform", "low": 0.02, "high": 0.004}}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -1449,6 +1499,26 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         for name in ("curve.csv", "meta.json", "theory.csv", "comparison.csv", "graph.txt"):
             assert not (out / name).exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # YAML keeps the last of two equal keys: mu = 2.5 used to run, above
+        # the step bound of 2 that theory reports
+        ("algorithm: {kind: lms, mu: 0.1, mu: 2.5}\n", "algorithm.mu: given twice"),
+        ("seed: 1\nseed: 2\n", "seed: given twice"),
+        ("algorithm:\n  kind: lms\nalgorithm:\n  kind: rls\n", "algorithm: given twice"),
+        ("noise: {kind: loguniform, low: -0.1, high: 0.03}\n",
+         "noise.low: must be positive, got -0.1"),
+        ("noise: {kind: loguniform, low: 0.02, high: 0.004}\n",
+         "noise.high: must be at least noise.low = 0.02, got 0.004"),
+    ], ids=["key_twice", "top_level_key_twice", "section_twice", "noise_low", "noise_high"])
+    def test_config_text_error_gives_its_field(self, tmp_path, capsys, text, message):
+        base = {k: v for k, v in tiny_config().items() if k not in yaml.safe_load(text)}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(base) + text)
+        out = tmp_path / "out"
+        assert cli.main(["theory", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command, name, horizon, edits, message", [
         # the exact step bound reads 2.73 here, so mu = 3 is rejected before the run
@@ -1551,29 +1621,44 @@ DELETE = object()
 SWEEP_VALUES = (None, "x", -1, 0, 0.5, 1, 2, 1e300, -1e300, 1e-300, 10 ** 20, math.nan,
                 math.inf, -math.inf, True, [], {}, DELETE)
 # counts with no ceiling never get a size that would run until killed
-SWEEP_COUNTS = {"trials", "horizon", "graph.n", "bandlimit.size", "sampling.m"}
+SWEEP_COUNTS = {path for path, row in config_table._FIELDS.items()
+                if row.type == "count" and row.ceiling is None}
 SWEEP_CONFIGS = sorted([*CONFIG_DIR.glob("*.yaml"), *BENCH_CONFIG_DIR.glob("*.yaml")])
 # what an error may name besides the config file: a section or a known field
-SWEEP_FIELDS = {"noise.low/high", *(section for section in harness._KEYS if section),
-                *(harness._name(section, key) for section, keys in harness._KEYS.items()
-                  for key in keys)}
+SWEEP_FIELDS = {*(section for section in config_table._KEYS if section), *config_table._FIELDS}
+
+
+def edge_values(path):
+    """The ends of the range of a scalar field that has one, a value just
+    outside each end, and its ceiling plus one."""
+    row = config_table._FIELDS.get(path)
+    if row is None or row.type not in ("count", "int", "real", "number"):
+        return []
+    values = [] if row.ceiling is None else [row.ceiling + 1]
+    if row.range:
+        for end, outward in zip(config_table._ends(row.range), (-1, 1)):
+            if math.isfinite(end):
+                values += ([int(end), int(end) + outward] if row.type in ("count", "int")
+                           else [end, math.nextafter(end, outward * math.inf)])
+    return values
 
 
 def leaves(cfg, prefix=""):
     """The dotted path of every leaf of a config section; a list is one leaf."""
     for key, val in cfg.items():
         if isinstance(val, dict):
-            yield from leaves(val, harness._name(prefix, key))
+            yield from leaves(val, config_table._name(prefix, key))
         else:
-            yield harness._name(prefix, key)
+            yield config_table._name(prefix, key)
 
 
 @pytest.mark.parametrize("path", SWEEP_CONFIGS, ids=lambda path: path.name)
 def test_config_sweep_exits_0_or_2_naming_a_field(tmp_path, capsys, path):
     """Every leaf of a shipped config, at 2 trials and 20 steps, gets one
-    seeded mutation and goes through each command that applies: each run
-    exits 0, or 2 naming the config file, a section, noise.low/high or a
-    known field, with no exception and no warning."""
+    seeded mutation, drawn from fixed values and the field's range ends and
+    ceiling in the config table, and goes through each command that applies:
+    each run exits 0, or 2 naming the config file, a section or a known
+    field, with no exception and no warning."""
     base = dict(load_config(path), trials=2, horizon=20)
     if "compare" in base:
         base["compare"]["random_seeds"] = 3
@@ -1584,6 +1669,7 @@ def test_config_sweep_exits_0_or_2_naming_a_field(tmp_path, capsys, path):
     for leaf in leaves(base):
         values = [v for v in SWEEP_VALUES
                   if leaf not in SWEEP_COUNTS or v not in (10 ** 20, 1e300)]
+        values += edge_values(leaf)
         value = values[rng.integers(len(values))]
         config = copy.deepcopy(base)
         *sections, key = leaf.split(".")
