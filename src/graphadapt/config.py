@@ -36,7 +36,8 @@ _FIELDS = {path: _Field(path, type_, tuple(span.split()) if type_ == "enum" else
            for path, type_, span, ceiling, default, kinds, doc in (
     # path, type, range, ceiling, default, kinds that read it, doc
     ("version", "int", None, None, 1, "", "config format; only 1 is read"),
-    ("seed", "int", "[0, inf)", None, 0, "", "seeds the signal, noise, strategies and trials"),
+    # numpy splits a seed past 32 bits into two key words, the second read as a tag
+    ("seed", "int", "[0, inf)", 2 ** 32 - 1, 0, "", "keys every random stream"),
     ("trials", "count", "[1, inf)", None, 200, "", "Monte Carlo trials"),
     ("horizon", "count", "[1, inf)", None, 1000, "", "instants per trial"),
     ("graph.kind", "enum", "random_geometric edge_list", None, ..., "", "how the graph is made"),
@@ -122,7 +123,13 @@ def _check(row: _Field, name: str, val, each: str = ""):
         return val
     if row.type == "enum" and val not in row.range:
         raise ConfigError(f"{name}: unknown {name.rpartition('.')[2]} {val!r}")
-    val, bound = float(val) if float in types else val, None
+    if float in types:
+        try:
+            val = float(val)
+        except OverflowError:   # an integer past the float range
+            raise ConfigError(f"{name}: {each}must be finite, got an integer past the float "
+                              "range") from None
+    bound = None
     if row.range and row.type != "enum":
         low, high = _ends(row.range)
         if not (low < val or row.range[0] == "[" and val == low) or not (
@@ -223,9 +230,13 @@ def load_config(path) -> dict:
     return _known(raw, "")
 
 
-def _unique(node, name: str) -> None:
+def _unique(node, name: str, holders=()) -> None:
     """Reject a key given twice in one mapping of a YAML node tree, naming
-    its path: YAML would keep the last value."""
+    its path: YAML would keep the last value.  Reject, too, an alias to a
+    node that holds it (``holders``), which would nest without end."""
+    if any(node is holder for holder in holders):
+        raise ConfigError(f"{name}: an alias refers to a node that holds it")
+    holders += (node,)
     if isinstance(node, yaml.MappingNode):
         seen = set()
         for key, value in node.value:
@@ -233,10 +244,10 @@ def _unique(node, name: str) -> None:
                 if key.value in seen:
                     raise ConfigError(f"{_name(name, key.value)}: given twice")
                 seen.add(key.value)
-                _unique(value, _name(name, key.value))
+                _unique(value, _name(name, key.value), holders)
     elif isinstance(node, yaml.SequenceNode):
         for entry in node.value:
-            _unique(entry, name)
+            _unique(entry, name, holders)
 
 
 def _finite(val, name: str) -> None:

@@ -424,6 +424,10 @@ def _run(prog, start, objective, msd):
     x, trace.converged = _barrier(prog, start, record)
     final = _truncate(x)
     record(final)
+    if not math.isfinite(trace.residuals[-1]):
+        # a target so loose that the design's entries fall below TRUNCATE_TOL
+        raise InfeasibleDesignError(f"the design, its entries below {TRUNCATE_TOL:g} set to 0, "
+                                    f"violates its program (violation {trace.residuals[-1]:g})")
     return SamplingProbabilities(probs=final, bounds=prog.inst.ub), trace
 
 

@@ -4,8 +4,8 @@ A single YAML document (version 1) describes one experiment: the graph, the
 bandlimit, the noise, how sampling probabilities are obtained (fixed,
 designed, or a baseline strategy), the estimator, and the Monte Carlo
 budget.  Runs aggregate per-iteration squared deviation over independent
-trials whose generators are seeded ``seed + trial_index``, so results are
-reproducible and trial order is irrelevant.  Every run goes through the
+trials, each with its own keyed streams (:func:`sampling.stream`), so results
+are reproducible and trial order is irrelevant.  Every run goes through the
 one loop over passes, ``_monte_carlo``, fed by :func:`sampling.draw_blocks`:
 LMS and RLS as (init, step, estimate) triples in :func:`filters.track`, the
 one per-instant loop, and DRLS in :func:`distributed.drls_simulate`, which
@@ -57,6 +57,7 @@ from .sampling import (
     leverage_score_probabilities,
     leverage_scores,
     max_det_greedy,
+    stream,
     uniform_random_set,
     weighted_gram,  # noqa: F401 (harness.weighted_gram stays importable)
 )
@@ -166,12 +167,12 @@ def build_setup(config: dict) -> Setup:
         low, high = _read(config, "noise.low"), _read(config, "noise.high")
         if high < low:
             raise ConfigError(f"noise.high: must be at least noise.low = {low:g}, got {high:g}")
-        rng = np.random.default_rng([seed, 202])
+        rng = stream(seed, "noise_levels")
         noise = NoiseModel(variances=np.exp(rng.uniform(np.log(low), np.log(high), graph.n)))
 
     _section(config, "signal", optional=True)
     scale = _read(config, "signal.scale")
-    coeffs = scale * np.random.default_rng([seed, 101]).normal(size=bl.size)
+    coeffs = scale * stream(seed, "signal").normal(size=bl.size)
     # the learning curve starts at |s|^2; past overflow every run would read
     # as diverged
     with np.errstate(over="ignore"):
@@ -255,7 +256,7 @@ def resolve_sampling(setup: Setup):
     if name == "max_det":
         chosen = max_det_greedy(setup.bandlimit, m)
     else:
-        chosen = uniform_random_set(n, m, np.random.default_rng([setup.seed, 303]))
+        chosen = uniform_random_set(n, m, stream(setup.seed, "uniform_set"))
     return SamplingProbabilities.from_support(chosen, n), None
 
 
@@ -526,7 +527,7 @@ def compare_sampling(config: dict) -> list:
     ordered = {"max_det": _prefix_stats(bl, noise, max_det_greedy(bl, n)),
                "leverage": _prefix_stats(bl, noise,
                                          np.argsort(-leverage_scores(bl), kind="stable"))}
-    rng = np.random.default_rng(setup.seed)
+    rng = stream(setup.seed, "permutations")
     perms = np.array([rng.permutation(n) for _ in range(seeds)])
     # (seeds, n, f, f) Gram stacks grow fast with n and f: bound each group
     # to DRAW_BLOCK entries

@@ -143,6 +143,18 @@ class _Instance:
         return float(self.spectrum(p)[0][0])
 
 
+# each random consumer's tag, the second word of its stream's key; none is 0,
+# since numpy zero-pads a short key and [seed, 0] is random_geometric_graph's [seed]
+TAGS = {"signal": 101, "noise_levels": 202, "uniform_set": 303, "permutations": 404,
+        "masks": 505, "noise": 606}
+
+
+def stream(seed: int, tag: str, *index) -> np.random.Generator:
+    """``tag``'s generator at ``index`` (a trial), keyed [seed, tag, *index, len(index)]:
+    without the count, the zero padding would make [seed, tag] and [seed, tag, 0] one."""
+    return np.random.default_rng([seed, TAGS[tag], *index, len(index)])
+
+
 # threads that fill draw blocks, the consumer's included: every usable CPU
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -152,12 +164,10 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
                 max_elements: int):
     """Per-trial sampling masks and noise, streamed in time blocks.
 
-    Trial ``t`` owns the stream of ``default_rng(seed + t)``: ``horizon``
-    rows of uniforms, thresholded against ``probs`` into 0/1 masks, then
-    ``horizon`` rows of Gaussian noise with per-vertex ``std``.  The masks
-    are read from that generator; the noise from a second copy advanced
-    past the uniforms, so each block is drawn without materializing the
-    rest of the horizon.  Yields ``(masks, noise)`` of shape
+    Trial ``t`` draws its 0/1 masks (uniforms thresholded against ``probs``)
+    from ``stream(seed, "masks", t)`` and its noise (per-vertex ``std``) from
+    ``stream(seed, "noise", t)``, ``horizon`` rows each, so a run's first rows
+    do not depend on its horizon.  Yields ``(masks, noise)`` of shape
     ``(len(trials), steps, n)`` covering the horizon in order, with
     ``steps`` chosen so that a block holds at most ``max_elements`` entries,
     but at least one step.
@@ -178,8 +188,7 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
     later, so it stays valid only until the next one is requested: copy it
     to keep it.  The consumer may overwrite the noise, never the masks.
     When every probability is 0 or 1 the masks are the same at every
-    instant: they are set once and no uniforms are drawn, which leaves the
-    noise as it was (it comes from its own advanced generator).
+    instant: they are set once and no uniforms are drawn.
     """
     # imported here, where a pool starts, so that loading the package does
     # not load concurrent.futures and the logging it imports
@@ -196,12 +205,8 @@ def draw_blocks(seed: int, trials, horizon: int, probs: np.ndarray, std: np.ndar
         for masks, _ in buffers:
             masks[...] = probs == 1.0
     else:
-        mask_rngs = [np.random.default_rng(seed + t) for t in trials]
-    noise_rngs = []
-    for t in trials:
-        bits = np.random.PCG64(seed + t)
-        bits.advance(horizon * n)  # one 64-bit draw per uniform
-        noise_rngs.append(np.random.Generator(bits))
+        mask_rngs = [stream(seed, "masks", t) for t in trials]
+    noise_rngs = [stream(seed, "noise", t) for t in trials]
     helpers = min(_WORKERS - 1, len(trials))
     lock = threading.Lock()
 

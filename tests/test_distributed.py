@@ -34,8 +34,8 @@ from graphadapt.graphs import (
     eigendecompose,
     random_geometric_graph,
 )
-from graphadapt.harness import run_experiment
-from graphadapt.sampling import NoiseModel
+from graphadapt.harness import _drls_params, build_setup, resolve_sampling, run_experiment
+from graphadapt.sampling import NoiseModel, stream
 
 PATH2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -328,12 +328,14 @@ def test_aggregated_duals_sum_to_zero():
 def per_link_reference(comm, b, noise, cfg, draws, obs):
     """D-RLS with one multiplier per directed link, in the paper's order:
     sense, then per inner iteration local solves on the previous neighbor
-    estimates followed by lambda_ij <- lambda_ij + (rho/2)(s_i - s_j)."""
+    estimates followed by lambda_ij <- lambda_ij + (rho/2)(s_i - s_j).
+    Returns the (n, f) estimates after each instant, (instants, n, f)."""
     n, f, u = comm.n, b.size, b.basis_slice
     psi = [cfg.delta / n * np.eye(f) for _ in range(n)]
     psiv = [np.zeros(f) for _ in range(n)]
     s = [np.zeros(f) for _ in range(n)]
     lam = {(i, j): np.zeros(f) for i, nbrs in enumerate(neighbors(comm)) for j in nbrs}
+    history = []
     for d, y in zip(draws, obs):
         for i in range(n):
             w = d[i] / noise.variances[i]
@@ -347,7 +349,8 @@ def per_link_reference(comm, b, noise, cfg, draws, obs):
                 s[i] = np.linalg.solve(psi[i] + cfg.rho * len(nbrs) * np.eye(f), rhs)
             for i, j in lam:
                 lam[i, j] = lam[i, j] + 0.5 * cfg.rho * (s[i] - s[j])
-    return np.array(s)
+        history.append(np.array(s))
+    return np.array(history)
 
 
 @pytest.mark.parametrize("topology", ["ring", "random_geometric"])
@@ -367,7 +370,7 @@ def test_matches_per_link_reference(topology):
     net = drls_network_init(comm, b, noise, cfg)
     for t in range(10):
         drls_round(net, draws[t], obs[t], cfg)
-    reference = per_link_reference(comm, b, noise, cfg, draws, obs)
+    reference = per_link_reference(comm, b, noise, cfg, draws, obs)[-1]
     assert np.abs(reference).max() > 1e-2
     np.testing.assert_allclose(net.estimates, reference, rtol=1e-10)
 
@@ -536,12 +539,38 @@ def test_simulate_validates_shapes():
         drls_simulate(comm, b, noise, DrlsConfig(), blocks, np.zeros(2))
 
 
-# msd_linear of DRLS runs written while every node's information matrix was
-# a dense (trials, n, f, f) array, solved by LU at each inner iteration: the
-# GOLDEN_CURVES["drls"] config (2 trials x 30 steps) and configs/drls.yaml at
-# 4 trials.  The closed form must follow them to a relative 1e-10 per instant.
+def per_link_curve(config):
+    """A DRLS run's msd_linear from ``per_link_reference``: dense per-node
+    solves with per-link multipliers, fed each trial's masks and noise drawn
+    whole from its two keyed streams."""
+    setup = build_setup(config)
+    probs = resolve_sampling(setup)[0].probs
+    _, (cfg, comm, _) = _drls_params(config)
+    n, f, horizon = setup.graph.n, setup.bandlimit.size, setup.horizon
+    assert comm in ("processing", "complete"), comm
+    graph = CommGraph.from_graph(setup.graph) if comm == "processing" else CommGraph.complete(n)
+    curve = np.zeros(horizon)
+    for t in range(setup.trials):
+        draws = stream(setup.seed, "masks", t).random((horizon, n)) < probs
+        noise = stream(setup.seed, "noise", t).normal(0.0, setup.noise.std, (horizon, n))
+        history = per_link_reference(graph, setup.bandlimit, setup.noise, cfg, draws,
+                                     setup.x_true + noise)
+        # the estimates before each instant: zero, then those after the last one
+        estimates = np.concatenate([np.zeros((1, n, f)), history[:-1]])
+        curve += ((estimates - setup.signal_coeffs) ** 2).sum(axis=2).mean(axis=1)
+    return curve / setup.trials
+
+
+# msd_linear of DRLS runs written by per_link_curve: the GOLDEN_CURVES["drls"]
+# config (2 trials x 30 steps) and configs/drls.yaml at 4 trials.  The closed
+# form must follow them to a relative 1e-10 per instant.
 DENSE_SOLVE_CURVES = json.loads(
     (Path(__file__).parent / "data" / "drls_parent_curves.json").read_text())
+
+
+def test_dense_solve_curves_are_the_per_link_reference():
+    stored = DENSE_SOLVE_CURVES["golden_drls"]
+    np.testing.assert_array_equal(per_link_curve(stored["config"]), stored["msd_linear"])
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_SOLVE_CURVES))

@@ -399,10 +399,9 @@ class TestRunExperiment:
 
 
 def _dense_trial_stream(seed, trial, horizon, probs, std):
-    """The per-trial stream drawn all at once: the oracle for draw_blocks."""
-    rng = np.random.default_rng(seed + trial)
-    masks = rng.random((horizon, probs.shape[0])) < probs
-    noise = rng.normal(0.0, std, (horizon, probs.shape[0]))
+    """The trial's two tagged streams drawn whole: the oracle for draw_blocks."""
+    masks = sampling.stream(seed, "masks", trial).random((horizon, probs.shape[0])) < probs
+    noise = sampling.stream(seed, "noise", trial).normal(0.0, std, (horizon, probs.shape[0]))
     return masks, noise
 
 
@@ -596,15 +595,17 @@ def golden_config(algorithm):
 
 # SHA-256 of curve.csv as written by the previous Monte Carlo engine (whole-
 # horizon draws per trial, einsum information update); the streamed kernels
-# must reproduce these bytes.
+# must reproduce these bytes.  Re-pinned when each trial's masks and noise
+# moved to their own keyed streams, [seed, tag, trial, 1]: that engine, fed
+# those streams, writes the same bytes.
 GOLDEN_CURVES = {
     "lms": ({"kind": "lms", "mu": 0.2},
-            "ba71575b2f912ddb4ca9c844e8fb96420342eddeb8b966529812a8300e18f314"),
+            "291764de2c7d82500f4e09ce87fc49ee5ddcd848f505b903f80678cc82a8fb6e"),
     "rls": ({"kind": "rls", "beta": 0.9},
-            "6d9aa694b0e5de649f30d0fea55b57b3a72bab7bce0a4bc35a779ec309d79a65"),
+            "3f20bcdb440676e65c3539820e3bb980f0589aa44e682a0e6e4c3bf276438a6a"),
     "drls": ({"kind": "drls", "beta": 0.9, "rho": 20.0, "inner_iters": 2,
               "comm": "complete"},
-             "55fa1e2701a059035fbee0061476dbdb774f34b196d2d57007a0cdb1a84763a3"),
+             "9fb91f5356bc0c0847fca4d69054f8037bd1158ea51db12aa6798131159177ce"),
 }
 
 
@@ -647,18 +648,33 @@ def test_curve_csv_matches_golden_digest_over_passes(tmp_path, monkeypatch, kind
                                          workers)
 
 
+@pytest.mark.parametrize("kind", sorted(GOLDEN_CURVES))
+def test_first_rows_do_not_depend_on_the_horizon(tmp_path, kind):
+    # the noise used to come from the mask stream advanced past horizon x n
+    # uniforms, so a longer run redrew every noise value
+    cfg = golden_config(GOLDEN_CURVES[kind][0])
+    rows = {}
+    for horizon in (20, 40):
+        cfg["trials"], cfg["horizon"] = 4, horizon
+        write_curve_csv(run_experiment(cfg), str(tmp_path / "curve.csv"))
+        rows[horizon] = (tmp_path / "curve.csv").read_text().splitlines()
+    assert len(rows[40]) == 41
+    assert rows[20] == rows[40][:21]
+
+
 # SHA-256 of meta.json for the GOLDEN_CURVES runs, in one pass: the
 # closed-form theory fields (theory_msd_*, and for LMS theory_rate and
 # step_bound), the steady state and DRLS's inner_iters, as written while each
 # algorithm kind was still dispatched by its own branches; LMS re-pinned with
 # the exact mean-square step bound (2.1784 against the small-step 1.2012),
 # DRLS with its deviation measured in bandlimited coefficients (the steady
-# state moves in its last digit).  meta.json keeps every bit of a float, and
-# a sum over several passes can move the last one.
+# state moves in its last digit), and all three when each trial's masks and
+# noise moved to their own keyed streams.  meta.json keeps every bit of a
+# float, and a sum over several passes can move the last one.
 GOLDEN_META = {
-    "lms": "b803cba258653e639098f36c1e96a87804bb22bbe0941c97899a1e161e7729e5",
-    "rls": "da32e5b7ad4d571f7578bd978b00aac4b17ce2cfee27a5fee1667f8e79d83c91",
-    "drls": "4306f93434188d431b76c7f64a219bbee0b773b76d9f97cb586f0a417a6f0269",
+    "lms": "490fa5ea2fd4fe09e10a1384e98bbe15fb69ed2d87c4b6f0f3a09e099a354321",
+    "rls": "a496ae8d39bc8b2997f77704f86c64181b8ca5c4037db665f212ad7f11198a72",
+    "drls": "2712f147c43cb7c3f732afb773bb2ffceac17cc41c0066d3834af5291cbe57d9",
 }
 
 
@@ -674,8 +690,9 @@ def test_meta_json_matches_golden_digest(tmp_path, kind):
 
 # SHA-256 of comparison.csv for configs/compare_sampling.yaml: the baseline
 # rows as written by the per-prefix eigvalsh loop and the eigvalsh-per-
-# candidate determinant greedy, the designed rows by the log-barrier engine.
-GOLDEN_COMPARISON = "6cd319a481e22bc8ded3f589870e1ff55a6c864ce3feec2b318292653caf63f1"
+# candidate determinant greedy, the designed rows by the log-barrier engine;
+# the uniform rows re-pinned when the permutations moved to their own stream.
+GOLDEN_COMPARISON = "078f4823bec40c2e0b7fb563055e5b147c92a9934ebe3138f04b846df30916eb"
 
 
 def test_comparison_csv_matches_golden_digest(tmp_path):
@@ -786,15 +803,31 @@ def test_design_reads_no_algorithm_field_its_problem_does_not(tmp_path, capsys):
     assert digests == GOLDEN_DESIGN_OUTPUTS["design_min_rate.yaml"]
 
 
-@pytest.mark.parametrize("name", ["design_rls.yaml", "design_sca_min_rate.yaml"])
+@pytest.mark.parametrize("name", ["design_sca_min_rate.yaml"])
 def test_design_at_the_loosest_msd_target_exits_0(tmp_path, capsys, name):
     # msd_target_db's range end, 3000 dB, is a linear target of 1e300: the
     # barrier's slack squared used to overflow in the RLS and SCA designs, an
-    # OverflowError traceback
+    # OverflowError traceback (the RLS design there exits 2, tested below)
     config = load_config(BENCH_CONFIG_DIR / name)
     config["sampling"]["msd_target_db"] = 3000
     assert cli.main(["design", "--config", dump(tmp_path, config), "--out",
                      str(tmp_path / "out")]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["design", "theory"])
+@pytest.mark.parametrize("target_db", [1500, 3000])
+def test_rls_design_truncated_to_zero_exits_2_naming_sampling(tmp_path, capsys, command,
+                                                              target_db):
+    # at a target this loose the barrier leaves every p_i below TRUNCATE_TOL,
+    # and the truncated design, p = 0, reconstructs nothing: design used to
+    # write it and exit 0, and theory to reject it as rank deficient
+    config = load_config(BENCH_CONFIG_DIR / "design_rls.yaml")
+    config["sampling"]["msd_target_db"] = target_db
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", dump(tmp_path, config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: sampling: the design, its entries below 1e-09 set to 0, violates its program")
+    assert not (out / "design_p.csv").exists() and not (out / "theory.csv").exists()
 
 
 def test_reading_a_config_fills_in_no_default():
@@ -1478,9 +1511,11 @@ class TestCli:
         ("compare.msd_target_db", "run-lms", {"compare": dict(COMPARE, msd_target_db=math.nan)}),
         # a forgetting factor that forgets delta I within a few instants used to
         # end in a LinAlgError traceback once an instant left Psi singular
-        *(("algorithm.beta", "run-rls", {"sampling": {"kind": "explicit", "p": [0.3] * 8},
+        # (on this seed's trial streams beta = 1e-5 leaves Psi singular at
+        # p = 0.2, not at 0.3)
+        *(("algorithm.beta", "run-rls", {"sampling": {"kind": "explicit", "p": [p] * 8},
                                          "algorithm": {"kind": "rls", "beta": beta}})
-          for beta in (1e-5, 1e-300)),
+          for beta, p in ((1e-5, 0.2), (1e-300, 0.3))),
         # counts past the ceiling of 10,000 used to run until killed
         ("compare.random_seeds", "compare-sampling",
          {"compare": dict(COMPARE, random_seeds=10 ** 20)}),
@@ -1489,6 +1524,9 @@ class TestCli:
         # a bad log-uniform range used to be named noise.low/high, no field
         ("noise.low", "run-lms", {"noise": {"kind": "loguniform", "low": -0.1, "high": 0.03}}),
         ("noise.high", "run-lms", {"noise": {"kind": "loguniform", "low": 0.02, "high": 0.004}}),
+        # numpy splits a seed past 32 bits into two key words, so seed
+        # T * 2**32 + s keyed seed s's streams at index T
+        ("seed", "run-lms", {"seed": 2 ** 32}),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, tmp_path, capsys, field,
                                                      command, edits):
@@ -1500,6 +1538,13 @@ class TestCli:
         for name in ("curve.csv", "meta.json", "theory.csv", "comparison.csv", "graph.txt"):
             assert not (out / name).exists()
 
+    def test_seed_flag_past_32_bits_exits_2_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run-lms", "--config", dump(tmp_path, tiny_config()), "--out", str(out),
+                         "--seed", str(2 ** 32)]) == 2
+        assert capsys.readouterr().err == "error: seed: must be at most 4294967295, got 4294967296\n"
+        assert not (out / "curve.csv").exists()
+
     @pytest.mark.parametrize("text, message", [
         # YAML keeps the last of two equal keys: mu = 2.5 used to run, above
         # the step bound of 2 that theory reports
@@ -1510,7 +1555,13 @@ class TestCli:
          "noise.low: must be positive, got -0.1"),
         ("noise: {kind: loguniform, low: 0.02, high: 0.004}\n",
          "noise.high: must be at least noise.low = 0.02, got 0.004"),
-    ], ids=["key_twice", "top_level_key_twice", "section_twice", "noise_low", "noise_high"])
+        # an integer past the float range used to end in an OverflowError
+        # traceback, a self-holding alias in a RecursionError traceback
+        (f"algorithm: {{kind: lms, mu: 1{'0' * 400}}}\n",
+         "algorithm.mu: must be finite, got an integer past the float range"),
+        ("signal: &a {scale: [*a]}\n", "signal.scale: an alias refers to a node that holds it"),
+    ], ids=["key_twice", "top_level_key_twice", "section_twice", "noise_low", "noise_high",
+            "integer_past_float_range", "alias_holds_itself"])
     def test_config_text_error_gives_its_field(self, tmp_path, capsys, text, message):
         base = {k: v for k, v in tiny_config().items() if k not in yaml.safe_load(text)}
         path = tmp_path / "config.yaml"

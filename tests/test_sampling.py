@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphadapt.graphs import Bandlimit, build_laplacian, eigendecompose, random_geometric_graph
+from graphadapt import sampling
+from graphadapt.graphs import (
+    Bandlimit,
+    build_laplacian,
+    connected_components,
+    eigendecompose,
+    random_geometric_graph,
+)
+from graphadapt.harness import build_graph
 from graphadapt.sampling import (
     NoiseModel,
     SamplingProbabilities,
@@ -275,3 +283,44 @@ def test_reconstructability_monotone_in_probabilities(seed):
     lam_lo = reconstructability_lambda(SamplingProbabilities(probs=p_lo), bl)
     lam_hi = reconstructability_lambda(SamplingProbabilities(probs=p_hi), bl)
     assert lam_hi >= lam_lo - 1e-10
+
+
+class TestStreams:
+    """Every random consumer draws from its own stream: the analysis assumes
+    masks and noise independent from one instant and one trial to the next."""
+
+    def test_adjacent_seeds_share_no_trial_stream(self):
+        # trial t + 1 of seed 1 used to be trial t of seed 2
+        n, probs, std = 6, np.full(6, 0.5), np.full(6, 0.1)
+        (masks1, noise1), = draw_blocks(1, range(1, 3), 10, probs, std, 2 * 10 * n)
+        (masks2, noise2), = draw_blocks(2, range(0, 2), 10, probs, std, 2 * 10 * n)
+        for c in range(2):
+            assert not np.array_equal(masks1[c], masks2[c])
+            assert not np.array_equal(noise1[c], noise2[c])
+
+    def test_every_consumer_draws_its_own_stream(self):
+        # the first draws of every tag, bare and at trials 0 and 1, and of the
+        # graph's bare seed, at three seeds: no two are equal (a bare tag and
+        # the same tag at index 0 included, which numpy's zero-padding of a
+        # short key would make one stream)
+        first = {}
+        for seed in (0, 1, 2 ** 32 - 1):
+            first[seed, "graph"] = tuple(np.random.default_rng(seed).random(2))
+            for tag in sampling.TAGS:
+                for index in ((), (0,), (1,)):
+                    first[seed, tag, *index] = tuple(sampling.stream(seed, tag, *index).random(2))
+        assert len(set(first.values())) == len(first) == 3 * (1 + 3 * len(sampling.TAGS))
+
+    def test_graph_coordinates_are_not_a_trials_mask_uniforms(self):
+        # with no graph.seed, attempt k of the graph draws its coordinates from
+        # default_rng(seed + k); trial k's masks used to threshold those very
+        # uniforms
+        seed, n, radius = 3, 8, 0.8
+        k = next(k for k in range(200)
+                 if connected_components(random_geometric_graph(n, radius, seed + k)) == 1)
+        config = {"seed": seed, "graph": {"kind": "random_geometric", "n": n, "radius": radius}}
+        assert np.array_equal(build_graph(config).weights,
+                              random_geometric_graph(n, radius, seed + k).weights)
+        coords = np.random.default_rng(seed + k).random((n, 2))
+        (masks, _), = draw_blocks(seed, [k], 2, np.full(n, 0.5), np.ones(n), 2 * n)
+        assert not np.array_equal(masks[0], coords.reshape(2, n) < 0.5)
